@@ -15,10 +15,11 @@ from .data import (
     LabeledLogits,
     LabelPartition,
     LinearHead,
+    check_gamma,
     check_width,
 )
 from .errors import EmptyGroupError, TrainingError, ValidationError
-from .metrics import seen_unseen_curve
+from .metrics import _absent_side, _group_stats, seen_unseen_curve
 from .rng import derive_rng, derive_seed
 from .trainer import MlpModel, TrainConfig, fine_tune, forward_batch
 
@@ -36,8 +37,7 @@ class GammaEstimate:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValidationError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not np.isfinite(self.value):
-            raise ValidationError(f"gamma must be finite, got {self.value!r}")
+        check_gamma(self.value)
 
     def as_dict(self) -> dict:
         out = {"method": self.method, "gamma": self.value}
@@ -48,14 +48,18 @@ class GammaEstimate:
 def apply_gamma(logits: LabeledLogits, partition: LabelPartition, gamma: float) -> np.ndarray:
     """Predicted labels after boosting every absent-class logit by ``gamma``.
 
-    Plain argmax of the adjusted logits; ties resolve to the lowest class
-    index.
+    Tie rule: a sample is predicted absent iff its flip value (max seen
+    logit minus max absent logit) is below gamma; an exact tie goes to the
+    group whose argmax has the lower class index. Within each group the
+    prediction is the raw-logit argmax, so gamma never reorders a group.
+    Curve points and returned gammas lie strictly inside threshold
+    intervals, so no reported number depends on the tie rule, except
+    between ulp-adjacent thresholds, where the point is the one realised at
+    the upper threshold.
     """
-    check_width(logits, partition)
-    if not np.isfinite(gamma):
-        raise ValidationError(f"gamma must be finite, got {gamma!r}")
-    adjusted = logits.values + float(gamma) * partition.absent_column_mask()
-    return np.argmax(adjusted, axis=1).astype(np.int64)
+    gamma = check_gamma(gamma)
+    stats = _group_stats(logits, partition)
+    return np.where(_absent_side(stats, gamma), stats.arg_u, stats.arg_s)
 
 
 def estimate_gamma_alg(train_logits: LabeledLogits, partition: LabelPartition) -> GammaEstimate:
@@ -89,18 +93,16 @@ def estimate_gamma_star(test_logits: LabeledLogits, partition: LabelPartition) -
     """Cheating calibration factor: the curve gamma maximizing overall
     accuracy on labeled test data.
 
-    Candidates are the exact curve thresholds plus the beyond-the-last
-    sentinel; ties prefer the larger min(Acc_{S/Y}, Acc_{U/Y}), then the
-    smaller gamma.
+    Candidates are the curve's ``candidate_gammas()``, one strictly inside
+    each staircase interval; ties prefer the larger
+    min(Acc_{S/Y}, Acc_{U/Y}), then the smaller gamma.
     """
     curve = seen_unseen_curve(test_logits, partition)
     candidates = curve.candidate_gammas()
     overall = curve.acc_y_y()
     balance = np.minimum(curve.points[:, 0], curve.points[:, 1])
-    best = 0
-    for k in range(1, candidates.size):
-        if overall[k] > overall[best] or (overall[k] == overall[best] and balance[k] > balance[best]):
-            best = k
+    # first maximum of the balance among the best overall points
+    best = int(np.argmax(np.where(overall == overall.max(), balance, -np.inf)))
     return GammaEstimate(
         value=float(candidates[best]),
         method="STAR",
@@ -127,8 +129,7 @@ def predict_cosine(
         )
     if head.dim != features.dim:
         raise ValidationError(f"features have dim {features.dim}, head expects {head.dim}")
-    if not np.isfinite(gamma):
-        raise ValidationError(f"gamma must be finite, got {gamma!r}")
+    gamma = check_gamma(gamma)
     feat_norms = np.linalg.norm(features.values, axis=1)
     zero = np.flatnonzero(feat_norms == 0.0)
     if zero.size:
@@ -138,7 +139,7 @@ def predict_cosine(
     if zero.size:
         raise ValidationError(f"weight row {int(zero[0])} has zero norm")
     cosines = (features.values / feat_norms[:, None]) @ (head.weights / weight_norms[:, None]).T
-    adjusted = cosines + float(gamma) * partition.absent_column_mask()
+    adjusted = cosines + gamma * partition.absent_column_mask()
     return np.argmax(adjusted, axis=1).astype(np.int64)
 
 

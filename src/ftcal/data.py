@@ -183,6 +183,14 @@ def check_width(logits: LabeledLogits, partition: LabelPartition) -> None:
         )
 
 
+def check_gamma(gamma) -> float:
+    """Return the calibration factor ``gamma`` as a float; raise unless it is
+    finite."""
+    if not np.isfinite(gamma):
+        raise ValidationError(f"gamma must be finite, got {gamma!r}")
+    return float(gamma)
+
+
 def make_random_split(num_classes: int, k: int, seed: int) -> LabelPartition:
     """Uniformly random k-subset of classes as the fine-tuning set.
 

@@ -5,11 +5,18 @@ seen-unseen trade-off curve with its area (AUSUC).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import LabeledLogits, LabelPartition, check_width
+from .data import LabeledLogits, LabelPartition, check_gamma, check_width
 from .errors import EmptyGroupError, ValidationError
+
+# Rows per block of the group-statistics kernel come from this byte budget
+# over the column count. A block and its two group copies then stay in the
+# L2 cache: on 100k x 100 and 20k x 1000 logits, 512 KiB blocks ran
+# 1.3-1.5x faster than 4 MiB blocks and 2-3x faster than one block.
+_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -46,13 +53,23 @@ class AccReport:
 class SeenUnseenCurve:
     """Exact staircase of (Acc_{S/Y}, Acc_{U/Y}) over all calibration factors.
 
-    ``thresholds`` holds the strictly increasing gamma values at which at
-    least one sample's predicted group flips. ``points[k]`` is the accuracy
-    pair on the interval (thresholds[k-1], thresholds[k]]; points[0] covers
-    (-inf, thresholds[0]] and points[-1] covers (thresholds[-1], +inf).
-    A sample is predicted absent iff max absent logit + gamma strictly
-    exceeds max seen logit (ties keep the seen group), which makes each
-    interval's accuracies constant.
+    ``thresholds`` holds the strictly increasing flip values, the gammas at
+    which at least one sample's predicted group flips. ``points[k]`` is the
+    accuracy pair on the open interval (thresholds[k-1], thresholds[k]);
+    points[0] covers (-inf, thresholds[0]) and points[-1] covers
+    (thresholds[-1], +inf). Inside an interval no sample is tied between
+    the groups, so each interval's accuracies are constant.
+    ``candidate_gammas()[k]`` realises ``points[k]`` exactly under
+    ``acc_report`` and ``apply_gamma``.
+
+    Tie rule: a sample is predicted absent iff its flip value (max seen
+    logit minus max absent logit) is below gamma; an exact tie goes to the
+    group whose argmax has the lower class index. Within each group the
+    prediction is the raw-logit argmax, so gamma never reorders a group.
+    Curve points and returned gammas lie strictly inside threshold
+    intervals, so no reported number depends on the tie rule, except
+    between ulp-adjacent thresholds, where the point is the one realised at
+    the upper threshold.
     """
 
     thresholds: np.ndarray
@@ -68,16 +85,28 @@ class SeenUnseenCurve:
     def candidate_gammas(self) -> np.ndarray:
         """One gamma realizing each staircase point, in interval order.
 
-        points[k] is attained at thresholds[k] for k < K; the final
-        all-absent point needs any gamma beyond the largest threshold, for
-        which thresholds[-1] + 1 serves as the sentinel.
+        The midpoint of each interior interval, thresholds[0] - 1 below the
+        first threshold and thresholds[-1] + 1 beyond the last. Where the
+        rounded midpoint is not strictly inside, the next float above the
+        left threshold is; where two thresholds are ulp-adjacent, that is
+        the upper one.
         """
-        return np.append(self.thresholds, self.thresholds[-1] + 1.0)
+        t = self.thresholds
+        mid = (t[:-1] + t[1:]) / 2.0
+        inner = np.where((t[:-1] < mid) & (mid < t[1:]), mid, np.nextafter(t[:-1], np.inf))
+        first = min(t[0] - 1.0, np.nextafter(t[0], -np.inf))
+        last = max(t[-1] + 1.0, np.nextafter(t[-1], np.inf))
+        return np.concatenate([[first], inner, [last]])
 
     def acc_y_y(self) -> np.ndarray:
-        """Overall accuracy at each staircase point."""
+        """Overall accuracy at each staircase point.
+
+        Taken from the recovered correct counts, so it equals the overall
+        accuracy ``acc_report`` gives at the point's gamma bit for bit.
+        """
         n_s, n_u = self.num_seen, self.num_absent
-        return (n_s * self.points[:, 0] + n_u * self.points[:, 1]) / (n_s + n_u)
+        correct = np.rint(self.points[:, 0] * n_s) + np.rint(self.points[:, 1] * n_u)
+        return correct / (n_s + n_u)
 
 
 def _restriction_columns(restriction, num_classes: int) -> np.ndarray:
@@ -102,6 +131,62 @@ def predict_restricted(logits: LabeledLogits, restriction) -> np.ndarray:
     return _argmax_restricted(logits.values, cols)
 
 
+class _GroupStats(NamedTuple):
+    """Per-sample statistics behind every accuracy, curve and gamma."""
+
+    max_s: np.ndarray  # max logit over the seen columns
+    arg_s: np.ndarray  # its class index, the lowest on ties
+    max_u: np.ndarray  # max logit over the absent columns
+    arg_u: np.ndarray  # its class index, the lowest on ties
+    label_absent: np.ndarray  # whether the label is an absent class
+
+
+def _group_stats(logits: LabeledLogits, partition: LabelPartition) -> _GroupStats:
+    """Max and argmax over each group's columns, computed in row blocks."""
+    check_width(logits, partition)
+    values = logits.values
+    num_rows, num_cols = values.shape
+    rows = max(1, _BLOCK_BYTES // (values.itemsize * num_cols))
+    groups = (partition.group_indices("S"), partition.group_indices("U"))
+    maxima = [np.empty(num_rows) for _ in groups]
+    argmaxima = [np.empty(num_rows, dtype=np.int64) for _ in groups]
+    for start in range(0, num_rows, rows):
+        block = values[start : start + rows]
+        at = np.arange(block.shape[0])
+        for cols, best, arg in zip(groups, maxima, argmaxima):
+            sub = block[:, cols]
+            idx = np.argmax(sub, axis=1)  # first maximum: lowest class index
+            best[start : start + rows] = sub[at, idx]
+            arg[start : start + rows] = cols[idx]
+    # a lookup table rather than np.isin, whose fixed cost dominates small inputs
+    absent = np.zeros(num_cols, dtype=bool)
+    absent[groups[1]] = True
+    return _GroupStats(maxima[0], argmaxima[0], maxima[1], argmaxima[1], absent[logits.labels])
+
+
+def _absent_side(stats: _GroupStats, gamma: float) -> np.ndarray:
+    """Whether each sample is predicted absent once ``gamma`` is added to
+    every absent logit, under the tie rule of ``SeenUnseenCurve``.
+
+    The comparison is made on the same rounded flip values the curve sorts,
+    not on max_u + gamma: the two roundings can disagree by an ulp, and
+    only this one makes every reported curve point realisable.
+    """
+    flip = stats.max_s - stats.max_u
+    return (flip < gamma) | ((flip == gamma) & (stats.arg_u < stats.arg_s))
+
+
+def _group_sizes(stats: _GroupStats) -> tuple[int, int]:
+    """(seen-labeled, absent-labeled) sample counts; both must be nonzero."""
+    num_absent = int(np.count_nonzero(stats.label_absent))
+    num_seen = stats.label_absent.size - num_absent
+    if num_seen == 0:
+        raise EmptyGroupError("no samples labeled in group S")
+    if num_absent == 0:
+        raise EmptyGroupError("no samples labeled in group U")
+    return num_seen, num_absent
+
+
 def accuracy(logits: LabeledLogits, partition: LabelPartition, group_a: str, group_b: str) -> float:
     """Acc_{A/B}: fraction of A-labeled samples whose argmax restricted to
     group B equals their label."""
@@ -117,21 +202,32 @@ def accuracy(logits: LabeledLogits, partition: LabelPartition, group_a: str, gro
 
 def acc_report(logits: LabeledLogits, partition: LabelPartition, gamma: float = 0.0) -> AccReport:
     """All five Acc_{A/B} values, optionally after adding ``gamma`` to every
-    absent-class logit. Requires samples from both groups."""
-    check_width(logits, partition)
-    if not np.isfinite(gamma):
-        raise ValidationError(f"gamma must be finite, got {gamma!r}")
-    adjusted = LabeledLogits(
-        logits.values + float(gamma) * partition.absent_column_mask(), logits.labels
-    )
-    num_seen = int(np.isin(logits.labels, partition.group_indices("S")).sum())
-    num_absent = logits.num_samples - num_seen
+    absent-class logit. Requires samples from both groups.
+
+    Tie rule: a sample is predicted absent iff its flip value (max seen
+    logit minus max absent logit) is below gamma; an exact tie goes to the
+    group whose argmax has the lower class index. Within each group the
+    prediction is the raw-logit argmax, so gamma never reorders a group.
+    Curve points and returned gammas lie strictly inside threshold
+    intervals, so no reported number depends on the tie rule, except
+    between ulp-adjacent thresholds, where the point is the one realised at
+    the upper threshold.
+    """
+    gamma = check_gamma(gamma)
+    stats = _group_stats(logits, partition)
+    num_seen, num_absent = _group_sizes(stats)
+    # arg_s can only hit a seen label and arg_u only an absent one.
+    correct_seen = stats.arg_s == logits.labels
+    correct_absent = stats.arg_u == logits.labels
+    absent_side = _absent_side(stats, gamma)
+    hits_s_y = int(np.count_nonzero(correct_seen & ~absent_side))
+    hits_u_y = int(np.count_nonzero(correct_absent & absent_side))
     return AccReport(
-        acc_y_y=accuracy(adjusted, partition, "Y", "Y"),
-        acc_s_y=accuracy(adjusted, partition, "S", "Y"),
-        acc_u_y=accuracy(adjusted, partition, "U", "Y"),
-        acc_s_s=accuracy(adjusted, partition, "S", "S"),
-        acc_u_u=accuracy(adjusted, partition, "U", "U"),
+        acc_y_y=(hits_s_y + hits_u_y) / (num_seen + num_absent),
+        acc_s_y=hits_s_y / num_seen,
+        acc_u_y=hits_u_y / num_absent,
+        acc_s_s=int(np.count_nonzero(correct_seen)) / num_seen,
+        acc_u_u=int(np.count_nonzero(correct_absent)) / num_absent,
         num_seen=num_seen,
         num_absent=num_absent,
     )
@@ -175,21 +271,11 @@ def seen_unseen_curve(logits: LabeledLogits, partition: LabelPartition) -> SeenU
     does not depend on gamma. Sorting the per-sample flip values therefore
     yields the full curve without any grid.
     """
-    check_width(logits, partition)
-    values, labels = logits.values, logits.labels
-    seen_cols = partition.group_indices("S")
-    absent_cols = partition.group_indices("U")
-    is_absent = partition.is_absent_label(labels)
-    num_absent = int(is_absent.sum())
-    num_seen = labels.size - num_absent
-    if num_seen == 0:
-        raise EmptyGroupError("no samples labeled in group S")
-    if num_absent == 0:
-        raise EmptyGroupError("no samples labeled in group U")
-
-    flip = values[:, seen_cols].max(axis=1) - values[:, absent_cols].max(axis=1)
-    correct_seen = (~is_absent) & (_argmax_restricted(values, seen_cols) == labels)
-    correct_absent = is_absent & (_argmax_restricted(values, absent_cols) == labels)
+    stats = _group_stats(logits, partition)
+    num_seen, num_absent = _group_sizes(stats)
+    flip = stats.max_s - stats.max_u
+    correct_seen = stats.arg_s == logits.labels
+    correct_absent = stats.arg_u == logits.labels
 
     thresholds = np.unique(flip)
     k = thresholds.size
@@ -200,6 +286,14 @@ def seen_unseen_curve(logits: LabeledLogits, partition: LabelPartition) -> SeenU
     hist_absent = np.bincount(j[correct_absent], minlength=k)
     seen_counts = np.concatenate([np.cumsum(hist_seen[::-1])[::-1], [0]])
     absent_counts = np.concatenate([[0], np.cumsum(hist_absent)])
+    # No float lies strictly between ulp-adjacent thresholds, so such an
+    # interval's point is the one realised at its upper threshold, where
+    # the samples flipping there follow the tie rule.
+    upper = np.flatnonzero(np.nextafter(thresholds[:-1], np.inf) == thresholds[1:]) + 1
+    if upper.size:
+        tied_absent = stats.arg_u < stats.arg_s
+        seen_counts[upper] -= np.bincount(j[correct_seen & tied_absent], minlength=k)[upper]
+        absent_counts[upper] += np.bincount(j[correct_absent & tied_absent], minlength=k)[upper]
     points = np.stack([seen_counts / num_seen, absent_counts / num_absent], axis=1)
     within = (
         float(correct_seen.sum() / num_seen),

@@ -13,6 +13,7 @@ from ftcal import (
     TrainConfig,
     TrainingError,
     ValidationError,
+    acc_report,
     apply_gamma,
     estimate_gamma_alg,
     estimate_gamma_pcv,
@@ -24,7 +25,13 @@ from ftcal import (
 )
 from ftcal.calibration import select_balanced_gamma
 
-from test_metrics import grid_curve_points, random_instance
+from test_metrics import (
+    grid_curve_points,
+    random_instance,
+    reference_acc_report,
+    tie_instance,
+    tie_instances,
+)
 
 
 class TestApplyGamma:
@@ -47,6 +54,29 @@ class TestApplyGamma:
         np.testing.assert_array_equal(
             apply_gamma(logits, p, 0.0), predict_restricted(logits, range(p.num_classes))
         )
+
+    def test_rounding_collapse_keeps_raw_within_group_argmax(self):
+        # Adding 2**54 rounds the absent logits 1 and 1 + 2**-52 to one
+        # value, so the argmax of the adjusted matrix takes class 1; the
+        # within-group choice stays the raw argmax, class 2.
+        logits = LabeledLogits([[0.0, 1.0, 1.0 + 2**-52], [5.0, 0.0, 0.0]], [2, 0])
+        p = LabelPartition(3, (0,))
+        gamma = 2.0**54
+        adjusted = logits.values + gamma * p.absent_column_mask()
+        assert adjusted[0, 1] == adjusted[0, 2]
+        assert np.argmax(adjusted, axis=1).tolist() == [1, 1]
+        assert apply_gamma(logits, p, gamma).tolist() == [2, 1]
+        assert acc_report(logits, p, gamma).acc_u_u == 1.0
+        assert reference_acc_report(logits, p, gamma)["acc_u_u"] == 0.0
+
+    def test_cross_group_rounding_follows_the_flip_value(self):
+        # 1 + gamma rounds to 2, tying the seen logit in the adjusted
+        # matrix, but the flip value 2 - 1 = 1 still exceeds gamma.
+        logits = LabeledLogits([[1.0, 2.0]], [1])
+        p = LabelPartition(2, (1,))
+        gamma = 1.0 - 2.0**-53
+        assert np.argmax(logits.values + gamma * p.absent_column_mask(), axis=1).tolist() == [0]
+        assert apply_gamma(logits, p, gamma).tolist() == [1]
 
     def test_monotone_group_flip(self):
         # As gamma grows, each sample's predicted group switches from seen
@@ -186,6 +216,80 @@ class TestGammaStar:
         logits = LabeledLogits([[1.0, 0.0]], [0])
         with pytest.raises(EmptyGroupError):
             estimate_gamma_star(logits, LabelPartition(2, (0,)))
+
+
+def realised(logits, p, gamma):
+    """(Acc_{Y/Y}, Acc_{S/Y}, Acc_{U/Y}) at ``gamma``; ``acc_report`` must
+    agree with the labels ``apply_gamma`` predicts."""
+    report = acc_report(logits, p, gamma)
+    hit = apply_gamma(logits, p, gamma) == logits.labels
+    absent = p.is_absent_label(logits.labels)
+    accs = (report.acc_y_y, report.acc_s_y, report.acc_u_y)
+    assert accs == (hit.mean(), hit[~absent].mean(), hit[absent].mean())
+    return accs
+
+
+def loop_gamma_star_pick(curve):
+    """The index of gamma* as a loop: best overall, then best balance, then
+    smallest gamma."""
+    overall = curve.acc_y_y()
+    balance = np.minimum(curve.points[:, 0], curve.points[:, 1])
+    best = 0
+    for k in range(1, overall.size):
+        if overall[k] > overall[best] or (
+            overall[k] == overall[best] and balance[k] > balance[best]
+        ):
+            best = k
+    return best
+
+
+class TestReportedEqualsRealised:
+    @given(tie_instances)
+    @settings(max_examples=100, deadline=None)
+    def test_gamma_star(self, instance):
+        logits, p = tie_instance(*instance)
+        estimate = estimate_gamma_star(logits, p)
+        curve = seen_unseen_curve(logits, p)
+        assert estimate.value == curve.candidate_gammas()[loop_gamma_star_pick(curve)]
+        d = estimate.diagnostics
+        assert realised(logits, p, estimate.value) == (d["acc_y_y"], d["acc_s_y"], d["acc_u_y"])
+
+    @given(tie_instances)
+    @settings(max_examples=100, deadline=None)
+    def test_every_curve_point(self, instance):
+        logits, p = tie_instance(*instance)
+        curve = seen_unseen_curve(logits, p)
+        overall = curve.acc_y_y()
+        for k, gamma in enumerate(curve.candidate_gammas()):
+            assert realised(logits, p, gamma) == (overall[k], *curve.points[k])
+
+    @given(tie_instances)
+    @settings(max_examples=100, deadline=None)
+    def test_balanced_pick(self, instance):
+        logits, p = tie_instance(*instance)
+        gamma, acc_seen, acc_absent = select_balanced_gamma(seen_unseen_curve(logits, p))
+        assert realised(logits, p, gamma)[1:] == (acc_seen, acc_absent)
+
+    def test_pcv_per_repeat_picks(self, monkeypatch):
+        import ftcal.calibration as calibration
+
+        curves = []
+
+        def recording_curve(logits, partition):
+            curves.append((logits, partition))
+            return seen_unseen_curve(logits, partition)
+
+        monkeypatch.setattr(calibration, "seen_unseen_curve", recording_curve)
+        features, model, partition = balanced_pcv_fixture(seed=2)
+        config = TrainConfig(learning_rate=0.05, epochs=5, batch_size=16, seed=0)
+        estimate = estimate_gamma_pcv(features, model, partition, config, repeats=3, seed=9)
+        d = estimate.diagnostics
+        assert len(curves) == 3
+        for r, (logits, p) in enumerate(curves):
+            assert realised(logits, p, d[f"gamma_{r}"])[1:] == (
+                d[f"acc_pseudo_seen_{r}"],
+                d[f"acc_pseudo_absent_{r}"],
+            )
 
 
 class TestPredictCosine:

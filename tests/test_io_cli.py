@@ -236,6 +236,30 @@ class TestCli:
         assert "gamma=0.6" in out
         assert report.read_text() == out
 
+    def test_gamma_star_report_matches_metrics_and_calibrate(self, tmp_path, capsys):
+        # Quantised, non-dyadic logits give ulp-close flip values; absent
+        # classes 0 and 2 sit below and between the seen ones.
+        rng = np.random.default_rng(5)
+        labels = rng.integers(0, 5, size=200)
+        io.save_matrix(rng.integers(-24, 25, size=(200, 5)) / 16.0 * 1e-3, tmp_path / "l.csv")
+        io.save_labels(labels, tmp_path / "y.csv")
+        io.save_partition(LabelPartition(5, (1, 3, 4)), tmp_path / "p.txt")
+        files = ["--logits", str(tmp_path / "l.csv"), "--labels", str(tmp_path / "y.csv"),
+                 "--partition", str(tmp_path / "p.txt")]
+
+        def report(*argv):
+            assert run_cli(*argv) == 0
+            return dict(line.split("=", 1) for line in capsys.readouterr().out.split())
+
+        star = report("gamma-star", *files)
+        metrics = report("metrics", *files, "--gamma", star["gamma"])
+        for key in ("acc_y_y", "acc_s_y", "acc_u_y"):
+            assert metrics[key] == star[key]
+        out = tmp_path / "pred.csv"
+        assert run_cli("calibrate", *files, "--gamma", star["gamma"], "--out", str(out)) == 0
+        hit = io.load_labels(out) == labels
+        assert repr(float(hit.mean())) == star["acc_y_y"]
+
     def test_usage_error_exit_code(self, capsys):
         assert run_cli("metrics") == 1
         assert run_cli("no-such-command") == 1

@@ -34,6 +34,42 @@ def random_instance(seed, max_n=60, max_c=10):
     return LabeledLogits(values, labels), partition
 
 
+def tie_instance(seed, scale, quantised):
+    """Random logits at ``scale`` under a random partition (seen classes
+    anywhere in the label space); quantised logits (multiples of 1/16)
+    give exact ties within and across groups and between flip values."""
+    rng = np.random.default_rng(seed)
+    c = int(rng.integers(2, 9))
+    k = int(rng.integers(1, c))
+    partition = LabelPartition(c, tuple(rng.permutation(c)[:k].tolist()))
+    n = int(rng.integers(2, 50))
+    labels = rng.integers(0, c, size=n)
+    labels[0] = rng.choice(partition.group_indices("S"))
+    labels[1] = rng.choice(partition.group_indices("U"))
+    if quantised:
+        values = rng.integers(-24, 25, size=(n, c)) / 16.0 * scale
+    else:
+        values = rng.normal(0.0, 2.0, size=(n, c)) * scale
+    return LabeledLogits(values, labels), partition
+
+
+tie_instances = st.tuples(
+    st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e3]), st.booleans()
+)
+
+
+def reference_acc_report(logits, partition, gamma=0.0):
+    """The five Acc_{A/B} values as five ``accuracy`` calls on the
+    gamma-adjusted logits."""
+    adjusted = LabeledLogits(
+        logits.values + gamma * partition.absent_column_mask(), logits.labels
+    )
+    return {
+        f"acc_{a.lower()}_{b.lower()}": accuracy(adjusted, partition, a, b)
+        for a, b in (("Y", "Y"), ("S", "Y"), ("U", "Y"), ("S", "S"), ("U", "U"))
+    }
+
+
 class TestPredictRestricted:
     def test_unrestricted(self):
         logits = LabeledLogits([[2.0, 1.0, 1.5]], [0])
@@ -76,6 +112,15 @@ class TestAccuracy:
         logits = LabeledLogits([[1.0, 0.0, 0.0]], [0])
         with pytest.raises(EmptyGroupError):
             accuracy(logits, LabelPartition(3, (0, 1)), "U", "Y")
+
+    @given(tie_instances)
+    @settings(max_examples=200, deadline=None)
+    def test_acc_report_equals_five_accuracy_calls_at_zero(self, instance):
+        logits, p = tie_instance(*instance)
+        report = acc_report(logits, p).as_dict()
+        assert {key: report[key] for key in report if key.startswith("acc")} == (
+            reference_acc_report(logits, p)
+        )
 
     def test_restriction_never_loses_correct_predictions(self):
         for seed in range(30):
@@ -200,6 +245,36 @@ class TestSeenUnseenCurve:
             gx, gy = grid_curve_points(logits.values, logits.labels, p, gammas)
             np.testing.assert_array_equal(gx, curve.points[:, 0])
             np.testing.assert_array_equal(gy, curve.points[:, 1])
+
+    def test_candidate_gammas_lie_strictly_inside_intervals(self):
+        for seed in range(30):
+            logits, p = random_instance(seed)
+            curve = seen_unseen_curve(logits, p)
+            t, g = curve.thresholds, curve.candidate_gammas()
+            assert g.size == curve.points.shape[0] == t.size + 1
+            assert g[0] < t[0] and g[-1] > t[-1]
+            assert np.all((t[:-1] < g[1:-1]) & (g[1:-1] < t[1:]))
+
+    def test_candidate_gammas_at_ulp_adjacent_and_huge_thresholds(self):
+        # No float lies between ulp-adjacent thresholds: the right one
+        # serves. Beyond 2**53, t - 1 and t + 1 round back onto t.
+        one_up = np.nextafter(1.0, 2.0)
+        logits = LabeledLogits([[1.0, 0.0], [one_up, 0.0]], [0, 1])
+        curve = seen_unseen_curve(logits, LabelPartition(2, (0,)))
+        assert curve.candidate_gammas().tolist() == [0.0, one_up, 2.0]
+        # Absent class 0 has the lower index, so at gamma = one_up the
+        # sample flipping there is tied and goes absent: the point between
+        # the two thresholds is the one realised there.
+        logits = LabeledLogits([[0.0, 1.0], [0.0, one_up]], [1, 0])
+        p = LabelPartition(2, (1,))
+        curve = seen_unseen_curve(logits, p)
+        assert curve.candidate_gammas()[1] == one_up
+        assert curve.points.tolist() == [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
+        report = acc_report(logits, p, one_up)
+        assert (report.acc_s_y, report.acc_u_y) == (0.0, 1.0)
+        logits = LabeledLogits([[1e17, 0.0], [3e17, 0.0]], [0, 1])
+        g = seen_unseen_curve(logits, LabelPartition(2, (0,))).candidate_gammas()
+        assert g.tolist() == [np.nextafter(1e17, 0.0), 2e17, np.nextafter(3e17, np.inf)]
 
 
 class TestAusuc:
