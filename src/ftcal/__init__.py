@@ -54,7 +54,7 @@ from .metrics import (
     predict_restricted,
     seen_unseen_curve,
 )
-from .ncm import ClassMeans, class_means, ncm_predict
+from .ncm import ClassMeans, class_means, ncm_logits, ncm_predict
 from .pipeline import ToyReport, run_toy_pipeline
 from .rng import derive_rng, derive_seed
 from .trainer import (

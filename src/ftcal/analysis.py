@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledLogits, LabelPartition, LinearHead, check_width
+from .data import LabeledLogits, LabelPartition, LinearHead, check_width, unit_rows
 from .errors import DegenerateInputError, EmptyGroupError, ValidationError
 
 # Centered Grams of nearly identical rows have HSIC at rounding-noise level;
@@ -24,14 +24,6 @@ class SimilarityReport:
     matrix: np.ndarray
     mean_offdiag: float
     subset: tuple[int, ...]
-
-
-def _normalize_rows(matrix: np.ndarray, what: str) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValidationError(f"{what} row {int(zero[0])} has zero norm")
-    return matrix / norms[:, None]
 
 
 def linear_cka(weights_a, weights_b) -> float:
@@ -55,8 +47,8 @@ def linear_cka(weights_a, weights_b) -> float:
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValidationError("weight matrices contain non-finite entries")
 
-    a_hat = _normalize_rows(a, "weights_a")
-    b_hat = _normalize_rows(b, "weights_b")
+    a_hat = unit_rows(a, "weights_a")
+    b_hat = unit_rows(b, "weights_b")
     gram_a = a_hat @ a_hat.T
     gram_b = b_hat @ b_hat.T
     centering = np.eye(n) - np.full((n, n), 1.0 / n)

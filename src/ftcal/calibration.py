@@ -17,6 +17,7 @@ from .data import (
     LinearHead,
     check_gamma,
     check_width,
+    unit_rows,
 )
 from .errors import EmptyGroupError, TrainingError, ValidationError
 from .metrics import _absent_side, _group_stats, seen_unseen_curve
@@ -120,8 +121,8 @@ def predict_cosine(
     """Calibrated prediction with cosine-similarity logits.
 
     Logits are the cosine similarities between feature rows and weight
-    rows, which removes per-class weight-magnitude effects; the gamma rule
-    then applies as usual.
+    rows, which removes per-class weight-magnitude effects; ``apply_gamma``
+    then predicts under its tie rule.
     """
     if head.num_classes != partition.num_classes:
         raise ValidationError(
@@ -129,18 +130,10 @@ def predict_cosine(
         )
     if head.dim != features.dim:
         raise ValidationError(f"features have dim {features.dim}, head expects {head.dim}")
-    gamma = check_gamma(gamma)
-    feat_norms = np.linalg.norm(features.values, axis=1)
-    zero = np.flatnonzero(feat_norms == 0.0)
-    if zero.size:
-        raise ValidationError(f"feature row {int(zero[0])} has zero norm")
-    weight_norms = np.linalg.norm(head.weights, axis=1)
-    zero = np.flatnonzero(weight_norms == 0.0)
-    if zero.size:
-        raise ValidationError(f"weight row {int(zero[0])} has zero norm")
-    cosines = (features.values / feat_norms[:, None]) @ (head.weights / weight_norms[:, None]).T
-    adjusted = cosines + gamma * partition.absent_column_mask()
-    return np.argmax(adjusted, axis=1).astype(np.int64)
+    cosines = unit_rows(features.values, "feature") @ unit_rows(head.weights, "weight").T
+    # labels take no part in a prediction, so any label the features carry is accepted
+    unlabeled = np.zeros(features.num_samples, dtype=np.int64)
+    return apply_gamma(LabeledLogits(cosines, unlabeled), partition, gamma)
 
 
 def select_balanced_gamma(curve) -> tuple[float, float, float]:

@@ -10,8 +10,6 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import io
 from .analysis import (
     absent_binary_prob,
@@ -34,9 +32,9 @@ from .data import (
     make_greedy_similar_split,
     make_random_split,
 )
-from .errors import EmptyGroupError, TrainingError, ValidationError
-from .metrics import acc_report, ausuc, format_curve_csv, seen_unseen_curve
-from .ncm import class_means, ncm_predict
+from .errors import TrainingError, ValidationError
+from .metrics import acc_report, accuracy, ausuc, format_curve_csv, seen_unseen_curve
+from .ncm import class_means, ncm_logits
 from .pipeline import run_toy_pipeline
 from .trainer import ToySpec, default_train_config, fine_tune, gradient_check
 
@@ -125,44 +123,19 @@ def _cmd_gamma_star(args) -> int:
     return 0
 
 
-def _ncm_accuracy(eval_data, means, partition, group_a, group_b) -> float:
-    """NCM Acc_{A/B}: re-predict A-labeled samples with label space B."""
-    mask = np.isin(eval_data.labels, partition.group_indices(group_a))
-    if not mask.any():
-        raise EmptyGroupError(f"no samples labeled in group {group_a}")
-    subset = LabeledFeatures(eval_data.values[mask], eval_data.labels[mask])
-    preds = ncm_predict(subset, means, partition.group_indices(group_b))
-    return float(np.mean(preds == subset.labels))
-
-
 def _cmd_ncm(args) -> int:
     mean_data = _load_features(args.mean_features, args.mean_labels)
     eval_data = _load_features(args.eval_features, args.eval_labels)
     partition = io.load_partition(args.partition)
-    means = class_means(mean_data, range(partition.num_classes))
+    scores = ncm_logits(eval_data, class_means(mean_data, range(partition.num_classes)))
     if args.restrict == "Y":
-        counts = {
-            "count_s": int(np.isin(eval_data.labels, partition.group_indices("S")).sum()),
-            "count_u": int(np.isin(eval_data.labels, partition.group_indices("U")).sum()),
-        }
-        _emit(
-            {
-                "acc_y_y": _ncm_accuracy(eval_data, means, partition, "Y", "Y"),
-                "acc_s_y": _ncm_accuracy(eval_data, means, partition, "S", "Y"),
-                "acc_u_y": _ncm_accuracy(eval_data, means, partition, "U", "Y"),
-                "acc_s_s": _ncm_accuracy(eval_data, means, partition, "S", "S"),
-                "acc_u_u": _ncm_accuracy(eval_data, means, partition, "U", "U"),
-                **counts,
-                "count_y": eval_data.num_samples,
-            }
-        )
+        _emit(acc_report(scores, partition).as_dict())
     else:
         low = args.restrict.lower()
         _emit(
             {
-                f"acc_s_{low}": _ncm_accuracy(eval_data, means, partition, "S", args.restrict),
-                f"acc_u_{low}": _ncm_accuracy(eval_data, means, partition, "U", args.restrict),
-                f"acc_y_{low}": _ncm_accuracy(eval_data, means, partition, "Y", args.restrict),
+                f"acc_{group.lower()}_{low}": accuracy(scores, partition, group, args.restrict)
+                for group in ("S", "U", "Y")
             }
         )
     return 0

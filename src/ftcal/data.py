@@ -183,6 +183,16 @@ def check_width(logits: LabeledLogits, partition: LabelPartition) -> None:
         )
 
 
+def unit_rows(matrix: np.ndarray, what: str) -> np.ndarray:
+    """``matrix`` with every row scaled to unit L2 norm; raise, naming the
+    first offending ``what`` row, if a row has zero norm."""
+    norms = np.linalg.norm(matrix, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ValidationError(f"{what} row {int(zero[0])} has zero norm")
+    return matrix / norms[:, None]
+
+
 def check_gamma(gamma) -> float:
     """Return the calibration factor ``gamma`` as a float; raise unless it is
     finite."""

@@ -40,6 +40,29 @@ def save_matrix(values, path) -> None:
             handle.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _parse_rows(path, numbered_lines, empty: str) -> np.ndarray:
+    """Matrix from ``(line number, text)`` pairs of comma-separated reals;
+    errors name the line. ``empty`` is the message when there is no row."""
+    rows = []
+    width = None
+    for number, line in numbered_lines:
+        text = line.strip()
+        if not text:
+            raise ParseError(f"{path}:{number}: blank line inside matrix")
+        try:
+            row = [float(field) for field in text.split(",")]
+        except ValueError:
+            raise ParseError(f"{path}:{number}: not a comma-separated list of reals") from None
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ParseError(f"{path}:{number}: expected {width} columns, found {len(row)}")
+        rows.append(row)
+    if not rows:
+        raise ParseError(f"{path}: {empty}")
+    return np.array(rows, dtype=np.float64)
+
+
 def load_matrix(path, expected_shape=None) -> np.ndarray:
     """Read a CSV matrix; the optional ``#shape`` header must match the body."""
     lines = _read_lines(path)
@@ -55,26 +78,7 @@ def load_matrix(path, expected_shape=None) -> np.ndarray:
             raise ParseError(f"{path}:1: malformed shape header {lines[0]!r}") from exc
         start = 1
 
-    rows = []
-    width = None
-    for number, line in enumerate(lines[start:], start + 1):
-        text = line.strip()
-        if not text:
-            raise ParseError(f"{path}:{number}: blank line inside matrix")
-        fields = text.split(",")
-        try:
-            row = [float(field) for field in fields]
-        except ValueError:
-            raise ParseError(f"{path}:{number}: not a comma-separated list of reals") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(f"{path}:{number}: expected {width} columns, found {len(row)}")
-        rows.append(row)
-    if not rows:
-        raise ParseError(f"{path}: empty matrix file")
-
-    matrix = np.array(rows, dtype=np.float64)
+    matrix = _parse_rows(path, enumerate(lines[start:], start + 1), "empty matrix file")
     if declared is not None and matrix.shape != declared:
         raise ShapeError(f"{path}: header declares {declared}, content is {matrix.shape}")
     if expected_shape is not None and matrix.shape != tuple(expected_shape):
@@ -188,22 +192,8 @@ def load_model(path) -> MlpModel:
     if activation not in ACTIVATIONS:
         raise ParseError(f"{path}: unknown activation {activation!r}")
 
-    def parse_block(name):
-        rows = []
-        for number, text in sections[name]:
-            try:
-                rows.append([float(field) for field in text.split(",")])
-            except ValueError:
-                raise ParseError(f"{path}:{number}: not a comma-separated list of reals") from None
-        if not rows:
-            raise ParseError(f"{path}: section [{name}] is empty")
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise ParseError(f"{path}: ragged rows in section [{name}]")
-        return np.array(rows, dtype=np.float64)
-
-    hidden_map = parse_block("hidden_map")
-    head = parse_block("head")
+    hidden_map = _parse_rows(path, sections["hidden_map"], "section [hidden_map] is empty")
+    head = _parse_rows(path, sections["head"], "section [head] is empty")
     for key, matrix in (("hidden_map_shape", hidden_map), ("head_shape", head)):
         if key in meta:
             try:

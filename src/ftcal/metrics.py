@@ -13,9 +13,11 @@ from .data import LabeledLogits, LabelPartition, check_gamma, check_width
 from .errors import EmptyGroupError, ValidationError
 
 # Rows per block of the group-statistics kernel come from this byte budget
-# over the column count. A block and its two group copies then stay in the
-# L2 cache: on 100k x 100 and 20k x 1000 logits, 512 KiB blocks ran
-# 1.3-1.5x faster than 4 MiB blocks and 2-3x faster than one block.
+# over the column count, and rows per block of the NCM scores from it over
+# the K x d difference slab of one row. A block and its two group copies
+# then stay in the L2 cache: on 100k x 100 and 20k x 1000 logits, 512 KiB
+# blocks ran 1.3-1.5x faster than 4 MiB blocks and 2-3x faster than one
+# block.
 _BLOCK_BYTES = 512 * 1024
 
 

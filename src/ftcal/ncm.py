@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledFeatures
+from . import metrics
+from .data import LabeledFeatures, LabeledLogits, unit_rows
 from .errors import MissingClassError, ValidationError
 
 
@@ -44,20 +45,12 @@ class ClassMeans:
         object.__setattr__(self, "counts", counts)
 
 
-def _unit_rows(features: LabeledFeatures) -> np.ndarray:
-    norms = np.linalg.norm(features.values, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValidationError(f"feature row {int(zero[0])} has zero norm")
-    return features.values / norms[:, None]
-
-
 def class_means(features: LabeledFeatures, classes) -> ClassMeans:
     """Mean of the unit-normalized feature rows of each requested class."""
     ids = sorted({int(c) for c in classes})
     if not ids:
         raise ValidationError("classes must be nonempty")
-    unit = _unit_rows(features)
+    unit = unit_rows(features.values, "feature")
     means, counts = [], []
     for c in ids:
         rows = np.flatnonzero(features.labels == c)
@@ -70,6 +63,30 @@ def class_means(features: LabeledFeatures, classes) -> ClassMeans:
         class_ids=np.array(ids, dtype=np.int64),
         counts=np.array(counts, dtype=np.int64),
     )
+
+
+def _unit_features(features: LabeledFeatures, means: ClassMeans) -> np.ndarray:
+    if features.dim != means.means.shape[1]:
+        raise ValidationError(
+            f"features have dim {features.dim}, means have dim {means.means.shape[1]}"
+        )
+    return unit_rows(features.values, "feature")
+
+
+def _ncm_scores(unit: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Negative squared Euclidean distance of each unit row to each
+    candidate mean, computed in row blocks of the metrics byte budget.
+
+    Each entry is the direct sum of squared differences, not the
+    |u|^2 - 2 u.m + |m|^2 expansion, whose cancellation can flip near-tie
+    argmins.
+    """
+    rows = max(1, metrics._BLOCK_BYTES // (unit.itemsize * candidates.size))
+    scores = np.empty((unit.shape[0], candidates.shape[0]))
+    for start in range(0, unit.shape[0], rows):
+        diff = unit[start : start + rows, None, :] - candidates[None, :, :]
+        scores[start : start + rows] = -(diff * diff).sum(axis=2)
+    return scores
 
 
 def ncm_predict(features: LabeledFeatures, means: ClassMeans, restriction) -> np.ndarray:
@@ -86,14 +103,23 @@ def ncm_predict(features: LabeledFeatures, means: ClassMeans, restriction) -> np
     missing = [c for c in wanted if c not in known]
     if missing:
         raise MissingClassError(f"no class mean available for class {missing[0]}")
-    if features.dim != means.means.shape[1]:
-        raise ValidationError(
-            f"features have dim {features.dim}, means have dim {means.means.shape[1]}"
-        )
-    unit = _unit_rows(features)
+    unit = _unit_features(features, means)
     positions = np.searchsorted(means.class_ids, np.array(wanted, dtype=np.int64))
-    candidates = means.means[positions]
-    diff = unit[:, None, :] - candidates[None, :, :]
-    sq_dist = (diff * diff).sum(axis=2)
-    winners = np.argmin(sq_dist, axis=1)  # first minimum = lowest class index
+    scores = _ncm_scores(unit, means.means[positions])
+    winners = np.argmax(scores, axis=1)  # first maximum = lowest class index
     return np.array(wanted, dtype=np.int64)[winners]
+
+
+def ncm_logits(features: LabeledFeatures, means: ClassMeans) -> LabeledLogits:
+    """NCM scores as logits: column c holds -||u - m_c||^2 for the
+    unit-normalized feature row u, labeled with the features' labels.
+
+    The argmax over any column set is ``ncm_predict`` over those classes,
+    so ``acc_report``, ``seen_unseen_curve`` and ``apply_gamma`` read the
+    NCM probe under the same tie rule as a linear head. ``means`` must hold
+    exactly the classes 0..K-1.
+    """
+    if not np.array_equal(means.class_ids, np.arange(means.class_ids.size)):
+        raise ValidationError("ncm_logits needs the means of exactly the classes 0..K-1")
+    scores = _ncm_scores(_unit_features(features, means), means.means)
+    return LabeledLogits(scores, features.labels)

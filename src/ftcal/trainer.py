@@ -181,59 +181,51 @@ def loss_and_grads(model: MlpModel, x, y: int):
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if not isinstance(y, (int, np.integer)) or not 0 <= int(y) < model.num_classes:
         raise ValidationError(f"label must lie in [0, {model.num_classes}), got {y!r}")
-    y = int(y)
     if x.shape[0] != model.dim_in:
         raise ValidationError(f"input has {x.shape[0]} entries, model expects {model.dim_in}")
     if not np.all(np.isfinite(x)):
         raise ValidationError("input contains non-finite entries")
-
-    pre = model.hidden_map @ x
-    hidden = _activate(pre, model.activation)
-    logits = model.head.weights @ hidden
-    shift = logits.max()
-    logsumexp = shift + np.log(np.exp(logits - shift).sum())
-    loss = float(logsumexp - logits[y])
-    err = _softmax(logits)
-    err[y] -= 1.0
-    grad_head = np.outer(err, hidden)
-    delta = model.head.weights.T @ err
-    if model.activation == "rectified":
-        delta = delta * (pre > 0.0)
-    grad_hidden_map = np.outer(delta, x)
-    return loss, grad_head, grad_hidden_map
+    return _batch_loss_grads(
+        model.hidden_map, model.head.weights, model.activation, x[None, :], np.array([int(y)])
+    )
 
 
-def _batch_loss_grads(hidden_map, head_weights, activation, inputs, labels):
-    """Mean loss and mean gradients over a batch."""
-    pre = inputs @ hidden_map.T
-    hidden = _activate(pre, activation)
+def _ce(hidden_map, head_weights, activation, inputs, labels):
+    """Forward pass and mean softmax cross-entropy over a batch.
+
+    Returns (hidden, logits, z, z_sum, loss): hidden features, logits, the
+    max-shifted exponentials with their row sums, and the mean loss. The
+    pre-activations are not kept: a rectified unit is active iff its hidden
+    value is positive.
+    """
+    hidden = _activate(inputs @ hidden_map.T, activation)
     logits = hidden @ head_weights.T
     shift = logits.max(axis=1, keepdims=True)
     z = np.exp(logits - shift)
     z_sum = z.sum(axis=1)
-    n = inputs.shape[0]
-    rows = np.arange(n)
+    rows = np.arange(inputs.shape[0])
     loss = float(np.mean(np.log(z_sum) + shift[:, 0] - logits[rows, labels]))
+    return hidden, logits, z, z_sum, loss
+
+
+def _batch_loss_grads(hidden_map, head_weights, activation, inputs, labels):
+    """Mean loss and mean gradients over a batch."""
+    hidden, _, z, z_sum, loss = _ce(hidden_map, head_weights, activation, inputs, labels)
+    n = inputs.shape[0]
     err = z / z_sum[:, None]
-    err[rows, labels] -= 1.0
+    err[np.arange(n), labels] -= 1.0
     err /= n
     grad_head = err.T @ hidden
     delta = err @ head_weights
     if activation == "rectified":
-        delta = delta * (pre > 0.0)
+        delta = delta * (hidden > 0.0)
     grad_hidden_map = delta.T @ inputs
     return loss, grad_head, grad_hidden_map
 
 
 def _mean_loss_and_accuracy(hidden_map, head_weights, activation, inputs, labels):
-    hidden = _activate(inputs @ hidden_map.T, activation)
-    logits = hidden @ head_weights.T
-    shift = logits.max(axis=1, keepdims=True)
-    z_sum = np.exp(logits - shift).sum(axis=1)
-    rows = np.arange(inputs.shape[0])
-    loss = float(np.mean(np.log(z_sum) + shift[:, 0] - logits[rows, labels]))
-    acc = float(np.mean(np.argmax(logits, axis=1) == labels))
-    return loss, acc
+    _, logits, _, _, loss = _ce(hidden_map, head_weights, activation, inputs, labels)
+    return loss, float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
 def fine_tune(
@@ -324,10 +316,10 @@ def gradient_check(num_cases: int = 100, step: float = 1e-5, seed: int = 0) -> f
         y = int(rng.integers(num_classes))
         model = MlpModel(hidden_map=hidden_map, head=LinearHead(head), activation=activation)
         _, grad_head, grad_hidden = loss_and_grads(model, x, y)
+        inputs, labels = x[None, :], np.array([y])
 
         def loss_at(hm, hw):
-            probe = MlpModel(hidden_map=hm, head=LinearHead(hw), activation=activation)
-            return loss_and_grads(probe, x, y)[0]
+            return _ce(hm, hw, activation, inputs, labels)[-1]
 
         for analytic, matrix, is_head in ((grad_head, head, True), (grad_hidden, hidden_map, False)):
             numeric = np.zeros_like(matrix)

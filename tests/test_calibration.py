@@ -327,6 +327,21 @@ class TestPredictCosine:
             expected.append(int(np.argmax(sims)))
         np.testing.assert_array_equal(got, expected)
 
+    @pytest.mark.parametrize("gamma", [0.05, 1e15, 1e16])
+    def test_equals_apply_gamma_on_cosine_logits(self, gamma):
+        # At huge gamma, cos + gamma collapses the absent columns; the
+        # shared tie rule still picks the raw-cosine argmax within a group.
+        rng = np.random.default_rng(0)
+        feats = LabeledFeatures(rng.normal(size=(200, 4)), rng.integers(0, 6, 200))
+        weights = rng.normal(size=(6, 4))
+        p = LabelPartition(6, (0, 2, 4))
+        unit_f = feats.values / np.linalg.norm(feats.values, axis=1)[:, None]
+        unit_w = weights / np.linalg.norm(weights, axis=1)[:, None]
+        cosines = LabeledLogits(unit_f @ unit_w.T, feats.labels)
+        np.testing.assert_array_equal(
+            predict_cosine(feats, LinearHead(weights), p, gamma), apply_gamma(cosines, p, gamma)
+        )
+
     def test_zero_norm_rows_are_named(self):
         p = LabelPartition(2, (0,))
         with pytest.raises(ValidationError, match="feature row 1"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ftcal import (
+    LabeledFeatures,
     LabelPartition,
     LinearHead,
     MlpModel,
@@ -9,6 +10,8 @@ from ftcal import (
     ShapeError,
     TrainConfig,
     ToySpec,
+    class_means,
+    ncm_logits,
 )
 from ftcal import io
 from ftcal.cli import main
@@ -114,6 +117,12 @@ class TestModelFile:
             "[hidden_map]\n1,0\n[head]\n1,0\n0,1\n"
         )
         with pytest.raises(ShapeError):
+            io.load_model(path)
+
+    def test_ragged_head_row_names_its_line(self, tmp_path):
+        path = tmp_path / "model.csv"
+        path.write_text("[meta]\nactivation=linear\n[hidden_map]\n1,0\n0,1\n[head]\n1,0\n0\n")
+        with pytest.raises(ParseError, match=":8:"):
             io.load_model(path)
 
     def test_missing_section(self, tmp_path):
@@ -356,6 +365,51 @@ class TestCli:
             "--restrict", "U",
         ) == 0
         assert "acc_u_u=1.0" in capsys.readouterr().out
+
+    @staticmethod
+    def ncm_files(tmp_path, eval_labels=None):
+        """Overlapping classes, so the NCM accuracies are fractions."""
+        rng = np.random.default_rng(8)
+        centers = rng.normal(size=(5, 3))
+        labels = np.arange(100) % 5
+        for name in ("mean", "eval"):
+            values = centers[labels] + 0.8 * rng.normal(size=(100, 3))
+            io.save_matrix(values, tmp_path / f"{name}_f.csv")
+            io.save_labels(labels, tmp_path / f"{name}_l.csv")
+        if eval_labels is not None:
+            io.save_labels(eval_labels, tmp_path / "eval_l.csv")
+        io.save_partition(LabelPartition(5, (1, 2)), tmp_path / "partition.txt")
+        return [
+            "ncm",
+            "--mean-features", str(tmp_path / "mean_f.csv"),
+            "--mean-labels", str(tmp_path / "mean_l.csv"),
+            "--eval-features", str(tmp_path / "eval_f.csv"),
+            "--eval-labels", str(tmp_path / "eval_l.csv"),
+            "--partition", str(tmp_path / "partition.txt"),
+        ]
+
+    def test_ncm_report_is_metrics_on_ncm_logits(self, tmp_path, capsys):
+        assert run_cli(*self.ncm_files(tmp_path)) == 0
+        ncm_out = capsys.readouterr().out
+        features = {n: io.load_matrix(tmp_path / f"{n}_f.csv") for n in ("mean", "eval")}
+        labels = {n: io.load_labels(tmp_path / f"{n}_l.csv") for n in ("mean", "eval")}
+        means = class_means(LabeledFeatures(features["mean"], labels["mean"]), range(5))
+        scores = ncm_logits(LabeledFeatures(features["eval"], labels["eval"]), means)
+        io.save_matrix(scores.values, tmp_path / "scores.csv")
+        assert run_cli(
+            "metrics",
+            "--logits", str(tmp_path / "scores.csv"),
+            "--labels", str(tmp_path / "eval_l.csv"),
+            "--partition", str(tmp_path / "partition.txt"),
+        ) == 0
+        assert capsys.readouterr().out == ncm_out
+        assert "acc_y_y=1.0" not in ncm_out
+
+    def test_ncm_rejects_labels_outside_the_partition(self, tmp_path, capsys):
+        eval_labels = np.arange(100) % 5
+        eval_labels[:3] = 7
+        assert run_cli(*self.ncm_files(tmp_path, eval_labels)) == 2
+        assert "labels must lie in [0, 5)" in capsys.readouterr().err
 
     def test_train_subcommand(self, tmp_path, capsys):
         rng = np.random.default_rng(7)

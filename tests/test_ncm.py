@@ -7,10 +7,14 @@ from ftcal import (
     MissingClassError,
     ToySpec,
     ValidationError,
+    acc_report,
     class_means,
     gen_toy_data,
+    ncm_logits,
     ncm_predict,
+    predict_restricted,
 )
+from ftcal import metrics
 
 
 class TestClassMeans:
@@ -96,3 +100,69 @@ class TestNcmPredict:
         means = class_means(pretraining, range(4))
         preds = ncm_predict(pretraining, means, range(4))
         assert np.mean(preds == pretraining.labels) >= 0.95
+
+    def test_row_blocks_match_exhaustive_search_oracle(self, monkeypatch):
+        # At most 9 query rows per block, so 20 rows span several blocks.
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 300)
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            num_classes = int(rng.integers(2, 7))
+            dim = int(rng.integers(2, 8))
+            ref = LabeledFeatures(
+                rng.normal(size=(num_classes * 6, dim)),
+                np.repeat(np.arange(num_classes), 6),
+            )
+            means = class_means(ref, range(num_classes))
+            queries = rng.normal(size=(20, dim))
+            got = ncm_predict(
+                LabeledFeatures(queries, np.zeros(20, dtype=int)), means, range(num_classes)
+            )
+            expected = []
+            for row in queries:
+                unit = row / np.linalg.norm(row)
+                dists = [float(np.sum((unit - m) ** 2)) for m in means.means]
+                expected.append(int(np.argmin(dists)))
+            assert got.tolist() == expected, f"seed {seed}"
+
+
+class TestNcmLogits:
+    def fixture(self):
+        rng = np.random.default_rng(4)
+        ref = LabeledFeatures(rng.normal(size=(60, 5)), np.arange(60) % 6)
+        feats = LabeledFeatures(rng.normal(size=(40, 5)), rng.integers(0, 6, 40))
+        return feats, class_means(ref, range(6))
+
+    def test_columns_are_negative_squared_distances(self):
+        feats, means = self.fixture()
+        scores = ncm_logits(feats, means)
+        unit = feats.values / np.linalg.norm(feats.values, axis=1)[:, None]
+        for c in range(6):
+            diff = unit - means.means[c]
+            np.testing.assert_array_equal(scores.values[:, c], -(diff * diff).sum(axis=1))
+        np.testing.assert_array_equal(scores.labels, feats.labels)
+
+    def test_restricted_argmax_is_ncm_predict(self):
+        feats, means = self.fixture()
+        scores = ncm_logits(feats, means)
+        for restriction in (range(6), (1, 3, 4), (2,)):
+            np.testing.assert_array_equal(
+                predict_restricted(scores, restriction), ncm_predict(feats, means, restriction)
+            )
+
+    def test_acc_report_reads_the_probe(self):
+        feats, means = self.fixture()
+        p = LabelPartition(6, (0, 1, 5))
+        report = acc_report(ncm_logits(feats, means), p)
+        preds = ncm_predict(feats, means, range(6))
+        assert report.acc_y_y == np.mean(preds == feats.labels)
+
+    def test_needs_means_of_classes_zero_to_k(self):
+        feats, _ = self.fixture()
+        ref = LabeledFeatures(np.eye(3, 5), [0, 2, 3])
+        with pytest.raises(ValidationError, match="0..K-1"):
+            ncm_logits(feats, class_means(ref, (0, 2, 3)))
+
+    def test_labels_outside_the_means_are_rejected(self):
+        _, means = self.fixture()
+        with pytest.raises(ValidationError, match=r"labels must lie in \[0, 6\)"):
+            ncm_logits(LabeledFeatures(np.ones((2, 5)), [0, 7]), means)
