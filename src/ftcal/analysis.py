@@ -9,7 +9,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledLogits, LabelPartition, LinearHead, check_width, unit_rows
+from .data import (
+    LabeledLogits,
+    LabelPartition,
+    LinearHead,
+    _frozen_array,
+    check_num_classes,
+    check_width,
+    unit_rows,
+)
 from .errors import DegenerateInputError, EmptyGroupError, ValidationError
 
 # Centered Grams of nearly identical rows have HSIC at rounding-noise level;
@@ -35,22 +43,18 @@ def linear_cka(weights_a, weights_b) -> float:
     I - 11^T / n. The value lies in [0, 1] up to rounding; higher means the
     pairwise class relationships are better preserved.
     """
-    a = np.asarray(weights_a, dtype=np.float64)
-    b = np.asarray(weights_b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValidationError("weight matrices must be 2-D")
+    a = _frozen_array(weights_a, np.float64, "weights_a", ndim=2)
+    b = _frozen_array(weights_b, np.float64, "weights_b", ndim=2)
     if a.shape[0] != b.shape[0]:
         raise ValidationError(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
     n = a.shape[0]
     if n < 2:
         raise ValidationError("linear CKA needs at least 2 rows")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValidationError("weight matrices contain non-finite entries")
 
-    a_hat = unit_rows(a, "weights_a")
-    b_hat = unit_rows(b, "weights_b")
-    gram_a = a_hat @ a_hat.T
-    gram_b = b_hat @ b_hat.T
+    a = unit_rows(a, "weights_a")  # rebinding frees the validated copies
+    b = unit_rows(b, "weights_b")
+    gram_a = a @ a.T
+    gram_b = b @ b.T
     centering = np.eye(n) - np.full((n, n), 1.0 / n)
     ka = centering @ gram_a @ centering
     kb = centering @ gram_b @ centering
@@ -95,11 +99,7 @@ def delta_w_similarity(w_pre: LinearHead, w_ft: LinearHead, subset) -> Similarit
 
 def weight_norms(head: LinearHead, partition: LabelPartition) -> tuple[float, float]:
     """Mean L2 norm of the classifier rows, per group: (seen, absent)."""
-    if head.num_classes != partition.num_classes:
-        raise ValidationError(
-            f"head has {head.num_classes} classes but the partition has "
-            f"{partition.num_classes}"
-        )
+    check_num_classes("head has", head.num_classes, partition)
     norms = np.linalg.norm(head.weights, axis=1)
     return (
         float(norms[partition.group_indices("S")].mean()),

@@ -16,6 +16,7 @@ from .data import (
     LabelPartition,
     LinearHead,
     check_gamma,
+    check_num_classes,
     check_width,
     unit_rows,
 )
@@ -124,10 +125,7 @@ def predict_cosine(
     rows, which removes per-class weight-magnitude effects; ``apply_gamma``
     then predicts under its tie rule.
     """
-    if head.num_classes != partition.num_classes:
-        raise ValidationError(
-            f"head has {head.num_classes} classes but the partition has {partition.num_classes}"
-        )
+    check_num_classes("head has", head.num_classes, partition)
     if head.dim != features.dim:
         raise ValidationError(f"features have dim {features.dim}, head expects {head.dim}")
     cosines = unit_rows(features.values, "feature") @ unit_rows(head.weights, "weight").T
@@ -202,11 +200,7 @@ def estimate_gamma_pcv(
         raise ValidationError(
             f"features have dim {train_features.dim}, model expects {pretrained.dim_in}"
         )
-    if pretrained.num_classes != partition.num_classes:
-        raise ValidationError(
-            f"model has {pretrained.num_classes} classes but the partition has "
-            f"{partition.num_classes}"
-        )
+    check_num_classes("model has", pretrained.num_classes, partition)
 
     values, labels = train_features.values, train_features.labels
     position_of = {int(c): i for i, c in enumerate(seen)}

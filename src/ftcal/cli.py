@@ -1,7 +1,7 @@
 """Command-line interface binding every module into file-based pipelines.
 
 Exit status: 0 on success, 1 on usage errors, 2 on data/validation errors,
-3 on numerical or training failures.
+3 on numerical or training failures and on running out of memory.
 """
 
 from __future__ import annotations
@@ -59,11 +59,9 @@ def _load_features(features_path, labels_path) -> LabeledFeatures:
 
 
 def _emit(pairs: dict, out_path=None) -> None:
-    text = io.format_report(pairs)
-    sys.stdout.write(text)
+    sys.stdout.write(io.format_report(pairs))
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        io.write_report(pairs, out_path)
 
 
 def _cmd_metrics(args) -> int:
@@ -78,8 +76,7 @@ def _cmd_ausuc(args) -> int:
     partition = io.load_partition(args.partition)
     curve = seen_unseen_curve(logits, partition)
     if args.curve_out:
-        with open(args.curve_out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(format_curve_csv(curve))
+        io.write_text(args.curve_out, [format_curve_csv(curve)])
     _emit({"ausuc": ausuc(curve)})
     return 0
 
@@ -397,6 +394,9 @@ def main(argv=None) -> int:
         return 2
     except TrainingError as exc:
         sys.stderr.write(f"training failure: {exc}\n")
+        return 3
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return 3
 
 

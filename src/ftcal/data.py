@@ -18,16 +18,36 @@ _GROUPS = ("S", "U", "Y")
 
 
 def _frozen_array(values, dtype, name: str, ndim: int) -> np.ndarray:
+    """Read-only copy of ``values`` as ``dtype``; raise unless it has ``ndim``
+    dimensions and, for a float dtype, only finite entries."""
     arr = np.array(values, dtype=dtype)
     if arr.ndim != ndim:
         raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
+    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} contains non-finite entries")
     arr.flags.writeable = False
     return arr
 
 
-def _check_finite(arr: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite entries")
+def _freeze_labeled(container, name: str, labels_are_columns: bool) -> None:
+    """Replace ``container.values`` (N x ?, N >= 1) and ``container.labels``
+    (N nonnegative integers, column indices of ``values`` when
+    ``labels_are_columns``) by validated read-only copies."""
+    values = _frozen_array(container.values, np.float64, name, ndim=2)
+    labels = _frozen_array(container.labels, np.int64, "labels", ndim=1)
+    if values.shape[0] < 1:
+        raise ValidationError(f"{name} must contain at least one sample")
+    if values.shape[0] != labels.shape[0]:
+        raise ValidationError(
+            f"row count {values.shape[0]} does not match label count {labels.shape[0]}"
+        )
+    lowest = labels.min()
+    if labels_are_columns and (lowest < 0 or labels.max() >= values.shape[1]):
+        raise ValidationError(f"labels must lie in [0, {values.shape[1]})")
+    if lowest < 0:
+        raise ValidationError("labels must be nonnegative")
+    object.__setattr__(container, "values", values)
+    object.__setattr__(container, "labels", labels)
 
 
 @dataclass(frozen=True)
@@ -96,19 +116,7 @@ class LabeledLogits:
     labels: np.ndarray
 
     def __post_init__(self):
-        values = _frozen_array(self.values, np.float64, "logits", ndim=2)
-        labels = _frozen_array(self.labels, np.int64, "labels", ndim=1)
-        if values.shape[0] < 1:
-            raise ValidationError("logits must contain at least one sample")
-        if values.shape[0] != labels.shape[0]:
-            raise ValidationError(
-                f"row count {values.shape[0]} does not match label count {labels.shape[0]}"
-            )
-        _check_finite(values, "logits")
-        if labels.size and (labels.min() < 0 or labels.max() >= values.shape[1]):
-            raise ValidationError(f"labels must lie in [0, {values.shape[1]})")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "labels", labels)
+        _freeze_labeled(self, "logits", labels_are_columns=True)
 
     @property
     def num_samples(self) -> int:
@@ -127,19 +135,7 @@ class LabeledFeatures:
     labels: np.ndarray
 
     def __post_init__(self):
-        values = _frozen_array(self.values, np.float64, "features", ndim=2)
-        labels = _frozen_array(self.labels, np.int64, "labels", ndim=1)
-        if values.shape[0] < 1:
-            raise ValidationError("features must contain at least one sample")
-        if values.shape[0] != labels.shape[0]:
-            raise ValidationError(
-                f"row count {values.shape[0]} does not match label count {labels.shape[0]}"
-            )
-        _check_finite(values, "features")
-        if labels.size and labels.min() < 0:
-            raise ValidationError("labels must be nonnegative")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "labels", labels)
+        _freeze_labeled(self, "features", labels_are_columns=False)
 
     @property
     def num_samples(self) -> int:
@@ -162,7 +158,6 @@ class LinearHead:
             raise ValidationError("a linear head needs at least 2 classes")
         if weights.shape[1] < 1:
             raise ValidationError("a linear head needs at least 1 feature dimension")
-        _check_finite(weights, "weights")
         object.__setattr__(self, "weights", weights)
 
     @property
@@ -174,13 +169,18 @@ class LinearHead:
         return self.weights.shape[1]
 
 
+def check_num_classes(subject: str, num_classes: int, partition: LabelPartition) -> None:
+    """Raise unless ``num_classes`` matches the partition; ``subject`` opens
+    the message, e.g. "head has"."""
+    if num_classes != partition.num_classes:
+        raise ValidationError(
+            f"{subject} {num_classes} classes but the partition has {partition.num_classes}"
+        )
+
+
 def check_width(logits: LabeledLogits, partition: LabelPartition) -> None:
     """Raise unless the logits' class dimension matches the partition."""
-    if logits.num_classes != partition.num_classes:
-        raise ValidationError(
-            f"logits have {logits.num_classes} classes but the partition has "
-            f"{partition.num_classes}"
-        )
+    check_num_classes("logits have", logits.num_classes, partition)
 
 
 def unit_rows(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -225,10 +225,7 @@ def make_greedy_similar_split(class_means, k: int) -> LabelPartition:
     pairwise distance. Ties resolve to the smallest class index; k = 1
     degenerates to class 0 (every singleton has zero intra-group distance).
     """
-    means = np.asarray(class_means, dtype=np.float64)
-    if means.ndim != 2:
-        raise ValidationError(f"class_means must be a 2-D matrix, got shape {means.shape}")
-    _check_finite(means, "class_means")
+    means = _frozen_array(class_means, np.float64, "class_means", ndim=2)
     num_classes = means.shape[0]
     if num_classes < 2:
         raise ValidationError("class_means must contain at least 2 classes")

@@ -3,11 +3,15 @@ containers, training configs, toy specs, and key=value reports.
 
 Matrices serialize with 17 significant decimal digits, so a write-read
 round trip reproduces every float64 bit for bit. All numbers use the
-period as the decimal separator regardless of locale.
+period as the decimal separator regardless of locale. Every file goes
+through ``write_text``, which replaces a regular file only once the whole
+text is written.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import os
 
 import numpy as np
@@ -19,6 +23,35 @@ from .trainer import ACTIVATIONS, EpochRecord, MlpModel, ToySpec, TrainConfig
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
+
+
+def _row(values) -> str:
+    return ",".join(_fmt(v) for v in values) + "\n"
+
+
+def write_text(path, chunks) -> None:
+    """Stream the strings of ``chunks`` into ``path``, whole or not at all.
+
+    The text goes to a temporary file beside the target (the file a symlink
+    points to), which ``os.replace`` moves over it once complete and any
+    failure, KeyboardInterrupt included, removes. A target that exists but
+    is not a regular file, such as ``/dev/stdout``, is written in place.
+    """
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    target = path if in_place else os.path.realpath(path)
+    scratch = target if in_place else f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(scratch, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(chunks)  # one write per chunk, never joined
+        if not in_place:
+            os.replace(scratch, target)
+    except BaseException as exc:
+        if not in_place:
+            if isinstance(exc, OSError) and exc.filename == scratch:
+                exc.filename = os.fspath(path)  # name the file the caller asked for
+            with contextlib.suppress(OSError):
+                os.remove(scratch)
+        raise
 
 
 def _read_lines(path) -> list[str]:
@@ -34,10 +67,8 @@ def save_matrix(values, path) -> None:
     matrix = np.asarray(values, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValidationError(f"matrix must be 2-D, got shape {matrix.shape}")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"#shape {matrix.shape[0]} {matrix.shape[1]}\n")
-        for row in matrix:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+    header = f"#shape {matrix.shape[0]} {matrix.shape[1]}\n"
+    write_text(path, itertools.chain([header], map(_row, matrix)))
 
 
 def _parse_rows(path, numbered_lines, empty: str) -> np.ndarray:
@@ -90,9 +121,7 @@ def save_labels(labels, path) -> None:
     arr = np.asarray(labels, dtype=np.int64)
     if arr.ndim != 1:
         raise ValidationError(f"labels must be 1-D, got shape {arr.shape}")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for value in arr:
-            handle.write(f"{int(value)}\n")
+    write_text(path, (f"{int(value)}\n" for value in arr))
 
 
 def load_labels(path) -> np.ndarray:
@@ -115,9 +144,8 @@ def load_labels(path) -> np.ndarray:
 
 
 def save_partition(partition: LabelPartition, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"num_classes={partition.num_classes}\n")
-        handle.write("fine_tuning=" + ",".join(str(c) for c in partition.fine_tuning) + "\n")
+    fine_tuning = ",".join(map(str, partition.fine_tuning))
+    write_report({"num_classes": partition.num_classes, "fine_tuning": fine_tuning}, path)
 
 
 def load_partition(path) -> LabelPartition:
@@ -153,17 +181,14 @@ def _parse_kv_lines(path, lines) -> dict:
 
 def save_model(model: MlpModel, path) -> None:
     """Model container: a ``[meta]`` section plus one CSV block per matrix."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("[meta]\n")
-        handle.write(f"activation={model.activation}\n")
-        handle.write(f"hidden_map_shape={model.dim_hidden} {model.dim_in}\n")
-        handle.write(f"head_shape={model.num_classes} {model.dim_hidden}\n")
-        handle.write("[hidden_map]\n")
-        for row in model.hidden_map:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
-        handle.write("[head]\n")
-        for row in model.head.weights:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+    meta = {
+        "activation": model.activation,
+        "hidden_map_shape": f"{model.dim_hidden} {model.dim_in}",
+        "head_shape": f"{model.num_classes} {model.dim_hidden}",
+    }
+    hidden_map = itertools.chain(["[hidden_map]\n"], map(_row, model.hidden_map))
+    head = itertools.chain(["[head]\n"], map(_row, model.head.weights))
+    write_text(path, itertools.chain(["[meta]\n", format_report(meta)], hidden_map, head))
 
 
 def load_model(path) -> MlpModel:
@@ -206,8 +231,7 @@ def load_model(path) -> MlpModel:
 
 
 def save_train_config(config: TrainConfig, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(format_report(config.as_dict()))
+    write_report(config.as_dict(), path)
 
 
 def load_train_config(path) -> TrainConfig:
@@ -262,21 +286,21 @@ def load_toy_spec(path) -> ToySpec:
 
 
 def save_toy_spec(spec: ToySpec, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(
-            "class_means=" + ";".join(f"{_fmt(x)},{_fmt(y)}" for x, y in spec.class_means) + "\n"
-        )
-        handle.write(f"stddev={_fmt(spec.stddev)}\n")
-        handle.write("shift=" + ",".join(_fmt(s) for s in spec.shift) + "\n")
-        handle.write(f"samples_per_class={spec.samples_per_class}\n")
-        handle.write("fine_tuning=" + ",".join(str(c) for c in spec.fine_tuning) + "\n")
+    write_report(
+        {
+            "class_means": ";".join(f"{_fmt(x)},{_fmt(y)}" for x, y in spec.class_means),
+            "stddev": _fmt(spec.stddev),
+            "shift": ",".join(_fmt(s) for s in spec.shift),
+            "samples_per_class": spec.samples_per_class,
+            "fine_tuning": ",".join(map(str, spec.fine_tuning)),
+        },
+        path,
+    )
 
 
 def save_history(history: list[EpochRecord], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("epoch,loss,accuracy\n")
-        for record in history:
-            handle.write(f"{record.epoch},{_fmt(record.loss)},{_fmt(record.accuracy)}\n")
+    rows = (f"{r.epoch},{_fmt(r.loss)},{_fmt(r.accuracy)}\n" for r in history)
+    write_text(path, itertools.chain(["epoch,loss,accuracy\n"], rows))
 
 
 def format_report(pairs: dict) -> str:
@@ -291,8 +315,7 @@ def format_report(pairs: dict) -> str:
 
 
 def write_report(pairs: dict, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(format_report(pairs))
+    write_text(path, [format_report(pairs)])
 
 
 def ensure_dir(path) -> None:

@@ -9,7 +9,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import LabeledLogits, LabelPartition, check_gamma, check_width
+from .data import (
+    LabeledLogits,
+    LabelPartition,
+    _frozen_array,
+    check_gamma,
+    check_num_classes,
+    check_width,
+)
 from .errors import EmptyGroupError, ValidationError
 
 # Rows per block of the group-statistics kernel come from this byte budget
@@ -248,14 +255,8 @@ def decompose(logit_row, partition: LabelPartition):
     Exponentials are max-shifted, which leaves every ratio unchanged while
     preventing overflow.
     """
-    row = np.asarray(logit_row, dtype=np.float64).reshape(-1)
-    if row.shape[0] != partition.num_classes:
-        raise ValidationError(
-            f"logit row has {row.shape[0]} entries but the partition has "
-            f"{partition.num_classes} classes"
-        )
-    if not np.all(np.isfinite(row)):
-        raise ValidationError("logit row contains non-finite entries")
+    row = _frozen_array(np.ravel(logit_row), np.float64, "logit row", ndim=1)
+    check_num_classes("logit row has", row.shape[0], partition)
     z = np.exp(row - row.max())
     seen = partition.group_indices("S")
     absent = partition.group_indices("U")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .data import LabeledFeatures, LabeledLogits, unit_rows
+from .data import LabeledFeatures, LabeledLogits, _frozen_array, unit_rows
 from .errors import MissingClassError, ValidationError
 
 
@@ -25,11 +25,9 @@ class ClassMeans:
     counts: np.ndarray
 
     def __post_init__(self):
-        means = np.array(self.means, dtype=np.float64)
-        class_ids = np.array(self.class_ids, dtype=np.int64)
-        counts = np.array(self.counts, dtype=np.int64)
-        if means.ndim != 2 or class_ids.ndim != 1 or counts.ndim != 1:
-            raise ValidationError("means must be 2-D with 1-D class_ids and counts")
+        means = _frozen_array(self.means, np.float64, "means", ndim=2)
+        class_ids = _frozen_array(self.class_ids, np.int64, "class_ids", ndim=1)
+        counts = _frozen_array(self.counts, np.int64, "counts", ndim=1)
         if not (means.shape[0] == class_ids.shape[0] == counts.shape[0]):
             raise ValidationError("means, class_ids and counts must agree in length")
         if class_ids.size == 0:
@@ -38,8 +36,6 @@ class ClassMeans:
             raise ValidationError("class_ids must be strictly increasing")
         if counts.min() < 1:
             raise ValidationError("every class needs at least one sample")
-        for arr in (means, class_ids, counts):
-            arr.flags.writeable = False
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "class_ids", class_ids)
         object.__setattr__(self, "counts", counts)

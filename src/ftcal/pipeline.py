@@ -210,10 +210,8 @@ def run_toy_pipeline(spec: ToySpec, config: TrainConfig, outdir) -> ToyReport:
     io.write_report(pre_acc.as_dict(), path("metrics_pretrained.txt"))
     io.write_report(ft_acc.as_dict(), path("metrics_finetuned.txt"))
     io.write_report(calibrated_acc.as_dict(), path("metrics_calibrated.txt"))
-    with open(path("curve_pretrained.csv"), "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(format_curve_csv(pre_curve))
-    with open(path("curve_finetuned.csv"), "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(format_curve_csv(ft_curve))
+    io.write_text(path("curve_pretrained.csv"), [format_curve_csv(pre_curve)])
+    io.write_text(path("curve_finetuned.csv"), [format_curve_csv(ft_curve)])
     io.write_report(gamma_alg.as_dict(), path("gamma_alg.txt"))
     io.write_report(gamma_star.as_dict(), path("gamma_star.txt"))
     if gamma_pcv is not None:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import LabeledFeatures, LinearHead
+from .data import LabeledFeatures, LinearHead, _frozen_array
 from .errors import TrainingError, ValidationError
 from .rng import check_seed, derive_rng
 
@@ -27,11 +27,7 @@ class MlpModel:
     activation: str = "linear"
 
     def __post_init__(self):
-        hidden_map = np.array(self.hidden_map, dtype=np.float64)
-        if hidden_map.ndim != 2:
-            raise ValidationError(f"hidden_map must be 2-D, got shape {hidden_map.shape}")
-        if not np.all(np.isfinite(hidden_map)):
-            raise ValidationError("hidden_map contains non-finite entries")
+        hidden_map = _frozen_array(self.hidden_map, np.float64, "hidden_map", ndim=2)
         if self.head.dim != hidden_map.shape[0]:
             raise ValidationError(
                 f"head expects {self.head.dim} hidden features but hidden_map "
@@ -39,7 +35,6 @@ class MlpModel:
             )
         if self.activation not in ACTIVATIONS:
             raise ValidationError(f"activation must be one of {ACTIVATIONS}")
-        hidden_map.flags.writeable = False
         object.__setattr__(self, "hidden_map", hidden_map)
 
     @property
@@ -146,13 +141,17 @@ def _activate(pre: np.ndarray, activation: str) -> np.ndarray:
     return pre if activation == "linear" else np.maximum(pre, 0.0)
 
 
+def _input_vector(model: MlpModel, x, name: str = "input") -> np.ndarray:
+    """``x`` flattened to a finite vector of the model's input width."""
+    x = _frozen_array(np.ravel(x), np.float64, name, ndim=1)
+    if x.shape[0] != model.dim_in:
+        raise ValidationError(f"{name} has {x.shape[0]} entries, model expects {model.dim_in}")
+    return x
+
+
 def forward(model: MlpModel, x) -> tuple[np.ndarray, np.ndarray]:
     """Hidden features and logits for a single input vector."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != model.dim_in:
-        raise ValidationError(f"input has {x.shape[0]} entries, model expects {model.dim_in}")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("input contains non-finite entries")
+    x = _input_vector(model, x)
     hidden = _activate(model.hidden_map @ x, model.activation)
     return hidden, model.head.weights @ hidden
 
@@ -166,11 +165,6 @@ def forward_batch(model: MlpModel, inputs) -> tuple[np.ndarray, np.ndarray]:
     return hidden, hidden @ model.head.weights.T
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return z / z.sum(axis=-1, keepdims=True)
-
-
 def loss_and_grads(model: MlpModel, x, y: int):
     """Cross-entropy loss and its analytic gradients for one sample.
 
@@ -178,13 +172,9 @@ def loss_and_grads(model: MlpModel, x, y: int):
     gradient is the outer product of the back-propagated error
     head^T (p - onehot_y), gated by the activation derivative, with x.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
     if not isinstance(y, (int, np.integer)) or not 0 <= int(y) < model.num_classes:
         raise ValidationError(f"label must lie in [0, {model.num_classes}), got {y!r}")
-    if x.shape[0] != model.dim_in:
-        raise ValidationError(f"input has {x.shape[0]} entries, model expects {model.dim_in}")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("input contains non-finite entries")
+    x = _input_vector(model, x)
     return _batch_loss_grads(
         model.hidden_map, model.head.weights, model.activation, x[None, :], np.array([int(y)])
     )
@@ -373,19 +363,17 @@ def absent_feature_shift(model: MlpModel, seen_example, absent_input, learning_r
     if not np.isfinite(learning_rate):
         raise ValidationError(f"learning_rate must be finite, got {learning_rate!r}")
     x, y = seen_example
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    other = np.asarray(absent_input, dtype=np.float64).reshape(-1)
-    if other.shape[0] != model.dim_in:
-        raise ValidationError(f"absent_input has {other.shape[0]} entries, model expects {model.dim_in}")
-    if not np.all(np.isfinite(other)):
-        raise ValidationError("absent_input contains non-finite entries")
+    x, y = _input_vector(model, x), int(y)
+    other = _input_vector(model, absent_input, "absent_input")
+    _, _, grad_hidden = loss_and_grads(model, x, y)
 
-    _, logits = forward(model, x)
-    err = _softmax(logits)
-    err[int(y)] -= 1.0
+    _, _, z, z_sum, _ = _ce(
+        model.hidden_map, model.head.weights, model.activation, x[None, :], np.array([y])
+    )
+    err = z[0] / z_sum[0]
+    err[y] -= 1.0
     predicted = -learning_rate * (model.head.weights.T @ err) * float(x @ other)
 
-    _, _, grad_hidden = loss_and_grads(model, x, int(y))
     updated = model.hidden_map - learning_rate * grad_hidden
     actual = updated @ other - model.hidden_map @ other
     return predicted, actual

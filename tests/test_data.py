@@ -4,13 +4,22 @@ import numpy as np
 import pytest
 
 from ftcal import (
+    ClassMeans,
     LabeledFeatures,
     LabeledLogits,
     LabelPartition,
     LinearHead,
+    MlpModel,
     ValidationError,
+    absent_feature_shift,
+    acc_report,
+    decompose,
+    forward,
+    linear_cka,
     make_greedy_similar_split,
     make_random_split,
+    predict_cosine,
+    weight_norms,
 )
 
 
@@ -61,6 +70,61 @@ class TestContainers:
             LinearHead([[1.0, 2.0]])  # single class
         with pytest.raises(ValidationError):
             LinearHead([[np.inf, 0.0], [0.0, 1.0]])
+
+
+_NAN = float("nan")
+_MODEL = MlpModel(np.eye(2), LinearHead(np.eye(3, 2)))
+
+
+class TestOneValidator:
+    """Every array input goes through the same checks and names itself."""
+
+    @pytest.mark.parametrize(
+        "name, build",
+        [
+            ("logits", lambda: LabeledLogits([[1.0, _NAN]], [0])),
+            ("features", lambda: LabeledFeatures([[_NAN]], [0])),
+            ("weights", lambda: LinearHead([[1.0], [_NAN]])),
+            ("hidden_map", lambda: MlpModel([[_NAN, 0.0]], LinearHead([[1.0], [2.0]]))),
+            ("means", lambda: ClassMeans([[_NAN]], [0], [1])),
+            ("weights_b", lambda: linear_cka(np.eye(2), [[1.0, 0.0], [_NAN, 1.0]])),
+            ("class_means", lambda: make_greedy_similar_split([[0.0], [_NAN]], 1)),
+            ("logit row", lambda: decompose([0.0, _NAN], LabelPartition(2, (0,)))),
+            ("input", lambda: forward(_MODEL, [_NAN, 0.0])),
+            (
+                "absent_input",
+                lambda: absent_feature_shift(_MODEL, ([1.0, 0.0], 0), [_NAN, 0.0], 0.1),
+            ),
+        ],
+    )
+    def test_non_finite_input_is_named(self, name, build):
+        with pytest.raises(ValidationError, match=f"^{name} contains non-finite entries$"):
+            build()
+
+    @pytest.mark.parametrize(
+        "subject, check",
+        [
+            ("logits have 3", lambda p: acc_report(LabeledLogits(np.eye(3), [0, 1, 2]), p)),
+            ("logit row has 3", lambda p: decompose([0.0, 1.0, 2.0], p)),
+            ("head has 3", lambda p: weight_norms(LinearHead(np.eye(3, 2)), p)),
+            (
+                "head has 3",
+                lambda p: predict_cosine(
+                    LabeledFeatures(np.eye(2), [0, 1]), LinearHead(np.eye(3, 2)), p, 0.0
+                ),
+            ),
+        ],
+    )
+    def test_class_count_mismatch_has_one_message(self, subject, check):
+        with pytest.raises(ValidationError, match=f"^{subject} classes but the partition has 4$"):
+            check(LabelPartition(4, (0, 1)))
+
+    def test_label_bounds(self):
+        with pytest.raises(ValidationError, match=r"labels must lie in \[0, 2\)"):
+            LabeledLogits([[1.0, 2.0]], [-1])
+        with pytest.raises(ValidationError, match="labels must be nonnegative"):
+            LabeledFeatures([[1.0, 2.0]], [-1])
+        assert LabeledFeatures([[1.0, 2.0]], [5]).labels.tolist() == [5]
 
 
 class TestRandomSplit:

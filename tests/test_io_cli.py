@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from ftcal import (
     class_means,
     ncm_logits,
 )
-from ftcal import io
+from ftcal import cli, io
 from ftcal.cli import main
 
 
@@ -158,6 +161,62 @@ class TestToySpecFile:
         path = tmp_path / "spec.txt"
         io.save_toy_spec(spec, path)
         assert io.load_toy_spec(path) == spec
+
+
+class TestWriteText:
+    """Every file goes through ``io.write_text``: whole or not at all."""
+
+    @pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt])
+    def test_failed_write_keeps_old_file_and_leaves_no_temporary(
+        self, tmp_path, monkeypatch, failure
+    ):
+        path = tmp_path / "m.csv"
+        io.save_matrix(np.eye(2), path)
+        before = path.read_bytes()
+        calls = []
+
+        def failing_fmt(value):
+            calls.append(value)
+            if len(calls) == 4:
+                raise failure("interrupted mid-write")
+            return f"{value:.17g}"
+
+        monkeypatch.setattr(io, "_fmt", failing_fmt)
+        with pytest.raises(failure):
+            io.save_matrix(np.arange(2000.0).reshape(1000, 2), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
+
+    def test_symlinked_target_is_updated_through_the_link(self, tmp_path):
+        target = tmp_path / "real.txt"
+        link = tmp_path / "link.txt"
+        io.write_report({"a": 1}, target)
+        link.symlink_to(target)
+        io.write_report({"a": 2}, link)
+        assert link.is_symlink()
+        assert target.read_text() == "a=2\n"
+
+    def test_non_regular_target_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        io.write_report({"a": 1}, fifo)
+        reader.join(timeout=10)
+        assert received == ["a=1\n"]
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    def test_writes_every_chunk_of_a_generator(self, tmp_path):
+        path = tmp_path / "t.txt"
+        io.write_text(path, (f"{i}\n" for i in range(3)))
+        assert path.read_text() == "0\n1\n2\n"
+
+    def test_missing_directory_names_the_requested_path(self, tmp_path):
+        path = tmp_path / "missing" / "m.csv"
+        with pytest.raises(FileNotFoundError) as info:
+            io.save_matrix(np.eye(2), path)
+        assert info.value.filename == str(path)
 
 
 def run_cli(*argv):
@@ -478,3 +537,30 @@ class TestCli:
         assert (outdir / "report.txt").exists()
         assert (outdir / "partition.txt").exists()
         capsys.readouterr()
+
+    def test_out_of_memory_exits_3_with_a_message(self, fixture_dir, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "_cmd_metrics", exhausted)
+        code = run_cli(
+            "metrics",
+            "--logits", str(fixture_dir / "logits.csv"),
+            "--labels", str(fixture_dir / "labels.csv"),
+            "--partition", str(fixture_dir / "partition.txt"),
+        )
+        assert code == 3
+        assert capsys.readouterr().err == "error: out of memory\n"
+
+    def test_report_and_curve_files_leave_no_temporary(self, fixture_dir, capsys):
+        logit_args = [
+            "--logits", str(fixture_dir / "logits.csv"),
+            "--labels", str(fixture_dir / "labels.csv"),
+            "--partition", str(fixture_dir / "partition.txt"),
+        ]
+        assert run_cli("ausuc", *logit_args, "--curve-out", str(fixture_dir / "c.csv")) == 0
+        assert run_cli("gamma-star", *logit_args, "--out", str(fixture_dir / "g.txt")) == 0
+        assert run_cli("calibrate", *logit_args, "--gamma", "1", "--out",
+                       str(fixture_dir / "p.csv")) == 0
+        assert (fixture_dir / "g.txt").read_text() in capsys.readouterr().out
+        assert not list(fixture_dir.glob("*.tmp"))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ftcal import (
+    ClassMeans,
     LabeledFeatures,
     LabelPartition,
     MissingClassError,
@@ -46,6 +47,11 @@ class TestClassMeans:
             class_means(feats, {0, 1})
         with pytest.raises(ValidationError, match="row 0"):
             class_means(LabeledFeatures([[0.0, 0.0]], [0]), {0})
+
+
+    def test_non_finite_means_rejected_at_construction(self):
+        with pytest.raises(ValidationError, match="means contains non-finite"):
+            ClassMeans([[np.nan, 0.0], [1.0, 0.0]], [0, 1], [1, 1])
 
 
 class TestNcmPredict:
