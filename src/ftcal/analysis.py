@@ -15,10 +15,10 @@ from .data import (
     LinearHead,
     _frozen_array,
     check_num_classes,
-    check_width,
     unit_rows,
 )
 from .errors import DegenerateInputError, EmptyGroupError, ValidationError
+from .metrics import _group_stats, _row_blocks
 
 # Centered Grams of nearly identical rows have HSIC at rounding-noise level;
 # anything at or below this is treated as "all rows identical".
@@ -110,24 +110,21 @@ def weight_norms(head: LinearHead, partition: LabelPartition) -> tuple[float, fl
 def nongt_logit_means(logits: LabeledLogits, partition: LabelPartition):
     """Per-sample mean logit of each group, excluding the ground-truth
     column from its own group. Returns (seen_means, absent_means) arrays."""
-    check_width(logits, partition)
-    values, labels = logits.values, logits.labels
-    seen_cols = partition.group_indices("S")
-    absent_cols = partition.group_indices("U")
-    in_seen = np.isin(labels, seen_cols)
-    if in_seen.any() and seen_cols.size < 2:
+    stats = _group_stats(logits, partition)
+    num_seen = len(partition.fine_tuning)
+    num_absent = partition.num_classes - num_seen
+    in_seen = ~stats.label_absent
+    if in_seen.any() and num_seen < 2:
         raise ValidationError("a seen-labeled sample has no non-ground-truth seen logit")
-    if (~in_seen).any() and absent_cols.size < 2:
+    if stats.label_absent.any() and num_absent < 2:
         raise ValidationError("an absent-labeled sample has no non-ground-truth absent logit")
 
-    gt = values[np.arange(labels.size), labels]
-    sum_seen = values[:, seen_cols].sum(axis=1)
-    sum_absent = values[:, absent_cols].sum(axis=1)
-    seen_means = np.where(
-        in_seen, (sum_seen - gt) / (seen_cols.size - 1), sum_seen / seen_cols.size
-    )
+    labels = logits.labels
+    gt = logits.values[np.arange(labels.size), labels]
+    sum_seen, sum_absent = stats.sum_s, stats.sum_u
+    seen_means = np.where(in_seen, (sum_seen - gt) / (num_seen - 1), sum_seen / num_seen)
     absent_means = np.where(
-        in_seen, sum_absent / absent_cols.size, (sum_absent - gt) / max(absent_cols.size - 1, 1)
+        in_seen, sum_absent / num_absent, (sum_absent - gt) / max(num_absent - 1, 1)
     )
     return seen_means, absent_means
 
@@ -142,34 +139,47 @@ def logit_gap_stats(logits: LabeledLogits, partition: LabelPartition) -> tuple[f
     return float(seen_means.mean()), float(absent_means.mean())
 
 
+def _absent_labeled_rows(stats) -> np.ndarray:
+    rows = np.flatnonzero(stats.label_absent)
+    if rows.size == 0:
+        raise EmptyGroupError("no samples labeled in group U")
+    return rows
+
+
 def absent_binary_prob(logits: LabeledLogits, partition: LabelPartition) -> float:
     """Mean predicted probability that absent-labeled samples belong to the
     absent group (the group-level factor of the softmax decomposition)."""
-    check_width(logits, partition)
-    mask = partition.is_absent_label(logits.labels)
-    if not mask.any():
-        raise EmptyGroupError("no samples labeled in group U")
-    rows = logits.values[mask]
-    z = np.exp(rows - rows.max(axis=1, keepdims=True))
-    z_seen = z[:, partition.group_indices("S")].sum(axis=1)
-    z_absent = z[:, partition.group_indices("U")].sum(axis=1)
-    return float((z_absent / (z_seen + z_absent)).mean())
+    stats = _group_stats(logits, partition)
+    rows = _absent_labeled_rows(stats)
+    values = logits.values
+    seen, absent = partition.group_indices("S"), partition.group_indices("U")
+    row_max = np.maximum(stats.max_s, stats.max_u)[rows]
+    prob = np.empty(rows.size)
+    for block in _row_blocks(rows.size, values.itemsize * values.shape[1]):
+        z = np.exp(values[rows[block]] - row_max[block, None])
+        z_seen = z[:, seen].sum(axis=1)
+        z_absent = z[:, absent].sum(axis=1)
+        prob[block] = z_absent / (z_seen + z_absent)
+    return float(prob.mean())
 
 
 def gt_vs_top_nongt_absent(logits: LabeledLogits, partition: LabelPartition) -> tuple[float, float]:
     """Over absent-labeled samples: mean ground-truth logit and mean of the
     largest absent logit excluding the ground truth."""
-    check_width(logits, partition)
+    stats = _group_stats(logits, partition)
     absent_cols = partition.group_indices("U")
     if absent_cols.size < 2:
         raise ValidationError("needs at least 2 absent classes")
-    mask = partition.is_absent_label(logits.labels)
-    if not mask.any():
-        raise EmptyGroupError("no samples labeled in group U")
-    values = logits.values[mask][:, absent_cols]
-    labels = logits.labels[mask]
-    positions = np.searchsorted(absent_cols, labels)
-    gt = values[np.arange(labels.size), positions]
-    others = values.copy()
-    others[np.arange(labels.size), positions] = -np.inf
-    return float(gt.mean()), float(others.max(axis=1).mean())
+    rows = _absent_labeled_rows(stats)
+    labels = logits.labels[rows]
+    gt = logits.values[rows, labels]
+    # The largest absent logit is the largest non-ground-truth one unless
+    # the ground truth is its argmax; only those rows need a second look.
+    top = stats.max_u[rows]
+    redo = np.flatnonzero(stats.arg_u[rows] == labels)
+    for block in _row_blocks(redo.size, logits.values.itemsize * absent_cols.size):
+        at = redo[block]
+        others = logits.values[np.ix_(rows[at], absent_cols)]
+        others[np.arange(at.size), np.searchsorted(absent_cols, labels[at])] = -np.inf
+        top[at] = others.max(axis=1)
+    return float(gt.mean()), float(top.mean())

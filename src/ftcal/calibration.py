@@ -73,10 +73,9 @@ def estimate_gamma_alg(train_logits: LabeledLogits, partition: LabelPartition) -
     seen logit).
     """
     check_width(train_logits, partition)
-    seen = partition.group_indices("S")
-    if seen.size < 2:
+    if len(partition.fine_tuning) < 2:
         raise ValidationError("ALG needs at least 2 fine-tuning classes")
-    if not np.all(np.isin(train_logits.labels, seen)):
+    if _group_stats(train_logits, partition).label_absent.any():
         raise ValidationError("ALG training data must be labeled within the fine-tuning classes")
     seen_means, absent_means = nongt_logit_means(train_logits, partition)
     # Difference of the two group means (not the mean of per-sample

@@ -3,6 +3,12 @@
 Class indices are 0-based. All real values are float64. Every container is
 immutable after construction (arrays are copied and marked read-only), so
 instances are safe to share across threads.
+
+Because a ``LabeledLogits`` never changes, it computes its per-sample group
+statistics (per-group max, argmax and row sum, and whether each label is
+absent) once per partition: ``metrics._group_stats`` keeps the last result
+on the instance, keyed by partition equality, with read-only arrays. Every
+accuracy, curve, gamma and logit diagnostic then reads that one result.
 """
 
 from __future__ import annotations
@@ -90,8 +96,7 @@ class LabelPartition:
 
     def group_indices(self, selector: str) -> np.ndarray:
         """Class indices of group ``selector`` in {"S", "U", "Y"}, ascending."""
-        if selector not in _GROUPS:
-            raise ValidationError(f"group selector must be one of {_GROUPS}, got {selector!r}")
+        check_group(selector)
         if selector == "S":
             return np.array(self.fine_tuning, dtype=np.int64)
         if selector == "U":
@@ -117,6 +122,10 @@ class LabeledLogits:
 
     def __post_init__(self):
         _freeze_labeled(self, "logits", labels_are_columns=True)
+        # (partition, stats) of the last metrics._group_stats call: not a
+        # dataclass field, so it takes no part in eq or repr, and replaced
+        # as one tuple, so threads sharing the container never see a mix
+        object.__setattr__(self, "_stats_memo", None)
 
     @property
     def num_samples(self) -> int:
@@ -176,6 +185,12 @@ def check_num_classes(subject: str, num_classes: int, partition: LabelPartition)
         raise ValidationError(
             f"{subject} {num_classes} classes but the partition has {partition.num_classes}"
         )
+
+
+def check_group(selector: str) -> None:
+    """Raise unless ``selector`` names a group: "S", "U" or "Y"."""
+    if selector not in _GROUPS:
+        raise ValidationError(f"group selector must be one of {_GROUPS}, got {selector!r}")
 
 
 def check_width(logits: LabeledLogits, partition: LabelPartition) -> None:

@@ -5,7 +5,7 @@ Matrices serialize with 17 significant decimal digits, so a write-read
 round trip reproduces every float64 bit for bit. All numbers use the
 period as the decimal separator regardless of locale. Every file goes
 through ``write_text``, which replaces a regular file only once the whole
-text is written.
+text is written, and appends to the process's own stdout or stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
+import sys
 
 import numpy as np
 
@@ -29,19 +30,39 @@ def _row(values) -> str:
     return ",".join(_fmt(v) for v in values) + "\n"
 
 
+def _is_std_stream(path) -> bool:
+    """Whether ``path`` is the file this process's stdout or stderr writes to."""
+    try:
+        target = os.stat(path)
+    except OSError:
+        return False
+    for fd in (1, 2):
+        with contextlib.suppress(OSError):  # a closed stream is no match
+            if os.path.samestat(target, os.fstat(fd)):
+                return True
+    return False
+
+
 def write_text(path, chunks) -> None:
     """Stream the strings of ``chunks`` into ``path``, whole or not at all.
 
     The text goes to a temporary file beside the target (the file a symlink
     points to), which ``os.replace`` moves over it once complete and any
-    failure, KeyboardInterrupt included, removes. A target that exists but
-    is not a regular file, such as ``/dev/stdout``, is written in place.
+    failure, KeyboardInterrupt included, removes. A target that is this
+    process's own stdout or stderr, such as ``/dev/stdout`` redirected to a
+    file, is appended to in place once both streams are flushed, so what
+    they already wrote there stays. Any other target that exists but is not
+    a regular file, such as a FIFO, is written in place.
     """
-    in_place = os.path.exists(path) and not os.path.isfile(path)
+    own_stream = _is_std_stream(path)
+    if own_stream:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    in_place = own_stream or (os.path.exists(path) and not os.path.isfile(path))
     target = path if in_place else os.path.realpath(path)
     scratch = target if in_place else f"{target}.{os.getpid()}.tmp"
     try:
-        with open(scratch, "w", encoding="utf-8", newline="\n") as handle:
+        with open(scratch, "a" if own_stream else "w", encoding="utf-8", newline="\n") as handle:
             handle.writelines(chunks)  # one write per chunk, never joined
         if not in_place:
             os.replace(scratch, target)

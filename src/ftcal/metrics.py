@@ -14,6 +14,7 @@ from .data import (
     LabelPartition,
     _frozen_array,
     check_gamma,
+    check_group,
     check_num_classes,
     check_width,
 )
@@ -141,36 +142,69 @@ def predict_restricted(logits: LabeledLogits, restriction) -> np.ndarray:
 
 
 class _GroupStats(NamedTuple):
-    """Per-sample statistics behind every accuracy, curve and gamma."""
+    """Per-sample statistics behind every accuracy, curve, gamma and logit
+    diagnostic."""
 
     max_s: np.ndarray  # max logit over the seen columns
     arg_s: np.ndarray  # its class index, the lowest on ties
     max_u: np.ndarray  # max logit over the absent columns
     arg_u: np.ndarray  # its class index, the lowest on ties
     label_absent: np.ndarray  # whether the label is an absent class
+    sum_s: np.ndarray  # sum of the seen logits, as values[:, seen].sum(axis=1)
+    sum_u: np.ndarray  # sum of the absent logits, as values[:, absent].sum(axis=1)
+
+
+def _row_blocks(num_rows: int, row_bytes: int) -> list[slice]:
+    """Slices covering ``num_rows`` rows, each of about ``_BLOCK_BYTES``
+    when one row takes ``row_bytes``.
+
+    No block has a single row unless ``num_rows`` is 1. numpy sums the rows
+    of a column gather of two or more rows column by column, but a single
+    row pairwise, so this keeps every row sum independent of the blocking.
+    """
+    step = max(2, _BLOCK_BYTES // row_bytes)
+    starts = list(range(0, num_rows, step))
+    if len(starts) > 1 and num_rows - starts[-1] == 1:
+        starts.pop()  # the last row joins the block before it
+    return [slice(start, end) for start, end in zip(starts, starts[1:] + [num_rows])]
 
 
 def _group_stats(logits: LabeledLogits, partition: LabelPartition) -> _GroupStats:
-    """Max and argmax over each group's columns, computed in row blocks."""
+    """Max, argmax and sum over each group's columns, computed in row blocks.
+
+    The result is computed once per container and partition: it is kept on
+    the container (which never changes), keyed by partition equality, and
+    its arrays are read-only. Only the last partition is kept.
+    """
+    memo = logits._stats_memo
+    if memo is not None and memo[0] == partition:
+        return memo[1]
     check_width(logits, partition)
     values = logits.values
     num_rows, num_cols = values.shape
-    rows = max(1, _BLOCK_BYTES // (values.itemsize * num_cols))
     groups = (partition.group_indices("S"), partition.group_indices("U"))
     maxima = [np.empty(num_rows) for _ in groups]
     argmaxima = [np.empty(num_rows, dtype=np.int64) for _ in groups]
-    for start in range(0, num_rows, rows):
-        block = values[start : start + rows]
+    sums = [np.empty(num_rows) for _ in groups]
+    for rows in _row_blocks(num_rows, values.itemsize * num_cols):
+        block = values[rows]
         at = np.arange(block.shape[0])
-        for cols, best, arg in zip(groups, maxima, argmaxima):
+        for cols, best, arg, total in zip(groups, maxima, argmaxima, sums):
             sub = block[:, cols]
             idx = np.argmax(sub, axis=1)  # first maximum: lowest class index
-            best[start : start + rows] = sub[at, idx]
-            arg[start : start + rows] = cols[idx]
+            best[rows] = sub[at, idx]
+            arg[rows] = cols[idx]
+            total[rows] = sub.sum(axis=1)  # a row's sum does not depend on the block
     # a lookup table rather than np.isin, whose fixed cost dominates small inputs
     absent = np.zeros(num_cols, dtype=bool)
     absent[groups[1]] = True
-    return _GroupStats(maxima[0], argmaxima[0], maxima[1], argmaxima[1], absent[logits.labels])
+    stats = _GroupStats(
+        maxima[0], argmaxima[0], maxima[1], argmaxima[1], absent[logits.labels], sums[0], sums[1]
+    )
+    for array in stats:
+        array.flags.writeable = False
+    object.__setattr__(logits, "_stats_memo", (partition, stats))
+    return stats
 
 
 def _absent_side(stats: _GroupStats, gamma: float) -> np.ndarray:
@@ -199,14 +233,19 @@ def _group_sizes(stats: _GroupStats) -> tuple[int, int]:
 def accuracy(logits: LabeledLogits, partition: LabelPartition, group_a: str, group_b: str) -> float:
     """Acc_{A/B}: fraction of A-labeled samples whose argmax restricted to
     group B equals their label."""
-    check_width(logits, partition)
-    a_classes = partition.group_indices(group_a)
-    b_cols = partition.group_indices(group_b)
-    mask = np.isin(logits.labels, a_classes)
-    if not mask.any():
-        raise EmptyGroupError(f"no samples labeled in group {group_a}")
-    preds = _argmax_restricted(logits.values[mask], b_cols)
-    return float(np.mean(preds == logits.labels[mask]))
+    stats = _group_stats(logits, partition)
+    check_group(group_a)
+    check_group(group_b)
+    if group_b == "Y":  # the tie rule at gamma 0 is the plain argmax
+        preds = np.where(_absent_side(stats, 0.0), stats.arg_u, stats.arg_s)
+    else:
+        preds = stats.arg_s if group_b == "S" else stats.arg_u
+    hits = preds == logits.labels
+    if group_a != "Y":
+        hits = hits[stats.label_absent if group_a == "U" else ~stats.label_absent]
+        if hits.size == 0:
+            raise EmptyGroupError(f"no samples labeled in group {group_a}")
+    return float(np.mean(hits))
 
 
 def acc_report(logits: LabeledLogits, partition: LabelPartition, gamma: float = 0.0) -> AccReport:

@@ -77,11 +77,10 @@ def _ncm_scores(unit: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     |u|^2 - 2 u.m + |m|^2 expansion, whose cancellation can flip near-tie
     argmins.
     """
-    rows = max(1, metrics._BLOCK_BYTES // (unit.itemsize * candidates.size))
     scores = np.empty((unit.shape[0], candidates.shape[0]))
-    for start in range(0, unit.shape[0], rows):
-        diff = unit[start : start + rows, None, :] - candidates[None, :, :]
-        scores[start : start + rows] = -(diff * diff).sum(axis=2)
+    for rows in metrics._row_blocks(unit.shape[0], unit.itemsize * candidates.size):
+        diff = unit[rows, None, :] - candidates[None, :, :]
+        scores[rows] = -(diff * diff).sum(axis=2)
     return scores
 
 

@@ -1,0 +1,274 @@
+"""Per-sample group statistics: computed once per logits container and
+partition, and read by every accuracy and logit diagnostic, which must equal
+their full-matrix formulas bit for bit."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ftcal import (
+    EmptyGroupError,
+    LabeledLogits,
+    LabelPartition,
+    absent_binary_prob,
+    acc_report,
+    accuracy,
+    apply_gamma,
+    estimate_gamma_alg,
+    estimate_gamma_star,
+    gt_vs_top_nongt_absent,
+    logit_gap_stats,
+    seen_unseen_curve,
+)
+from ftcal import cli, metrics
+from ftcal.analysis import nongt_logit_means
+from ftcal.metrics import _group_stats
+
+# ------------------------------------------------ full-matrix references
+
+
+def ref_accuracy(logits, partition, group_a, group_b):
+    mask = np.isin(logits.labels, partition.group_indices(group_a))
+    if not mask.any():
+        raise EmptyGroupError(f"no samples labeled in group {group_a}")
+    cols = partition.group_indices(group_b)
+    preds = cols[np.argmax(logits.values[mask][:, cols], axis=1)]
+    return float(np.mean(preds == logits.labels[mask]))
+
+
+def ref_nongt_logit_means(logits, partition):
+    values, labels = logits.values, logits.labels
+    seen_cols = partition.group_indices("S")
+    absent_cols = partition.group_indices("U")
+    in_seen = np.isin(labels, seen_cols)
+    gt = values[np.arange(labels.size), labels]
+    sum_seen = values[:, seen_cols].sum(axis=1)
+    sum_absent = values[:, absent_cols].sum(axis=1)
+    seen_means = np.where(
+        in_seen, (sum_seen - gt) / (seen_cols.size - 1), sum_seen / seen_cols.size
+    )
+    absent_means = np.where(
+        in_seen, sum_absent / absent_cols.size, (sum_absent - gt) / max(absent_cols.size - 1, 1)
+    )
+    return seen_means, absent_means
+
+
+def ref_logit_gap_stats(logits, partition):
+    seen_means, absent_means = ref_nongt_logit_means(logits, partition)
+    return float(seen_means.mean()), float(absent_means.mean())
+
+
+def ref_absent_binary_prob(logits, partition):
+    mask = partition.is_absent_label(logits.labels)
+    rows = logits.values[mask]
+    z = np.exp(rows - rows.max(axis=1, keepdims=True))
+    z_seen = z[:, partition.group_indices("S")].sum(axis=1)
+    z_absent = z[:, partition.group_indices("U")].sum(axis=1)
+    return float((z_absent / (z_seen + z_absent)).mean())
+
+
+def ref_gt_vs_top_nongt_absent(logits, partition):
+    absent_cols = partition.group_indices("U")
+    mask = partition.is_absent_label(logits.labels)
+    values = logits.values[mask][:, absent_cols]
+    labels = logits.labels[mask]
+    positions = np.searchsorted(absent_cols, labels)
+    gt = values[np.arange(labels.size), positions]
+    others = values.copy()
+    others[np.arange(labels.size), positions] = -np.inf
+    return float(gt.mean()), float(others.max(axis=1).mean())
+
+
+def ref_gamma_alg(train_logits, partition):
+    seen_means, absent_means = ref_nongt_logit_means(train_logits, partition)
+    gaps = seen_means - absent_means
+    return float(seen_means.mean() - absent_means.mean()), float(gaps.std(ddof=1))
+
+
+def bits(value):
+    """Bytes of a float or float array, so -0.0 and 0.0 compare unequal."""
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+# ------------------------------------------------------------- instances
+
+
+def diagnostic_instance(seed, scale, quantised):
+    """Logits, labels, seen-only training logits and a random partition
+    with at least two classes in each group. Quantised logits (multiples
+    of 1/16) tie within groups; about half the absent-labeled rows carry
+    the absent argmax as their label, so the top non-ground-truth absent
+    logit often needs a second maximum."""
+    rng = np.random.default_rng(seed)
+    c = int(rng.integers(4, 13))
+    k = int(rng.integers(2, c - 1))
+    partition = LabelPartition(c, tuple(rng.permutation(c)[:k].tolist()))
+    seen, absent = partition.group_indices("S"), partition.group_indices("U")
+    n = int(rng.integers(2, 80))
+    if quantised:
+        values = rng.integers(-24, 25, size=(n, c)) / 16.0 * scale
+    else:
+        values = rng.normal(0.0, 2.0, size=(n, c)) * scale
+    labels = rng.integers(0, c, size=n)
+    labels[0] = rng.choice(seen)
+    labels[1] = rng.choice(absent)
+    top_absent = absent[np.argmax(values[:, absent], axis=1)]
+    pick = (rng.random(n) < 0.5) & np.isin(labels, absent)
+    labels[pick] = top_absent[pick]
+    train_labels = rng.choice(seen, size=n)
+    return values, labels, train_labels, partition
+
+
+diagnostic_instances = st.tuples(
+    st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e3]), st.booleans()
+)
+
+
+class TestBitForBitWithFullMatrixFormulas:
+    @given(diagnostic_instances, st.integers(1, 4096))
+    @settings(max_examples=300, deadline=None)
+    def test_logit_diagnostics(self, instance, block_bytes):
+        values, labels, train_labels, partition = diagnostic_instance(*instance)
+        with pytest.MonkeyPatch.context() as patch:
+            # a few bytes per block puts every row, or a handful, in its own block
+            patch.setattr(metrics, "_BLOCK_BYTES", block_bytes)
+            logits = LabeledLogits(values, labels)
+            train = LabeledLogits(values, train_labels)
+            means = nongt_logit_means(logits, partition)
+            gap = logit_gap_stats(logits, partition)
+            binary = absent_binary_prob(logits, partition)
+            gt_top = gt_vs_top_nongt_absent(logits, partition)
+            alg = estimate_gamma_alg(train, partition)
+        reference = LabeledLogits(values, labels)
+        for got, want in zip(means, ref_nongt_logit_means(reference, partition)):
+            assert bits(got) == bits(want)
+        assert bits(gap) == bits(ref_logit_gap_stats(reference, partition))
+        assert bits(binary) == bits(ref_absent_binary_prob(reference, partition))
+        assert bits(gt_top) == bits(ref_gt_vs_top_nongt_absent(reference, partition))
+        value, gap_std = ref_gamma_alg(LabeledLogits(values, train_labels), partition)
+        assert bits(alg.value) == bits(value)
+        assert bits(alg.diagnostics["gap_std"]) == bits(gap_std)
+
+    @given(diagnostic_instances, st.integers(1, 4096))
+    @settings(max_examples=200, deadline=None)
+    def test_accuracy_for_all_nine_group_pairs(self, instance, block_bytes):
+        values, labels, _, partition = diagnostic_instance(*instance)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_BLOCK_BYTES", block_bytes)
+            logits = LabeledLogits(values, labels)
+            for group_a in "SUY":
+                for group_b in "SUY":
+                    got = accuracy(logits, partition, group_a, group_b)
+                    assert bits(got) == bits(ref_accuracy(logits, partition, group_a, group_b))
+
+    def test_group_sums_equal_full_column_gathers(self, monkeypatch):
+        # 25 rows in blocks of 2 would leave the last row alone, and numpy
+        # sums a lone row in another order than the rows of a gathered block
+        values = np.random.default_rng(3).normal(size=(25, 11)) * 1e-3
+        partition = LabelPartition(11, (0, 2, 3, 4, 6, 7, 8, 10))
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 2 * values.itemsize * 11)
+        stats = _group_stats(LabeledLogits(values, np.arange(25) % 11), partition)
+        assert bits(stats.sum_s) == bits(values[:, partition.group_indices("S")].sum(axis=1))
+        assert bits(stats.sum_u) == bits(values[:, partition.group_indices("U")].sum(axis=1))
+
+
+def every_statistic(logits, partition):
+    curve = seen_unseen_curve(logits, partition)
+    star = estimate_gamma_star(logits, partition)
+    return (
+        acc_report(logits, partition).as_dict(),
+        curve.thresholds.tolist(),
+        curve.points.tolist(),
+        star.as_dict(),
+        apply_gamma(logits, partition, star.value).tolist(),
+        [accuracy(logits, partition, a, b) for a in "SUY" for b in "SUY"],
+        logit_gap_stats(logits, partition),
+        absent_binary_prob(logits, partition),
+        gt_vs_top_nongt_absent(logits, partition),
+    )
+
+
+class TestMemo:
+    def test_alternating_partitions_equal_fresh_containers(self):
+        rng = np.random.default_rng(11)
+        values = rng.integers(-24, 25, size=(60, 6)) / 16.0
+        labels = np.arange(60) % 6
+        first, second = LabelPartition(6, (0, 1)), LabelPartition(6, (2, 4, 5))
+        shared = LabeledLogits(values, labels)
+        for partition in (first, second, first, second):
+            assert every_statistic(shared, partition) == every_statistic(
+                LabeledLogits(values, labels), partition
+            )
+
+    def test_equal_but_distinct_partition_hits_the_memo(self):
+        logits = LabeledLogits([[1.0, 2.0, 0.5], [0.0, 1.0, 3.0]], [0, 2])
+        first, second = LabelPartition(3, (0, 1)), LabelPartition(3, (1, 0))
+        assert first is not second
+        assert _group_stats(logits, first) is _group_stats(logits, second)
+
+    def test_memo_is_not_a_field(self):
+        logits = LabeledLogits([[1.0, 2.0, 0.5], [0.0, 1.0, 3.0]], [0, 2])
+        before = repr(logits)
+        _group_stats(logits, LabelPartition(3, (0, 1)))
+        assert repr(logits) == before
+        assert [field.name for field in dataclasses.fields(logits)] == ["values", "labels"]
+
+    def test_memoised_arrays_are_read_only(self):
+        logits = LabeledLogits([[1.0, 2.0, 0.5], [0.0, 1.0, 3.0]], [0, 2])
+        stats = _group_stats(logits, LabelPartition(3, (0, 1)))
+        assert len(stats) == 7
+        for array in stats:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = array[1]
+
+
+@pytest.fixture()
+def kernel_passes(monkeypatch):
+    """Count the group-statistics computations (memo hits not included)."""
+    passes = []
+    real = metrics._GroupStats
+
+    def counting(*arrays):
+        passes.append(1)
+        return real(*arrays)
+
+    monkeypatch.setattr(metrics, "_GroupStats", counting)
+    return passes
+
+
+class TestOneKernelPass:
+    def test_diagnose_sequence(self, toy_report, kernel_passes, capsys):
+        out = toy_report.outdir
+        code = cli.main([
+            "diagnose",
+            "--logits", f"{out}/logits_finetuned.csv",
+            "--labels", f"{out}/target_test_labels.csv",
+            "--partition", f"{out}/partition.txt",
+            "--head", f"{out}/head_finetuned.csv",
+        ])
+        assert code == 0 and "absent_binary_prob=" in capsys.readouterr().out
+        assert len(kernel_passes) == 1
+
+    @pytest.mark.parametrize("restrict", ["S", "U"])
+    def test_restricted_ncm_sequence(self, toy_report, kernel_passes, restrict, capsys):
+        out = toy_report.outdir
+        code = cli.main([
+            "ncm",
+            "--mean-features", f"{out}/hidden_pretrained.csv",
+            "--mean-labels", f"{out}/target_test_labels.csv",
+            "--eval-features", f"{out}/hidden_finetuned.csv",
+            "--eval-labels", f"{out}/target_test_labels.csv",
+            "--partition", f"{out}/partition.txt",
+            "--restrict", restrict,
+        ])
+        assert code == 0 and capsys.readouterr().out.count("=") == 3
+        assert len(kernel_passes) == 1
+
+    def test_every_statistic_of_one_container(self, kernel_passes):
+        values, labels, _, partition = diagnostic_instance(5, 1.0, False)
+        every_statistic(LabeledLogits(values, labels), partition)
+        assert len(kernel_passes) == 1

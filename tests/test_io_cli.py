@@ -1,11 +1,15 @@
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+import ftcal
 from ftcal import (
     LabeledFeatures,
+    LabeledLogits,
     LabelPartition,
     LinearHead,
     MlpModel,
@@ -14,6 +18,7 @@ from ftcal import (
     TrainConfig,
     ToySpec,
     class_means,
+    estimate_gamma_alg,
     ncm_logits,
 )
 from ftcal import cli, io
@@ -564,3 +569,52 @@ class TestCli:
                        str(fixture_dir / "p.csv")) == 0
         assert (fixture_dir / "g.txt").read_text() in capsys.readouterr().out
         assert not list(fixture_dir.glob("*.tmp"))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout on this platform")
+class TestOutToOwnStdout:
+    """``--out /dev/stdout`` with stdout redirected: the report appears twice
+    (stdout copy, then file copy) and nothing the stream held is lost."""
+
+    @pytest.fixture()
+    def alg_command(self, fixture_dir):
+        io.save_matrix(np.array([[5.0, 1.0, 0.2], [1.4, 7.0, 1.0]]), fixture_dir / "tl.csv")
+        io.save_labels([0, 1], fixture_dir / "tlab.csv")
+        return [
+            sys.executable, "-m", "ftcal.cli", "alg",
+            "--train-logits", str(fixture_dir / "tl.csv"),
+            "--train-labels", str(fixture_dir / "tlab.csv"),
+            "--partition", str(fixture_dir / "partition.txt"),
+            "--out", "/dev/stdout",
+        ]
+
+    @staticmethod
+    def run(command, stdout):
+        src = os.path.dirname(os.path.dirname(ftcal.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run(command, stdout=stdout, env=env, timeout=120, check=True)
+
+    @staticmethod
+    def report(fixture_dir):
+        logits = io.load_matrix(fixture_dir / "tl.csv")
+        partition = io.load_partition(fixture_dir / "partition.txt")
+        estimate = estimate_gamma_alg(LabeledLogits(logits, [0, 1]), partition)
+        return io.format_report(estimate.as_dict())
+
+    def test_appending_redirect_keeps_the_earlier_line(self, fixture_dir, alg_command):
+        log = fixture_dir / "log.txt"
+        log.write_text("previous line\n")
+        with open(log, "a") as handle:
+            self.run(alg_command, handle)
+        assert log.read_text() == "previous line\n" + 2 * self.report(fixture_dir)
+
+    def test_truncating_redirect_holds_two_copies(self, fixture_dir, alg_command):
+        log = fixture_dir / "log.txt"
+        log.write_text("previous line\n")
+        with open(log, "w") as handle:
+            self.run(alg_command, handle)
+        assert log.read_text() == 2 * self.report(fixture_dir)
+
+    def test_pipe_receives_two_copies(self, fixture_dir, alg_command):
+        result = self.run(alg_command, subprocess.PIPE)
+        assert result.stdout.decode() == 2 * self.report(fixture_dir)
