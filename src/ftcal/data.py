@@ -113,9 +113,13 @@ class LabelPartition:
         return np.isin(labels, self.group_indices("U"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledLogits:
-    """N x C matrix of decision values plus N ground-truth labels."""
+    """N x C matrix of decision values plus N ground-truth labels.
+
+    Equality is identity and instances hash by identity, as the statistics
+    memo assumes: two containers holding equal arrays are not equal.
+    """
 
     values: np.ndarray
     labels: np.ndarray
@@ -123,8 +127,8 @@ class LabeledLogits:
     def __post_init__(self):
         _freeze_labeled(self, "logits", labels_are_columns=True)
         # (partition, stats) of the last metrics._group_stats call: not a
-        # dataclass field, so it takes no part in eq or repr, and replaced
-        # as one tuple, so threads sharing the container never see a mix
+        # dataclass field, so it takes no part in repr, and replaced as one
+        # tuple, so threads sharing the container never see a mix
         object.__setattr__(self, "_stats_memo", None)
 
     @property
@@ -136,9 +140,10 @@ class LabeledLogits:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledFeatures:
-    """N x d feature matrix plus N labels."""
+    """N x d feature matrix plus N labels; equality is identity, as for
+    ``LabeledLogits``."""
 
     values: np.ndarray
     labels: np.ndarray
@@ -231,6 +236,12 @@ def make_random_split(num_classes: int, k: int, seed: int) -> LabelPartition:
     return LabelPartition(int(num_classes), tuple(int(c) for c in chosen))
 
 
+def _mean_distances(means: np.ndarray) -> np.ndarray:
+    """C x C Euclidean distances between the rows of the C x d ``means``."""
+    diff = means[:, None, :] - means[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
 def make_greedy_similar_split(class_means, k: int) -> LabelPartition:
     """Greedily pick k classes that cluster tightly in feature space.
 
@@ -250,8 +261,7 @@ def make_greedy_similar_split(class_means, k: int) -> LabelPartition:
     if k == 1:
         return LabelPartition(num_classes, (0,))
 
-    diff = means[:, None, :] - means[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    dist = _mean_distances(means)
     rows, cols = np.triu_indices(num_classes, k=1)
     best = int(np.argmin(dist[rows, cols]))  # first minimum = lexicographically smallest pair
     members = [int(rows[best]), int(cols[best])]
@@ -263,11 +273,10 @@ def make_greedy_similar_split(class_means, k: int) -> LabelPartition:
 
 
 def total_intra_group_distance(class_means, subset) -> float:
-    """Sum of pairwise Euclidean distances between the means of ``subset``."""
-    means = np.asarray(class_means, dtype=np.float64)
+    """Sum of pairwise Euclidean distances between the means of ``subset``:
+    the upper triangle, over the subset's classes in ascending order, of
+    the distance matrix ``make_greedy_similar_split`` minimises over."""
+    means = _frozen_array(class_means, np.float64, "class_means", ndim=2)
     idx = sorted(int(c) for c in subset)
-    total = 0.0
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            total += float(np.linalg.norm(means[idx[a]] - means[idx[b]]))
-    return total
+    dist = _mean_distances(means[idx])
+    return float(dist[np.triu_indices(len(idx), k=1)].sum())

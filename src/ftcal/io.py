@@ -6,13 +6,23 @@ round trip reproduces every float64 bit for bit. All numbers use the
 period as the decimal separator regardless of locale. Every file goes
 through ``write_text``, which replaces a regular file only once the whole
 text is written, and appends to the process's own stdout or stderr.
+
+A matrix field is anything Python's ``float()`` accepts; blank lines are
+rejected and any line ending is read. ``load_matrix`` streams a regular
+file through one ``np.loadtxt`` pass in batches of lines, so its peak
+memory is about the matrix itself. A file that pass cannot vouch for,
+one it rejects, or one that is not a regular file, is read by the
+line-by-line parser ``_parse_rows``, which sets what is accepted, every
+value bit and every error message with its line number.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import os
+import re
 import sys
 
 import numpy as np
@@ -20,6 +30,17 @@ import numpy as np
 from .data import LabelPartition, LinearHead
 from .errors import ParseError, ShapeError, ValidationError
 from .trainer import ACTIVATIONS, EpochRecord, MlpModel, ToySpec, TrainConfig
+
+
+# lines per np.loadtxt batch: about 64 K characters of text
+_BATCH_CHARS = 1 << 16
+# characters str.splitlines breaks a line at but reading a file line by line
+# keeps; \x1c-\x1f are also whitespace to np.loadtxt but not to float()
+_ASCII_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x1f"
+_OTHER_BREAKS = "\x85\u2028\u2029"
+# a blank or whitespace-only line after a newline: _parse_rows rejects it,
+# np.loadtxt skips an empty line
+_BLANK = re.compile(r"\n[^\S\n]*(?:\n|\Z)")
 
 
 def _fmt(value: float) -> str:
@@ -92,6 +113,41 @@ def save_matrix(values, path) -> None:
     write_text(path, itertools.chain([header], map(_row, matrix)))
 
 
+def _untrusted(lines: list[str]) -> bool:
+    """Whether ``lines``, each ending in a newline but for the last line of a
+    file, hold a line ``np.loadtxt`` may read other than ``_parse_rows``
+    does: a blank or whitespace-only line, which ``_parse_rows`` rejects,
+    or a line that ``str.splitlines`` would split. One scan of the joined
+    text, no Python work per line."""
+    text = "\n" + "".join(lines)  # so that _BLANK also sees the first line
+    if any(char in text for char in _ASCII_BREAKS):
+        return True
+    if not text.isascii() and any(char in text for char in _OTHER_BREAKS):
+        return True
+    # a final newline ends the last line; no line starts after it
+    return _BLANK.search(text, 0, len(text) - text.endswith("\n", 1)) is not None
+
+
+def _loadtxt(batches) -> np.ndarray:
+    """Matrix from one ``np.loadtxt`` pass over ``batches``, lists of lines
+    of comma-separated reals. Raises ``ValueError`` where ``np.loadtxt``
+    rejects a line, at the first batch ``_untrusted`` flags, and when there
+    is no line, so that the caller can hand the text to ``_parse_rows``."""
+
+    def checked():
+        empty = True
+        for batch in batches:
+            if _untrusted(batch):
+                raise ValueError("a line np.loadtxt may read other than _parse_rows")
+            empty = False
+            yield batch
+        if empty:
+            raise ValueError("no rows")
+
+    lines = itertools.chain.from_iterable(checked())
+    return np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+
+
 def _parse_rows(path, numbered_lines, empty: str) -> np.ndarray:
     """Matrix from ``(line number, text)`` pairs of comma-separated reals;
     errors name the line. ``empty`` is the message when there is no row."""
@@ -115,22 +171,63 @@ def _parse_rows(path, numbered_lines, empty: str) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def load_matrix(path, expected_shape=None) -> np.ndarray:
-    """Read a CSV matrix; the optional ``#shape`` header must match the body."""
-    lines = _read_lines(path)
-    declared = None
-    start = 0
-    if lines and lines[0].lstrip().startswith("#shape"):
-        parts = lines[0].split()
-        if len(parts) != 3:
-            raise ParseError(f"{path}:1: malformed shape header {lines[0]!r}")
-        try:
-            declared = (int(parts[1]), int(parts[2]))
-        except ValueError as exc:
-            raise ParseError(f"{path}:1: malformed shape header {lines[0]!r}") from exc
-        start = 1
+def _is_shape_header(line: str) -> bool:
+    return line.lstrip().startswith("#shape")
 
-    matrix = _parse_rows(path, enumerate(lines[start:], start + 1), "empty matrix file")
+
+def _shape_header(path, line: str) -> tuple[int, int]:
+    """The ``(rows, cols)`` a ``#shape`` header line declares."""
+    parts = line.split()
+    if len(parts) != 3:
+        raise ParseError(f"{path}:1: malformed shape header {line!r}")
+    try:
+        return int(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise ParseError(f"{path}:1: malformed shape header {line!r}") from exc
+
+
+def _stream_matrix(path) -> tuple[tuple[int, int] | None, np.ndarray]:
+    """(declared shape or None, body matrix) of a regular file, read line by
+    line in batches of about ``_BATCH_CHARS`` characters and parsed by
+    ``_loadtxt``; raises ``OSError`` or ``ValueError`` where it cannot vouch
+    for the result."""
+    if not os.path.isfile(path):  # a pipe could not be read a second time
+        raise ValueError("not a regular file")
+    with open(path, "r", encoding="utf-8") as handle:
+        first = handle.readline()
+        batches = iter(functools.partial(handle.readlines, _BATCH_CHARS), [])
+        if not _is_shape_header(first):
+            return None, _loadtxt(itertools.chain([[first]], batches))
+        if _untrusted([first]):
+            raise ValueError("a header line str.splitlines would split")
+        # the body first: _read_matrix meets a decoding error anywhere in
+        # the file before it meets a malformed header
+        matrix = _loadtxt(batches)
+        return _shape_header(path, first.removesuffix("\n")), matrix
+
+
+def _read_matrix(path) -> tuple[tuple[int, int] | None, np.ndarray]:
+    """(declared shape or None, body matrix), parsed line by line by
+    ``_parse_rows``, whose errors name the line."""
+    lines = _read_lines(path)
+    if not (lines and _is_shape_header(lines[0])):
+        return None, _parse_rows(path, enumerate(lines, 1), "empty matrix file")
+    declared = _shape_header(path, lines[0])
+    return declared, _parse_rows(path, enumerate(lines[1:], 2), "empty matrix file")
+
+
+def load_matrix(path, expected_shape=None) -> np.ndarray:
+    """Read a CSV matrix; the optional ``#shape`` header must match the body.
+
+    One ``np.loadtxt`` pass parses a regular file as it is read, so the
+    whole text is never held. Whatever that pass cannot vouch for is read
+    again by ``_read_matrix``, which accepts the same files, gives the same
+    bits and names the line of every fault.
+    """
+    try:
+        declared, matrix = _stream_matrix(path)
+    except (OSError, ValueError):  # UnicodeDecodeError included
+        declared, matrix = _read_matrix(path)
     if declared is not None and matrix.shape != declared:
         raise ShapeError(f"{path}: header declares {declared}, content is {matrix.shape}")
     if expected_shape is not None and matrix.shape != tuple(expected_shape):
@@ -212,6 +309,16 @@ def save_model(model: MlpModel, path) -> None:
     write_text(path, itertools.chain(["[meta]\n", format_report(meta)], hidden_map, head))
 
 
+def _section_matrix(path, numbered_lines, name: str) -> np.ndarray:
+    """Matrix of the model file section ``[name]``, given as ``(line number,
+    text)`` pairs: one ``_loadtxt`` pass, or ``_parse_rows`` where that
+    cannot vouch for the result."""
+    try:
+        return _loadtxt([[f"{text}\n" for _, text in numbered_lines]])
+    except ValueError:
+        return _parse_rows(path, numbered_lines, f"section [{name}] is empty")
+
+
 def load_model(path) -> MlpModel:
     lines = _read_lines(path)
     sections: dict[str, list[tuple[int, str]]] = {}
@@ -238,8 +345,8 @@ def load_model(path) -> MlpModel:
     if activation not in ACTIVATIONS:
         raise ParseError(f"{path}: unknown activation {activation!r}")
 
-    hidden_map = _parse_rows(path, sections["hidden_map"], "section [hidden_map] is empty")
-    head = _parse_rows(path, sections["head"], "section [head] is empty")
+    hidden_map = _section_matrix(path, sections["hidden_map"], "hidden_map")
+    head = _section_matrix(path, sections["head"], "head")
     for key, matrix in (("hidden_map_shape", hidden_map), ("head_shape", head)):
         if key in meta:
             try:

@@ -19,8 +19,11 @@ from ftcal import (
     make_greedy_similar_split,
     make_random_split,
     predict_cosine,
+    total_intra_group_distance,
     weight_norms,
 )
+from ftcal.data import _mean_distances
+from ftcal.metrics import _group_stats
 
 
 class TestLabelPartition:
@@ -70,6 +73,22 @@ class TestContainers:
             LinearHead([[1.0, 2.0]])  # single class
         with pytest.raises(ValidationError):
             LinearHead([[np.inf, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("container", [LabeledLogits, LabeledFeatures])
+    def test_equality_is_identity_and_containers_hash(self, container):
+        a = container([[1.0, 2.0], [3.0, 4.0]], [0, 1])
+        b = container([[1.0, 2.0], [3.0, 4.0]], [0, 1])
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a) and hash(a) != hash(b)
+        table = {a: "a", b: "b"}
+        assert table[a] == "a" and table[b] == "b"
+
+    def test_hashable_logits_keep_their_statistics_memo(self):
+        logits = LabeledLogits([[1.0, 2.0], [3.0, 4.0]], [0, 1])
+        partition = LabelPartition(2, (0,))
+        stats = _group_stats(logits, partition)
+        assert {logits: 1}[logits] == 1
+        assert _group_stats(logits, partition) is stats
 
 
 _NAN = float("nan")
@@ -234,3 +253,29 @@ class TestGreedySplit:
     def test_k_out_of_range(self):
         with pytest.raises(ValidationError):
             make_greedy_similar_split(np.zeros((3, 2)), 3)
+
+
+class TestTotalIntraGroupDistance:
+    def test_upper_triangle_of_the_greedy_distance_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            num_classes = int(rng.integers(3, 12))
+            scale = 10.0 ** rng.integers(-3, 4)
+            means = rng.normal(size=(num_classes, int(rng.integers(1, 9)))) * scale
+            split = make_greedy_similar_split(means, int(rng.integers(1, num_classes))).fine_tuning
+            own = _mean_distances(means)[np.ix_(split, split)]
+            expected = own[np.triu_indices(len(split), k=1)].sum()
+            assert total_intra_group_distance(means, split) == expected
+            assert total_intra_group_distance(means, split[::-1]) == expected
+            assert total_intra_group_distance(means, split) == pytest.approx(
+                _oracle_total_distance(means, split), rel=1e-13
+            )
+
+    def test_empty_and_singleton_subsets_cost_nothing(self):
+        means = np.arange(6.0).reshape(3, 2)
+        assert total_intra_group_distance(means, ()) == 0.0
+        assert total_intra_group_distance(means, (2,)) == 0.0
+
+    def test_means_are_validated(self):
+        with pytest.raises(ValidationError):
+            total_intra_group_distance([[0.0, np.nan], [1.0, 1.0]], (0, 1))
