@@ -237,9 +237,13 @@ def make_random_split(num_classes: int, k: int, seed: int) -> LabelPartition:
 
 
 def _mean_distances(means: np.ndarray) -> np.ndarray:
-    """C x C Euclidean distances between the rows of the C x d ``means``."""
-    diff = means[:, None, :] - means[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    """C x C Euclidean distances between the rows of the C x d ``means``,
+    one row at a time, so no C x C x d difference tensor is held."""
+    dist = np.empty((means.shape[0], means.shape[0]))
+    for i, row in enumerate(means):
+        diff = row - means
+        dist[i] = np.sqrt((diff * diff).sum(axis=1))
+    return dist
 
 
 def make_greedy_similar_split(class_means, k: int) -> LabelPartition:

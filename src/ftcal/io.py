@@ -309,16 +309,6 @@ def save_model(model: MlpModel, path) -> None:
     write_text(path, itertools.chain(["[meta]\n", format_report(meta)], hidden_map, head))
 
 
-def _section_matrix(path, numbered_lines, name: str) -> np.ndarray:
-    """Matrix of the model file section ``[name]``, given as ``(line number,
-    text)`` pairs: one ``_loadtxt`` pass, or ``_parse_rows`` where that
-    cannot vouch for the result."""
-    try:
-        return _loadtxt([[f"{text}\n" for _, text in numbered_lines]])
-    except ValueError:
-        return _parse_rows(path, numbered_lines, f"section [{name}] is empty")
-
-
 def load_model(path) -> MlpModel:
     lines = _read_lines(path)
     sections: dict[str, list[tuple[int, str]]] = {}
@@ -345,8 +335,8 @@ def load_model(path) -> MlpModel:
     if activation not in ACTIVATIONS:
         raise ParseError(f"{path}: unknown activation {activation!r}")
 
-    hidden_map = _section_matrix(path, sections["hidden_map"], "hidden_map")
-    head = _section_matrix(path, sections["head"], "head")
+    hidden_map = _parse_rows(path, sections["hidden_map"], "section [hidden_map] is empty")
+    head = _parse_rows(path, sections["head"], "section [head] is empty")
     for key, matrix in (("hidden_map_shape", hidden_map), ("head_shape", head)):
         if key in meta:
             try:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,6 +271,25 @@ class TestTotalIntraGroupDistance:
             assert total_intra_group_distance(means, split) == pytest.approx(
                 _oracle_total_distance(means, split), rel=1e-13
             )
+
+    def test_distance_matrix_matches_the_broadcast_formula_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        for dim in (1, 7, 8, 9, 128, 129, 1000):
+            means = rng.normal(size=(int(rng.integers(2, 30)), dim)) * 10.0 ** rng.integers(-5, 6)
+            diff = means[:, None, :] - means[None, :, :]
+            expected = np.sqrt((diff * diff).sum(axis=2))
+            assert _mean_distances(means).tobytes() == expected.tobytes()
+
+    def test_no_classes_x_classes_x_dim_temporary(self):
+        means = np.random.default_rng(10).normal(size=(100, 512))  # 0.4 MB; 100 x 100 x 512 is 41 MB
+        tracemalloc.start()
+        try:
+            total_intra_group_distance(means, range(0, 100, 2))
+            make_greedy_similar_split(means, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * means.nbytes, f"peak {peak} B for {means.nbytes} B of means"
 
     def test_empty_and_singleton_subsets_cost_nothing(self):
         means = np.arange(6.0).reshape(3, 2)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ftcal import MlpModel, LinearHead, ParseError, ShapeError
+from ftcal import ParseError, ShapeError
 from ftcal import io
 
 # ------------------------------------------------ line-by-line reference
@@ -242,34 +242,6 @@ class TestOnePass:
             tracemalloc.stop()
         np.testing.assert_array_equal(loaded, matrix)
         assert peak < 2 * matrix.nbytes, f"peak {peak} B for a {matrix.nbytes} B matrix"
-
-
-# ------------------------------------------------ model sections
-
-
-class TestModelSections:
-    @pytest.mark.parametrize(
-        "texts",
-        [
-            ["1,2", "3,4"],
-            ["1_0,2", "3,4"],
-            ["1\x1f,2", "3,4"],
-            ["1,2", "3,4,5"],
-            ["1,oops"],
-            ["\u00a01,2\u00a0"],
-            [],
-        ],
-    )
-    def test_section_matches_the_line_parser(self, texts):
-        numbered = list(enumerate(texts, 5))
-        got = outcome(io._section_matrix, "model.txt", numbered, "head")
-        assert got == outcome(ref_parse_rows, "model.txt", numbered, "section [head] is empty")
-
-    def test_underscore_digits_in_a_model_file(self, tmp_path):
-        path = tmp_path / "model.txt"
-        io.save_model(MlpModel(np.eye(2), LinearHead(np.eye(3, 2))), path)
-        path.write_text(path.read_text().replace("\n1,0\n", "\n1_0,0\n", 1))
-        assert io.load_model(path).hidden_map[0, 0] == 10.0
 
 
 # ------------------------------------------------ properties
