@@ -14,18 +14,19 @@ from .data import (
     LabelPartition,
     LinearHead,
     _frozen_array,
+    _row_blocks,
     check_num_classes,
     unit_rows,
 )
 from .errors import DegenerateInputError, EmptyGroupError, ValidationError
-from .metrics import _group_stats, _row_blocks
+from .metrics import _group_stats
 
 # Centered Grams of nearly identical rows have HSIC at rounding-noise level;
 # anything at or below this is treated as "all rows identical".
 _DEGENERATE_HSIC = 1e-24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilarityReport:
     """Pairwise cosine similarities over a class subset."""
 

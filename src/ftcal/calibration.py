@@ -48,17 +48,8 @@ class GammaEstimate:
 
 
 def apply_gamma(logits: LabeledLogits, partition: LabelPartition, gamma: float) -> np.ndarray:
-    """Predicted labels after boosting every absent-class logit by ``gamma``.
-
-    Tie rule: a sample is predicted absent iff its flip value (max seen
-    logit minus max absent logit) is below gamma; an exact tie goes to the
-    group whose argmax has the lower class index. Within each group the
-    prediction is the raw-logit argmax, so gamma never reorders a group.
-    Curve points and returned gammas lie strictly inside threshold
-    intervals, so no reported number depends on the tie rule, except
-    between ulp-adjacent thresholds, where the point is the one realised at
-    the upper threshold.
-    """
+    """Predicted labels after boosting every absent-class logit by ``gamma``,
+    under the tie rule of ``SeenUnseenCurve``."""
     gamma = check_gamma(gamma)
     stats = _group_stats(logits, partition)
     return np.where(_absent_side(stats, gamma), stats.arg_u, stats.arg_s)
@@ -147,19 +138,18 @@ def select_balanced_gamma(curve) -> tuple[float, float, float]:
 
 
 def _stratified_split(labels: np.ndarray, classes, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class 80/20 index split (at least one training sample per class)."""
+    """Per-class 80/20 index split: every class with samples keeps at least
+    one in training. At least one label must lie in ``classes``."""
     train_idx, val_idx = [], []
     for c in classes:
         idx = np.flatnonzero(labels == c)
         if idx.size == 0:
             continue
         idx = idx[rng.permutation(idx.size)]
-        n_train = max(1, int(np.ceil(0.8 * idx.size)))
+        n_train = int(np.ceil(0.8 * idx.size))
         train_idx.append(idx[:n_train])
         val_idx.append(idx[n_train:])
-    train = np.sort(np.concatenate(train_idx)) if train_idx else np.array([], dtype=np.int64)
-    val = np.sort(np.concatenate(val_idx)) if val_idx else np.array([], dtype=np.int64)
-    return train, val
+    return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(val_idx))
 
 
 def estimate_gamma_pcv(
@@ -202,7 +192,6 @@ def estimate_gamma_pcv(
     check_num_classes("model has", pretrained.num_classes, partition)
 
     values, labels = train_features.values, train_features.labels
-    position_of = {int(c): i for i, c in enumerate(seen)}
     gammas, acc_pseudo_seen, acc_pseudo_absent = [], [], []
     for r in range(int(repeats)):
         train_idx, val_idx = _stratified_split(labels, seen, derive_rng(seed, r, 0))
@@ -227,10 +216,9 @@ def estimate_gamma_pcv(
 
         _, full_logits = forward_batch(model_r, values[val_idx])
         sub_logits = full_logits[:, seen]
-        sub_labels = np.array([position_of[int(c)] for c in labels[val_idx]], dtype=np.int64)
-        sub_partition = LabelPartition(
-            int(seen.size), tuple(position_of[int(c)] for c in pseudo_seen)
-        )
+        # seen is sorted and holds every label, so a label's position is its index
+        sub_labels = np.searchsorted(seen, labels[val_idx])
+        sub_partition = LabelPartition(int(seen.size), tuple(np.searchsorted(seen, pseudo_seen)))
         try:
             curve = seen_unseen_curve(LabeledLogits(sub_logits, sub_labels), sub_partition)
         except EmptyGroupError as exc:

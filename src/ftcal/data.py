@@ -2,13 +2,18 @@
 
 Class indices are 0-based. All real values are float64. Every container is
 immutable after construction (arrays are copied and marked read-only), so
-instances are safe to share across threads.
+instances are safe to share across threads. Every dataclass that holds
+arrays, here and elsewhere, compares and hashes by identity.
 
 Because a ``LabeledLogits`` never changes, it computes its per-sample group
 statistics (per-group max, argmax and row sum, and whether each label is
 absent) once per partition: ``metrics._group_stats`` keeps the last result
 on the instance, keyed by partition equality, with read-only arrays. Every
 accuracy, curve, gamma and logit diagnostic then reads that one result.
+
+It also owns the two row primitives every kernel shares: ``_row_blocks``
+cuts rows into blocks of the ``_BLOCK_BYTES`` budget, and ``_ncm_scores``
+is the one squared-distance kernel, behind NCM and the greedy split.
 """
 
 from __future__ import annotations
@@ -21,6 +26,45 @@ from .errors import ValidationError
 from .rng import derive_rng
 
 _GROUPS = ("S", "U", "Y")
+
+# Rows per block of the group-statistics kernel come from this byte budget
+# over the column count, and rows per block of the NCM scores from it over
+# the K x d difference slab of one row. A block and its two group copies
+# then stay in the L2 cache: on 100k x 100 and 20k x 1000 logits, 512 KiB
+# blocks ran 1.3-1.5x faster than 4 MiB blocks and 2-3x faster than one
+# block.
+_BLOCK_BYTES = 512 * 1024
+
+
+def _row_blocks(num_rows: int, row_bytes: int) -> list[slice]:
+    """Slices covering ``num_rows`` rows, each of about ``_BLOCK_BYTES``
+    when one row takes ``row_bytes``.
+
+    No block has a single row unless ``num_rows`` is 1. numpy sums the rows
+    of a column gather of two or more rows column by column, but a single
+    row pairwise, so this keeps every row sum independent of the blocking.
+    Rows of no bytes (no columns) all go in one block.
+    """
+    step = max(2, _BLOCK_BYTES // max(1, row_bytes))
+    starts = list(range(0, num_rows, step))
+    if len(starts) > 1 and num_rows - starts[-1] == 1:
+        starts.pop()  # the last row joins the block before it
+    return [slice(start, end) for start, end in zip(starts, starts[1:] + [num_rows])]
+
+
+def _ncm_scores(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Negative squared Euclidean distance of each row of ``rows`` to each
+    row of ``candidates``, computed in row blocks of ``_BLOCK_BYTES``.
+
+    Each entry is the direct sum of squared differences, not the
+    |u|^2 - 2 u.m + |m|^2 expansion, whose cancellation can flip near-tie
+    argmins.
+    """
+    scores = np.empty((rows.shape[0], candidates.shape[0]))
+    for block in _row_blocks(rows.shape[0], rows.itemsize * candidates.size):
+        diff = rows[block, None, :] - candidates[None, :, :]
+        scores[block] = -(diff * diff).sum(axis=2)
+    return scores
 
 
 def _frozen_array(values, dtype, name: str, ndim: int) -> np.ndarray:
@@ -160,7 +204,7 @@ class LabeledFeatures:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearHead:
     """Bias-free linear classifier: row c holds the weight vector of class c."""
 
@@ -236,16 +280,6 @@ def make_random_split(num_classes: int, k: int, seed: int) -> LabelPartition:
     return LabelPartition(int(num_classes), tuple(int(c) for c in chosen))
 
 
-def _mean_distances(means: np.ndarray) -> np.ndarray:
-    """C x C Euclidean distances between the rows of the C x d ``means``,
-    one row at a time, so no C x C x d difference tensor is held."""
-    dist = np.empty((means.shape[0], means.shape[0]))
-    for i, row in enumerate(means):
-        diff = row - means
-        dist[i] = np.sqrt((diff * diff).sum(axis=1))
-    return dist
-
-
 def make_greedy_similar_split(class_means, k: int) -> LabelPartition:
     """Greedily pick k classes that cluster tightly in feature space.
 
@@ -265,7 +299,7 @@ def make_greedy_similar_split(class_means, k: int) -> LabelPartition:
     if k == 1:
         return LabelPartition(num_classes, (0,))
 
-    dist = _mean_distances(means)
+    dist = np.sqrt(-_ncm_scores(means, means))
     rows, cols = np.triu_indices(num_classes, k=1)
     best = int(np.argmin(dist[rows, cols]))  # first minimum = lexicographically smallest pair
     members = [int(rows[best]), int(cols[best])]
@@ -282,5 +316,5 @@ def total_intra_group_distance(class_means, subset) -> float:
     the distance matrix ``make_greedy_similar_split`` minimises over."""
     means = _frozen_array(class_means, np.float64, "class_means", ndim=2)
     idx = sorted(int(c) for c in subset)
-    dist = _mean_distances(means[idx])
+    dist = np.sqrt(-_ncm_scores(means[idx], means[idx]))
     return float(dist[np.triu_indices(len(idx), k=1)].sum())

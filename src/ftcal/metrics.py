@@ -13,20 +13,13 @@ from .data import (
     LabeledLogits,
     LabelPartition,
     _frozen_array,
+    _row_blocks,
     check_gamma,
     check_group,
     check_num_classes,
     check_width,
 )
 from .errors import EmptyGroupError, ValidationError
-
-# Rows per block of the group-statistics kernel come from this byte budget
-# over the column count, and rows per block of the NCM scores from it over
-# the K x d difference slab of one row. A block and its two group copies
-# then stay in the L2 cache: on 100k x 100 and 20k x 1000 logits, 512 KiB
-# blocks ran 1.3-1.5x faster than 4 MiB blocks and 2-3x faster than one
-# block.
-_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -59,7 +52,7 @@ class AccReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeenUnseenCurve:
     """Exact staircase of (Acc_{S/Y}, Acc_{U/Y}) over all calibration factors.
 
@@ -154,21 +147,6 @@ class _GroupStats(NamedTuple):
     sum_u: np.ndarray  # sum of the absent logits, as values[:, absent].sum(axis=1)
 
 
-def _row_blocks(num_rows: int, row_bytes: int) -> list[slice]:
-    """Slices covering ``num_rows`` rows, each of about ``_BLOCK_BYTES``
-    when one row takes ``row_bytes``.
-
-    No block has a single row unless ``num_rows`` is 1. numpy sums the rows
-    of a column gather of two or more rows column by column, but a single
-    row pairwise, so this keeps every row sum independent of the blocking.
-    """
-    step = max(2, _BLOCK_BYTES // row_bytes)
-    starts = list(range(0, num_rows, step))
-    if len(starts) > 1 and num_rows - starts[-1] == 1:
-        starts.pop()  # the last row joins the block before it
-    return [slice(start, end) for start, end in zip(starts, starts[1:] + [num_rows])]
-
-
 def _group_stats(logits: LabeledLogits, partition: LabelPartition) -> _GroupStats:
     """Max, argmax and sum over each group's columns, computed in row blocks.
 
@@ -250,16 +228,8 @@ def accuracy(logits: LabeledLogits, partition: LabelPartition, group_a: str, gro
 
 def acc_report(logits: LabeledLogits, partition: LabelPartition, gamma: float = 0.0) -> AccReport:
     """All five Acc_{A/B} values, optionally after adding ``gamma`` to every
-    absent-class logit. Requires samples from both groups.
-
-    Tie rule: a sample is predicted absent iff its flip value (max seen
-    logit minus max absent logit) is below gamma; an exact tie goes to the
-    group whose argmax has the lower class index. Within each group the
-    prediction is the raw-logit argmax, so gamma never reorders a group.
-    Curve points and returned gammas lie strictly inside threshold
-    intervals, so no reported number depends on the tie rule, except
-    between ulp-adjacent thresholds, where the point is the one realised at
-    the upper threshold.
+    absent-class logit, under the tie rule of ``SeenUnseenCurve``. Requires
+    samples from both groups.
     """
     gamma = check_gamma(gamma)
     stats = _group_stats(logits, partition)

@@ -11,12 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics
-from .data import LabeledFeatures, LabeledLogits, _frozen_array, unit_rows
+from .data import LabeledFeatures, LabeledLogits, _frozen_array, _ncm_scores, unit_rows
 from .errors import MissingClassError, ValidationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassMeans:
     """Arithmetic means of unit-normalized feature rows, one per class."""
 
@@ -67,21 +66,6 @@ def _unit_features(features: LabeledFeatures, means: ClassMeans) -> np.ndarray:
             f"features have dim {features.dim}, means have dim {means.means.shape[1]}"
         )
     return unit_rows(features.values, "feature")
-
-
-def _ncm_scores(unit: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Negative squared Euclidean distance of each unit row to each
-    candidate mean, computed in row blocks of the metrics byte budget.
-
-    Each entry is the direct sum of squared differences, not the
-    |u|^2 - 2 u.m + |m|^2 expansion, whose cancellation can flip near-tie
-    argmins.
-    """
-    scores = np.empty((unit.shape[0], candidates.shape[0]))
-    for rows in metrics._row_blocks(unit.shape[0], unit.itemsize * candidates.size):
-        diff = unit[rows, None, :] - candidates[None, :, :]
-        scores[rows] = -(diff * diff).sum(axis=2)
-    return scores
 
 
 def ncm_predict(features: LabeledFeatures, means: ClassMeans, restriction) -> np.ndarray:

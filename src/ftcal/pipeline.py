@@ -48,7 +48,7 @@ PCV_REPEATS = 3
 _TRAIN_FRACTION = 0.8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ToyReport:
     """Key quantities of one toy run (files carry the full detail)."""
 

@@ -18,7 +18,7 @@ ACTIVATIONS = ("linear", "rectified")
 MODES = ("full", "frozen_classifier", "linear_probe")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MlpModel:
     """hidden = activation(hidden_map @ x); logits = head @ hidden."""
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -11,6 +12,8 @@ from ftcal import (
     LabelPartition,
     LinearHead,
     MlpModel,
+    SimilarityReport,
+    ToyReport,
     ValidationError,
     absent_feature_shift,
     acc_report,
@@ -20,11 +23,17 @@ from ftcal import (
     make_greedy_similar_split,
     make_random_split,
     predict_cosine,
+    seen_unseen_curve,
     total_intra_group_distance,
     weight_norms,
 )
-from ftcal.data import _mean_distances
+from ftcal import data, metrics
+from ftcal.data import _ncm_scores
 from ftcal.metrics import _group_stats
+
+
+def _distances(means):
+    return np.sqrt(-_ncm_scores(means, means))
 
 
 class TestLabelPartition:
@@ -79,6 +88,27 @@ class TestContainers:
     def test_equality_is_identity_and_containers_hash(self, container):
         a = container([[1.0, 2.0], [3.0, 4.0]], [0, 1])
         b = container([[1.0, 2.0], [3.0, 4.0]], [0, 1])
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a) and hash(a) != hash(b)
+        table = {a: "a", b: "b"}
+        assert table[a] == "a" and table[b] == "b"
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: LinearHead(np.eye(3, 2)),
+            lambda: MlpModel(np.eye(2), LinearHead(np.eye(3, 2))),
+            lambda: ClassMeans(np.eye(2), [0, 1], [1, 1]),
+            lambda: seen_unseen_curve(
+                LabeledLogits([[1.0, 0.0], [0.0, 1.0]], [0, 1]), LabelPartition(2, (0,))
+            ),
+            lambda: SimilarityReport(np.eye(2), 0.0, (0, 1)),
+            lambda: ToyReport(*[np.zeros(2)] * len(dataclasses.fields(ToyReport))),
+        ],
+        ids=["LinearHead", "MlpModel", "ClassMeans", "SeenUnseenCurve", "SimilarityReport", "ToyReport"],
+    )
+    def test_every_array_dataclass_compares_by_identity(self, make):
+        a, b = make(), make()
         assert a == a and a != b and not (a == b)
         assert hash(a) == hash(a) and hash(a) != hash(b)
         table = {a: "a", b: "b"}
@@ -264,7 +294,7 @@ class TestTotalIntraGroupDistance:
             scale = 10.0 ** rng.integers(-3, 4)
             means = rng.normal(size=(num_classes, int(rng.integers(1, 9)))) * scale
             split = make_greedy_similar_split(means, int(rng.integers(1, num_classes))).fine_tuning
-            own = _mean_distances(means)[np.ix_(split, split)]
+            own = _distances(means)[np.ix_(split, split)]
             expected = own[np.triu_indices(len(split), k=1)].sum()
             assert total_intra_group_distance(means, split) == expected
             assert total_intra_group_distance(means, split[::-1]) == expected
@@ -272,13 +302,20 @@ class TestTotalIntraGroupDistance:
                 _oracle_total_distance(means, split), rel=1e-13
             )
 
-    def test_distance_matrix_matches_the_broadcast_formula_bit_for_bit(self):
+    @pytest.mark.parametrize("block_bytes", [300, data._BLOCK_BYTES])
+    def test_distance_matrix_matches_the_broadcast_formula_bit_for_bit(self, block_bytes, monkeypatch):
+        monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
         rng = np.random.default_rng(9)
         for dim in (1, 7, 8, 9, 128, 129, 1000):
             means = rng.normal(size=(int(rng.integers(2, 30)), dim)) * 10.0 ** rng.integers(-5, 6)
             diff = means[:, None, :] - means[None, :, :]
             expected = np.sqrt((diff * diff).sum(axis=2))
-            assert _mean_distances(means).tobytes() == expected.tobytes()
+            assert _distances(means).tobytes() == expected.tobytes()
+
+    def test_the_block_budget_lives_only_in_data(self):
+        # a stale copy in metrics would leave patches of data._BLOCK_BYTES unseen there
+        assert not hasattr(metrics, "_BLOCK_BYTES")
+        assert metrics._row_blocks is data._row_blocks
 
     def test_no_classes_x_classes_x_dim_temporary(self):
         means = np.random.default_rng(10).normal(size=(100, 512))  # 0.4 MB; 100 x 100 x 512 is 41 MB
@@ -295,6 +332,11 @@ class TestTotalIntraGroupDistance:
         means = np.arange(6.0).reshape(3, 2)
         assert total_intra_group_distance(means, ()) == 0.0
         assert total_intra_group_distance(means, (2,)) == 0.0
+
+    def test_means_without_dimensions_are_all_at_distance_zero(self):
+        means = np.zeros((3, 0))
+        assert make_greedy_similar_split(means, 2).fine_tuning == (0, 1)
+        assert total_intra_group_distance(means, (0, 1, 2)) == 0.0
 
     def test_means_are_validated(self):
         with pytest.raises(ValidationError):

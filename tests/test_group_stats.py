@@ -23,7 +23,7 @@ from ftcal import (
     logit_gap_stats,
     seen_unseen_curve,
 )
-from ftcal import cli, metrics
+from ftcal import cli, data, metrics
 from ftcal.analysis import nongt_logit_means
 from ftcal.metrics import _group_stats
 
@@ -134,7 +134,7 @@ class TestBitForBitWithFullMatrixFormulas:
         values, labels, train_labels, partition = diagnostic_instance(*instance)
         with pytest.MonkeyPatch.context() as patch:
             # a few bytes per block puts every row, or a handful, in its own block
-            patch.setattr(metrics, "_BLOCK_BYTES", block_bytes)
+            patch.setattr(data, "_BLOCK_BYTES", block_bytes)
             logits = LabeledLogits(values, labels)
             train = LabeledLogits(values, train_labels)
             means = nongt_logit_means(logits, partition)
@@ -157,7 +157,7 @@ class TestBitForBitWithFullMatrixFormulas:
     def test_accuracy_for_all_nine_group_pairs(self, instance, block_bytes):
         values, labels, _, partition = diagnostic_instance(*instance)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(metrics, "_BLOCK_BYTES", block_bytes)
+            patch.setattr(data, "_BLOCK_BYTES", block_bytes)
             logits = LabeledLogits(values, labels)
             for group_a in "SUY":
                 for group_b in "SUY":
@@ -169,7 +169,7 @@ class TestBitForBitWithFullMatrixFormulas:
         # sums a lone row in another order than the rows of a gathered block
         values = np.random.default_rng(3).normal(size=(25, 11)) * 1e-3
         partition = LabelPartition(11, (0, 2, 3, 4, 6, 7, 8, 10))
-        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 2 * values.itemsize * 11)
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 2 * values.itemsize * 11)
         stats = _group_stats(LabeledLogits(values, np.arange(25) % 11), partition)
         assert bits(stats.sum_s) == bits(values[:, partition.group_indices("S")].sum(axis=1))
         assert bits(stats.sum_u) == bits(values[:, partition.group_indices("U")].sum(axis=1))

@@ -15,7 +15,7 @@ from ftcal import (
     ncm_predict,
     predict_restricted,
 )
-from ftcal import metrics
+from ftcal import data
 
 
 class TestClassMeans:
@@ -109,7 +109,7 @@ class TestNcmPredict:
 
     def test_row_blocks_match_exhaustive_search_oracle(self, monkeypatch):
         # At most 9 query rows per block, so 20 rows span several blocks.
-        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 300)
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 300)
         for seed in range(100):
             rng = np.random.default_rng(seed)
             num_classes = int(rng.integers(2, 7))
@@ -120,6 +120,7 @@ class TestNcmPredict:
             )
             means = class_means(ref, range(num_classes))
             queries = rng.normal(size=(20, dim))
+            assert len(data._row_blocks(20, queries.itemsize * means.means.size)) > 1
             got = ncm_predict(
                 LabeledFeatures(queries, np.zeros(20, dtype=int)), means, range(num_classes)
             )
