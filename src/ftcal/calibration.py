@@ -17,7 +17,6 @@ from .data import (
     LinearHead,
     check_gamma,
     check_num_classes,
-    check_width,
     unit_rows,
 )
 from .errors import EmptyGroupError, TrainingError, ValidationError
@@ -63,7 +62,7 @@ def estimate_gamma_alg(train_logits: LabeledLogits, partition: LabelPartition) -
     must be at least two of those (each sample needs a non-ground-truth
     seen logit).
     """
-    check_width(train_logits, partition)
+    check_num_classes("logits have", train_logits.num_classes, partition)
     if len(partition.fine_tuning) < 2:
         raise ValidationError("ALG needs at least 2 fine-tuning classes")
     if _group_stats(train_logits, partition).label_absent.any():

@@ -242,11 +242,6 @@ def check_group(selector: str) -> None:
         raise ValidationError(f"group selector must be one of {_GROUPS}, got {selector!r}")
 
 
-def check_width(logits: LabeledLogits, partition: LabelPartition) -> None:
-    """Raise unless the logits' class dimension matches the partition."""
-    check_num_classes("logits have", logits.num_classes, partition)
-
-
 def unit_rows(matrix: np.ndarray, what: str) -> np.ndarray:
     """``matrix`` with every row scaled to unit L2 norm; raise, naming the
     first offending ``what`` row, if a row has zero norm."""
@@ -316,5 +311,9 @@ def total_intra_group_distance(class_means, subset) -> float:
     the distance matrix ``make_greedy_similar_split`` minimises over."""
     means = _frozen_array(class_means, np.float64, "class_means", ndim=2)
     idx = sorted(int(c) for c in subset)
+    if len(set(idx)) != len(idx) or any(c < 0 or c >= means.shape[0] for c in idx):
+        raise ValidationError(
+            f"subset must hold distinct class indices in [0, {means.shape[0]}), got {idx}"
+        )
     dist = np.sqrt(-_ncm_scores(means[idx], means[idx]))
     return float(dist[np.triu_indices(len(idx), k=1)].sum())

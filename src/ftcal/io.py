@@ -19,11 +19,13 @@ value bit and every error message with its line number.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import itertools
 import os
 import re
 import sys
+import typing
 
 import numpy as np
 
@@ -354,20 +356,13 @@ def save_train_config(config: TrainConfig, path) -> None:
 
 def load_train_config(path) -> TrainConfig:
     pairs = _parse_kv_lines(path, _read_lines(path))
-    known = {
-        "learning_rate": float,
-        "momentum": float,
-        "weight_decay": float,
-        "epochs": int,
-        "batch_size": int,
-        "mode": str,
-        "seed": int,
-    }
+    known = typing.get_type_hints(TrainConfig)
     unknown = sorted(set(pairs) - set(known))
     if unknown:
         raise ParseError(f"{path}: unknown config keys {unknown}")
-    if "learning_rate" not in pairs:
-        raise ParseError(f"{path}: learning_rate is required")
+    for field in dataclasses.fields(TrainConfig):
+        if field.default is dataclasses.MISSING and field.name not in pairs:
+            raise ParseError(f"{path}: {field.name} is required")
     kwargs = {}
     for key, value in pairs.items():
         try:

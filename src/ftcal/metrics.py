@@ -17,7 +17,6 @@ from .data import (
     check_gamma,
     check_group,
     check_num_classes,
-    check_width,
 )
 from .errors import EmptyGroupError, ValidationError
 
@@ -157,7 +156,7 @@ def _group_stats(logits: LabeledLogits, partition: LabelPartition) -> _GroupStat
     memo = logits._stats_memo
     if memo is not None and memo[0] == partition:
         return memo[1]
-    check_width(logits, partition)
+    check_num_classes("logits have", logits.num_classes, partition)
     values = logits.values
     num_rows, num_cols = values.shape
     groups = (partition.group_indices("S"), partition.group_indices("U"))

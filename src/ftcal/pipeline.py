@@ -41,7 +41,6 @@ from .trainer import (
     fine_tune,
     forward_batch,
     gen_toy_data,
-    pretrain_config,
 )
 
 PCV_REPEATS = 3
@@ -131,7 +130,8 @@ def run_toy_pipeline(spec: ToySpec, config: TrainConfig, outdir) -> ToyReport:
         base,
         pre_train,
         range(spec.num_classes),
-        pretrain_config(config, derive_seed(config.seed, 1)),
+        # both layers are pre-trained: config.mode governs only fine-tuning
+        replace(config, mode="full", seed=derive_seed(config.seed, 1)),
     )
     finetuned, ft_history = fine_tune(
         pretrained,

@@ -2,20 +2,28 @@
 gradients, a deterministic SGD fine-tuning loop with freezable parts, the
 2-D Gaussian toy-data generator, and the closed-form predictor of how one
 update moves the hidden features of an input the batch never contained.
+
+Each model formula is stated once. ``_forward`` is the one forward kernel:
+``forward`` (a one-row batch), ``forward_batch`` and the loss all call it.
+``_batch_loss_grads`` is the one loss-gradient kernel: the only place the
+softmax error (softmax - one-hot) / N is formed, read by ``fine_tune``,
+``loss_and_grads`` and ``absent_feature_shift`` alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import LabeledFeatures, LinearHead, _frozen_array
+from .data import LabelPartition, LabeledFeatures, LinearHead, _frozen_array
 from .errors import TrainingError, ValidationError
 from .rng import check_seed, derive_rng
 
 ACTIVATIONS = ("linear", "rectified")
-MODES = ("full", "frozen_classifier", "linear_probe")
+# per mode, the parameters fine_tune updates: 0 the hidden map, 1 the head
+_UPDATED = {"full": (0, 1), "frozen_classifier": (0,), "linear_probe": (1,)}
+MODES = tuple(_UPDATED)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,15 +86,7 @@ class TrainConfig:
         check_seed(self.seed)
 
     def as_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "mode": self.mode,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,7 @@ class ToySpec:
             raise ValidationError("shift must provide one horizontal offset per class")
         if self.samples_per_class < 1:
             raise ValidationError("samples_per_class must be positive")
-        ft = tuple(sorted(int(c) for c in self.fine_tuning))
-        if not 0 < len(ft) < len(means) or len(set(ft)) != len(ft):
-            raise ValidationError("fine_tuning must be a nonempty strict subset of the classes")
-        if ft[0] < 0 or ft[-1] >= len(means):
-            raise ValidationError("fine_tuning indices out of range")
+        ft = LabelPartition(len(means), self.fine_tuning).fine_tuning
         object.__setattr__(self, "class_means", means)
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "samples_per_class", int(self.samples_per_class))
@@ -141,6 +137,12 @@ def _activate(pre: np.ndarray, activation: str) -> np.ndarray:
     return pre if activation == "linear" else np.maximum(pre, 0.0)
 
 
+def _forward(hidden_map, head_weights, activation, inputs) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden features and logits of an N x d_in input matrix."""
+    hidden = _activate(inputs @ hidden_map.T, activation)
+    return hidden, hidden @ head_weights.T
+
+
 def _input_vector(model: MlpModel, x, name: str = "input") -> np.ndarray:
     """``x`` flattened to a finite vector of the model's input width."""
     x = _frozen_array(np.ravel(x), np.float64, name, ndim=1)
@@ -149,20 +151,27 @@ def _input_vector(model: MlpModel, x, name: str = "input") -> np.ndarray:
     return x
 
 
+def _sample(model: MlpModel, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """One labelled example as a one-row batch: ``x`` a finite vector of the
+    model's input width, ``y`` a label in [0, num_classes)."""
+    if not isinstance(y, (int, np.integer)) or not 0 <= int(y) < model.num_classes:
+        raise ValidationError(f"label must lie in [0, {model.num_classes}), got {y!r}")
+    return _input_vector(model, x)[None, :], np.array([int(y)])
+
+
 def forward(model: MlpModel, x) -> tuple[np.ndarray, np.ndarray]:
     """Hidden features and logits for a single input vector."""
-    x = _input_vector(model, x)
-    hidden = _activate(model.hidden_map @ x, model.activation)
-    return hidden, model.head.weights @ hidden
+    inputs = _input_vector(model, x)[None, :]
+    hidden, logits = _forward(model.hidden_map, model.head.weights, model.activation, inputs)
+    return hidden[0], logits[0]
 
 
 def forward_batch(model: MlpModel, inputs) -> tuple[np.ndarray, np.ndarray]:
     """Hidden features and logits for an N x d_in input matrix."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != model.dim_in:
+    inputs = _frozen_array(inputs, np.float64, "inputs", ndim=2)
+    if inputs.shape[1] != model.dim_in:
         raise ValidationError(f"inputs must have shape (N, {model.dim_in}), got {inputs.shape}")
-    hidden = _activate(inputs @ model.hidden_map.T, model.activation)
-    return hidden, hidden @ model.head.weights.T
+    return _forward(model.hidden_map, model.head.weights, model.activation, inputs)
 
 
 def loss_and_grads(model: MlpModel, x, y: int):
@@ -172,12 +181,10 @@ def loss_and_grads(model: MlpModel, x, y: int):
     gradient is the outer product of the back-propagated error
     head^T (p - onehot_y), gated by the activation derivative, with x.
     """
-    if not isinstance(y, (int, np.integer)) or not 0 <= int(y) < model.num_classes:
-        raise ValidationError(f"label must lie in [0, {model.num_classes}), got {y!r}")
-    x = _input_vector(model, x)
+    inputs, labels = _sample(model, x, y)
     return _batch_loss_grads(
-        model.hidden_map, model.head.weights, model.activation, x[None, :], np.array([int(y)])
-    )
+        model.hidden_map, model.head.weights, model.activation, inputs, labels
+    )[:3]
 
 
 def _ce(hidden_map, head_weights, activation, inputs, labels):
@@ -188,8 +195,7 @@ def _ce(hidden_map, head_weights, activation, inputs, labels):
     pre-activations are not kept: a rectified unit is active iff its hidden
     value is positive.
     """
-    hidden = _activate(inputs @ hidden_map.T, activation)
-    logits = hidden @ head_weights.T
+    hidden, logits = _forward(hidden_map, head_weights, activation, inputs)
     shift = logits.max(axis=1, keepdims=True)
     z = np.exp(logits - shift)
     z_sum = z.sum(axis=1)
@@ -199,7 +205,11 @@ def _ce(hidden_map, head_weights, activation, inputs, labels):
 
 
 def _batch_loss_grads(hidden_map, head_weights, activation, inputs, labels):
-    """Mean loss and mean gradients over a batch."""
+    """Mean loss, mean gradients and the softmax error over a batch.
+
+    Returns (loss, grad_head, grad_hidden_map, err), where row i of ``err``
+    is (softmax_i - onehot(labels[i])) / N.
+    """
     hidden, _, z, z_sum, loss = _ce(hidden_map, head_weights, activation, inputs, labels)
     n = inputs.shape[0]
     err = z / z_sum[:, None]
@@ -210,10 +220,11 @@ def _batch_loss_grads(hidden_map, head_weights, activation, inputs, labels):
     if activation == "rectified":
         delta = delta * (hidden > 0.0)
     grad_hidden_map = delta.T @ inputs
-    return loss, grad_head, grad_hidden_map
+    return loss, grad_head, grad_hidden_map, err
 
 
 def _mean_loss_and_accuracy(hidden_map, head_weights, activation, inputs, labels):
+    # a function of its own, so the N x C logits are freed before the next epoch
     _, logits, _, _, loss = _ce(hidden_map, head_weights, activation, inputs, labels)
     return loss, float(np.mean(np.argmax(logits, axis=1) == labels))
 
@@ -242,12 +253,9 @@ def fine_tune(
     if data.dim != model.dim_in:
         raise ValidationError(f"data has {data.dim} features, model expects {model.dim_in}")
 
-    hidden_map = model.hidden_map.copy()
-    head_weights = model.head.weights.copy()
-    vel_hidden = np.zeros_like(hidden_map)
-    vel_head = np.zeros_like(head_weights)
-    update_hidden = config.mode in ("full", "frozen_classifier")
-    update_head = config.mode in ("full", "linear_probe")
+    params = [model.hidden_map, model.head.weights]
+    velocity = [np.zeros_like(p) for p in params]
+    updated = _UPDATED[config.mode]
     inputs, labels = data.values, data.labels
     n = data.num_samples
     lr, mu, wd = config.learning_rate, config.momentum, config.weight_decay
@@ -257,26 +265,22 @@ def fine_tune(
         order = derive_rng(config.seed, epoch).permutation(n)
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss, grad_head, grad_hidden = _batch_loss_grads(
-                hidden_map, head_weights, model.activation, inputs[batch], labels[batch]
+            loss, grad_head, grad_hidden, _ = _batch_loss_grads(
+                *params, model.activation, inputs[batch], labels[batch]
             )
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
-            if update_hidden:
-                vel_hidden = mu * vel_hidden + grad_hidden
-                hidden_map = hidden_map - lr * vel_hidden - lr * wd * hidden_map
-            if update_head:
-                vel_head = mu * vel_head + grad_head
-                head_weights = head_weights - lr * vel_head - lr * wd * head_weights
-        loss, acc = _mean_loss_and_accuracy(
-            hidden_map, head_weights, model.activation, inputs, labels
-        )
+            grads = (grad_hidden, grad_head)
+            for i in updated:
+                velocity[i] = mu * velocity[i] + grads[i]
+                params[i] = params[i] - lr * velocity[i] - lr * wd * params[i]
+        loss, acc = _mean_loss_and_accuracy(*params, model.activation, inputs, labels)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss at epoch {epoch}")
         history.append(EpochRecord(epoch=epoch, loss=loss, accuracy=acc))
 
     trained = MlpModel(
-        hidden_map=hidden_map, head=LinearHead(head_weights), activation=model.activation
+        hidden_map=params[0], head=LinearHead(params[1]), activation=model.activation
     )
     return trained, history
 
@@ -363,16 +367,12 @@ def absent_feature_shift(model: MlpModel, seen_example, absent_input, learning_r
     if not np.isfinite(learning_rate):
         raise ValidationError(f"learning_rate must be finite, got {learning_rate!r}")
     x, y = seen_example
-    x, y = _input_vector(model, x), int(y)
+    inputs, labels = _sample(model, x, y)
     other = _input_vector(model, absent_input, "absent_input")
-    _, _, grad_hidden = loss_and_grads(model, x, y)
-
-    _, _, z, z_sum, _ = _ce(
-        model.hidden_map, model.head.weights, model.activation, x[None, :], np.array([y])
+    _, _, grad_hidden, err = _batch_loss_grads(
+        model.hidden_map, model.head.weights, model.activation, inputs, labels
     )
-    err = z[0] / z_sum[0]
-    err[y] -= 1.0
-    predicted = -learning_rate * (model.head.weights.T @ err) * float(x @ other)
+    predicted = -learning_rate * (model.head.weights.T @ err[0]) * float(inputs[0] @ other)
 
     updated = model.hidden_map - learning_rate * grad_hidden
     actual = updated @ other - model.hidden_map @ other
@@ -390,10 +390,3 @@ def default_train_config(seed: int = 0, mode: str = "full") -> TrainConfig:
         mode=mode,
         seed=seed,
     )
-
-
-def pretrain_config(config: TrainConfig, seed: int) -> TrainConfig:
-    """Pre-training variant of ``config``: both layers trained (``mode`` in
-    the config only governs the fine-tuning phase), same optimizer
-    settings, derived seed."""
-    return replace(config, mode="full", seed=seed)

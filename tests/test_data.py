@@ -341,3 +341,9 @@ class TestTotalIntraGroupDistance:
     def test_means_are_validated(self):
         with pytest.raises(ValidationError):
             total_intra_group_distance([[0.0, np.nan], [1.0, 1.0]], (0, 1))
+
+    @pytest.mark.parametrize("subset", [(-1, 0), (1, 1), (0, 5), (0, 3)])
+    def test_negative_repeated_and_out_of_range_indices_rejected(self, subset):
+        means = [[0.0, 0.0], [4.0, 4.0], [4.0, 0.0]]
+        with pytest.raises(ValidationError, match="subset"):
+            total_intra_group_distance(means, subset)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -157,6 +158,28 @@ class TestTrainConfigFile:
         path = tmp_path / "config.txt"
         path.write_text("epochs=5\n")
         with pytest.raises(ParseError):
+            io.load_train_config(path)
+
+    def test_file_lists_every_field_in_declaration_order(self, tmp_path):
+        path = tmp_path / "config.txt"
+        io.save_train_config(TrainConfig(0.05, epochs=3, batch_size=8, seed=2), path)
+        assert path.read_text() == (
+            "learning_rate=0.05\nmomentum=0.0\nweight_decay=0.0\nepochs=3\n"
+            "batch_size=8\nmode=full\nseed=2\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("epochs=5\n", "learning_rate is required"),
+            ("learning_rate=0.1\nepochs=2.5\n", "malformed value for epochs: '2.5'"),
+            ("learning_rate=fast\n", "malformed value for learning_rate: 'fast'"),
+        ],
+    )
+    def test_error_messages_name_the_key(self, tmp_path, text, message):
+        path = tmp_path / "config.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(message)):
             io.load_train_config(path)
 
 

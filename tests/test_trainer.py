@@ -3,6 +3,7 @@ import pytest
 
 from ftcal import (
     LabeledFeatures,
+    LabelPartition,
     LinearHead,
     MlpModel,
     ToySpec,
@@ -17,6 +18,7 @@ from ftcal import (
     gradient_check,
     loss_and_grads,
 )
+from ftcal import trainer
 
 
 def random_model(seed, dim_in=3, dim_hidden=3, num_classes=4, activation="linear"):
@@ -74,6 +76,23 @@ class TestForward:
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             forward(random_model(0), [1.0, 2.0])
+
+    def test_batch_rejects_non_finite_rows(self):
+        model = random_model(0, dim_in=2)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="inputs"):
+                forward_batch(model, [[0.5, 1.0], [bad, 0.0]])
+
+    @pytest.mark.parametrize("activation", ["linear", "rectified"])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_single_is_the_one_row_batch_bit_for_bit(self, activation, scale):
+        for seed in range(10):
+            model = random_model(seed, dim_in=5, dim_hidden=4, num_classes=6, activation=activation)
+            x = np.random.default_rng(seed).normal(size=5) * scale
+            hidden, logits = forward(model, x)
+            batch_hidden, batch_logits = forward_batch(model, x[None, :])
+            assert hidden.tobytes() == batch_hidden[0].tobytes()
+            assert logits.tobytes() == batch_logits[0].tobytes()
 
 
 class TestLossAndGrads:
@@ -195,6 +214,31 @@ class TestFineTune:
         assert np.linalg.norm(trained.head.weights[2]) < np.linalg.norm(model.head.weights[2])
 
 
+class TestToySpec:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"fine_tuning": ()},
+            {"fine_tuning": (0, 1, 2, 3)},
+            {"fine_tuning": (0, 0)},
+            {"fine_tuning": (0, 4)},
+            {"fine_tuning": (-1, 0)},
+            {"fine_tuning": ("a",)},
+            {"shift": (1.0, -1.0)},
+            {"stddev": -0.1},
+            {"samples_per_class": 0},
+        ],
+    )
+    def test_invalid_settings_rejected(self, kwargs):
+        with pytest.raises(ValidationError):
+            ToySpec(**kwargs)
+
+    def test_fine_tuning_follows_the_partition_rule(self):
+        spec = ToySpec(fine_tuning=(np.int64(3), 1))
+        assert spec.fine_tuning == (1, 3)
+        assert spec.fine_tuning == LabelPartition(4, (3, 1)).fine_tuning
+
+
 class TestGenToyData:
     def test_zero_stddev_hits_means_exactly(self):
         spec = ToySpec(stddev=0.0, samples_per_class=3)
@@ -262,6 +306,27 @@ class TestAbsentFeatureShift:
             lr = float(rng.uniform(0.01, 1.0))
             predicted, actual = absent_feature_shift(model, (x, y), other, lr)
             np.testing.assert_allclose(predicted, actual, atol=1e-10, rtol=0)
+
+    def test_prediction_and_step_share_one_kernel_evaluation(self, monkeypatch):
+        calls = []
+        ce = trainer._ce
+
+        def counted(*args):
+            calls.append(args)
+            return ce(*args)
+
+        monkeypatch.setattr(trainer, "_ce", counted)
+        model = random_model(12, dim_in=4)
+        absent_feature_shift(model, ([1.0, 0.5, -0.5, 2.0], 2), [0.5, 0.0, 1.0, -1.0], 0.3)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("label", [1.7, -1, 5])
+    def test_label_follows_the_loss_rule(self, label):
+        model = random_model(13, dim_in=2, num_classes=5)
+        with pytest.raises(ValidationError, match="label"):
+            loss_and_grads(model, [1.0, 0.5], label)
+        with pytest.raises(ValidationError, match="label"):
+            absent_feature_shift(model, ([1.0, 0.5], label), [0.5, 1.0], 0.1)
 
     def test_rectified_mode_unsupported(self):
         model = random_model(11, activation="rectified")
