@@ -13,6 +13,7 @@ from .data import (
     LabeledLogits,
     LabelPartition,
     LinearHead,
+    _class_index,
     _frozen_array,
     _row_blocks,
     check_num_classes,
@@ -43,6 +44,12 @@ def linear_cka(weights_a, weights_b) -> float:
     HSIC(K, L) = trace(K H L H) / (n - 1)^2 and H is the centering matrix
     I - 11^T / n. The value lies in [0, 1] up to rounding; higher means the
     pairwise class relationships are better preserved.
+
+    Two forms compute it, equal up to rounding. When the rows outnumber the
+    columns of both sets (n > max(d_a, d_b)), the unit rows are
+    column-centred and HSIC(K, L) = ||A_c^T B_c||_F^2 / (n - 1)^2
+    (Kornblith et al. 2019), which forms d x d products only, never an
+    n x n matrix. Otherwise (n <= d) the n x n Grams are centred with H.
     """
     a = _frozen_array(weights_a, np.float64, "weights_a", ndim=2)
     b = _frozen_array(weights_b, np.float64, "weights_b", ndim=2)
@@ -54,15 +61,22 @@ def linear_cka(weights_a, weights_b) -> float:
 
     a = unit_rows(a, "weights_a")  # rebinding frees the validated copies
     b = unit_rows(b, "weights_b")
-    gram_a = a @ a.T
-    gram_b = b @ b.T
-    centering = np.eye(n) - np.full((n, n), 1.0 / n)
-    ka = centering @ gram_a @ centering
-    kb = centering @ gram_b @ centering
     scale = (n - 1) ** 2
-    hsic_ab = float((ka * kb).sum()) / scale
-    hsic_aa = float((ka * ka).sum()) / scale
-    hsic_bb = float((kb * kb).sum()) / scale
+    if n > max(a.shape[1], b.shape[1]):
+        a -= a.mean(axis=0)  # unit_rows returned fresh arrays
+        b -= b.mean(axis=0)
+        hsic_ab, hsic_aa, hsic_bb = (
+            float(np.square(x.T @ y).sum()) / scale for x, y in ((a, b), (a, a), (b, b))
+        )
+    else:
+        gram_a = a @ a.T
+        gram_b = b @ b.T
+        centering = np.eye(n) - np.full((n, n), 1.0 / n)
+        ka = centering @ gram_a @ centering
+        kb = centering @ gram_b @ centering
+        hsic_ab = float((ka * kb).sum()) / scale
+        hsic_aa = float((ka * ka).sum()) / scale
+        hsic_bb = float((kb * kb).sum()) / scale
     if hsic_aa <= _DEGENERATE_HSIC or hsic_bb <= _DEGENERATE_HSIC:
         raise DegenerateInputError("all rows identical after normalization; CKA is undefined")
     return float(hsic_ab / np.sqrt(hsic_aa * hsic_bb))
@@ -78,7 +92,7 @@ def delta_w_similarity(w_pre: LinearHead, w_ft: LinearHead, subset) -> Similarit
         raise ValidationError(
             f"head shapes differ: {w_pre.weights.shape} vs {w_ft.weights.shape}"
         )
-    classes = sorted(int(c) for c in subset)
+    classes = sorted(_class_index(c) for c in subset)
     if len(classes) < 2:
         raise ValidationError("subset must contain at least 2 classes")
     if len(set(classes)) != len(classes):

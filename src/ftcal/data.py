@@ -67,6 +67,18 @@ def _ncm_scores(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return scores
 
 
+def _class_index(value) -> int:
+    """``value`` as an ``int`` class index; raise ``ValidationError`` naming
+    it unless it is integral. ``int()`` would truncate 1.5 to 1."""
+    try:
+        index = int(value)
+    except (TypeError, ValueError, OverflowError):  # None, "a", nan, inf
+        index = None
+    if index is None or index != value:
+        raise ValidationError(f"class index {value!r} is not an integer")
+    return index
+
+
 def _frozen_array(values, dtype, name: str, ndim: int) -> np.ndarray:
     """Read-only copy of ``values`` as ``dtype``; raise unless it has ``ndim``
     dimensions and, for a float dtype, only finite entries."""
@@ -117,7 +129,7 @@ class LabelPartition:
             raise ValidationError(f"num_classes must be an integer >= 2, got {self.num_classes!r}")
         object.__setattr__(self, "num_classes", int(self.num_classes))
         try:
-            indices = sorted(int(c) for c in self.fine_tuning)
+            indices = sorted(_class_index(c) for c in self.fine_tuning)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"fine_tuning must be a collection of integers: {exc}") from exc
         if len(set(indices)) != len(indices):
@@ -310,7 +322,7 @@ def total_intra_group_distance(class_means, subset) -> float:
     the upper triangle, over the subset's classes in ascending order, of
     the distance matrix ``make_greedy_similar_split`` minimises over."""
     means = _frozen_array(class_means, np.float64, "class_means", ndim=2)
-    idx = sorted(int(c) for c in subset)
+    idx = sorted(_class_index(c) for c in subset)
     if len(set(idx)) != len(idx) or any(c < 0 or c >= means.shape[0] for c in idx):
         raise ValidationError(
             f"subset must hold distinct class indices in [0, {means.shape[0]}), got {idx}"

@@ -49,8 +49,14 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _row(values) -> str:
-    return ",".join(_fmt(v) for v in values) + "\n"
+def _csv_lines(matrix: np.ndarray) -> typing.Iterator[str]:
+    """The CSV lines of a 2-D float64 ``matrix``, made one row at a time.
+
+    One ``%.17g`` template per matrix, filled from each row's Python
+    floats, gives the bytes ``_fmt`` gives value by value, at about half
+    the cost."""
+    template = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    return (template % tuple(row.tolist()) for row in matrix)
 
 
 def _is_std_stream(path) -> bool:
@@ -112,7 +118,7 @@ def save_matrix(values, path) -> None:
     if matrix.ndim != 2:
         raise ValidationError(f"matrix must be 2-D, got shape {matrix.shape}")
     header = f"#shape {matrix.shape[0]} {matrix.shape[1]}\n"
-    write_text(path, itertools.chain([header], map(_row, matrix)))
+    write_text(path, itertools.chain([header], _csv_lines(matrix)))
 
 
 def _untrusted(lines: list[str]) -> bool:
@@ -306,8 +312,8 @@ def save_model(model: MlpModel, path) -> None:
         "hidden_map_shape": f"{model.dim_hidden} {model.dim_in}",
         "head_shape": f"{model.num_classes} {model.dim_hidden}",
     }
-    hidden_map = itertools.chain(["[hidden_map]\n"], map(_row, model.hidden_map))
-    head = itertools.chain(["[head]\n"], map(_row, model.head.weights))
+    hidden_map = itertools.chain(["[hidden_map]\n"], _csv_lines(model.hidden_map))
+    head = itertools.chain(["[head]\n"], _csv_lines(model.head.weights))
     write_text(path, itertools.chain(["[meta]\n", format_report(meta)], hidden_map, head))
 
 

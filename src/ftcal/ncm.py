@@ -11,7 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledFeatures, LabeledLogits, _frozen_array, _ncm_scores, unit_rows
+from .data import (
+    LabeledFeatures,
+    LabeledLogits,
+    _class_index,
+    _frozen_array,
+    _ncm_scores,
+    unit_rows,
+)
 from .errors import MissingClassError, ValidationError
 
 
@@ -42,7 +49,7 @@ class ClassMeans:
 
 def class_means(features: LabeledFeatures, classes) -> ClassMeans:
     """Mean of the unit-normalized feature rows of each requested class."""
-    ids = sorted({int(c) for c in classes})
+    ids = sorted({_class_index(c) for c in classes})
     if not ids:
         raise ValidationError("classes must be nonempty")
     unit = unit_rows(features.values, "feature")
@@ -75,7 +82,7 @@ def ncm_predict(features: LabeledFeatures, means: ClassMeans, restriction) -> np
     Features are unit-normalized before the distance computation, so
     positively rescaling a row never changes its prediction.
     """
-    wanted = sorted({int(c) for c in restriction})
+    wanted = sorted({_class_index(c) for c in restriction})
     if not wanted:
         raise ValidationError("restriction must be nonempty")
     known = set(int(c) for c in means.class_ids)

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftcal import (
     DegenerateInputError,
@@ -77,6 +81,67 @@ class TestLinearCka:
             linear_cka(np.ones((1, 3)), np.ones((1, 3)))
 
 
+def _gram_form_cka(a, b):
+    """The n x n Gram form ``linear_cka`` keeps for n <= d, step for step."""
+    a = a / np.linalg.norm(a, axis=1)[:, None]
+    b = b / np.linalg.norm(b, axis=1)[:, None]
+    n = a.shape[0]
+    centering = np.eye(n) - np.full((n, n), 1.0 / n)
+    ka = centering @ (a @ a.T) @ centering
+    kb = centering @ (b @ b.T) @ centering
+    scale = (n - 1) ** 2
+    hsic_ab = float((ka * kb).sum()) / scale
+    hsic_aa = float((ka * ka).sum()) / scale
+    hsic_bb = float((kb * kb).sum()) / scale
+    return float(hsic_ab / np.sqrt(hsic_aa * hsic_bb))
+
+
+@st.composite
+def cka_pairs(draw):
+    """Two weight sets of unequal widths, with rows at scales 1e-3 to 1e3 and
+    a row count on either side of the wider width."""
+    dims = draw(st.lists(st.integers(2, 9), min_size=2, max_size=2, unique=True))
+    widest = max(dims)
+    column_form = draw(st.booleans())
+    n = draw(st.integers(widest + 1, widest + 12) if column_form else st.integers(2, widest))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = (
+        rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1)) for d in dims
+    )
+    return a, b
+
+
+class TestLinearCkaForms:
+    """Column-centred HSIC when rows outnumber columns, the Gram form otherwise."""
+
+    @given(cka_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_both_forms_match_the_oracle(self, pair):
+        a, b = pair
+        assert abs(linear_cka(a, b) - cka_oracle(a, b)) < 1e-10
+        assert abs(linear_cka(a, a) - 1.0) < 1e-12
+        assert abs(linear_cka(b, b) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n, d_a, d_b", [(2, 2, 2), (3, 3, 2), (4, 8, 8), (4, 8, 3)])
+    def test_rows_up_to_the_width_keep_the_gram_form_bit_for_bit(self, n, d_a, d_b):
+        rng = np.random.default_rng(n * 100 + d_a * 10 + d_b)
+        for _ in range(20):
+            a, b = rng.normal(size=(n, d_a)), rng.normal(size=(n, d_b))
+            assert linear_cka(a, b) == _gram_form_cka(a, b)
+
+    def test_no_rows_x_rows_matrix_when_rows_outnumber_columns(self):
+        rng = np.random.default_rng(11)
+        a, b = rng.normal(size=(4000, 64)), rng.normal(size=(4000, 64))  # 4 MB in all
+        tracemalloc.start()
+        try:
+            linear_cka(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 4000 x 4000 Gram is 128 MB
+        assert peak < 3 * (a.nbytes + b.nbytes), f"peak {peak} B for {a.nbytes + b.nbytes} B"
+
+
 class TestDeltaWSimilarity:
     def test_common_direction_gives_all_ones(self):
         pre = LinearHead(np.zeros((3, 2)) + [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -106,6 +171,15 @@ class TestDeltaWSimilarity:
         ft = LinearHead(np.eye(3) + [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         with pytest.raises(DegenerateInputError, match="class 0"):
             delta_w_similarity(pre, ft, (0, 1, 2))
+
+    def test_non_integral_class_index_rejected(self):
+        rng = np.random.default_rng(13)
+        pre = LinearHead(rng.normal(size=(4, 3)))
+        ft = LinearHead(pre.weights + rng.normal(size=(4, 3)))
+        with pytest.raises(ValidationError, match="class index 1.5 is not an integer"):
+            delta_w_similarity(pre, ft, (0, 1.5))
+        for two in (2, np.int64(2)):
+            assert delta_w_similarity(pre, ft, (0, two)).subset == (0, 2)
 
     def test_toy_absent_updates_more_aligned_than_seen(self, toy_report):
         assert (

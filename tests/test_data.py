@@ -47,6 +47,16 @@ class TestLabelPartition:
         with pytest.raises(ValidationError):
             LabelPartition(4, (0, 0, 1))
 
+    def test_non_integral_class_index_rejected(self):
+        with pytest.raises(ValidationError, match="class index 1.5 is not an integer"):
+            LabelPartition(4, (1.5, 2.9))
+        for bad in (np.nan, np.inf, "1", None):
+            with pytest.raises(ValidationError, match=f"class index {bad!r} is not an integer"):
+                LabelPartition(4, (0, bad))
+        for two in (2, np.int64(2)):
+            assert LabelPartition(4, (0, two)).fine_tuning == (0, 2)
+        assert LabelPartition(4, range(1, 3)).fine_tuning == (1, 2)
+
     @pytest.mark.parametrize("bad", [(), (0, 1, 2, 3), (4,), (-1,)])
     def test_invalid_subsets(self, bad):
         with pytest.raises(ValidationError):
@@ -327,6 +337,12 @@ class TestTotalIntraGroupDistance:
         finally:
             tracemalloc.stop()
         assert peak < 8 * means.nbytes, f"peak {peak} B for {means.nbytes} B of means"
+
+    def test_non_integral_class_index_rejected(self):
+        with pytest.raises(ValidationError, match="class index 1.5 is not an integer"):
+            total_intra_group_distance(np.eye(3), (0, 1.5))
+        for two in (2, np.int64(2)):
+            assert total_intra_group_distance(np.eye(3), (0, two)) == np.sqrt(2.0)
 
     def test_empty_and_singleton_subsets_cost_nothing(self):
         means = np.arange(6.0).reshape(3, 2)

@@ -34,6 +34,27 @@ class TestMatrixFile:
         io.save_matrix(matrix, path)
         np.testing.assert_array_equal(io.load_matrix(path), matrix)
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.random.default_rng(1).normal(size=(50, 7)) * 10.0 ** np.arange(-3, 4),
+            np.array(
+                [
+                    [np.nan, -np.nan, np.inf, -np.inf],
+                    [-0.0, 0.0, 5e-324, -2.2250738585072009e-308],
+                    [1.0 / 3.0, 1e16, -1.7976931348623157e308, 0.1],
+                ]
+            ),
+            np.random.default_rng(2).normal(size=(9, 1)),
+        ],
+        ids=["random", "special-values", "one-column"],
+    )
+    def test_bytes_equal_the_per_value_format(self, tmp_path, matrix):
+        path = tmp_path / "m.csv"
+        io.save_matrix(matrix, path)
+        body = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in matrix)
+        assert path.read_bytes() == f"#shape {matrix.shape[0]} {matrix.shape[1]}\n{body}".encode()
+
     def test_shape_header_mismatch(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("#shape 2 2\n1,2\n3,4\n5,6\n")
@@ -119,6 +140,17 @@ class TestModelFile:
         np.testing.assert_array_equal(loaded.head.weights, model.head.weights)
         assert loaded.activation == "rectified"
 
+    def test_matrix_sections_equal_the_per_value_format(self, tmp_path):
+        rng = np.random.default_rng(3)
+        model = MlpModel(hidden_map=rng.normal(size=(1, 3)), head=LinearHead([[-0.0], [5e-324]]))
+        path = tmp_path / "model.csv"
+        io.save_model(model, path)
+        sections = [
+            f"[{name}]\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in matrix)
+            for name, matrix in (("hidden_map", model.hidden_map), ("head", model.head.weights))
+        ]
+        assert path.read_text().endswith("".join(sections))
+
     def test_shape_declaration_checked(self, tmp_path):
         path = tmp_path / "model.csv"
         path.write_text(
@@ -201,15 +233,15 @@ class TestWriteText:
         path = tmp_path / "m.csv"
         io.save_matrix(np.eye(2), path)
         before = path.read_bytes()
-        calls = []
+        csv_lines = io._csv_lines
 
-        def failing_fmt(value):
-            calls.append(value)
-            if len(calls) == 4:
-                raise failure("interrupted mid-write")
-            return f"{value:.17g}"
+        def failing_lines(matrix):
+            for number, line in enumerate(csv_lines(matrix), 1):
+                if number == 2:
+                    raise failure("interrupted mid-write")
+                yield line
 
-        monkeypatch.setattr(io, "_fmt", failing_fmt)
+        monkeypatch.setattr(io, "_csv_lines", failing_lines)
         with pytest.raises(failure):
             io.save_matrix(np.arange(2000.0).reshape(1000, 2), path)
         assert path.read_bytes() == before

@@ -49,6 +49,13 @@ class TestClassMeans:
             class_means(LabeledFeatures([[0.0, 0.0]], [0]), {0})
 
 
+    def test_non_integral_class_index_rejected(self):
+        feats = LabeledFeatures([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0, 1, 2])
+        with pytest.raises(ValidationError, match="class index 1.5 is not an integer"):
+            class_means(feats, (0, 1.5))
+        for two in (2, np.int64(2)):
+            assert class_means(feats, (0, two)).class_ids.tolist() == [0, 2]
+
     def test_non_finite_means_rejected_at_construction(self):
         with pytest.raises(ValidationError, match="means contains non-finite"):
             ClassMeans([[np.nan, 0.0], [1.0, 0.0]], [0, 1], [1, 1])
@@ -59,6 +66,14 @@ class TestNcmPredict:
         means = class_means(LabeledFeatures([[1.0, 0.0], [0.0, 1.0]], [0, 1]), {0, 1})
         feats = LabeledFeatures([[5.0, 0.0]], [0])
         assert ncm_predict(feats, means, {0, 1}).tolist() == [0]
+
+    def test_non_integral_class_index_rejected(self):
+        means = class_means(LabeledFeatures(np.eye(3), [0, 1, 2]), {0, 1, 2})
+        feats = LabeledFeatures([[0.0, 0.0, 5.0]], [2])
+        with pytest.raises(ValidationError, match="class index 1.5 is not an integer"):
+            ncm_predict(feats, means, (0, 1.5))
+        for two in (2, np.int64(2)):
+            assert ncm_predict(feats, means, (0, two)).tolist() == [2]
 
     def test_positive_scaling_invariance(self):
         rng = np.random.default_rng(1)
