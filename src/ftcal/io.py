@@ -7,13 +7,23 @@ period as the decimal separator regardless of locale. Every file goes
 through ``write_text``, which replaces a regular file only once the whole
 text is written, and appends to the process's own stdout or stderr.
 
+Every file is read through one reader, ``_line_batches``: it opens the
+file or pipe once and yields its lines in batches of about
+``_BATCH_CHARS`` characters. A batch is whole lines, split by
+``str.splitlines`` after universal-newline decoding, so any line ending
+is read and the batch size never moves a line break.
+
 A matrix field is anything Python's ``float()`` accepts; blank lines are
-rejected and any line ending is read. ``load_matrix`` streams a regular
-file through one ``np.loadtxt`` pass in batches of lines, so its peak
-memory is about the matrix itself. A file that pass cannot vouch for,
-one it rejects, or one that is not a regular file, is read by the
-line-by-line parser ``_parse_rows``, which sets what is accepted, every
-value bit and every error message with its line number.
+rejected. ``load_matrix`` parses each batch on its own, so the text of
+one batch is held at a time beside the rows parsed so far. ``np.loadtxt``
+parses a batch with no blank line, no ``\x1f`` (whitespace to it, not to
+``float()``) and the width of the rows before it. Any other batch, or one
+it rejects, goes to the line parser ``_parse_rows``, which sets what is
+accepted, every value bit and every error message with its line number.
+
+A file that is not UTF-8 raises ``ParseError`` naming the file. That
+fault outranks any other in the file, wherever it sits, since the file
+is read to its end before a header or row fault is raised.
 """
 
 from __future__ import annotations
@@ -23,7 +33,6 @@ import dataclasses
 import functools
 import itertools
 import os
-import re
 import sys
 import typing
 
@@ -34,15 +43,8 @@ from .errors import ParseError, ShapeError, ValidationError
 from .trainer import ACTIVATIONS, EpochRecord, MlpModel, ToySpec, TrainConfig
 
 
-# lines per np.loadtxt batch: about 64 K characters of text
+# characters of text per batch of lines
 _BATCH_CHARS = 1 << 16
-# characters str.splitlines breaks a line at but reading a file line by line
-# keeps; \x1c-\x1f are also whitespace to np.loadtxt but not to float()
-_ASCII_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x1f"
-_OTHER_BREAKS = "\x85\u2028\u2029"
-# a blank or whitespace-only line after a newline: _parse_rows rejects it,
-# np.loadtxt skips an empty line
-_BLANK = re.compile(r"\n[^\S\n]*(?:\n|\Z)")
 
 
 def _fmt(value: float) -> str:
@@ -104,12 +106,22 @@ def write_text(path, chunks) -> None:
         raise
 
 
-def _read_lines(path) -> list[str]:
+def _line_batches(path) -> typing.Iterator[list[str]]:
+    """The lines of ``path``, read once, as lists of about ``_BATCH_CHARS``
+    characters. Each batch ends at a line end, so the batches together hold
+    the lines ``str.splitlines`` gives for the whole text."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read().splitlines()
+            for chunk in iter(functools.partial(handle.readlines, _BATCH_CHARS), []):
+                yield "".join(chunk).splitlines()
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not a UTF-8 text file") from None
+
+
+def _read_lines(path) -> list[str]:
+    return list(itertools.chain.from_iterable(_line_batches(path)))
 
 
 def save_matrix(values, path) -> None:
@@ -121,46 +133,11 @@ def save_matrix(values, path) -> None:
     write_text(path, itertools.chain([header], _csv_lines(matrix)))
 
 
-def _untrusted(lines: list[str]) -> bool:
-    """Whether ``lines``, each ending in a newline but for the last line of a
-    file, hold a line ``np.loadtxt`` may read other than ``_parse_rows``
-    does: a blank or whitespace-only line, which ``_parse_rows`` rejects,
-    or a line that ``str.splitlines`` would split. One scan of the joined
-    text, no Python work per line."""
-    text = "\n" + "".join(lines)  # so that _BLANK also sees the first line
-    if any(char in text for char in _ASCII_BREAKS):
-        return True
-    if not text.isascii() and any(char in text for char in _OTHER_BREAKS):
-        return True
-    # a final newline ends the last line; no line starts after it
-    return _BLANK.search(text, 0, len(text) - text.endswith("\n", 1)) is not None
-
-
-def _loadtxt(batches) -> np.ndarray:
-    """Matrix from one ``np.loadtxt`` pass over ``batches``, lists of lines
-    of comma-separated reals. Raises ``ValueError`` where ``np.loadtxt``
-    rejects a line, at the first batch ``_untrusted`` flags, and when there
-    is no line, so that the caller can hand the text to ``_parse_rows``."""
-
-    def checked():
-        empty = True
-        for batch in batches:
-            if _untrusted(batch):
-                raise ValueError("a line np.loadtxt may read other than _parse_rows")
-            empty = False
-            yield batch
-        if empty:
-            raise ValueError("no rows")
-
-    lines = itertools.chain.from_iterable(checked())
-    return np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-
-
-def _parse_rows(path, numbered_lines, empty: str) -> np.ndarray:
+def _parse_rows(path, numbered_lines, empty: str, width: int | None = None) -> np.ndarray:
     """Matrix from ``(line number, text)`` pairs of comma-separated reals;
-    errors name the line. ``empty`` is the message when there is no row."""
+    errors name the line. ``width`` is the column count rows before these
+    fixed, if any; ``empty`` is the message when there is no row."""
     rows = []
-    width = None
     for number, line in numbered_lines:
         text = line.strip()
         if not text:
@@ -179,6 +156,31 @@ def _parse_rows(path, numbered_lines, empty: str) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
+def _parse_batch(path, lines: list[str], number: int, width: int | None) -> np.ndarray:
+    """Matrix of a batch of ``lines``, the first numbered ``number``, whose
+    rows must have ``width`` columns unless it is None."""
+    # np.loadtxt skips a blank line and reads \x1f as whitespace; float() does neither
+    if "" not in lines and not any(map(str.isspace, lines)) and "\x1f" not in "".join(lines):
+        with contextlib.suppress(ValueError):
+            block = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+            if width in (None, block.shape[1]):
+                return block
+    # a fault to name, or fields only float() reads, such as 1_0
+    return _parse_rows(path, enumerate(lines, number), "empty matrix file", width)
+
+
+def _blocks(path, batches, number: int) -> typing.Iterator[np.ndarray]:
+    """One matrix per nonempty batch of lines, the first line numbered
+    ``number``; every row has the first row's width."""
+    width = None
+    for lines in batches:
+        if lines:
+            block = _parse_batch(path, lines, number, width)
+            width = block.shape[1]
+            number += len(lines)
+            yield block
+
+
 def _is_shape_header(line: str) -> bool:
     return line.lstrip().startswith("#shape")
 
@@ -194,48 +196,29 @@ def _shape_header(path, line: str) -> tuple[int, int]:
         raise ParseError(f"{path}:1: malformed shape header {line!r}") from exc
 
 
-def _stream_matrix(path) -> tuple[tuple[int, int] | None, np.ndarray]:
-    """(declared shape or None, body matrix) of a regular file, read line by
-    line in batches of about ``_BATCH_CHARS`` characters and parsed by
-    ``_loadtxt``; raises ``OSError`` or ``ValueError`` where it cannot vouch
-    for the result."""
-    if not os.path.isfile(path):  # a pipe could not be read a second time
-        raise ValueError("not a regular file")
-    with open(path, "r", encoding="utf-8") as handle:
-        first = handle.readline()
-        batches = iter(functools.partial(handle.readlines, _BATCH_CHARS), [])
-        if not _is_shape_header(first):
-            return None, _loadtxt(itertools.chain([[first]], batches))
-        if _untrusted([first]):
-            raise ValueError("a header line str.splitlines would split")
-        # the body first: _read_matrix meets a decoding error anywhere in
-        # the file before it meets a malformed header
-        matrix = _loadtxt(batches)
-        return _shape_header(path, first.removesuffix("\n")), matrix
-
-
-def _read_matrix(path) -> tuple[tuple[int, int] | None, np.ndarray]:
-    """(declared shape or None, body matrix), parsed line by line by
-    ``_parse_rows``, whose errors name the line."""
-    lines = _read_lines(path)
-    if not (lines and _is_shape_header(lines[0])):
-        return None, _parse_rows(path, enumerate(lines, 1), "empty matrix file")
-    declared = _shape_header(path, lines[0])
-    return declared, _parse_rows(path, enumerate(lines[1:], 2), "empty matrix file")
-
-
 def load_matrix(path, expected_shape=None) -> np.ndarray:
     """Read a CSV matrix; the optional ``#shape`` header must match the body.
 
-    One ``np.loadtxt`` pass parses a regular file as it is read, so the
-    whole text is never held. Whatever that pass cannot vouch for is read
-    again by ``_read_matrix``, which accepts the same files, gives the same
-    bits and names the line of every fault.
+    The file is read once, batch by batch, and each batch's rows are
+    copied into the result as soon as they are parsed, so the whole text
+    is never held.
     """
+    batches = _line_batches(path)
     try:
-        declared, matrix = _stream_matrix(path)
-    except (OSError, ValueError):  # UnicodeDecodeError included
-        declared, matrix = _read_matrix(path)
+        lines, number, declared = next(batches, []), 1, None
+        if lines and _is_shape_header(lines[0]):
+            declared = _shape_header(path, lines[0])
+            lines, number = lines[1:], 2
+        blocks = _blocks(path, itertools.chain([lines], batches), number)
+        first = next(blocks, None)
+        if first is None:
+            raise ParseError(f"{path}: empty matrix file")
+        rows = itertools.chain(first, itertools.chain.from_iterable(blocks))
+        matrix = np.fromiter(rows, dtype=np.dtype((np.float64, first.shape[1:])))
+    except ValidationError:
+        for _ in batches:  # a decoding fault later in the file outranks this one
+            pass
+        raise
     if declared is not None and matrix.shape != declared:
         raise ShapeError(f"{path}: header declares {declared}, content is {matrix.shape}")
     if expected_shape is not None and matrix.shape != tuple(expected_shape):

@@ -12,6 +12,7 @@ import numpy as np
 from .data import (
     LabeledLogits,
     LabelPartition,
+    _class_index,
     _frozen_array,
     _row_blocks,
     check_gamma,
@@ -112,7 +113,7 @@ class SeenUnseenCurve:
 
 
 def _restriction_columns(restriction, num_classes: int) -> np.ndarray:
-    cols = np.unique(np.asarray(list(restriction), dtype=np.int64))
+    cols = np.unique(np.array([_class_index(c) for c in restriction], dtype=np.int64))
     if cols.size == 0:
         raise ValidationError("restriction must be a nonempty set of class indices")
     if cols.min() < 0 or cols.max() >= num_classes:

@@ -105,6 +105,11 @@ def run_toy_pipeline(spec: ToySpec, config: TrainConfig, outdir) -> ToyReport:
     the trade-off curve, and the weight-space diagnostics on the held-out
     target test split. Outputs contain no timestamps, so reruns with the
     same seed are byte-identical.
+
+    ``seen_cka`` and ``absent_cka`` compare the heads' 2-row seen and absent
+    blocks in the default toy, where linear CKA is 1 for any input: a
+    centred 2 x 2 Gram is a multiple of [[1, -1], [-1, 1]]. They say
+    something only when a group has at least 3 classes.
     """
     partition = LabelPartition(spec.num_classes, spec.fine_tuning)
     if len(partition.fine_tuning) < 2 or len(partition.absent) < 2:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import LabelPartition, LabeledFeatures, LinearHead, _frozen_array
+from .data import LabelPartition, LabeledFeatures, LinearHead, _class_index, _frozen_array
 from .errors import TrainingError, ValidationError
 from .rng import check_seed, derive_rng
 
@@ -120,8 +120,9 @@ class ToySpec:
         shift = tuple(float(s) for s in self.shift)
         if len(shift) != len(means):
             raise ValidationError("shift must provide one horizontal offset per class")
-        if self.samples_per_class < 1:
-            raise ValidationError("samples_per_class must be positive")
+        count = self.samples_per_class
+        if not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValidationError(f"samples_per_class must be a positive integer, got {count!r}")
         ft = LabelPartition(len(means), self.fine_tuning).fine_tuning
         object.__setattr__(self, "class_means", means)
         object.__setattr__(self, "shift", shift)
@@ -245,7 +246,7 @@ def fine_tune(
     epoch index, so results are reproducible and order-independent. The
     history records end-of-epoch loss and accuracy on the training data.
     """
-    allowed = np.unique(np.asarray(list(allowed_classes), dtype=np.int64))
+    allowed = np.unique(np.array([_class_index(c) for c in allowed_classes], dtype=np.int64))
     if allowed.size == 0 or allowed.min() < 0 or allowed.max() >= model.num_classes:
         raise ValidationError(f"allowed_classes must be a nonempty subset of [0, {model.num_classes})")
     if not np.all(np.isin(data.labels, allowed)):
@@ -294,6 +295,8 @@ def gradient_check(num_cases: int = 100, step: float = 1e-5, seed: int = 0) -> f
     absolutely). Rectified cases resample until every pre-activation is
     well clear of the kink.
     """
+    if not isinstance(num_cases, (int, np.integer)) or num_cases < 1:
+        raise ValidationError(f"num_cases must be a positive integer, got {num_cases!r}")
     rng = derive_rng(seed)
     worst = 0.0
     for case in range(num_cases):

@@ -222,6 +222,18 @@ class TestToySpecFile:
         io.save_toy_spec(spec, path)
         assert io.load_toy_spec(path) == spec
 
+@pytest.mark.parametrize(
+    "load",
+    [io.load_matrix, io.load_labels, io.load_partition, io.load_model,
+     io.load_train_config, io.load_toy_spec],
+)
+def test_non_utf8_file_is_a_parse_error_naming_it(tmp_path, load):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"1\n\xff\n")
+    with pytest.raises(ParseError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: not a UTF-8 text file"
+
 
 class TestWriteText:
     """Every file goes through ``io.write_text``: whole or not at all."""
@@ -450,6 +462,28 @@ class TestCli:
     def test_gradcheck_passes(self, capsys):
         assert run_cli("gradcheck", "--cases", "10", "--seed", "1") == 0
         assert "max_relative_error=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cases", ["0", "-5"])
+    def test_gradcheck_without_cases_exits_2(self, cases, capsys):
+        assert run_cli("gradcheck", "--cases", cases) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: num_cases must be a positive integer")
+
+    @pytest.mark.parametrize("bad_input", ["logits", "labels"])
+    def test_non_utf8_input_exits_2_naming_the_file(self, fixture_dir, capsys, bad_input):
+        bad = fixture_dir / "bad.csv"
+        bad.write_bytes(b"1,2\n3,\xff4\n" if bad_input == "logits" else b"0\n\xff\n")
+        paths = {"logits": fixture_dir / "logits.csv", "labels": fixture_dir / "labels.csv"}
+        paths[bad_input] = bad
+        code = run_cli(
+            "metrics",
+            "--logits", str(paths["logits"]),
+            "--labels", str(paths["labels"]),
+            "--partition", str(fixture_dir / "partition.txt"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
     def test_ncm_subcommand(self, tmp_path, capsys):
         rng = np.random.default_rng(6)

@@ -1,6 +1,6 @@
-"""CSV matrix loading: ``io.load_matrix`` parses a file in one streamed
-``np.loadtxt`` pass and must accept exactly the files, give exactly the bits
-and raise exactly the errors of the line-by-line loader kept below as the
+"""CSV matrix loading: ``io.load_matrix`` reads a file or pipe once, batch by
+batch, and must accept exactly the files, give exactly the bits and raise
+exactly the errors of the whole-file line-by-line loader kept below as the
 reference."""
 
 import os
@@ -25,6 +25,8 @@ def ref_read_lines(path):
             return handle.read().splitlines()
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not a UTF-8 text file") from None
 
 
 def ref_parse_rows(path, numbered_lines, empty):
@@ -141,6 +143,9 @@ EDGES = {
     "non-integer header": b"#shape a b\n1,2\n",
     "mismatched header": b"#shape 3 2\n1,2\n3,4\n",
     "malformed header over a bad row": b"#shape 2\n1,x\n",
+    "header over a bad row": b"#shape 3 2\n1,2\n3,x\n5,6\n",
+    "header over a ragged row": b"#shape 3 2\n1,2\n3,4,5\n5,6\n",
+    "header over a blank row": b"#shape 3 2\n1,2\n\n5,6\n",
 }
 
 
@@ -223,11 +228,32 @@ class TestOnePass:
         path = tmp_path / "m.csv"
         io.save_matrix(np.arange(12.0).reshape(4, 3), path)
 
-        def refuse(path):
+        def refuse(*args):
             raise AssertionError("fell back to the line parser")
 
-        monkeypatch.setattr(io, "_read_lines", refuse)
+        monkeypatch.setattr(io, "_parse_rows", refuse)
         np.testing.assert_array_equal(io.load_matrix(path), np.arange(12.0).reshape(4, 3))
+
+    def test_a_clean_pipe_is_never_read_by_the_line_parser(self, tmp_path, monkeypatch):
+        source = tmp_path / "m.csv"
+        matrix = np.arange(600.0).reshape(200, 3) / 7.0
+        io.save_matrix(matrix, source)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+
+        def refuse(*args):
+            raise AssertionError("fell back to the line parser")
+
+        monkeypatch.setattr(io, "_parse_rows", refuse)
+        monkeypatch.setattr(io, "_BATCH_CHARS", 512)  # several batches
+        loaded = []
+        loader = threading.Thread(
+            target=lambda: loaded.append(outcome(io.load_matrix, fifo)), daemon=True
+        )
+        loader.start()
+        fifo.write_bytes(source.read_bytes())
+        loader.join(timeout=10)
+        assert loaded == [("ok", matrix.shape, matrix.tobytes())]
 
     def test_peak_memory_stays_near_the_matrix(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -241,6 +267,23 @@ class TestOnePass:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(loaded, matrix)
+        assert peak < 2 * matrix.nbytes, f"peak {peak} B for a {matrix.nbytes} B matrix"
+
+    def test_a_fault_in_the_last_row_is_found_in_bounded_memory(self, tmp_path):
+        rng = np.random.default_rng(6)
+        matrix = rng.normal(size=(20_000, 50))
+        path = tmp_path / "m.csv"
+        np.savetxt(path, matrix, fmt="%.17g", delimiter=",", header="shape 20001 50", comments="#")
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(",".join(["1.5"] * 49 + ["x"]) + "\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as info:
+                io.load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == f"{path}:20002: not a comma-separated list of reals"
         assert peak < 2 * matrix.nbytes, f"peak {peak} B for a {matrix.nbytes} B matrix"
 
 

@@ -7,6 +7,7 @@ from ftcal import (
     EmptyGroupError,
     LabeledLogits,
     LabelPartition,
+    ValidationError,
     acc_report,
     accuracy,
     ausuc,
@@ -87,6 +88,13 @@ class TestPredictRestricted:
         logits = LabeledLogits([[1.0, 0.0]], [0])
         with pytest.raises(Exception):
             predict_restricted(logits, set())
+
+    def test_non_integral_class_index_rejected(self):
+        logits = LabeledLogits([[2.0, 1.0, 1.5]], [0])
+        with pytest.raises(ValidationError, match="class index 1.5 is not an integer"):
+            predict_restricted(logits, [1.5, 2.9])
+        for two in (2, np.int64(2), 2.0):
+            assert predict_restricted(logits, (1, two)).tolist() == [2]
 
 
 class TestAccuracy:

@@ -121,6 +121,11 @@ class TestLossAndGrads:
     def test_against_finite_differences(self, activation):
         assert gradient_check(num_cases=12, seed=42) < 1e-6
 
+    @pytest.mark.parametrize("num_cases", [0, -5, 2.5])
+    def test_gradient_check_needs_a_positive_case_count(self, num_cases):
+        with pytest.raises(ValidationError, match="num_cases must be a positive integer"):
+            gradient_check(num_cases=num_cases)
+
     def test_probabilities_sum_to_one(self):
         # the head-gradient rows sum to (sum_c p_c - 1) * hidden, so a zero
         # column sum is equivalent to the softmax normalizing exactly
@@ -170,6 +175,17 @@ class TestFineTune:
         model = random_model(4)
         with pytest.raises(ValidationError):
             fine_tune(model, self.data(classes=(0, 3)), (0, 1), TrainConfig(0.01, seed=0))
+
+    def test_non_integral_class_index_rejected(self):
+        model = random_model(8)
+        config = TrainConfig(learning_rate=0.05, epochs=2, seed=0)
+        with pytest.raises(ValidationError, match="class index 1.5 is not an integer"):
+            fine_tune(model, self.data(), (0, 1.5), config)
+        data = self.data(classes=(0, 2))
+        expected, _ = fine_tune(model, data, (0, 2), config)
+        for two in (np.int64(2), 2.0):
+            trained, _ = fine_tune(model, data, (0, two), config)
+            assert np.array_equal(trained.head.weights, expected.head.weights)
 
     def test_deterministic_given_seed(self):
         model = random_model(5)
@@ -227,6 +243,7 @@ class TestToySpec:
             {"shift": (1.0, -1.0)},
             {"stddev": -0.1},
             {"samples_per_class": 0},
+            {"samples_per_class": 7.9},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
