@@ -2,14 +2,16 @@
 
 Class indices are 0-based. All real values are float64. Every container is
 immutable after construction (arrays are copied and marked read-only), so
-instances are safe to share across threads. Every dataclass that holds
-arrays, here and elsewhere, compares and hashes by identity.
+instances are safe to share across threads. The copy is made in row blocks,
+each checked for non-finite entries as it is copied. Every dataclass that
+holds arrays, here and elsewhere, compares and hashes by identity.
 
 Because a ``LabeledLogits`` never changes, it computes its per-sample group
-statistics (per-group max, argmax and row sum, and whether each label is
-absent) once per partition: ``metrics._group_stats`` keeps the last result
-on the instance, keyed by partition equality, with read-only arrays. Every
-accuracy, curve, gamma and logit diagnostic then reads that one result.
+statistics (per-group max, argmax and row sum, whether each label is
+absent, the ground-truth logit and the runner-up absent logit) once per
+partition: ``metrics._group_stats`` keeps the last result on the instance,
+keyed by partition equality, with read-only arrays. Every accuracy, curve,
+gamma and logit diagnostic then reads that one result.
 
 It also owns the two row primitives every kernel shares: ``_row_blocks``
 cuts rows into blocks of the ``_BLOCK_BYTES`` budget, and ``_ncm_scores``
@@ -18,6 +20,7 @@ is the one squared-distance kernel, behind NCM and the greedy split.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,12 +84,25 @@ def _class_index(value) -> int:
 
 def _frozen_array(values, dtype, name: str, ndim: int) -> np.ndarray:
     """Read-only copy of ``values`` as ``dtype``; raise unless it has ``ndim``
-    dimensions and, for a float dtype, only finite entries."""
-    arr = np.array(values, dtype=dtype)
-    if arr.ndim != ndim:
-        raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite entries")
+    dimensions and, for a float dtype, only finite entries.
+
+    A numeric array is copied in row blocks of ``_BLOCK_BYTES``, each checked
+    while it is still in cache, so no full-size boolean temporary is made.
+    Anything else is converted whole first, so a conversion error is raised
+    before either check.
+    """
+    source = values
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "biuf"):
+        source = np.asarray(values, dtype=dtype)
+    if source.ndim != ndim:
+        raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {source.shape}")
+    arr = np.empty_like(source, dtype=dtype, subok=False)  # the memory order np.array keeps
+    check_finite = arr.dtype.kind == "f"
+    for rows in _row_blocks(arr.shape[0], arr.itemsize * math.prod(arr.shape[1:])):
+        block = arr[rows]
+        block[...] = source[rows]
+        if check_finite and not np.isfinite(block).all():
+            raise ValidationError(f"{name} contains non-finite entries")
     arr.flags.writeable = False
     return arr
 

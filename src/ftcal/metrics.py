@@ -57,9 +57,10 @@ class SeenUnseenCurve:
     """Exact staircase of (Acc_{S/Y}, Acc_{U/Y}) over all calibration factors.
 
     ``thresholds`` holds the strictly increasing flip values, the gammas at
-    which at least one sample's predicted group flips. ``points[k]`` is the
-    accuracy pair on the open interval (thresholds[k-1], thresholds[k]);
-    points[0] covers (-inf, thresholds[0]) and points[-1] covers
+    which at least one sample's predicted group flips; a zero is +0.0.
+    ``points[k]`` is the accuracy pair on the open interval
+    (thresholds[k-1], thresholds[k]); points[0] covers
+    (-inf, thresholds[0]) and points[-1] covers
     (thresholds[-1], +inf). Inside an interval no sample is tied between
     the groups, so each interval's accuracies are constant.
     ``candidate_gammas()[k]`` realises ``points[k]`` exactly under
@@ -145,10 +146,13 @@ class _GroupStats(NamedTuple):
     label_absent: np.ndarray  # whether the label is an absent class
     sum_s: np.ndarray  # sum of the seen logits, as values[:, seen].sum(axis=1)
     sum_u: np.ndarray  # sum of the absent logits, as values[:, absent].sum(axis=1)
+    gt: np.ndarray  # the ground-truth logit, values[i, labels[i]]
+    next_u: np.ndarray  # max absent logit outside column arg_u, a zero as +0.0; -inf if none
 
 
 def _group_stats(logits: LabeledLogits, partition: LabelPartition) -> _GroupStats:
-    """Max, argmax and sum over each group's columns, computed in row blocks.
+    """Max, argmax and sum over each group's columns, the ground-truth logit
+    and the runner-up absent logit, computed in one pass of row blocks.
 
     The result is computed once per container and partition: it is kept on
     the container (which never changes), keyed by partition equality, and
@@ -158,26 +162,33 @@ def _group_stats(logits: LabeledLogits, partition: LabelPartition) -> _GroupStat
     if memo is not None and memo[0] == partition:
         return memo[1]
     check_num_classes("logits have", logits.num_classes, partition)
-    values = logits.values
+    values, labels = logits.values, logits.labels
     num_rows, num_cols = values.shape
     groups = (partition.group_indices("S"), partition.group_indices("U"))
     maxima = [np.empty(num_rows) for _ in groups]
     argmaxima = [np.empty(num_rows, dtype=np.int64) for _ in groups]
     sums = [np.empty(num_rows) for _ in groups]
+    gt, next_u = np.empty(num_rows), np.empty(num_rows)
     for rows in _row_blocks(num_rows, values.itemsize * num_cols):
         block = values[rows]
         at = np.arange(block.shape[0])
+        gt[rows] = block[at, labels[rows]]
         for cols, best, arg, total in zip(groups, maxima, argmaxima, sums):
             sub = block[:, cols]
             idx = np.argmax(sub, axis=1)  # first maximum: lowest class index
             best[rows] = sub[at, idx]
             arg[rows] = cols[idx]
             total[rows] = sub.sum(axis=1)  # a row's sum does not depend on the block
+        # sub and idx are the absent group's; masking after the sum keeps it
+        # exact. Which zero max returns depends on the block's memory
+        # alignment, so adding 0.0 makes every zero +0.0.
+        sub[at, idx] = -np.inf
+        next_u[rows] = sub.max(axis=1) + 0.0
     # a lookup table rather than np.isin, whose fixed cost dominates small inputs
     absent = np.zeros(num_cols, dtype=bool)
     absent[groups[1]] = True
     stats = _GroupStats(
-        maxima[0], argmaxima[0], maxima[1], argmaxima[1], absent[logits.labels], sums[0], sums[1]
+        maxima[0], argmaxima[0], maxima[1], argmaxima[1], absent[labels], *sums, gt, next_u
     )
     for array in stats:
         array.flags.writeable = False
@@ -289,11 +300,12 @@ def seen_unseen_curve(logits: LabeledLogits, partition: LabelPartition) -> SeenU
     correct_seen = stats.arg_s == logits.labels
     correct_absent = stats.arg_u == logits.labels
 
-    thresholds = np.unique(flip)
+    # j is the interval index of each sample's flip, read off the sort that
+    # finds the thresholds: every flip is a threshold. The sample is predicted
+    # seen on intervals 0..j and absent on intervals j+1..k. Adding 0.0 turns
+    # -0.0 into +0.0, so a zero threshold is +0.0 however the rows are sorted.
+    thresholds, j = np.unique(flip + 0.0, return_inverse=True)
     k = thresholds.size
-    # interval index of each sample's flip; the sample is predicted seen on
-    # intervals 0..j and absent on intervals j+1..k
-    j = np.searchsorted(thresholds, flip)
     hist_seen = np.bincount(j[correct_seen], minlength=k)
     hist_absent = np.bincount(j[correct_absent], minlength=k)
     seen_counts = np.concatenate([np.cumsum(hist_seen[::-1])[::-1], [0]])

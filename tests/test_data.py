@@ -161,6 +161,34 @@ class TestOneValidator:
         with pytest.raises(ValidationError, match=f"^{name} contains non-finite entries$"):
             build()
 
+    @pytest.mark.parametrize("bad", [_NAN, np.inf, -np.inf])
+    @pytest.mark.parametrize("rows, at", [(6, 0), (6, 5), (7, 6), (1, 0)])
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_non_finite_entry_in_any_block(self, bad, rows, at, ndim, monkeypatch):
+        # two rows a block; a seventh row joins the block before it, and a
+        # one-row input is a block of its own
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 1)
+        values = np.ones((rows, 3)[:ndim])
+        values.reshape(rows, -1)[at, -1] = bad
+        with pytest.raises(ValidationError, match="^logits contains non-finite entries$"):
+            data._frozen_array(values, np.float64, "logits", ndim)
+
+    def test_dimension_is_checked_before_finiteness(self):
+        for values, ndim in (([1.0, _NAN], 2), ([[_NAN]], 1)):
+            with pytest.raises(ValidationError, match="^logits must be %d-dimensional" % ndim):
+                data._frozen_array(values, np.float64, "logits", ndim)
+
+    def test_no_full_size_boolean_temporary(self):
+        values = np.random.default_rng(4).normal(size=(20_000, 100))
+        tracemalloc.start()
+        try:
+            LabeledLogits(values, np.arange(20_000) % 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the copy itself, the labels' copy and one block's check
+        assert peak < values.nbytes + 2 * data._BLOCK_BYTES, f"peak {peak} B"
+
     @pytest.mark.parametrize(
         "subject, check",
         [

@@ -6,7 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ftcal import (
@@ -88,6 +88,32 @@ def ref_gamma_alg(train_logits, partition):
     return float(seen_means.mean() - absent_means.mean()), float(gaps.std(ddof=1))
 
 
+def ref_curve(values, labels, partition):
+    """Curve thresholds and points by the binary-search formula: each
+    sample's interval index is searched for in the sorted thresholds."""
+    seen, absent = partition.group_indices("S"), partition.group_indices("U")
+    at = np.arange(labels.size)
+    arg_s = seen[np.argmax(values[:, seen], axis=1)]
+    arg_u = absent[np.argmax(values[:, absent], axis=1)]
+    flip = values[at, arg_s] - values[at, arg_u]
+    correct_seen, correct_absent = arg_s == labels, arg_u == labels
+    thresholds = np.unique(flip)
+    k = thresholds.size
+    j = np.searchsorted(thresholds, flip)
+    seen_counts = np.concatenate(
+        [np.cumsum(np.bincount(j[correct_seen], minlength=k)[::-1])[::-1], [0]]
+    )
+    absent_counts = np.concatenate([[0], np.cumsum(np.bincount(j[correct_absent], minlength=k))])
+    upper = np.flatnonzero(np.nextafter(thresholds[:-1], np.inf) == thresholds[1:]) + 1
+    tied_absent = arg_u < arg_s
+    seen_counts[upper] -= np.bincount(j[correct_seen & tied_absent], minlength=k)[upper]
+    absent_counts[upper] += np.bincount(j[correct_absent & tied_absent], minlength=k)[upper]
+    num_absent = int(np.isin(labels, absent).sum())
+    num_seen = labels.size - num_absent
+    points = np.stack([seen_counts / num_seen, absent_counts / num_absent], axis=1)
+    return thresholds, points
+
+
 def bits(value):
     """Bytes of a float or float array, so -0.0 and 0.0 compare unequal."""
     return np.asarray(value, dtype=np.float64).tobytes()
@@ -126,6 +152,22 @@ diagnostic_instances = st.tuples(
     st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e3]), st.booleans()
 )
 
+# Differences of these give ulp-adjacent flips (0 and the smallest
+# subnormal; 1 and its neighbours) and flips of both zero signs.
+_ULP_POOL = np.array(
+    [-1.0, -0.0, 0.0, 5e-324, -5e-324, 0.5, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+)
+
+
+def curve_instance(seed, scale, quantised):
+    """A diagnostic instance with about half its logits drawn from
+    ``_ULP_POOL``."""
+    values, labels, _, partition = diagnostic_instance(seed, scale, quantised)
+    rng = np.random.default_rng([seed, 1])
+    pooled = rng.random(values.shape) < 0.5
+    values[pooled] = rng.choice(_ULP_POOL, size=values.shape)[pooled]
+    return values, labels, partition
+
 
 class TestBitForBitWithFullMatrixFormulas:
     @given(diagnostic_instances, st.integers(1, 4096))
@@ -163,6 +205,41 @@ class TestBitForBitWithFullMatrixFormulas:
                 for group_b in "SUY":
                     got = accuracy(logits, partition, group_a, group_b)
                     assert bits(got) == bits(ref_accuracy(logits, partition, group_a, group_b))
+
+    @given(diagnostic_instances, st.integers(1, 4096))
+    @settings(max_examples=300, deadline=None)
+    def test_curve_equals_the_binary_search_formula(self, instance, block_bytes):
+        values, labels, partition = curve_instance(*instance)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data, "_BLOCK_BYTES", block_bytes)
+            curve = seen_unseen_curve(LabeledLogits(values, labels), partition)
+        thresholds, points = ref_curve(values, labels, partition)
+        # the formula keeps whichever zero its sort leaves; the curve keeps +0.0
+        assert bits(curve.thresholds) == bits(thresholds + 0.0)
+        assert bits(curve.points) == bits(points)
+
+    @given(diagnostic_instances, st.integers(1, 4096))
+    @example((173, 1e-3, False), 1)  # a runner-up of 0.0 and -0.0 in one row
+    @settings(max_examples=200, deadline=None)
+    def test_ground_truth_and_runner_up_absent_logits(self, instance, block_bytes):
+        values, labels, partition = curve_instance(*instance)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data, "_BLOCK_BYTES", block_bytes)
+            stats = _group_stats(LabeledLogits(values, labels), partition)
+        at = np.arange(labels.size)
+        assert bits(stats.gt) == bits(values[at, labels])
+        absent = values[:, partition.group_indices("U")]
+        runner_up = absent.copy()
+        runner_up[at, np.argmax(absent, axis=1)] = -np.inf
+        # which zero max returns depends on memory alignment; the kernel keeps +0.0
+        assert bits(stats.next_u) == bits(runner_up.max(axis=1) + 0.0)
+        # as a value, it is the second largest absent logit
+        assert np.array_equal(stats.next_u, np.sort(absent, axis=1)[:, -2])
+
+    def test_one_absent_class_has_no_runner_up(self):
+        logits = LabeledLogits([[1.0, 2.0, 0.5], [0.0, 1.0, 3.0]], [0, 2])
+        stats = _group_stats(logits, LabelPartition(3, (0, 1)))
+        assert stats.next_u.tolist() == [-np.inf, -np.inf]
 
     def test_group_sums_equal_full_column_gathers(self, monkeypatch):
         # 25 rows in blocks of 2 would leave the last row alone, and numpy
@@ -216,10 +293,25 @@ class TestMemo:
         assert repr(logits) == before
         assert [field.name for field in dataclasses.fields(logits)] == ["values", "labels"]
 
+    def test_diagnostics_need_only_the_statistics(self):
+        values, labels, _, partition = diagnostic_instance(5, 1.0, True)
+        logits = LabeledLogits(values, labels)
+
+        def diagnostics():
+            return (
+                *nongt_logit_means(logits, partition),
+                logit_gap_stats(logits, partition),
+                gt_vs_top_nongt_absent(logits, partition),
+            )
+
+        before = diagnostics()
+        object.__setattr__(logits, "values", None)  # a read of the matrix now fails
+        assert [bits(v) for v in diagnostics()] == [bits(v) for v in before]
+
     def test_memoised_arrays_are_read_only(self):
         logits = LabeledLogits([[1.0, 2.0, 0.5], [0.0, 1.0, 3.0]], [0, 2])
         stats = _group_stats(logits, LabelPartition(3, (0, 1)))
-        assert len(stats) == 7
+        assert len(stats) == 9
         for array in stats:
             assert not array.flags.writeable
             with pytest.raises(ValueError):

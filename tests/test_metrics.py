@@ -320,3 +320,17 @@ class TestCurveCsv:
         assert lines[0] == "gamma_threshold,acc_s_y,acc_u_y"
         assert lines[1].startswith("-inf,")
         assert len(lines) == 4  # header + 3 intervals
+
+    def test_zero_threshold_is_positive_in_every_row_order(self):
+        # flips 0.0 - -0.0 = +0.0 and -0.0 - 0.0 = -0.0 are one threshold;
+        # which zero a sort keeps depends on the order of the rows
+        rows = np.array([[0.0, -0.0], [-0.0, 0.0]] * 4 + [[1.0, 0.0], [0.0, 2.0]])
+        labels = np.array([0, 1] * 5)
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            order = rng.permutation(labels.size)
+            logits = LabeledLogits(rows[order], labels[order])
+            curve = seen_unseen_curve(logits, LabelPartition(2, (0,)))
+            assert curve.thresholds.tolist() == [-2.0, 0.0, 1.0]
+            assert not np.signbit(curve.thresholds[1])
+            assert format_curve_csv(curve).splitlines()[3].startswith("0,")
