@@ -20,7 +20,7 @@ from .data import (
     unit_rows,
 )
 from .errors import EmptyGroupError, TrainingError, ValidationError
-from .metrics import _absent_side, _group_stats, seen_unseen_curve
+from .metrics import _group_stats, _predict, _stats_kernel, seen_unseen_curve
 from .rng import derive_rng, derive_seed
 from .trainer import MlpModel, TrainConfig, fine_tune, forward_batch
 
@@ -50,8 +50,7 @@ def apply_gamma(logits: LabeledLogits, partition: LabelPartition, gamma: float) 
     """Predicted labels after boosting every absent-class logit by ``gamma``,
     under the tie rule of ``SeenUnseenCurve``."""
     gamma = check_gamma(gamma)
-    stats = _group_stats(logits, partition)
-    return np.where(_absent_side(stats, gamma), stats.arg_u, stats.arg_s)
+    return _predict(_group_stats(logits, partition), gamma)
 
 
 def estimate_gamma_alg(train_logits: LabeledLogits, partition: LabelPartition) -> GammaEstimate:
@@ -111,16 +110,18 @@ def predict_cosine(
     """Calibrated prediction with cosine-similarity logits.
 
     Logits are the cosine similarities between feature rows and weight
-    rows, which removes per-class weight-magnitude effects; ``apply_gamma``
-    then predicts under its tie rule.
+    rows, which removes per-class weight-magnitude effects. The statistics
+    kernel and the tie rule behind ``apply_gamma`` then run on that matrix
+    itself: it is computed once and never copied into a container.
     """
     check_num_classes("head has", head.num_classes, partition)
     if head.dim != features.dim:
         raise ValidationError(f"features have dim {features.dim}, head expects {head.dim}")
     cosines = unit_rows(features.values, "feature") @ unit_rows(head.weights, "weight").T
+    gamma = check_gamma(gamma)
     # labels take no part in a prediction, so any label the features carry is accepted
     unlabeled = np.zeros(features.num_samples, dtype=np.int64)
-    return apply_gamma(LabeledLogits(cosines, unlabeled), partition, gamma)
+    return _predict(_stats_kernel(cosines, unlabeled, partition), gamma)
 
 
 def select_balanced_gamma(curve) -> tuple[float, float, float]:

@@ -61,12 +61,15 @@ def _ncm_scores(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
 
     Each entry is the direct sum of squared differences, not the
     |u|^2 - 2 u.m + |m|^2 expansion, whose cancellation can flip near-tie
-    argmins.
+    argmins. Each block's difference slab is squared in place and freed
+    before the next is made, so one slab is held beside the scores.
     """
     scores = np.empty((rows.shape[0], candidates.shape[0]))
     for block in _row_blocks(rows.shape[0], rows.itemsize * candidates.size):
         diff = rows[block, None, :] - candidates[None, :, :]
-        scores[block] = -(diff * diff).sum(axis=2)
+        diff *= diff
+        scores[block] = -diff.sum(axis=2)
+        del diff  # rebinding would free it only after the next slab is made
     return scores
 
 
@@ -84,25 +87,35 @@ def _class_index(value) -> int:
 
 def _frozen_array(values, dtype, name: str, ndim: int) -> np.ndarray:
     """Read-only copy of ``values`` as ``dtype``; raise unless it has ``ndim``
-    dimensions and, for a float dtype, only finite entries.
+    dimensions and, for a float dtype, only finite entries or, for an integer
+    dtype, only integral ones (``int()`` would truncate 0.7 to 0).
 
-    A numeric array is copied in row blocks of ``_BLOCK_BYTES``, each checked
-    while it is still in cache, so no full-size boolean temporary is made.
-    Anything else is converted whole first, so a conversion error is raised
-    before either check.
+    A numeric input, or a sequence numpy makes a numeric array of, is
+    copied in row blocks of ``_BLOCK_BYTES``, each checked while it is still
+    in cache, so no full-size boolean temporary is made. Anything else is
+    converted whole first, so a conversion error is raised before either
+    check.
     """
-    source = values
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "biuf"):
+    source = values if isinstance(values, np.ndarray) else np.asarray(values)
+    if source.dtype.kind not in "biuf":
         source = np.asarray(values, dtype=dtype)
     if source.ndim != ndim:
         raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {source.shape}")
     arr = np.empty_like(source, dtype=dtype, subok=False)  # the memory order np.array keeps
     check_finite = arr.dtype.kind == "f"
+    check_integral = arr.dtype.kind in "iu" and source.dtype.kind == "f"
     for rows in _row_blocks(arr.shape[0], arr.itemsize * math.prod(arr.shape[1:])):
-        block = arr[rows]
-        block[...] = source[rows]
-        if check_finite and not np.isfinite(block).all():
-            raise ValidationError(f"{name} contains non-finite entries")
+        block, chunk = arr[rows], source[rows]
+        if check_integral:
+            with np.errstate(invalid="ignore"):  # a nan, inf or overflowing cast fails the check
+                block[...] = chunk
+            if not (block == chunk).all():
+                value = chunk[block != chunk][0].item()
+                raise ValidationError(f"{name} entry {value!r} is not an integer")
+        else:
+            block[...] = chunk
+            if check_finite and not np.isfinite(block).all():
+                raise ValidationError(f"{name} contains non-finite entries")
     arr.flags.writeable = False
     return arr
 

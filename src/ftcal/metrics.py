@@ -151,18 +151,30 @@ class _GroupStats(NamedTuple):
 
 
 def _group_stats(logits: LabeledLogits, partition: LabelPartition) -> _GroupStats:
-    """Max, argmax and sum over each group's columns, the ground-truth logit
-    and the runner-up absent logit, computed in one pass of row blocks.
+    """``_stats_kernel`` of the container's values and labels, computed once
+    per container and partition.
 
-    The result is computed once per container and partition: it is kept on
-    the container (which never changes), keyed by partition equality, and
-    its arrays are read-only. Only the last partition is kept.
+    The result is kept on the container (which never changes), keyed by
+    partition equality, and its arrays are read-only. Only the last
+    partition is kept.
     """
     memo = logits._stats_memo
     if memo is not None and memo[0] == partition:
         return memo[1]
     check_num_classes("logits have", logits.num_classes, partition)
-    values, labels = logits.values, logits.labels
+    stats = _stats_kernel(logits.values, logits.labels, partition)
+    for array in stats:
+        array.flags.writeable = False
+    object.__setattr__(logits, "_stats_memo", (partition, stats))
+    return stats
+
+
+def _stats_kernel(values: np.ndarray, labels: np.ndarray, partition: LabelPartition) -> _GroupStats:
+    """Max, argmax and sum over each group's columns, the ground-truth logit
+    and the runner-up absent logit of every row of ``values`` (N x C, C the
+    partition's class count), computed in one pass of row blocks.
+    ``labels`` holds N column indices.
+    """
     num_rows, num_cols = values.shape
     groups = (partition.group_indices("S"), partition.group_indices("U"))
     maxima = [np.empty(num_rows) for _ in groups]
@@ -187,13 +199,9 @@ def _group_stats(logits: LabeledLogits, partition: LabelPartition) -> _GroupStat
     # a lookup table rather than np.isin, whose fixed cost dominates small inputs
     absent = np.zeros(num_cols, dtype=bool)
     absent[groups[1]] = True
-    stats = _GroupStats(
+    return _GroupStats(
         maxima[0], argmaxima[0], maxima[1], argmaxima[1], absent[labels], *sums, gt, next_u
     )
-    for array in stats:
-        array.flags.writeable = False
-    object.__setattr__(logits, "_stats_memo", (partition, stats))
-    return stats
 
 
 def _absent_side(stats: _GroupStats, gamma: float) -> np.ndarray:
@@ -206,6 +214,12 @@ def _absent_side(stats: _GroupStats, gamma: float) -> np.ndarray:
     """
     flip = stats.max_s - stats.max_u
     return (flip < gamma) | ((flip == gamma) & (stats.arg_u < stats.arg_s))
+
+
+def _predict(stats: _GroupStats, gamma: float) -> np.ndarray:
+    """Predicted labels once ``gamma`` is added to every absent logit: each
+    group's argmax, on the side ``_absent_side`` picks."""
+    return np.where(_absent_side(stats, gamma), stats.arg_u, stats.arg_s)
 
 
 def _group_sizes(stats: _GroupStats) -> tuple[int, int]:
@@ -226,7 +240,7 @@ def accuracy(logits: LabeledLogits, partition: LabelPartition, group_a: str, gro
     check_group(group_a)
     check_group(group_b)
     if group_b == "Y":  # the tie rule at gamma 0 is the plain argmax
-        preds = np.where(_absent_side(stats, 0.0), stats.arg_u, stats.arg_s)
+        preds = _predict(stats, 0.0)
     else:
         preds = stats.arg_s if group_b == "S" else stats.arg_u
     hits = preds == logits.labels

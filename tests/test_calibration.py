@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ftcal import (
@@ -23,7 +25,10 @@ from ftcal import (
     predict_restricted,
     seen_unseen_curve,
 )
+from ftcal import data
 from ftcal.calibration import select_balanced_gamma
+from ftcal.data import unit_rows
+from ftcal.metrics import _group_stats
 
 from test_metrics import (
     grid_curve_points,
@@ -341,6 +346,77 @@ class TestPredictCosine:
         np.testing.assert_array_equal(
             predict_cosine(feats, LinearHead(weights), p, gamma), apply_gamma(cosines, p, gamma)
         )
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.integers(2, 5),
+        st.integers(1, 3),
+        st.integers(1, 4096),
+    )
+    @example(0, 1, 2, 1, 1)
+    @settings(max_examples=200, deadline=None)
+    def test_labels_of_apply_gamma_on_a_container_of_the_cosines(
+        self, seed, num_rows, num_classes, dim, block_bytes
+    ):
+        # entries from {-2, ..., 2} tie often; rows scaled by 1e-150 to 1e150
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-2, 3, size=(num_rows, dim)).astype(float)
+        values[~values.any(axis=1), 0] = 1.0
+        values *= 10.0 ** rng.integers(-150, 151, size=(num_rows, 1))
+        weights = rng.integers(-2, 3, size=(num_classes, dim)).astype(float)
+        weights[~weights.any(axis=1), -1] = -1.0
+        seen = rng.permutation(num_classes)[: rng.integers(1, num_classes)]
+        feats = LabeledFeatures(values, rng.integers(0, num_classes, num_rows))
+        head = LinearHead(weights)
+        p = LabelPartition(num_classes, tuple(seen.tolist()))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data, "_BLOCK_BYTES", block_bytes)
+            cosines = LabeledLogits(
+                unit_rows(values, "feature") @ unit_rows(weights, "weight").T,
+                np.zeros(num_rows, dtype=np.int64),
+            )
+            stats = _group_stats(cosines, p)
+            flips = stats.max_s - stats.max_u
+            gammas = np.concatenate(
+                [flips, np.nextafter(flips, np.inf), np.nextafter(flips, -np.inf), [0.0, 1e16]]
+            )
+            for gamma in gammas:
+                got = predict_cosine(feats, head, p, gamma)
+                assert got.tolist() == apply_gamma(cosines, p, gamma).tolist()
+
+    @pytest.mark.parametrize(
+        "features, weights, partition, gamma, message",
+        [
+            ([[0.0, 0.0]], [[0.0, 0.0, 0.0]] * 3, (4, (0,)), np.nan, "head has 3 classes"),
+            ([[0.0, 0.0]], [[0.0, 0.0, 0.0]] * 4, (4, (0,)), np.nan, "features have dim 2"),
+            ([[1.0], [0.0]], [[0.0]] * 4, (4, (0,)), np.nan, "feature row 1 has zero norm"),
+            ([[1.0]], [[0.0], [1.0]], (2, (0,)), np.inf, "weight row 0 has zero norm"),
+            ([[1.0]], [[2.0], [1.0]], (2, (0,)), -np.inf, "gamma must be finite, got -inf"),
+        ],
+    )
+    def test_first_failing_check_names_the_error(
+        self, features, weights, partition, gamma, message
+    ):
+        feats = LabeledFeatures(features, [0] * len(features))
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            predict_cosine(feats, LinearHead(weights), LabelPartition(*partition), gamma)
+
+    def test_no_second_copy_of_the_cosine_matrix(self):
+        rng = np.random.default_rng(11)
+        feats = LabeledFeatures(rng.normal(size=(2000, 64)), rng.integers(0, 1000, 2000))
+        head = LinearHead(rng.normal(size=(1000, 64)))
+        p = LabelPartition(1000, tuple(range(0, 1000, 2)))
+        tracemalloc.start()
+        try:
+            predict_cosine(feats, head, p, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cosines = feats.num_samples * head.num_classes * 8
+        unit = feats.values.nbytes + head.weights.nbytes
+        # no room for a second 2000 x 1000 array (16 MB)
+        assert peak < cosines + unit + 2 * data._BLOCK_BYTES, f"peak {peak} B"
 
     def test_zero_norm_rows_are_named(self):
         p = LabelPartition(2, (0,))

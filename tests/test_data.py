@@ -214,6 +214,36 @@ class TestOneValidator:
             LabeledFeatures([[1.0, 2.0]], [-1])
         assert LabeledFeatures([[1.0, 2.0]], [5]).labels.tolist() == [5]
 
+    @pytest.mark.parametrize("container", [LabeledLogits, LabeledFeatures])
+    @pytest.mark.parametrize(
+        "labels, bad",
+        [
+            ([0.7, 1.2], "0.7"),
+            ([1.0, 0.5], "0.5"),
+            (np.float32([1.0, 1.5]), "1.5"),
+            (np.array([0.0, np.nan]), "nan"),
+            (np.array([np.inf, 0.0]), "inf"),
+            (np.array([0.0, 2.0**63]), "9.223372036854776e\\+18"),
+        ],
+    )
+    def test_non_integral_labels_rejected(self, container, labels, bad):
+        with pytest.raises(ValidationError, match=f"^labels entry {bad} is not an integer$"):
+            container([[1.0, 2.0], [3.0, 4.0]], labels)
+
+    @pytest.mark.parametrize("rows, at", [(6, 0), (6, 5), (7, 6), (1, 0)])
+    def test_non_integral_label_in_any_block(self, rows, at, monkeypatch):
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 1)  # two rows a block
+        labels = np.zeros(rows)
+        labels[at] = 2.9
+        with pytest.raises(ValidationError, match="^labels entry 2.9 is not an integer$"):
+            LabeledFeatures(np.ones((rows, 1)), labels)
+
+    def test_integral_labels_of_any_type_accepted(self):
+        values = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        for labels in ([2.0, 0.0], [2, 0], [np.int64(2), np.uint8(0)], np.float32([2, 0])):
+            assert LabeledLogits(values, labels).labels.tolist() == [2, 0]
+            assert LabeledFeatures(values, labels).labels.dtype == np.int64
+
 
 class TestRandomSplit:
     def test_full_set_is_rejected(self):
@@ -365,6 +395,21 @@ class TestTotalIntraGroupDistance:
         finally:
             tracemalloc.stop()
         assert peak < 8 * means.nbytes, f"peak {peak} B for {means.nbytes} B of means"
+
+    def test_one_difference_slab_per_block(self):
+        rng = np.random.default_rng(12)
+        rows, candidates = rng.normal(size=(100, 512)), rng.normal(size=(100, 512))
+        blocks = data._row_blocks(100, rows.itemsize * candidates.size)
+        slab = max(block.stop - block.start for block in blocks) * candidates.nbytes
+        tracemalloc.start()
+        try:
+            scores = _ncm_scores(rows, candidates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a squared copy of the slab, or the next block's slab made before
+        # this one is freed, would be a second slab
+        assert peak < scores.nbytes + slab + slab // 2, f"peak {peak} B, slab {slab} B"
 
     def test_non_integral_class_index_rejected(self):
         with pytest.raises(ValidationError, match="class index 1.5 is not an integer"):
