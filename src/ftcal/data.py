@@ -194,9 +194,6 @@ class LabelPartition:
         mask[list(self.absent)] = 1.0
         return mask
 
-    def is_absent_label(self, labels: np.ndarray) -> np.ndarray:
-        return np.isin(labels, self.group_indices("U"))
-
 
 @dataclass(frozen=True, eq=False)
 class LabeledLogits:

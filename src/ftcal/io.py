@@ -24,6 +24,10 @@ accepted, every value bit and every error message with its line number.
 A file that is not UTF-8 raises ``ParseError`` naming the file. That
 fault outranks any other in the file, wherever it sits, since the file
 is read to its end before a header or row fault is raised.
+
+Partition, training-config and toy-spec files are read by one reader,
+``_load_fields``, which takes each file's keys, which of them are
+required and each value's type from the fields of the dataclass it builds.
 """
 
 from __future__ import annotations
@@ -258,34 +262,56 @@ def save_partition(partition: LabelPartition, path) -> None:
 
 
 def load_partition(path) -> LabelPartition:
-    lines = [line.rstrip() for line in _read_lines(path)]
-    if len(lines) != 2:
-        raise ParseError(f"{path}: a partition file has exactly 2 lines, found {len(lines)}")
-    if not lines[0].startswith("num_classes="):
-        raise ParseError(f"{path}:1: expected 'num_classes=<C>'")
-    if not lines[1].startswith("fine_tuning="):
-        raise ParseError(f"{path}:2: expected 'fine_tuning=<indices>'")
-    try:
-        num_classes = int(lines[0].removeprefix("num_classes="))
-        fine_tuning = tuple(
-            int(field) for field in lines[1].removeprefix("fine_tuning=").split(",")
-        )
-    except ValueError as exc:
-        raise ParseError(f"{path}: malformed integer field: {exc}") from None
-    return LabelPartition(num_classes, fine_tuning)
+    return _load_fields(path, LabelPartition)
 
 
-def _parse_kv_lines(path, lines) -> dict:
+def _parse_kv_lines(path, numbered_lines) -> dict:
+    """``key=value`` pairs from ``(line number, text)`` pairs, blank lines
+    skipped; a line without ``=`` or a key given twice is a fault."""
     pairs = {}
-    for number, line in enumerate(lines, 1):
+    for number, line in numbered_lines:
         text = line.strip()
         if not text:
             continue
         if "=" not in text:
             raise ParseError(f"{path}:{number}: expected 'key=value'")
         key, _, value = text.partition("=")
-        pairs[key.strip()] = value.strip()
+        key = key.strip()
+        if key in pairs:
+            raise ParseError(f"{path}:{number}: duplicate key {key!r}")
+        pairs[key] = value.strip()
     return pairs
+
+
+def _parse_value(text: str, kind):
+    """``text`` read as the annotated type ``kind``: a scalar type, or a
+    tuple split on ``,``, or on ``;`` when its items are tuples."""
+    if typing.get_origin(kind) is not tuple:
+        return kind(text)
+    item = typing.get_args(kind)[0]
+    separator = ";" if typing.get_origin(item) is tuple else ","
+    return tuple(_parse_value(part, item) for part in text.split(separator))
+
+
+def _load_fields(path, cls):
+    """An instance of the dataclass ``cls`` from a ``key=value`` file. The
+    keys are its fields, those without a default are required, and each
+    value is read as the field's annotated type."""
+    pairs = _parse_kv_lines(path, enumerate(_read_lines(path), 1))
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(pairs) - set(hints))
+    if unknown:
+        raise ParseError(f"{path}: unknown keys {unknown}")
+    for field in dataclasses.fields(cls):
+        if field.default is dataclasses.MISSING and field.name not in pairs:
+            raise ParseError(f"{path}: {field.name} is required")
+    kwargs = {}
+    for key, value in pairs.items():
+        try:
+            kwargs[key] = _parse_value(value, hints[key])
+        except ValueError:
+            raise ParseError(f"{path}: malformed value for {key}: {value!r}") from None
+    return cls(**kwargs)
 
 
 def save_model(model: MlpModel, path) -> None:
@@ -321,7 +347,7 @@ def load_model(path) -> MlpModel:
     for required in ("meta", "hidden_map", "head"):
         if required not in sections:
             raise ParseError(f"{path}: missing [{required}] section")
-    meta = _parse_kv_lines(path, [text for _, text in sections["meta"]])
+    meta = _parse_kv_lines(path, sections["meta"])
     activation = meta.get("activation", "linear")
     if activation not in ACTIVATIONS:
         raise ParseError(f"{path}: unknown activation {activation!r}")
@@ -344,47 +370,11 @@ def save_train_config(config: TrainConfig, path) -> None:
 
 
 def load_train_config(path) -> TrainConfig:
-    pairs = _parse_kv_lines(path, _read_lines(path))
-    known = typing.get_type_hints(TrainConfig)
-    unknown = sorted(set(pairs) - set(known))
-    if unknown:
-        raise ParseError(f"{path}: unknown config keys {unknown}")
-    for field in dataclasses.fields(TrainConfig):
-        if field.default is dataclasses.MISSING and field.name not in pairs:
-            raise ParseError(f"{path}: {field.name} is required")
-    kwargs = {}
-    for key, value in pairs.items():
-        try:
-            kwargs[key] = known[key](value)
-        except ValueError:
-            raise ParseError(f"{path}: malformed value for {key}: {value!r}") from None
-    return TrainConfig(**kwargs)
+    return _load_fields(path, TrainConfig)
 
 
 def load_toy_spec(path) -> ToySpec:
-    pairs = _parse_kv_lines(path, _read_lines(path))
-    known = ("class_means", "stddev", "shift", "samples_per_class", "fine_tuning")
-    unknown = sorted(set(pairs) - set(known))
-    if unknown:
-        raise ParseError(f"{path}: unknown toy spec keys {unknown}")
-    kwargs = {}
-    try:
-        if "class_means" in pairs:
-            kwargs["class_means"] = tuple(
-                tuple(float(v) for v in point.split(","))
-                for point in pairs["class_means"].split(";")
-            )
-        if "stddev" in pairs:
-            kwargs["stddev"] = float(pairs["stddev"])
-        if "shift" in pairs:
-            kwargs["shift"] = tuple(float(v) for v in pairs["shift"].split(","))
-        if "samples_per_class" in pairs:
-            kwargs["samples_per_class"] = int(pairs["samples_per_class"])
-        if "fine_tuning" in pairs:
-            kwargs["fine_tuning"] = tuple(int(v) for v in pairs["fine_tuning"].split(","))
-    except ValueError as exc:
-        raise ParseError(f"{path}: malformed toy spec value: {exc}") from None
-    return ToySpec(**kwargs)
+    return _load_fields(path, ToySpec)
 
 
 def save_toy_spec(spec: ToySpec, path) -> None:
@@ -418,7 +408,3 @@ def format_report(pairs: dict) -> str:
 
 def write_report(pairs: dict, path) -> None:
     write_text(path, [format_report(pairs)])
-
-
-def ensure_dir(path) -> None:
-    os.makedirs(path, exist_ok=True)

@@ -119,7 +119,7 @@ def run_toy_pipeline(spec: ToySpec, config: TrainConfig, outdir) -> ToyReport:
             "the toy pipeline needs at least 5 samples per class so the 80/20 "
             "split leaves test data"
         )
-    io.ensure_dir(outdir)
+    os.makedirs(outdir, exist_ok=True)
 
     pretraining, target = gen_toy_data(spec, derive_seed(config.seed, 0))
     pre_train, _ = _split_per_class(pretraining)

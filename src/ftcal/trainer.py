@@ -105,11 +105,13 @@ class ToySpec:
     All coordinates are clamped to be nonnegative.
     """
 
-    class_means: tuple = ((10.0, 2.0), (10.0, 3.0), (10.0, 8.0), (10.0, 7.0))
+    class_means: tuple[tuple[float, ...], ...] = (
+        (10.0, 2.0), (10.0, 3.0), (10.0, 8.0), (10.0, 7.0)
+    )
     stddev: float = 0.2
-    shift: tuple = (1.0, -1.0, -1.0, 1.0)
+    shift: tuple[float, ...] = (1.0, -1.0, -1.0, 1.0)
     samples_per_class: int = 200
-    fine_tuning: tuple = (0, 1)
+    fine_tuning: tuple[int, ...] = (0, 1)
 
     def __post_init__(self):
         means = tuple(tuple(float(v) for v in m) for m in self.class_means)
@@ -382,7 +384,7 @@ def absent_feature_shift(model: MlpModel, seen_example, absent_input, learning_r
     return predicted, actual
 
 
-def default_train_config(seed: int = 0, mode: str = "full") -> TrainConfig:
+def default_train_config(seed: int = 0) -> TrainConfig:
     """The toy experiment's SGD settings: lr 0.01 for 100 epochs."""
     return TrainConfig(
         learning_rate=0.01,
@@ -390,6 +392,5 @@ def default_train_config(seed: int = 0, mode: str = "full") -> TrainConfig:
         weight_decay=0.0,
         epochs=100,
         batch_size=32,
-        mode=mode,
         seed=seed,
     )

@@ -30,6 +30,7 @@ from ftcal.calibration import select_balanced_gamma
 from ftcal.data import unit_rows
 from ftcal.metrics import _group_stats
 
+from helpers import is_absent_label
 from test_metrics import (
     grid_curve_points,
     random_instance,
@@ -228,7 +229,7 @@ def realised(logits, p, gamma):
     agree with the labels ``apply_gamma`` predicts."""
     report = acc_report(logits, p, gamma)
     hit = apply_gamma(logits, p, gamma) == logits.labels
-    absent = p.is_absent_label(logits.labels)
+    absent = is_absent_label(p, logits.labels)
     accs = (report.acc_y_y, report.acc_s_y, report.acc_u_y)
     assert accs == (hit.mean(), hit[~absent].mean(), hit[absent].mean())
     return accs

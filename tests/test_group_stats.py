@@ -27,6 +27,8 @@ from ftcal import cli, data, metrics
 from ftcal.analysis import nongt_logit_means
 from ftcal.metrics import _group_stats
 
+from helpers import is_absent_label
+
 # ------------------------------------------------ full-matrix references
 
 
@@ -62,7 +64,7 @@ def ref_logit_gap_stats(logits, partition):
 
 
 def ref_absent_binary_prob(logits, partition):
-    mask = partition.is_absent_label(logits.labels)
+    mask = is_absent_label(partition, logits.labels)
     rows = logits.values[mask]
     z = np.exp(rows - rows.max(axis=1, keepdims=True))
     z_seen = z[:, partition.group_indices("S")].sum(axis=1)
@@ -72,7 +74,7 @@ def ref_absent_binary_prob(logits, partition):
 
 def ref_gt_vs_top_nongt_absent(logits, partition):
     absent_cols = partition.group_indices("U")
-    mask = partition.is_absent_label(logits.labels)
+    mask = is_absent_label(partition, logits.labels)
     values = logits.values[mask][:, absent_cols]
     labels = logits.labels[mask]
     positions = np.searchsorted(absent_cols, labels)

@@ -6,6 +6,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ftcal
 from ftcal import (
@@ -24,6 +26,7 @@ from ftcal import (
 )
 from ftcal import cli, io
 from ftcal.cli import main
+from ftcal.trainer import MODES
 
 
 class TestMatrixFile:
@@ -221,6 +224,121 @@ class TestToySpecFile:
         path = tmp_path / "spec.txt"
         io.save_toy_spec(spec, path)
         assert io.load_toy_spec(path) == spec
+
+
+@st.composite
+def _partitions(draw, num_classes=st.integers(2, 40)):
+    count = draw(num_classes)
+    seen = draw(st.sets(st.integers(0, count - 1), min_size=1, max_size=count - 1))
+    return LabelPartition(count, tuple(seen))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+
+_TRAIN_CONFIGS = st.builds(
+    TrainConfig,
+    learning_rate=_NONNEGATIVE,
+    momentum=st.floats(0.0, 1.0, exclude_max=True),
+    weight_decay=_NONNEGATIVE,
+    epochs=st.integers(1, 10**6),
+    batch_size=st.integers(1, 10**6),
+    mode=st.sampled_from(MODES),
+    seed=st.integers(0, 2**64 - 1),
+)
+
+
+@st.composite
+def _toy_specs(draw):
+    partition = draw(_partitions(st.integers(2, 6)))
+    points = st.lists(st.tuples(_FINITE, _FINITE), min_size=partition.num_classes,
+                      max_size=partition.num_classes)
+    shifts = st.lists(_FINITE, min_size=partition.num_classes, max_size=partition.num_classes)
+    return ToySpec(
+        class_means=tuple(draw(points)),
+        stddev=draw(_NONNEGATIVE),
+        shift=tuple(draw(shifts)),
+        samples_per_class=draw(st.integers(1, 10**6)),
+        fine_tuning=partition.fine_tuning,
+    )
+
+
+_SETTINGS = {
+    "partition": (_partitions(), io.save_partition, io.load_partition),
+    "train_config": (_TRAIN_CONFIGS, io.save_train_config, io.load_train_config),
+    "toy_spec": (_toy_specs(), io.save_toy_spec, io.load_toy_spec),
+}
+
+
+class TestKeyValueFiles:
+    """Partition, train-config and toy-spec files share one reader."""
+
+    @pytest.mark.parametrize("kind", sorted(_SETTINGS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_round_trip(self, tmp_path_factory, kind, data):
+        objects, save, load = _SETTINGS[kind]
+        value = data.draw(objects)
+        path = tmp_path_factory.mktemp(kind) / "settings.txt"
+        save(value, path)
+        assert load(path) == value
+
+    @pytest.mark.parametrize(
+        "value, save, load",
+        [
+            (LabelPartition(7, (1, 4, 6)), io.save_partition, io.load_partition),
+            (TrainConfig(0.3, momentum=0.5, epochs=4, mode="linear_probe", seed=9),
+             io.save_train_config, io.load_train_config),
+            (ToySpec(stddev=0.7, samples_per_class=9, fine_tuning=(1, 2)),
+             io.save_toy_spec, io.load_toy_spec),
+        ],
+    )
+    def test_key_order_and_blank_lines_are_free(self, tmp_path, value, save, load):
+        path = tmp_path / "settings.txt"
+        save(value, path)
+        reordered = reversed(path.read_text().splitlines())
+        path.write_text("\n" + "\n  \n".join(reordered) + "\n\n")
+        assert load(path) == value
+
+    @pytest.mark.parametrize(
+        "load, text, message",
+        [
+            (io.load_partition, "num_classes=4\nfine_tuning=0,x\n",
+             "malformed value for fine_tuning: '0,x'"),
+            (io.load_train_config, "learning_rate=0.1\nbatch_size=many\n",
+             "malformed value for batch_size: 'many'"),
+            (io.load_toy_spec, "class_means=10,2;10,y\n",
+             "malformed value for class_means: '10,2;10,y'"),
+            (io.load_partition, "classes=3\nfine_tuning=1\n", "unknown keys ['classes']"),
+            (io.load_partition, "fine_tuning=1\n", "num_classes is required"),
+        ],
+    )
+    def test_error_messages_name_the_key(self, tmp_path, load, text, message):
+        path = tmp_path / "settings.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "load, text, line, key",
+        [
+            (io.load_partition, "num_classes=4\nfine_tuning=0\nfine_tuning=1\n", 3,
+             "fine_tuning"),
+            (io.load_train_config, "learning_rate=0.1\nepochs=2\n\nlearning_rate=0.2\n", 4,
+             "learning_rate"),
+            (io.load_toy_spec, "stddev=0.1\nstddev=0.3\n", 2, "stddev"),
+            (io.load_model,
+             "[meta]\nactivation=linear\nactivation=rectified\n[hidden_map]\n1\n[head]\n1\n1\n",
+             3, "activation"),
+        ],
+    )
+    def test_repeated_key_names_its_line(self, tmp_path, load, text, line, key):
+        path = tmp_path / "settings.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert str(info.value) == f"{path}:{line}: duplicate key {key!r}"
 
 @pytest.mark.parametrize(
     "load",
