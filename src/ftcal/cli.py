@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import io
 from .analysis import (
@@ -28,6 +28,7 @@ from .calibration import (
 from .data import (
     LabeledFeatures,
     LabeledLogits,
+    LabelPartition,
     LinearHead,
     make_greedy_similar_split,
     make_random_split,
@@ -54,6 +55,11 @@ def _load_logits(logits_path, labels_path) -> LabeledLogits:
     return LabeledLogits(io.load_matrix(logits_path), io.load_labels(labels_path))
 
 
+def _load_logits_inputs(args) -> tuple[LabeledLogits, LabelPartition]:
+    """The ``--logits``/``--labels`` container and the ``--partition``, read in that order."""
+    return _load_logits(args.logits, args.labels), io.load_partition(args.partition)
+
+
 def _load_features(features_path, labels_path) -> LabeledFeatures:
     return LabeledFeatures(io.load_matrix(features_path), io.load_labels(labels_path))
 
@@ -65,15 +71,13 @@ def _emit(pairs: dict, out_path=None) -> None:
 
 
 def _cmd_metrics(args) -> int:
-    logits = _load_logits(args.logits, args.labels)
-    partition = io.load_partition(args.partition)
+    logits, partition = _load_logits_inputs(args)
     _emit(acc_report(logits, partition, gamma=args.gamma).as_dict())
     return 0
 
 
 def _cmd_ausuc(args) -> int:
-    logits = _load_logits(args.logits, args.labels)
-    partition = io.load_partition(args.partition)
+    logits, partition = _load_logits_inputs(args)
     curve = seen_unseen_curve(logits, partition)
     if args.curve_out:
         io.write_text(args.curve_out, [format_curve_csv(curve)])
@@ -82,8 +86,7 @@ def _cmd_ausuc(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    logits = _load_logits(args.logits, args.labels)
-    partition = io.load_partition(args.partition)
+    logits, partition = _load_logits_inputs(args)
     io.save_labels(apply_gamma(logits, partition, args.gamma), args.out)
     return 0
 
@@ -114,8 +117,7 @@ def _cmd_pcv(args) -> int:
 
 
 def _cmd_gamma_star(args) -> int:
-    logits = _load_logits(args.logits, args.labels)
-    partition = io.load_partition(args.partition)
+    logits, partition = _load_logits_inputs(args)
     _emit(estimate_gamma_star(logits, partition).as_dict(), args.out)
     return 0
 
@@ -163,7 +165,7 @@ def _cmd_delta_w(args) -> int:
     _emit(
         {
             "group": args.group,
-            "subset": ",".join(str(c) for c in report.subset),
+            "subset": report.subset,
             "mean_offdiag": report.mean_offdiag,
         }
     )
@@ -171,8 +173,7 @@ def _cmd_delta_w(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    logits = _load_logits(args.logits, args.labels)
-    partition = io.load_partition(args.partition)
+    logits, partition = _load_logits_inputs(args)
     head = LinearHead(io.load_matrix(args.head))
     seen_norm, absent_norm = weight_norms(head, partition)
     gap_seen, gap_absent = logit_gap_stats(logits, partition)
@@ -204,12 +205,7 @@ def _cmd_split(args) -> int:
             )
         partition = make_greedy_similar_split(means, args.k)
     io.save_partition(partition, args.out)
-    _emit(
-        {
-            "num_classes": partition.num_classes,
-            "fine_tuning": ",".join(str(c) for c in partition.fine_tuning),
-        }
-    )
+    _emit(asdict(partition))
     return 0
 
 
@@ -227,12 +223,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_toy(args) -> int:
     spec = io.load_toy_spec(args.spec) if args.spec else ToySpec()
-    if args.config:
-        config = io.load_train_config(args.config)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-    else:
-        config = default_train_config(seed=args.seed if args.seed is not None else 0)
+    config = io.load_train_config(args.config) if args.config else default_train_config()
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
     report = run_toy_pipeline(spec, config, args.outdir)
     _emit(
         {
@@ -257,25 +250,22 @@ def _cmd_gradcheck(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ftcal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    inputs = argparse.ArgumentParser(add_help=False)  # what _load_logits_inputs reads
+    inputs.add_argument("--logits", required=True)
+    inputs.add_argument("--labels", required=True)
+    inputs.add_argument("--partition", required=True)
 
-    p = sub.add_parser("metrics", help="group accuracy report, optionally gamma-calibrated")
-    p.add_argument("--logits", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--partition", required=True)
+    p = sub.add_parser(
+        "metrics", parents=[inputs], help="group accuracy report, optionally gamma-calibrated"
+    )
     p.add_argument("--gamma", type=float, default=0.0)
     p.set_defaults(func=_cmd_metrics)
 
-    p = sub.add_parser("ausuc", help="area under the exact seen-unseen curve")
-    p.add_argument("--logits", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--partition", required=True)
+    p = sub.add_parser("ausuc", parents=[inputs], help="area under the exact seen-unseen curve")
     p.add_argument("--curve-out")
     p.set_defaults(func=_cmd_ausuc)
 
-    p = sub.add_parser("calibrate", help="write gamma-calibrated predicted labels")
-    p.add_argument("--logits", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--partition", required=True)
+    p = sub.add_parser("calibrate", parents=[inputs], help="write gamma-calibrated predicted labels")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_calibrate)
@@ -303,10 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_pcv)
 
-    p = sub.add_parser("gamma-star", help="cheating gamma maximizing overall test accuracy")
-    p.add_argument("--logits", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--partition", required=True)
+    p = sub.add_parser(
+        "gamma-star", parents=[inputs], help="cheating gamma maximizing overall test accuracy"
+    )
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gamma_star)
 
@@ -333,10 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_delta_w)
 
-    p = sub.add_parser("diagnose", help="bundled logit and weight diagnostics")
-    p.add_argument("--logits", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--partition", required=True)
+    p = sub.add_parser("diagnose", parents=[inputs], help="bundled logit and weight diagnostics")
     p.add_argument("--head", required=True)
     p.set_defaults(func=_cmd_diagnose)
 

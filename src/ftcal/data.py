@@ -92,13 +92,16 @@ def _frozen_array(values, dtype, name: str, ndim: int) -> np.ndarray:
 
     A numeric input, or a sequence numpy makes a numeric array of, is
     copied in row blocks of ``_BLOCK_BYTES``, each checked while it is still
-    in cache, so no full-size boolean temporary is made. Anything else is
-    converted whole first, so a conversion error is raised before either
-    check.
+    in cache, so no full-size boolean temporary is made. Anything numpy
+    makes no bool, integer or float array of (complex numbers, strings,
+    ``None``, ragged lists) raises ``ValidationError``, never a cast.
     """
-    source = values if isinstance(values, np.ndarray) else np.asarray(values)
-    if source.dtype.kind not in "biuf":
-        source = np.asarray(values, dtype=dtype)
+    try:
+        source = values if isinstance(values, np.ndarray) else np.asarray(values)
+    except ValueError:  # ragged nesting
+        source = None
+    if source is None or source.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must be an array of real numbers")
     if source.ndim != ndim:
         raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {source.shape}")
     arr = np.empty_like(source, dtype=dtype, subok=False)  # the memory order np.array keeps

@@ -28,6 +28,9 @@ is read to its end before a header or row fault is raised.
 Partition, training-config and toy-spec files are read by one reader,
 ``_load_fields``, which takes each file's keys, which of them are
 required and each value's type from the fields of the dataclass it builds.
+They are written by ``write_report`` of the dataclass's fields, whose
+``format_report`` is the one writer of ``key=value`` text: ``_format_value``
+spells each value as ``_parse_value`` reads it back.
 """
 
 from __future__ import annotations
@@ -51,16 +54,11 @@ from .trainer import ACTIVATIONS, EpochRecord, MlpModel, ToySpec, TrainConfig
 _BATCH_CHARS = 1 << 16
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def _csv_lines(matrix: np.ndarray) -> typing.Iterator[str]:
     """The CSV lines of a 2-D float64 ``matrix``, made one row at a time.
 
-    One ``%.17g`` template per matrix, filled from each row's Python
-    floats, gives the bytes ``_fmt`` gives value by value, at about half
-    the cost."""
+    One ``%.17g`` template per matrix is filled from each row's Python
+    floats, so every CSV number is spelled by this one template."""
     template = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
     return (template % tuple(row.tolist()) for row in matrix)
 
@@ -250,6 +248,8 @@ def load_labels(path) -> np.ndarray:
             raise ParseError(f"{path}:{number}: not an integer label") from None
         if value < 0:
             raise ParseError(f"{path}:{number}: labels must be nonnegative")
+        if value >= 2**63:
+            raise ParseError(f"{path}:{number}: labels must be below 2**63")
         values.append(value)
     if not values:
         raise ParseError(f"{path}: empty labels file")
@@ -257,8 +257,7 @@ def load_labels(path) -> np.ndarray:
 
 
 def save_partition(partition: LabelPartition, path) -> None:
-    fine_tuning = ",".join(map(str, partition.fine_tuning))
-    write_report({"num_classes": partition.num_classes, "fine_tuning": fine_tuning}, path)
+    write_report(dataclasses.asdict(partition), path)
 
 
 def load_partition(path) -> LabelPartition:
@@ -293,12 +292,30 @@ def _parse_value(text: str, kind):
     return tuple(_parse_value(part, item) for part in text.split(separator))
 
 
+def _format_value(value) -> str:
+    """``value`` spelled as ``_parse_value`` reads it back: a float in its
+    shortest exact form (``repr``), a tuple's items joined with ``,``, or
+    with ``;`` when they are tuples, anything else by ``str``."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, tuple):
+        separator = ";" if value and isinstance(value[0], tuple) else ","
+        return separator.join(map(_format_value, value))
+    return str(value)
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """The annotated type of each field of the dataclass ``cls``, evaluated once."""
+    return typing.get_type_hints(cls)
+
+
 def _load_fields(path, cls):
     """An instance of the dataclass ``cls`` from a ``key=value`` file. The
     keys are its fields, those without a default are required, and each
     value is read as the field's annotated type."""
     pairs = _parse_kv_lines(path, enumerate(_read_lines(path), 1))
-    hints = typing.get_type_hints(cls)
+    hints = _field_types(cls)
     unknown = sorted(set(pairs) - set(hints))
     if unknown:
         raise ParseError(f"{path}: unknown keys {unknown}")
@@ -366,7 +383,7 @@ def load_model(path) -> MlpModel:
 
 
 def save_train_config(config: TrainConfig, path) -> None:
-    write_report(config.as_dict(), path)
+    write_report(dataclasses.asdict(config), path)
 
 
 def load_train_config(path) -> TrainConfig:
@@ -378,32 +395,17 @@ def load_toy_spec(path) -> ToySpec:
 
 
 def save_toy_spec(spec: ToySpec, path) -> None:
-    write_report(
-        {
-            "class_means": ";".join(f"{_fmt(x)},{_fmt(y)}" for x, y in spec.class_means),
-            "stddev": _fmt(spec.stddev),
-            "shift": ",".join(_fmt(s) for s in spec.shift),
-            "samples_per_class": spec.samples_per_class,
-            "fine_tuning": ",".join(map(str, spec.fine_tuning)),
-        },
-        path,
-    )
+    write_report(dataclasses.asdict(spec), path)
 
 
 def save_history(history: list[EpochRecord], path) -> None:
-    rows = (f"{r.epoch},{_fmt(r.loss)},{_fmt(r.accuracy)}\n" for r in history)
-    write_text(path, itertools.chain(["epoch,loss,accuracy\n"], rows))
+    rows = np.array([(r.epoch, r.loss, r.accuracy) for r in history], dtype=np.float64)
+    write_text(path, itertools.chain(["epoch,loss,accuracy\n"], _csv_lines(rows.reshape(-1, 3))))
 
 
 def format_report(pairs: dict) -> str:
-    """Key=value lines; floats use repr (shortest exact form), in insertion order."""
-    lines = []
-    for key, value in pairs.items():
-        if isinstance(value, (float, np.floating)):
-            lines.append(f"{key}={float(value)!r}")
-        else:
-            lines.append(f"{key}={value}")
-    return "\n".join(lines) + "\n"
+    """Key=value lines in insertion order, each value spelled by ``_format_value``."""
+    return "\n".join(f"{key}={_format_value(value)}" for key, value in pairs.items()) + "\n"
 
 
 def write_report(pairs: dict, path) -> None:

@@ -12,7 +12,7 @@ softmax error (softmax - one-hot) / N is formed, read by ``fine_tune``,
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,9 +85,6 @@ class TrainConfig:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         check_seed(self.seed)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class EpochRecord:
@@ -117,11 +114,15 @@ class ToySpec:
         means = tuple(tuple(float(v) for v in m) for m in self.class_means)
         if len(means) < 2 or any(len(m) != 2 for m in means):
             raise ValidationError("class_means must hold at least two 2-D points")
+        if not np.isfinite(means).all():
+            raise ValidationError(f"class_means must be finite, got {means!r}")
         if not np.isfinite(self.stddev) or self.stddev < 0:
             raise ValidationError(f"stddev must be >= 0, got {self.stddev!r}")
         shift = tuple(float(s) for s in self.shift)
         if len(shift) != len(means):
             raise ValidationError("shift must provide one horizontal offset per class")
+        if not np.isfinite(shift).all():
+            raise ValidationError(f"shift must be finite, got {shift!r}")
         count = self.samples_per_class
         if not isinstance(count, (int, np.integer)) or count < 1:
             raise ValidationError(f"samples_per_class must be a positive integer, got {count!r}")

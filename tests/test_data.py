@@ -178,6 +178,26 @@ class TestOneValidator:
             with pytest.raises(ValidationError, match="^logits must be %d-dimensional" % ndim):
                 data._frozen_array(values, np.float64, "logits", ndim)
 
+    @pytest.mark.parametrize(
+        "name, build",
+        [
+            ("logits", lambda: LabeledLogits([[1.0 + 2.0j, 0.0]], [0])),
+            ("logits", lambda: LabeledLogits([["1", "2"]], [0])),
+            ("logits", lambda: LabeledLogits([["a"]], [0])),
+            ("logits", lambda: LabeledLogits([[1.0, 2.0], [3.0]], [0, 1])),
+            ("features", lambda: LabeledFeatures(np.array([["1"]]), [0])),
+            ("weights", lambda: LinearHead(np.array([[1j], [2.0]]))),
+            ("labels", lambda: LabeledLogits([[1.0, 2.0]], None)),
+            ("labels", lambda: LabeledFeatures([[1.0]], [2**64])),
+            ("labels", lambda: LabeledFeatures([[1.0], [2.0]], [0, None])),
+        ],
+        ids=["complex", "numeric-text", "text", "ragged", "text-array", "complex-array",
+             "none", "beyond-uint64", "none-entry"],
+    )
+    def test_non_real_input_is_named(self, name, build):
+        with pytest.raises(ValidationError, match=f"^{name} must be an array of real numbers$"):
+            build()
+
     def test_no_full_size_boolean_temporary(self):
         values = np.random.default_rng(4).normal(size=(20_000, 100))
         tracemalloc.start()

@@ -26,7 +26,7 @@ from ftcal import (
 )
 from ftcal import cli, io
 from ftcal.cli import main
-from ftcal.trainer import MODES
+from ftcal.trainer import MODES, EpochRecord
 
 
 class TestMatrixFile:
@@ -103,6 +103,21 @@ class TestLabelsFile:
         path.write_text("1\nx\n")
         with pytest.raises(ParseError):
             io.load_labels(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1\n\n2\n", ":2: blank line inside labels"),
+            ("", ": empty labels file"),
+            ("0\n99999999999999999999\n", ":2: labels must be below 2**63"),
+        ],
+    )
+    def test_faults_name_the_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "l.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            io.load_labels(path)
+        assert str(info.value) == f"{path}{message}"
 
 
 class TestPartitionFile:
@@ -225,6 +240,16 @@ class TestToySpecFile:
         io.save_toy_spec(spec, path)
         assert io.load_toy_spec(path) == spec
 
+    def test_floats_are_written_in_their_shortest_exact_form(self, tmp_path):
+        path = tmp_path / "spec.txt"
+        io.save_toy_spec(ToySpec(), path)
+        assert path.read_text().splitlines()[:3] == [
+            "class_means=10.0,2.0;10.0,3.0;10.0,8.0;10.0,7.0",
+            "stddev=0.2",
+            "shift=1.0,-1.0,-1.0,1.0",
+        ]
+        assert io.load_toy_spec(path) == ToySpec()
+
 
 @st.composite
 def _partitions(draw, num_classes=st.integers(2, 40)):
@@ -339,6 +364,18 @@ class TestKeyValueFiles:
         with pytest.raises(ParseError) as info:
             load(path)
         assert str(info.value) == f"{path}:{line}: duplicate key {key!r}"
+
+    def test_format_report_spells_values_as_the_reader_splits_them(self):
+        pairs = {"n": 3, "ids": (0, 2), "points": ((1.0, 0.5), (2.0, -3.0)), "x": np.float64(0.1)}
+        assert io.format_report(pairs) == "n=3\nids=0,2\npoints=1.0,0.5;2.0,-3.0\nx=0.1\n"
+
+    def test_history_rows_use_the_matrix_number_format(self, tmp_path):
+        path = tmp_path / "history.csv"
+        io.save_history([EpochRecord(1, 0.1, 0.5), EpochRecord(2, 1e-20, 1.0)], path)
+        assert path.read_text() == (
+            "epoch,loss,accuracy\n1,0.10000000000000001,0.5\n2,9.9999999999999995e-21,1\n"
+        )
+
 
 @pytest.mark.parametrize(
     "load",
@@ -560,6 +597,12 @@ class TestCli:
         assert io.load_partition(out).fine_tuning == (0, 1)
         capsys.readouterr()
 
+    def test_split_prints_the_partition_file_it_writes(self, tmp_path, capsys):
+        out = tmp_path / "p.txt"
+        assert run_cli("split", "--mode", "random", "--num-classes", "10", "--k", "4",
+                       "--seed", "3", "--out", str(out)) == 0
+        assert capsys.readouterr().out == out.read_text()
+
     def test_greedy_split_requires_means(self, tmp_path, capsys):
         out = tmp_path / "p.txt"
         assert run_cli("split", "--mode", "greedy", "--num-classes", "4", "--k", "2",
@@ -576,6 +619,31 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("cka=")
         assert abs(float(out.strip().split("=")[1]) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1,x", "error: --rows must be comma-separated integers, got '1,x'\n"),
+            ("0,5", "error: --rows index out of range\n"),
+        ],
+    )
+    def test_cka_rows_faults_exit_2(self, tmp_path, capsys, rows, message):
+        io.save_matrix(np.eye(5, 3), tmp_path / "a.csv")
+        assert run_cli("cka", "--weights-a", str(tmp_path / "a.csv"),
+                       "--weights-b", str(tmp_path / "a.csv"), "--rows", rows) == 2
+        assert capsys.readouterr().err == message
+
+    def test_label_beyond_int64_exits_2_naming_the_line(self, fixture_dir, capsys):
+        labels = fixture_dir / "labels.csv"
+        labels.write_text("0\n2\n99999999999999999999\n2\n")
+        code = run_cli(
+            "metrics",
+            "--logits", str(fixture_dir / "logits.csv"),
+            "--labels", str(labels),
+            "--partition", str(fixture_dir / "partition.txt"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {labels}:3: labels must be below 2**63\n"
 
     def test_gradcheck_passes(self, capsys):
         assert run_cli("gradcheck", "--cases", "10", "--seed", "1") == 0
@@ -748,6 +816,17 @@ class TestCli:
         assert run_cli("toy", "--outdir", str(outdir), "--seed", "3", "--spec", str(spec)) == 0
         assert (outdir / "report.txt").exists()
         assert (outdir / "partition.txt").exists()
+        capsys.readouterr()
+
+    def test_toy_seed_overrides_the_config_seed(self, tmp_path, capsys):
+        spec, config = tmp_path / "spec.txt", tmp_path / "config.txt"
+        io.save_toy_spec(ToySpec(samples_per_class=25), spec)
+        io.save_train_config(TrainConfig(0.01, epochs=5, seed=7), config)
+        outdir = tmp_path / "toy"
+        assert run_cli("toy", "--outdir", str(outdir), "--spec", str(spec),
+                       "--config", str(config), "--seed", "3") == 0
+        used = io.load_train_config(outdir / "train_config.txt")
+        assert used == TrainConfig(0.01, epochs=5, seed=3)
         capsys.readouterr()
 
     def test_out_of_memory_exits_3_with_a_message(self, fixture_dir, monkeypatch, capsys):

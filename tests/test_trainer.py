@@ -11,12 +11,14 @@ from ftcal import (
     TrainingError,
     ValidationError,
     absent_feature_shift,
+    default_train_config,
     fine_tune,
     forward,
     forward_batch,
     gen_toy_data,
     gradient_check,
     loss_and_grads,
+    run_toy_pipeline,
 )
 from ftcal import trainer
 
@@ -250,6 +252,17 @@ class TestToySpec:
         with pytest.raises(ValidationError):
             ToySpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("class_means", ((10.0, 2.0), (10.0, 3.0), (10.0, 8.0), (10.0, np.nan))),
+            ("shift", (1.0, -1.0, np.inf, 1.0)),
+        ],
+    )
+    def test_non_finite_entries_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+            ToySpec(**{field: value})
+
     def test_fine_tuning_follows_the_partition_rule(self):
         spec = ToySpec(fine_tuning=(np.int64(3), 1))
         assert spec.fine_tuning == (1, 3)
@@ -367,3 +380,24 @@ class TestToyPipelineQualitative:
         # collapse inflates seen logits, so both estimates are positive
         assert toy_report.gamma_alg.value > 0
         assert toy_report.gamma_star.value > 0
+
+
+class TestToyPipelinePcv:
+    """With 4 fine-tuning classes the toy pipeline also estimates gamma by PCV."""
+
+    def test_pcv_gamma_is_reported_alike_everywhere(self, tmp_path):
+        spec = ToySpec(
+            class_means=tuple((10.0, y) for y in (1, 2, 3, 4, 6, 7, 8, 9)),
+            shift=(1.0, -1.0) * 4,
+            fine_tuning=(0, 2, 5, 7),
+            samples_per_class=25,
+        )
+        report = run_toy_pipeline(spec, default_train_config(seed=0), tmp_path)
+
+        def value(name, key):
+            pairs = dict(line.split("=") for line in (tmp_path / name).read_text().splitlines())
+            return float(pairs[key])
+
+        assert report.gamma_pcv.method == "PCV"
+        assert value("gamma_pcv.txt", "gamma") == report.gamma_pcv.value
+        assert value("report.txt", "gamma_pcv") == report.gamma_pcv.value
