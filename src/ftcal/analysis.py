@@ -13,7 +13,7 @@ from .data import (
     LabeledLogits,
     LabelPartition,
     LinearHead,
-    _class_index,
+    _class_set,
     _frozen_array,
     _row_blocks,
     check_num_classes,
@@ -92,13 +92,11 @@ def delta_w_similarity(w_pre: LinearHead, w_ft: LinearHead, subset) -> Similarit
         raise ValidationError(
             f"head shapes differ: {w_pre.weights.shape} vs {w_ft.weights.shape}"
         )
-    classes = sorted(_class_index(c) for c in subset)
+    classes = _class_set(subset, "subset", w_pre.num_classes).tolist()
     if len(classes) < 2:
         raise ValidationError("subset must contain at least 2 classes")
     if len(set(classes)) != len(classes):
         raise ValidationError("subset contains duplicate class indices")
-    if classes[0] < 0 or classes[-1] >= w_pre.num_classes:
-        raise ValidationError(f"subset indices must lie in [0, {w_pre.num_classes})")
 
     delta = w_ft.weights[classes] - w_pre.weights[classes]
     norms = np.linalg.norm(delta, axis=1)

@@ -15,7 +15,8 @@ gamma and logit diagnostic then reads that one result.
 
 It also owns the two row primitives every kernel shares: ``_row_blocks``
 cuts rows into blocks of the ``_BLOCK_BYTES`` budget, and ``_ncm_scores``
-is the one squared-distance kernel, behind NCM and the greedy split.
+is the one squared-distance kernel, behind NCM and the greedy split. And
+``_class_set`` is the one reader of every collection of class indices.
 """
 
 from __future__ import annotations
@@ -73,22 +74,38 @@ def _ncm_scores(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _class_index(value) -> int:
+def _class_index(value, what: str) -> int:
     """``value`` as an ``int`` class index; raise ``ValidationError`` naming
-    it unless it is integral. ``int()`` would truncate 1.5 to 1."""
+    ``what`` unless it is integral. ``int()`` would truncate 1.5 to 1."""
     try:
         index = int(value)
     except (TypeError, ValueError, OverflowError):  # None, "a", nan, inf
         index = None
     if index is None or index != value:
-        raise ValidationError(f"class index {value!r} is not an integer")
+        raise ValidationError(f"{what}: class index {value!r} is not an integer")
     return index
 
 
-def _frozen_array(values, dtype, name: str, ndim: int) -> np.ndarray:
-    """Read-only copy of ``values`` as ``dtype``; raise unless it has ``ndim``
-    dimensions and, for a float dtype, only finite entries or, for an integer
-    dtype, only integral ones (``int()`` would truncate 0.7 to 0).
+def _class_set(classes, what: str, bound: int = 2**63) -> np.ndarray:
+    """The class indices in ``classes`` as an ascending int64 array, repeats
+    kept; raise ``ValidationError`` naming ``what`` unless ``classes`` is
+    iterable and each entry an integral index in [0, ``bound``), the class
+    count where one applies. Repeats and size are each caller's own rule."""
+    try:
+        indices = sorted(_class_index(c, what) for c in classes)
+    except TypeError:  # not iterable
+        raise ValidationError(f"{what} must be a collection of class indices, got {classes!r}") from None
+    if indices and (indices[0] < 0 or indices[-1] >= bound):
+        outside = indices[0] if indices[0] < 0 else indices[-1]
+        raise ValidationError(f"{what}: class index {outside} is outside [0, {bound})")
+    return np.array(indices, dtype=np.int64)
+
+
+def _frozen_array(values, dtype, name: str, ndim: int, flatten: bool = False) -> np.ndarray:
+    """Read-only copy of ``values`` as ``dtype``, flattened to one dimension
+    first if ``flatten``; raise unless it has ``ndim`` dimensions and, for a
+    float dtype, only finite entries or, for an integer dtype, only integral
+    ones (``int()`` would truncate 0.7 to 0).
 
     A numeric input, or a sequence numpy makes a numeric array of, is
     copied in row blocks of ``_BLOCK_BYTES``, each checked while it is still
@@ -102,6 +119,8 @@ def _frozen_array(values, dtype, name: str, ndim: int) -> np.ndarray:
         source = None
     if source is None or source.dtype.kind not in "biuf":
         raise ValidationError(f"{name} must be an array of real numbers")
+    if flatten:
+        source = source.reshape(-1)
     if source.ndim != ndim:
         raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {source.shape}")
     arr = np.empty_like(source, dtype=dtype, subok=False)  # the memory order np.array keeps
@@ -160,22 +179,15 @@ class LabelPartition:
         if not isinstance(self.num_classes, (int, np.integer)) or self.num_classes < 2:
             raise ValidationError(f"num_classes must be an integer >= 2, got {self.num_classes!r}")
         object.__setattr__(self, "num_classes", int(self.num_classes))
-        try:
-            indices = sorted(_class_index(c) for c in self.fine_tuning)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"fine_tuning must be a collection of integers: {exc}") from exc
-        if len(set(indices)) != len(indices):
+        indices = _class_set(self.fine_tuning, "fine_tuning", self.num_classes)
+        if np.any(np.diff(indices) == 0):
             raise ValidationError("fine_tuning contains duplicate class indices")
-        if any(c < 0 or c >= self.num_classes for c in indices):
-            raise ValidationError(
-                f"fine_tuning indices must lie in [0, {self.num_classes}), got {indices}"
-            )
         if not 0 < len(indices) < self.num_classes:
             raise ValidationError(
                 "fine_tuning must be a nonempty strict subset of the label space "
                 f"(got {len(indices)} of {self.num_classes} classes)"
             )
-        object.__setattr__(self, "fine_tuning", tuple(indices))
+        object.__setattr__(self, "fine_tuning", tuple(indices.tolist()))
 
     @property
     def absent(self) -> tuple[int, ...]:
@@ -351,10 +363,8 @@ def total_intra_group_distance(class_means, subset) -> float:
     the upper triangle, over the subset's classes in ascending order, of
     the distance matrix ``make_greedy_similar_split`` minimises over."""
     means = _frozen_array(class_means, np.float64, "class_means", ndim=2)
-    idx = sorted(_class_index(c) for c in subset)
-    if len(set(idx)) != len(idx) or any(c < 0 or c >= means.shape[0] for c in idx):
-        raise ValidationError(
-            f"subset must hold distinct class indices in [0, {means.shape[0]}), got {idx}"
-        )
+    idx = _class_set(subset, "subset", means.shape[0])
+    if np.any(np.diff(idx) == 0):
+        raise ValidationError("subset contains duplicate class indices")
     dist = np.sqrt(-_ncm_scores(means[idx], means[idx]))
-    return float(dist[np.triu_indices(len(idx), k=1)].sum())
+    return float(dist[np.triu_indices(idx.size, k=1)].sum())

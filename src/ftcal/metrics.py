@@ -12,7 +12,7 @@ import numpy as np
 from .data import (
     LabeledLogits,
     LabelPartition,
-    _class_index,
+    _class_set,
     _frozen_array,
     _row_blocks,
     check_gamma,
@@ -113,15 +113,6 @@ class SeenUnseenCurve:
         return correct / (n_s + n_u)
 
 
-def _restriction_columns(restriction, num_classes: int) -> np.ndarray:
-    cols = np.unique(np.array([_class_index(c) for c in restriction], dtype=np.int64))
-    if cols.size == 0:
-        raise ValidationError("restriction must be a nonempty set of class indices")
-    if cols.min() < 0 or cols.max() >= num_classes:
-        raise ValidationError(f"restriction indices must lie in [0, {num_classes})")
-    return cols
-
-
 def _argmax_restricted(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
     # np.argmax returns the first maximum, so ascending columns give the
     # lowest-class-index tie rule.
@@ -131,7 +122,9 @@ def _argmax_restricted(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def predict_restricted(logits: LabeledLogits, restriction) -> np.ndarray:
     """Per-row argmax over the columns in ``restriction``; ties resolve to
     the lowest class index."""
-    cols = _restriction_columns(restriction, logits.num_classes)
+    cols = np.unique(_class_set(restriction, "restriction", logits.num_classes))
+    if cols.size == 0:
+        raise ValidationError("restriction must be a nonempty set of class indices")
     return _argmax_restricted(logits.values, cols)
 
 
@@ -289,7 +282,7 @@ def decompose(logit_row, partition: LabelPartition):
     Exponentials are max-shifted, which leaves every ratio unchanged while
     preventing overflow.
     """
-    row = _frozen_array(np.ravel(logit_row), np.float64, "logit row", ndim=1)
+    row = _frozen_array(logit_row, np.float64, "logit row", ndim=1, flatten=True)
     check_num_classes("logit row has", row.shape[0], partition)
     z = np.exp(row - row.max())
     seen = partition.group_indices("S")

@@ -14,7 +14,7 @@ import numpy as np
 from .data import (
     LabeledFeatures,
     LabeledLogits,
-    _class_index,
+    _class_set,
     _frozen_array,
     _ncm_scores,
     unit_rows,
@@ -32,14 +32,15 @@ class ClassMeans:
 
     def __post_init__(self):
         means = _frozen_array(self.means, np.float64, "means", ndim=2)
-        class_ids = _frozen_array(self.class_ids, np.int64, "class_ids", ndim=1)
+        class_ids = _class_set(self.class_ids, "class_ids")
         counts = _frozen_array(self.counts, np.int64, "counts", ndim=1)
         if not (means.shape[0] == class_ids.shape[0] == counts.shape[0]):
             raise ValidationError("means, class_ids and counts must agree in length")
         if class_ids.size == 0:
             raise ValidationError("at least one class is required")
-        if np.any(np.diff(class_ids) <= 0):
+        if np.any(np.diff(class_ids) == 0) or not np.array_equal(class_ids, self.class_ids):
             raise ValidationError("class_ids must be strictly increasing")
+        class_ids.flags.writeable = False
         if counts.min() < 1:
             raise ValidationError("every class needs at least one sample")
         object.__setattr__(self, "means", means)
@@ -49,12 +50,12 @@ class ClassMeans:
 
 def class_means(features: LabeledFeatures, classes) -> ClassMeans:
     """Mean of the unit-normalized feature rows of each requested class."""
-    ids = sorted({_class_index(c) for c in classes})
-    if not ids:
+    ids = np.unique(_class_set(classes, "classes"))
+    if ids.size == 0:
         raise ValidationError("classes must be nonempty")
     unit = unit_rows(features.values, "feature")
     means, counts = [], []
-    for c in ids:
+    for c in ids.tolist():
         rows = np.flatnonzero(features.labels == c)
         if rows.size == 0:
             raise MissingClassError(f"class {c} has no samples")
@@ -62,7 +63,7 @@ def class_means(features: LabeledFeatures, classes) -> ClassMeans:
         counts.append(int(rows.size))
     return ClassMeans(
         means=np.vstack(means),
-        class_ids=np.array(ids, dtype=np.int64),
+        class_ids=ids,
         counts=np.array(counts, dtype=np.int64),
     )
 
@@ -82,18 +83,17 @@ def ncm_predict(features: LabeledFeatures, means: ClassMeans, restriction) -> np
     Features are unit-normalized before the distance computation, so
     positively rescaling a row never changes its prediction.
     """
-    wanted = sorted({_class_index(c) for c in restriction})
-    if not wanted:
+    wanted = np.unique(_class_set(restriction, "restriction"))
+    if wanted.size == 0:
         raise ValidationError("restriction must be nonempty")
-    known = set(int(c) for c in means.class_ids)
-    missing = [c for c in wanted if c not in known]
-    if missing:
+    missing = wanted[~np.isin(wanted, means.class_ids)]
+    if missing.size:
         raise MissingClassError(f"no class mean available for class {missing[0]}")
     unit = _unit_features(features, means)
-    positions = np.searchsorted(means.class_ids, np.array(wanted, dtype=np.int64))
+    positions = np.searchsorted(means.class_ids, wanted)
     scores = _ncm_scores(unit, means.means[positions])
     winners = np.argmax(scores, axis=1)  # first maximum = lowest class index
-    return np.array(wanted, dtype=np.int64)[winners]
+    return wanted[winners]
 
 
 def ncm_logits(features: LabeledFeatures, means: ClassMeans) -> LabeledLogits:

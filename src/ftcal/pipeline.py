@@ -88,11 +88,6 @@ def _split_per_class(data: LabeledFeatures) -> tuple[LabeledFeatures, LabeledFea
     )
 
 
-def _restrict_to(data: LabeledFeatures, classes) -> LabeledFeatures:
-    mask = np.isin(data.labels, np.asarray(list(classes), dtype=np.int64))
-    return LabeledFeatures(data.values[mask], data.labels[mask])
-
-
 def run_toy_pipeline(spec: ToySpec, config: TrainConfig, outdir) -> ToyReport:
     """Run the full toy experiment and write its fixture directory.
 
@@ -124,7 +119,8 @@ def run_toy_pipeline(spec: ToySpec, config: TrainConfig, outdir) -> ToyReport:
     pretraining, target = gen_toy_data(spec, derive_seed(config.seed, 0))
     pre_train, _ = _split_per_class(pretraining)
     tgt_train, tgt_test = _split_per_class(target)
-    tgt_train_ft = _restrict_to(tgt_train, partition.fine_tuning)
+    ft_rows = np.isin(tgt_train.labels, partition.fine_tuning)
+    tgt_train_ft = LabeledFeatures(tgt_train.values[ft_rows], tgt_train.labels[ft_rows])
 
     base = MlpModel(
         hidden_map=np.eye(2),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabelPartition, LabeledFeatures, LinearHead, _class_index, _frozen_array
+from .data import LabelPartition, LabeledFeatures, LinearHead, _class_set, _frozen_array
 from .errors import TrainingError, ValidationError
 from .rng import check_seed, derive_rng
 
@@ -149,7 +149,7 @@ def _forward(hidden_map, head_weights, activation, inputs) -> tuple[np.ndarray, 
 
 def _input_vector(model: MlpModel, x, name: str = "input") -> np.ndarray:
     """``x`` flattened to a finite vector of the model's input width."""
-    x = _frozen_array(np.ravel(x), np.float64, name, ndim=1)
+    x = _frozen_array(x, np.float64, name, ndim=1, flatten=True)
     if x.shape[0] != model.dim_in:
         raise ValidationError(f"{name} has {x.shape[0]} entries, model expects {model.dim_in}")
     return x
@@ -249,9 +249,9 @@ def fine_tune(
     epoch index, so results are reproducible and order-independent. The
     history records end-of-epoch loss and accuracy on the training data.
     """
-    allowed = np.unique(np.array([_class_index(c) for c in allowed_classes], dtype=np.int64))
-    if allowed.size == 0 or allowed.min() < 0 or allowed.max() >= model.num_classes:
-        raise ValidationError(f"allowed_classes must be a nonempty subset of [0, {model.num_classes})")
+    allowed = np.unique(_class_set(allowed_classes, "allowed_classes", model.num_classes))
+    if allowed.size == 0:
+        raise ValidationError("allowed_classes must be nonempty")
     if not np.all(np.isin(data.labels, allowed)):
         raise ValidationError("training data contains labels outside allowed_classes")
     if data.dim != model.dim_in:

@@ -172,6 +172,14 @@ class TestDeltaWSimilarity:
         with pytest.raises(DegenerateInputError, match="class 0"):
             delta_w_similarity(pre, ft, (0, 1, 2))
 
+    @pytest.mark.parametrize(
+        "subset, message", [((1,), "at least 2 classes"), ((0, 1, 1), "duplicate class indices")]
+    )
+    def test_needs_two_distinct_classes(self, subset, message):
+        pre = LinearHead(np.eye(3))
+        with pytest.raises(ValidationError, match=f"^subset .*{message}$"):
+            delta_w_similarity(pre, LinearHead(2 * np.eye(3)), subset)
+
     def test_non_integral_class_index_rejected(self):
         rng = np.random.default_rng(13)
         pre = LinearHead(rng.normal(size=(4, 3)))

@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ftcal import (
     ClassMeans,
+    FtcalError,
     LabeledFeatures,
     LabeledLogits,
     LabelPartition,
@@ -14,15 +16,22 @@ from ftcal import (
     MlpModel,
     SimilarityReport,
     ToyReport,
+    TrainConfig,
     ValidationError,
     absent_feature_shift,
     acc_report,
+    class_means,
     decompose,
+    delta_w_similarity,
+    fine_tune,
     forward,
     linear_cka,
+    loss_and_grads,
     make_greedy_similar_split,
     make_random_split,
+    ncm_predict,
     predict_cosine,
+    predict_restricted,
     seen_unseen_curve,
     total_intra_group_distance,
     weight_norms,
@@ -190,9 +199,17 @@ class TestOneValidator:
             ("labels", lambda: LabeledLogits([[1.0, 2.0]], None)),
             ("labels", lambda: LabeledFeatures([[1.0]], [2**64])),
             ("labels", lambda: LabeledFeatures([[1.0], [2.0]], [0, None])),
+            ("logit row", lambda: decompose([[1.0, 2.0], [3.0]], LabelPartition(2, (0,)))),
+            ("input", lambda: forward(_MODEL, [[1.0], [2.0, 3.0]])),
+            ("input", lambda: loss_and_grads(_MODEL, [[1.0], [2.0, 3.0]], 0)),
+            (
+                "absent_input",
+                lambda: absent_feature_shift(_MODEL, ([1.0, 0.0], 0), [[1.0], [2.0, 3.0]], 0.1),
+            ),
         ],
         ids=["complex", "numeric-text", "text", "ragged", "text-array", "complex-array",
-             "none", "beyond-uint64", "none-entry"],
+             "none", "beyond-uint64", "none-entry", "ragged-row-decompose",
+             "ragged-row-forward", "ragged-row-loss-and-grads", "ragged-row-feature-shift"],
     )
     def test_non_real_input_is_named(self, name, build):
         with pytest.raises(ValidationError, match=f"^{name} must be an array of real numbers$"):
@@ -263,6 +280,57 @@ class TestOneValidator:
         for labels in ([2.0, 0.0], [2, 0], [np.int64(2), np.uint8(0)], np.float32([2, 0])):
             assert LabeledLogits(values, labels).labels.tolist() == [2, 0]
             assert LabeledFeatures(values, labels).labels.dtype == np.int64
+
+
+_EYE4 = LabeledFeatures(np.eye(4), [0, 1, 2, 3])
+# each public reader of a class set, with the name its errors give the set
+_CLASS_SET_READERS = {
+    "LabelPartition": ("fine_tuning", lambda classes: LabelPartition(4, classes)),
+    "total_intra_group_distance": (
+        "subset",
+        lambda classes: total_intra_group_distance(np.eye(4), classes),
+    ),
+    "predict_restricted": (
+        "restriction",
+        lambda classes: predict_restricted(LabeledLogits(np.eye(4), [0, 1, 2, 3]), classes),
+    ),
+    "class_means": ("classes", lambda classes: class_means(_EYE4, classes)),
+    "ncm_predict": (
+        "restriction",
+        lambda classes: ncm_predict(_EYE4, class_means(_EYE4, range(4)), classes),
+    ),
+    "fine_tune": (
+        "allowed_classes",
+        lambda classes: fine_tune(
+            MlpModel(np.eye(4), LinearHead(np.eye(4))), _EYE4, classes, TrainConfig(0.01, seed=0)
+        ),
+    ),
+    "delta_w_similarity": (
+        "subset",
+        lambda classes: delta_w_similarity(LinearHead(np.eye(4)), LinearHead(2 * np.eye(4)), classes),
+    ),
+}
+
+
+class TestClassSets:
+    """Every collection of class indices is read by one rule: an iterable of
+    integral indices, each in [0, class count), or below 2**63 where no
+    count applies."""
+
+    @pytest.mark.parametrize(
+        "classes", [3, None, [2**70], [1.5], [-1]],
+        ids=["not-iterable", "none", "beyond-int64", "fraction", "negative"],
+    )
+    @pytest.mark.parametrize("reader", sorted(_CLASS_SET_READERS))
+    def test_faults_are_ftcal_errors_naming_the_set(self, reader, classes):
+        what, read = _CLASS_SET_READERS[reader]
+        with pytest.raises(FtcalError, match=f"^{what}"):
+            read(classes)
+
+    def test_only_data_reads_class_indices(self):
+        for source in Path(data.__file__).parent.glob("*.py"):
+            assert source.name == "data.py" or "_class_index" not in source.read_text(), source
+        assert not hasattr(metrics, "_restriction_columns")
 
 
 class TestRandomSplit:

@@ -86,8 +86,12 @@ class TestPredictRestricted:
 
     def test_empty_restriction(self):
         logits = LabeledLogits([[1.0, 0.0]], [0])
-        with pytest.raises(Exception):
+        with pytest.raises(ValidationError, match="^restriction must be a nonempty set"):
             predict_restricted(logits, set())
+
+    def test_repeated_classes_are_merged(self):
+        logits = LabeledLogits([[2.0, 1.0, 1.5]], [0])
+        assert predict_restricted(logits, [2, 1, 2, 1]).tolist() == [2]
 
     def test_non_integral_class_index_rejected(self):
         logits = LabeledLogits([[2.0, 1.0, 1.5]], [0])

@@ -56,6 +56,21 @@ class TestClassMeans:
         for two in (2, np.int64(2)):
             assert class_means(feats, (0, two)).class_ids.tolist() == [0, 2]
 
+    def test_repeated_classes_are_merged_and_empty_is_rejected(self):
+        feats = LabeledFeatures([[1.0, 0.0], [0.0, 1.0]], [0, 1])
+        assert class_means(feats, [1, 0, 1]).class_ids.tolist() == [0, 1]
+        with pytest.raises(ValidationError, match="^classes must be nonempty$"):
+            class_means(feats, [])
+
+    @pytest.mark.parametrize("class_ids", [[-1, 0], [1, 0], [0, 0]])
+    def test_class_ids_are_nonnegative_and_strictly_increasing(self, class_ids):
+        with pytest.raises(ValidationError, match="^class_ids"):
+            ClassMeans(np.eye(2), class_ids, [1, 1])
+
+    def test_class_ids_are_read_only(self):
+        ids = ClassMeans(np.eye(2), [0, 1], [1, 1]).class_ids
+        assert ids.dtype == np.int64 and not ids.flags.writeable
+
     def test_non_finite_means_rejected_at_construction(self):
         with pytest.raises(ValidationError, match="means contains non-finite"):
             ClassMeans([[np.nan, 0.0], [1.0, 0.0]], [0, 1], [1, 1])
@@ -113,8 +128,15 @@ class TestNcmPredict:
 
     def test_restriction_must_be_covered(self):
         means = class_means(LabeledFeatures([[1.0, 0.0]], [0]), {0})
-        with pytest.raises(MissingClassError):
+        with pytest.raises(MissingClassError, match="class 3$"):
             ncm_predict(LabeledFeatures([[1.0, 0.0]], [0]), means, {0, 3})
+
+    def test_repeated_classes_are_merged_and_empty_is_rejected(self):
+        means = class_means(LabeledFeatures(np.eye(2), [0, 1]), {0, 1})
+        feats = LabeledFeatures([[0.0, 5.0]], [1])
+        assert ncm_predict(feats, means, [1, 0, 1, 0]).tolist() == [1]
+        with pytest.raises(ValidationError, match="^restriction must be nonempty$"):
+            ncm_predict(feats, means, [])
 
     def test_well_separated_gaussians_reach_95_percent(self):
         pretraining, _ = gen_toy_data(ToySpec(), seed=123)

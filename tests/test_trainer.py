@@ -178,6 +178,15 @@ class TestFineTune:
         with pytest.raises(ValidationError):
             fine_tune(model, self.data(classes=(0, 3)), (0, 1), TrainConfig(0.01, seed=0))
 
+    def test_repeated_classes_are_merged_and_empty_is_rejected(self):
+        model = random_model(9)
+        config = TrainConfig(learning_rate=0.05, epochs=2, seed=0)
+        expected, _ = fine_tune(model, self.data(), (0, 1), config)
+        trained, _ = fine_tune(model, self.data(), [1, 0, 1, 0], config)
+        assert np.array_equal(trained.head.weights, expected.head.weights)
+        with pytest.raises(ValidationError, match="^allowed_classes must be nonempty$"):
+            fine_tune(model, self.data(), [], config)
+
     def test_non_integral_class_index_rejected(self):
         model = random_model(8)
         config = TrainConfig(learning_rate=0.05, epochs=2, seed=0)
