@@ -19,7 +19,7 @@ from .data import (
     check_num_classes,
     unit_rows,
 )
-from .errors import EmptyGroupError, TrainingError, ValidationError
+from .errors import EmptyGroupError, TrainingError, ValidationError, _integer
 from .metrics import _group_stats, _predict, _stats_kernel, seen_unseen_curve
 from .rng import derive_rng, derive_seed
 from .trainer import MlpModel, TrainConfig, fine_tune, forward_batch
@@ -181,8 +181,7 @@ def estimate_gamma_pcv(
     seen = partition.group_indices("S")
     if seen.size < 4:
         raise ValidationError("PCV needs at least 4 fine-tuning classes")
-    if not isinstance(repeats, (int, np.integer)) or repeats < 1:
-        raise ValidationError(f"repeats must be a positive integer, got {repeats!r}")
+    repeats = _integer(repeats, "repeats", 1)
     if not np.all(np.isin(train_features.labels, seen)):
         raise ValidationError("PCV training data must be labeled within the fine-tuning classes")
     if train_features.dim != pretrained.dim_in:
@@ -192,8 +191,8 @@ def estimate_gamma_pcv(
     check_num_classes("model has", pretrained.num_classes, partition)
 
     values, labels = train_features.values, train_features.labels
-    gammas, acc_pseudo_seen, acc_pseudo_absent = [], [], []
-    for r in range(int(repeats)):
+    gammas, diagnostics = [], {"repeats": repeats}
+    for r in range(repeats):
         train_idx, val_idx = _stratified_split(labels, seen, derive_rng(seed, r, 0))
         if val_idx.size == 0:
             raise ValidationError(f"repeat {r}: pseudo-validation split is empty")
@@ -225,12 +224,7 @@ def estimate_gamma_pcv(
             raise EmptyGroupError(f"repeat {r}: {exc}") from exc
         gamma_r, acc_seen_r, acc_absent_r = select_balanced_gamma(curve)
         gammas.append(gamma_r)
-        acc_pseudo_seen.append(acc_seen_r)
-        acc_pseudo_absent.append(acc_absent_r)
-
-    diagnostics = {"repeats": int(repeats)}
-    for r in range(int(repeats)):
-        diagnostics[f"gamma_{r}"] = gammas[r]
-        diagnostics[f"acc_pseudo_seen_{r}"] = acc_pseudo_seen[r]
-        diagnostics[f"acc_pseudo_absent_{r}"] = acc_pseudo_absent[r]
+        diagnostics[f"gamma_{r}"] = gamma_r
+        diagnostics[f"acc_pseudo_seen_{r}"] = acc_seen_r
+        diagnostics[f"acc_pseudo_absent_{r}"] = acc_absent_r
     return GammaEstimate(value=float(np.mean(gammas)), method="PCV", diagnostics=diagnostics)

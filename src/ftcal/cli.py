@@ -30,6 +30,7 @@ from .data import (
     LabeledLogits,
     LabelPartition,
     LinearHead,
+    _class_set,
     make_greedy_similar_split,
     make_random_split,
 )
@@ -144,13 +145,12 @@ def _cmd_cka(args) -> int:
     a = io.load_matrix(args.weights_a)
     b = io.load_matrix(args.weights_b)
     if args.rows:
-        try:
-            rows = [int(r) for r in args.rows.split(",")]
+        try:  # read as a partition's fine_tuning= is
+            rows = list(io._parse_value(args.rows, tuple[int, ...]))
         except ValueError:
             raise ValidationError(f"--rows must be comma-separated integers, got {args.rows!r}")
-        if any(r < 0 or r >= min(a.shape[0], b.shape[0]) for r in rows):
-            raise ValidationError("--rows index out of range")
-        a, b = a[rows], b[rows]
+        _class_set(rows, "--rows", min(a.shape[0], b.shape[0]))
+        a, b = a[rows], b[rows]  # in the order given, not _class_set's sorted order
     _emit({"cka": linear_cka(a, b)})
     return 0
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _integer, _real
 from .rng import derive_rng
 
 _GROUPS = ("S", "U", "Y")
@@ -74,25 +74,14 @@ def _ncm_scores(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _class_index(value, what: str) -> int:
-    """``value`` as an ``int`` class index; raise ``ValidationError`` naming
-    ``what`` unless it is integral. ``int()`` would truncate 1.5 to 1."""
-    try:
-        index = int(value)
-    except (TypeError, ValueError, OverflowError):  # None, "a", nan, inf
-        index = None
-    if index is None or index != value:
-        raise ValidationError(f"{what}: class index {value!r} is not an integer")
-    return index
-
-
 def _class_set(classes, what: str, bound: int = 2**63) -> np.ndarray:
     """The class indices in ``classes`` as an ascending int64 array, repeats
     kept; raise ``ValidationError`` naming ``what`` unless ``classes`` is
     iterable and each entry an integral index in [0, ``bound``), the class
     count where one applies. Repeats and size are each caller's own rule."""
+    entry = f"{what}: class index"
     try:
-        indices = sorted(_class_index(c, what) for c in classes)
+        indices = sorted(_integer(c, entry) for c in classes)
     except TypeError:  # not iterable
         raise ValidationError(f"{what} must be a collection of class indices, got {classes!r}") from None
     if indices and (indices[0] < 0 or indices[-1] >= bound):
@@ -176,9 +165,7 @@ class LabelPartition:
     fine_tuning: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.num_classes, (int, np.integer)) or self.num_classes < 2:
-            raise ValidationError(f"num_classes must be an integer >= 2, got {self.num_classes!r}")
-        object.__setattr__(self, "num_classes", int(self.num_classes))
+        object.__setattr__(self, "num_classes", _integer(self.num_classes, "num_classes", 2))
         indices = _class_set(self.fine_tuning, "fine_tuning", self.num_classes)
         if np.any(np.diff(indices) == 0):
             raise ValidationError("fine_tuning contains duplicate class indices")
@@ -306,11 +293,8 @@ def unit_rows(matrix: np.ndarray, what: str) -> np.ndarray:
 
 
 def check_gamma(gamma) -> float:
-    """Return the calibration factor ``gamma`` as a float; raise unless it is
-    finite."""
-    if not np.isfinite(gamma):
-        raise ValidationError(f"gamma must be finite, got {gamma!r}")
-    return float(gamma)
+    """The calibration factor ``gamma`` as a float; raise unless it is finite."""
+    return _real(gamma, "gamma")
 
 
 def make_random_split(num_classes: int, k: int, seed: int) -> LabelPartition:
@@ -319,13 +303,9 @@ def make_random_split(num_classes: int, k: int, seed: int) -> LabelPartition:
     Deterministic given ``seed``: the subset is the first k entries of a
     Philox-generated permutation of the label space.
     """
-    if not isinstance(num_classes, (int, np.integer)) or num_classes < 2:
-        raise ValidationError(f"num_classes must be an integer >= 2, got {num_classes!r}")
-    if not isinstance(k, (int, np.integer)) or not 1 <= k < num_classes:
-        raise ValidationError(f"k must satisfy 1 <= k < num_classes, got k={k!r}")
-    rng = derive_rng(seed)
-    chosen = np.sort(rng.permutation(int(num_classes))[: int(k)])
-    return LabelPartition(int(num_classes), tuple(int(c) for c in chosen))
+    num_classes = _integer(num_classes, "num_classes", 2)
+    k = _integer(k, "k", 1, num_classes)
+    return LabelPartition(num_classes, derive_rng(seed).permutation(num_classes)[:k])
 
 
 def make_greedy_similar_split(class_means, k: int) -> LabelPartition:
@@ -341,9 +321,7 @@ def make_greedy_similar_split(class_means, k: int) -> LabelPartition:
     num_classes = means.shape[0]
     if num_classes < 2:
         raise ValidationError("class_means must contain at least 2 classes")
-    if not isinstance(k, (int, np.integer)) or not 1 <= k < num_classes:
-        raise ValidationError(f"k must satisfy 1 <= k < num_classes, got k={k!r}")
-    k = int(k)
+    k = _integer(k, "k", 1, num_classes)
     if k == 1:
         return LabelPartition(num_classes, (0,))
 

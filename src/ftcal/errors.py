@@ -1,9 +1,19 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy and scalar-argument readers shared across the package.
 
 The CLI maps these onto exit codes: validation problems exit with 2 and
 numerical/training failures with 3 (usage errors are handled by argparse
 and exit with 1).
+
+Every count, seed, class index and real setting is read by ``_integer`` or
+``_real``: here, since every module (``rng`` too) imports this one.
 """
+
+import math
+import numbers
+
+import numpy as np
+
+_BOOLS = (bool, np.bool_)  # integral, but not numbers
 
 
 class FtcalError(Exception):
@@ -36,3 +46,37 @@ class ShapeError(ValidationError):
 
 class TrainingError(FtcalError):
     """Training produced a non-finite loss or otherwise failed."""
+
+
+def _integer(value, what: str, low: int | None = None, high: float = math.inf) -> int:
+    """``value`` as an ``int`` if it is an integral number (``2.0`` is 2,
+    ``True`` is not) in [``low``, ``high``), else a ``ValidationError``: "``what``
+    1.5 is not an integer" without ``low``, "``what`` must be ..., got 0" with it."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):  # None, "a", nan, inf
+        number = None
+    if number is None or number != value or isinstance(value, _BOOLS):
+        if low is None:
+            raise ValidationError(f"{what} {value!r} is not an integer")
+    elif low is None or low <= number < high:
+        return number
+    rule = {0: "a nonnegative integer", 1: "a positive integer"}.get(low, f"an integer >= {low}")
+    rule += f" below {high}" if high < math.inf else ""
+    raise ValidationError(f"{what} must be {rule}, got {value!r}")
+
+
+def _real(value, what: str, low=-math.inf, high=math.inf, low_open=False) -> float:
+    """``value`` as a ``float``; raise ``ValidationError`` naming ``what``
+    unless it is a finite real number (not a bool, a ``np.bool_`` or a
+    string) at least ``low`` (above it if ``low_open``) and below ``high``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:  # an int beyond the float range
+        number = math.nan
+    if math.isfinite(number) and (low < number if low_open else low <= number) and number < high:
+        return number
+    bounds = f" and {'>' if low_open else '>='} {low:g}" if low > -math.inf else ""
+    bounds += f" and < {high:g}" if high < math.inf else ""
+    raise ValidationError(f"{what} must be finite{bounds}, got {value!r}")

@@ -12,28 +12,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
-
-_U64 = 2**64
+from .errors import _integer
 
 
 def check_seed(seed) -> int:
     """Validate and return an unsigned 64-bit seed as a plain int."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValidationError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    seed = int(seed)
-    if not 0 <= seed < _U64:
-        raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
-    return seed
+    return _integer(seed, "seed", 0, 2**64)
+
+
+def _key(seed, stream) -> np.random.SeedSequence:
+    """The ``SeedSequence`` of a path of nonnegative integers under ``seed``."""
+    path = [_integer(s, "stream", 0) for s in stream]
+    return np.random.SeedSequence(check_seed(seed), spawn_key=path)
 
 
 def derive_rng(seed, *stream: int) -> np.random.Generator:
     """Generator for the given stream path under the master seed."""
-    key = np.random.SeedSequence(check_seed(seed), spawn_key=tuple(int(s) for s in stream))
-    return np.random.Generator(np.random.Philox(key))
+    return np.random.Generator(np.random.Philox(_key(seed, stream)))
 
 
 def derive_seed(seed, *stream: int) -> int:
     """Collapse a stream path into a fresh unsigned 64-bit master seed."""
-    key = np.random.SeedSequence(check_seed(seed), spawn_key=tuple(int(s) for s in stream))
-    return int(key.generate_state(1, dtype=np.uint64)[0])
+    return int(_key(seed, stream).generate_state(1, dtype=np.uint64)[0])

@@ -12,12 +12,13 @@ softmax error (softmax - one-hot) / N is formed, read by ``fine_tune``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LabelPartition, LabeledFeatures, LinearHead, _class_set, _frozen_array
-from .errors import TrainingError, ValidationError
+from .errors import TrainingError, ValidationError, _integer, _real
 from .rng import check_seed, derive_rng
 
 ACTIVATIONS = ("linear", "rectified")
@@ -71,19 +72,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
-            raise ValidationError(f"learning_rate must be >= 0, got {self.learning_rate!r}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum!r}")
-        if not np.isfinite(self.weight_decay) or self.weight_decay < 0:
-            raise ValidationError(f"weight_decay must be >= 0, got {self.weight_decay!r}")
-        if not isinstance(self.epochs, (int, np.integer)) or self.epochs < 1:
-            raise ValidationError(f"epochs must be a positive integer, got {self.epochs!r}")
-        if not isinstance(self.batch_size, (int, np.integer)) or self.batch_size < 1:
-            raise ValidationError(f"batch_size must be a positive integer, got {self.batch_size!r}")
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        check_seed(self.seed)
+        object.__setattr__(self, "learning_rate", _real(self.learning_rate, "learning_rate", 0.0))
+        object.__setattr__(self, "momentum", _real(self.momentum, "momentum", 0.0, 1.0))
+        object.__setattr__(self, "weight_decay", _real(self.weight_decay, "weight_decay", 0.0))
+        object.__setattr__(self, "epochs", _integer(self.epochs, "epochs", 1))
+        object.__setattr__(self, "batch_size", _integer(self.batch_size, "batch_size", 1))
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -111,25 +107,18 @@ class ToySpec:
     fine_tuning: tuple[int, ...] = (0, 1)
 
     def __post_init__(self):
-        means = tuple(tuple(float(v) for v in m) for m in self.class_means)
+        means = tuple(tuple(_real(v, "class_means") for v in m) for m in self.class_means)
         if len(means) < 2 or any(len(m) != 2 for m in means):
             raise ValidationError("class_means must hold at least two 2-D points")
-        if not np.isfinite(means).all():
-            raise ValidationError(f"class_means must be finite, got {means!r}")
-        if not np.isfinite(self.stddev) or self.stddev < 0:
-            raise ValidationError(f"stddev must be >= 0, got {self.stddev!r}")
-        shift = tuple(float(s) for s in self.shift)
+        shift = tuple(_real(s, "shift") for s in self.shift)
         if len(shift) != len(means):
             raise ValidationError("shift must provide one horizontal offset per class")
-        if not np.isfinite(shift).all():
-            raise ValidationError(f"shift must be finite, got {shift!r}")
-        count = self.samples_per_class
-        if not isinstance(count, (int, np.integer)) or count < 1:
-            raise ValidationError(f"samples_per_class must be a positive integer, got {count!r}")
+        count = _integer(self.samples_per_class, "samples_per_class", 1)
         ft = LabelPartition(len(means), self.fine_tuning).fine_tuning
         object.__setattr__(self, "class_means", means)
+        object.__setattr__(self, "stddev", _real(self.stddev, "stddev", 0.0))
         object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "samples_per_class", int(self.samples_per_class))
+        object.__setattr__(self, "samples_per_class", count)
         object.__setattr__(self, "fine_tuning", ft)
 
     @property
@@ -158,9 +147,7 @@ def _input_vector(model: MlpModel, x, name: str = "input") -> np.ndarray:
 def _sample(model: MlpModel, x, y) -> tuple[np.ndarray, np.ndarray]:
     """One labelled example as a one-row batch: ``x`` a finite vector of the
     model's input width, ``y`` a label in [0, num_classes)."""
-    if not isinstance(y, (int, np.integer)) or not 0 <= int(y) < model.num_classes:
-        raise ValidationError(f"label must lie in [0, {model.num_classes}), got {y!r}")
-    return _input_vector(model, x)[None, :], np.array([int(y)])
+    return _input_vector(model, x)[None, :], np.array([_integer(y, "label", 0, model.num_classes)])
 
 
 def forward(model: MlpModel, x) -> tuple[np.ndarray, np.ndarray]:
@@ -272,14 +259,14 @@ def fine_tune(
             loss, grad_head, grad_hidden, _ = _batch_loss_grads(
                 *params, model.activation, inputs[batch], labels[batch]
             )
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
             grads = (grad_hidden, grad_head)
             for i in updated:
                 velocity[i] = mu * velocity[i] + grads[i]
                 params[i] = params[i] - lr * velocity[i] - lr * wd * params[i]
         loss, acc = _mean_loss_and_accuracy(*params, model.activation, inputs, labels)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise TrainingError(f"non-finite loss at epoch {epoch}")
         history.append(EpochRecord(epoch=epoch, loss=loss, accuracy=acc))
 
@@ -298,8 +285,8 @@ def gradient_check(num_cases: int = 100, step: float = 1e-5, seed: int = 0) -> f
     absolutely). Rectified cases resample until every pre-activation is
     well clear of the kink.
     """
-    if not isinstance(num_cases, (int, np.integer)) or num_cases < 1:
-        raise ValidationError(f"num_cases must be a positive integer, got {num_cases!r}")
+    num_cases = _integer(num_cases, "num_cases", 1)
+    step = _real(step, "step", 0.0, low_open=True)
     rng = derive_rng(seed)
     worst = 0.0
     for case in range(num_cases):
@@ -370,8 +357,7 @@ def absent_feature_shift(model: MlpModel, seen_example, absent_input, learning_r
     """
     if model.activation != "linear":
         raise ValidationError("the closed-form feature shift requires the linear activation")
-    if not np.isfinite(learning_rate):
-        raise ValidationError(f"learning_rate must be finite, got {learning_rate!r}")
+    learning_rate = _real(learning_rate, "learning_rate")
     x, y = seen_example
     inputs, labels = _sample(model, x, y)
     other = _input_vector(model, absent_input, "absent_input")

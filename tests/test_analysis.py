@@ -1,8 +1,10 @@
+import decimal
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ftcal import (
@@ -24,20 +26,32 @@ from ftcal import (
 
 
 def cka_oracle(a, b):
-    """Brute-force evaluation with explicit centering matrix and traces."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    a = a / np.linalg.norm(a, axis=1, keepdims=True)
-    b = b / np.linalg.norm(b, axis=1, keepdims=True)
-    n = a.shape[0]
-    gram_a, gram_b = a @ a.T, b @ b.T
-    h = np.eye(n) - np.ones((n, n)) / n
+    """Linear CKA in 60-digit decimal arithmetic, rounded to a float once.
 
-    def hsic(x, y):
-        m = x @ h @ y @ h
-        return sum(m[i, i] for i in range(n)) / (n - 1) ** 2
+    The unit rows, the Gram matrices, their centring (H K H, entry by entry:
+    K_ij minus the means of row i and column j plus the grand mean) and the
+    HSIC sums trace(K H L H) / (n - 1)^2 are all exact to far below the
+    tests' tolerance, so no float cancellation in the oracle can fail them.
+    """
+    with decimal.localcontext() as context:
+        context.prec = 60
 
-    return hsic(gram_a, gram_b) / np.sqrt(hsic(gram_a, gram_a) * hsic(gram_b, gram_b))
+        def centred_gram(matrix):
+            rows = [[Decimal(v) for v in row] for row in np.asarray(matrix, float).tolist()]
+            rows = [[v / sum(x * x for x in row).sqrt() for v in row] for row in rows]
+            gram = [[sum(x * y for x, y in zip(r, s)) for s in rows] for r in rows]
+            n = len(gram)
+            means = [sum(row) / n for row in gram]  # of rows and, by symmetry, of columns
+            grand = sum(means) / n
+            return [[gram[i][j] - means[i] - means[j] + grand for j in range(n)] for i in range(n)]
+
+        ka, kb = centred_gram(a), centred_gram(b)
+        scale = (len(ka) - 1) ** 2
+
+        def hsic(k, l):
+            return sum(x * y for row_k, row_l in zip(k, l) for x, y in zip(row_k, row_l)) / scale
+
+        return float(hsic(ka, kb) / (hsic(ka, ka) * hsic(kb, kb)).sqrt())
 
 
 class TestLinearCka:
@@ -115,6 +129,9 @@ class TestLinearCkaForms:
     """Column-centred HSIC when rows outnumber columns, the Gram form otherwise."""
 
     @given(cka_pairs())
+    @example(  # nearly parallel rows: the CKA of any two rows is 1
+        (np.array([[-5.468, 8.908], [-7.189, 11.719]]), np.array([[1.0, 2.0, 3.0], [-2.0, 0.5, 1.0]]))
+    )
     @settings(max_examples=200, deadline=None)
     def test_both_forms_match_the_oracle(self, pair):
         a, b = pair

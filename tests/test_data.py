@@ -1,5 +1,8 @@
+import ast
 import dataclasses
+import inspect
 import itertools
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from ftcal import (
     MlpModel,
     SimilarityReport,
     ToyReport,
+    ToySpec,
     TrainConfig,
     ValidationError,
     absent_feature_shift,
@@ -23,8 +27,11 @@ from ftcal import (
     class_means,
     decompose,
     delta_w_similarity,
+    derive_seed,
+    estimate_gamma_pcv,
     fine_tune,
     forward,
+    gradient_check,
     linear_cka,
     loss_and_grads,
     make_greedy_similar_split,
@@ -36,9 +43,10 @@ from ftcal import (
     total_intra_group_distance,
     weight_norms,
 )
-from ftcal import data, metrics
-from ftcal.data import _ncm_scores
+from ftcal import data, errors, metrics
+from ftcal.data import _ncm_scores, check_gamma
 from ftcal.metrics import _group_stats
+from ftcal.rng import check_seed
 
 
 def _distances(means):
@@ -328,9 +336,105 @@ class TestClassSets:
             read(classes)
 
     def test_only_data_reads_class_indices(self):
+        # an _integer call without bounds reads a class index
+        readers = []
         for source in Path(data.__file__).parent.glob("*.py"):
-            assert source.name == "data.py" or "_class_index" not in source.read_text(), source
+            for node in ast.walk(ast.parse(source.read_text())):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_integer":
+                    if len(node.args) + len(node.keywords) < 3:
+                        readers.append(source.name)
+        assert readers == ["data.py"]
         assert not hasattr(metrics, "_restriction_columns")
+
+
+_LINEAR = MlpModel(np.eye(2), LinearHead(np.eye(2)))
+# each scalar argument, with the name its errors give it and a value outside its range
+_SCALAR_SITES = {
+    "check_seed": ("seed", check_seed, -1),
+    "derive_seed.stream": ("stream", lambda v: derive_seed(0, 1, v), -1),
+    "LabelPartition.num_classes": ("num_classes", lambda v: LabelPartition(v, (0,)), 1),
+    "make_random_split.num_classes": ("num_classes", lambda v: make_random_split(v, 1, 0), 1),
+    "make_random_split.k": ("k", lambda v: make_random_split(4, v, 0), 4),
+    "make_greedy_similar_split.k": ("k", lambda v: make_greedy_similar_split(np.eye(4), v), 4),
+    "check_gamma": ("gamma", check_gamma, np.inf),
+    "TrainConfig.learning_rate": ("learning_rate", lambda v: TrainConfig(v), -0.1),
+    "TrainConfig.momentum": ("momentum", lambda v: TrainConfig(0.1, momentum=v), 1.0),
+    "TrainConfig.weight_decay": ("weight_decay", lambda v: TrainConfig(0.1, weight_decay=v), -1e-4),
+    "TrainConfig.epochs": ("epochs", lambda v: TrainConfig(0.1, epochs=v), 0),
+    "TrainConfig.batch_size": ("batch_size", lambda v: TrainConfig(0.1, batch_size=v), 0),
+    "TrainConfig.seed": ("seed", lambda v: TrainConfig(0.1, seed=v), 2**64),
+    "ToySpec.stddev": ("stddev", lambda v: ToySpec(stddev=v), -0.1),
+    "ToySpec.samples_per_class": ("samples_per_class", lambda v: ToySpec(samples_per_class=v), 0),
+    "ToySpec.class_means": (
+        "class_means",
+        lambda v: ToySpec(class_means=((10.0, 2.0), (10.0, v), (10.0, 8.0), (10.0, 7.0))),
+        np.inf,
+    ),
+    "ToySpec.shift": ("shift", lambda v: ToySpec(shift=(1.0, -1.0, v, 1.0)), -np.inf),
+    "gradient_check.num_cases": ("num_cases", lambda v: gradient_check(num_cases=v), 0),
+    "gradient_check.step": ("step", lambda v: gradient_check(num_cases=1, step=v), 0.0),
+    "absent_feature_shift.learning_rate": (
+        "learning_rate",
+        lambda v: absent_feature_shift(_LINEAR, (np.ones(2), 0), np.ones(2), v),
+        np.inf,
+    ),
+    "estimate_gamma_pcv.repeats": (
+        "repeats",
+        lambda v: estimate_gamma_pcv(
+            _EYE4, MlpModel(np.eye(4), LinearHead(np.eye(5, 4))), LabelPartition(5, (0, 1, 2, 3)),
+            TrainConfig(0.01), repeats=v,
+        ),
+        0,
+    ),
+    "loss_and_grads.label": ("label", lambda v: loss_and_grads(_LINEAR, np.ones(2), v), 2),
+}
+
+
+class TestScalarReaders:
+    """Every count, seed and real setting is read by ``errors._integer`` or
+    ``errors._real``: a bool, a string, ``None``, nan or a value outside the
+    argument's range is a ``ValidationError`` that names the argument."""
+
+    @pytest.mark.parametrize("bad", [True, "1", None, np.nan, "out-of-range"])
+    @pytest.mark.parametrize("site", sorted(_SCALAR_SITES))
+    def test_faults_are_validation_errors_naming_the_argument(self, site, bad):
+        what, read, outside = _SCALAR_SITES[site]
+        with pytest.raises(ValidationError, match=rf"^{what} "):
+            read(outside if bad == "out-of-range" else bad)
+
+    def test_integral_numbers_are_integers_and_bools_are_not(self):
+        for two in (2, 2.0, np.int64(2), np.uint8(2), np.float32(2.0)):
+            assert type(errors._integer(two, "n", 1)) is int
+            assert errors._integer(two, "n", 1) == 2
+        for bad in (True, np.True_, 2.5, np.float32(2.5), 0, "2", None, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="^n must be a positive integer, got "):
+                errors._integer(bad, "n", 1)
+        with pytest.raises(ValidationError, match="^c: class index True is not an integer$"):
+            errors._integer(True, "c: class index")
+        with pytest.raises(ValidationError, match="^seed must be a nonnegative integer below 4, got 4$"):
+            errors._integer(4, "seed", 0, 4)
+
+    def test_reals_are_finite_non_bool_numbers_returned_as_float(self):
+        for value in (3, 3.0, np.int64(3), np.float32(3.0), 10**300):
+            assert type(errors._real(value, "x")) is float
+        for bad in (True, np.True_, "3", None, 1j, 10**400, np.nan, -np.inf):
+            with pytest.raises(ValidationError, match="^x must be finite, got "):
+                errors._real(bad, "x")
+        with pytest.raises(ValidationError, match=r"^x must be finite and >= 0 and < 1, got 1\.0$"):
+            errors._real(1.0, "x", 0.0, 1.0)
+        with pytest.raises(ValidationError, match=r"^x must be finite and > 0, got 0\.0$"):
+            errors._real(0.0, "x", 0.0, low_open=True)
+
+    def test_only_the_readers_check_scalars(self):
+        # a scalar type or finiteness test outside the readers would be a
+        # second rule; an array-wide np.isfinite(...).all() is not one, nor is
+        # fine_tune's guard on its own loss, which is no argument
+        for source in Path(data.__file__).parent.glob("*.py"):
+            text = source.read_text().replace("math.isfinite(loss)", "")
+            for reader in (errors._integer, errors._real):
+                text = text.replace(inspect.getsource(reader), "")
+            checks = re.findall(r"np\.integer|numbers\.Real|isfinite\((?![^()]*\)\.all\(\))", text)
+            assert checks == [], source.name
 
 
 class TestRandomSplit:

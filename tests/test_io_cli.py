@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -288,6 +289,71 @@ def _toy_specs(draw):
     )
 
 
+def _integral(low, high):
+    """Integers in [low, high] as np.int64, np.uint8 or an integral float."""
+    return st.one_of(
+        st.integers(low, min(high, 2**63 - 1)).map(np.int64),
+        st.integers(low, min(high, 255)).map(np.uint8),
+        st.integers(low, min(high, 2**53)).map(float),
+    )
+
+
+def _reals(low=None, high=None, exclude_max=False):
+    """Finite reals in [low, high] as a float or an np.float32."""
+    return st.one_of(
+        st.floats(low, high, exclude_max=exclude_max, allow_nan=False, allow_infinity=False),
+        st.floats(low, high, exclude_max=exclude_max, allow_nan=False, allow_infinity=False,
+                  width=32).map(np.float32),
+    )
+
+
+@st.composite
+def _numpy_partitions(draw, num_classes=_integral(2, 40)):
+    count = draw(num_classes)
+    seen = draw(st.sets(st.integers(0, int(count) - 1), min_size=1, max_size=int(count) - 1))
+    return LabelPartition(count, tuple(draw(_integral(c, c)) for c in seen))
+
+
+@st.composite
+def _numpy_toy_specs(draw):
+    partition = draw(_numpy_partitions(_integral(2, 6)))
+    size = int(partition.num_classes)
+    return ToySpec(
+        class_means=tuple(draw(st.lists(st.tuples(_reals(), _reals()), min_size=size, max_size=size))),
+        stddev=draw(_reals(0.0)),
+        shift=tuple(draw(st.lists(_reals(), min_size=size, max_size=size))),
+        samples_per_class=draw(_integral(1, 10**6)),
+        fine_tuning=partition.fine_tuning,
+    )
+
+
+_NUMPY_SETTINGS = {
+    "partition": (_numpy_partitions(), io.save_partition, io.load_partition),
+    "train_config": (
+        st.builds(
+            TrainConfig,
+            learning_rate=_reals(0.0),
+            momentum=_reals(0.0, 1.0, exclude_max=True),
+            weight_decay=_reals(0.0),
+            epochs=_integral(1, 10**6),
+            batch_size=_integral(1, 10**6),
+            mode=st.sampled_from(MODES),
+            seed=_integral(0, 2**64 - 1),
+        ),
+        io.save_train_config,
+        io.load_train_config,
+    ),
+    "toy_spec": (_numpy_toy_specs(), io.save_toy_spec, io.load_toy_spec),
+}
+
+
+def _plain(value) -> bool:
+    """Whether ``value`` holds only built-in ints, floats, strings and tuples."""
+    if type(value) is tuple:
+        return all(map(_plain, value))
+    return type(value) in (int, float, str)
+
+
 _SETTINGS = {
     "partition": (_partitions(), io.save_partition, io.load_partition),
     "train_config": (_TRAIN_CONFIGS, io.save_train_config, io.load_train_config),
@@ -304,6 +370,19 @@ class TestKeyValueFiles:
     def test_round_trip(self, tmp_path_factory, kind, data):
         objects, save, load = _SETTINGS[kind]
         value = data.draw(objects)
+        path = tmp_path_factory.mktemp(kind) / "settings.txt"
+        save(value, path)
+        assert load(path) == value
+
+    @pytest.mark.parametrize("kind", sorted(_NUMPY_SETTINGS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_numpy_and_integral_float_settings_are_stored_as_plain_numbers(
+        self, tmp_path_factory, kind, data
+    ):
+        objects, save, load = _NUMPY_SETTINGS[kind]
+        value = data.draw(objects)
+        assert all(_plain(v) for v in dataclasses.astuple(value)), value
         path = tmp_path_factory.mktemp(kind) / "settings.txt"
         save(value, path)
         assert load(path) == value
@@ -624,7 +703,7 @@ class TestCli:
         "rows, message",
         [
             ("1,x", "error: --rows must be comma-separated integers, got '1,x'\n"),
-            ("0,5", "error: --rows index out of range\n"),
+            ("0,5", "error: --rows: class index 5 is outside [0, 5)\n"),
         ],
     )
     def test_cka_rows_faults_exit_2(self, tmp_path, capsys, rows, message):

@@ -128,6 +128,12 @@ class TestLossAndGrads:
         with pytest.raises(ValidationError, match="num_cases must be a positive integer"):
             gradient_check(num_cases=num_cases)
 
+    @pytest.mark.parametrize("step", [0.0, np.nan, np.inf])
+    def test_gradient_check_needs_a_finite_positive_step(self, step):
+        # a nan or inf step once compared nothing and returned 0.0, a pass
+        with pytest.raises(ValidationError, match="^step must be finite and > 0"):
+            gradient_check(num_cases=1, step=step)
+
     def test_probabilities_sum_to_one(self):
         # the head-gradient rows sum to (sum_c p_c - 1) * hidden, so a zero
         # column sum is equivalent to the softmax normalizing exactly
