@@ -38,7 +38,7 @@ class GammaEstimate:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValidationError(f"method must be one of {METHODS}, got {self.method!r}")
-        check_gamma(self.value)
+        object.__setattr__(self, "value", check_gamma(self.value))
 
     def as_dict(self) -> dict:
         out = {"method": self.method, "gamma": self.value}

@@ -15,15 +15,27 @@ is read and the batch size never moves a line break.
 
 A matrix field is anything Python's ``float()`` accepts; blank lines are
 rejected. ``load_matrix`` parses each batch on its own, so the text of
-one batch is held at a time beside the rows parsed so far. ``np.loadtxt``
-parses a batch with no blank line, no ``\x1f`` (whitespace to it, not to
-``float()``) and the width of the rows before it. Any other batch, or one
-it rejects, goes to the line parser ``_parse_rows``, which sets what is
-accepted, every value bit and every error message with its line number.
+about one batch per worker is held at a time beside the rows parsed so
+far. ``np.loadtxt`` parses a batch with no blank line, no ``\x1f``
+(whitespace to it, not to ``float()``) and the width of the rows before
+it. Any other batch, or one it rejects, goes to the line parser
+``_parse_rows``, which sets what is accepted, every value bit and every
+error message with its line number.
 
 A file that is not UTF-8 raises ``ParseError`` naming the file. That
 fault outranks any other in the file, wherever it sits, since the file
 is read to its end before a header or row fault is raised.
+
+Large matrices are parsed and formatted on every CPU of the process's
+affinity mask. The reader is unchanged: this process parses the first
+batch, which fixes the width, and where the text is at least
+``_PARALLEL_CHARS`` characters (a regular file's size, or what
+``save_matrix`` writes; a pipe's size is unknown), ``_ordered_map`` sends
+each later batch, or slice of rows, to a forked worker and takes the
+results back in order, so every bit and every fault are as in one
+process. Workers are forked only while the process runs one thread: a
+forked child keeps a copy of every lock and file another thread holds,
+such as a FIFO's write end, and nothing in it releases them.
 
 Partition, training-config and toy-spec files are read by one reader,
 ``_load_fields``, which takes each file's keys, which of them are
@@ -40,7 +52,11 @@ import dataclasses
 import functools
 import itertools
 import os
+import pickle
+import signal
+import stat
 import sys
+import threading
 import typing
 
 import numpy as np
@@ -52,6 +68,10 @@ from .trainer import ACTIVATIONS, EpochRecord, MlpModel, ToySpec, TrainConfig
 
 # characters of text per batch of lines
 _BATCH_CHARS = 1 << 16
+# characters of text from which parsing and formatting fan out to workers
+_PARALLEL_CHARS = 1 << 22
+# characters of a typical %.17g field and its comma, to size tasks of rows
+_FIELD_CHARS = 20
 
 
 def _csv_lines(matrix: np.ndarray) -> typing.Iterator[str]:
@@ -126,13 +146,122 @@ def _read_lines(path) -> list[str]:
     return list(itertools.chain.from_iterable(_line_batches(path)))
 
 
+def _fork_workers() -> int:
+    """How many forked workers may share this process's work: one per CPU
+    of its affinity mask, or none where that is one CPU, where there is no
+    ``fork``, or where the process runs another thread, since a forked
+    child keeps a copy of every lock and file that thread holds and no
+    thread to release them."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 0
+    if threading.active_count() != 1:
+        return 0
+    cpus = len(os.sched_getaffinity(0))
+    return cpus if cpus > 1 else 0
+
+
+def _fork_worker(function) -> tuple[int, typing.BinaryIO, typing.BinaryIO]:
+    """A forked process that answers each pickled task it reads with the
+    pickled ``(True, function(*task))``, or ``(False, exception)``: its pid,
+    the pipe its tasks are written to and the pipe its answers are read from."""
+    task_out, task_in = os.pipe()
+    answer_out, answer_in = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
+            os.close(task_in)
+            os.close(answer_out)
+            tasks, answers = open(task_out, "rb"), open(answer_in, "wb")
+            while True:
+                task = pickle.load(tasks)
+                try:
+                    answer = (True, function(*task))
+                except Exception as exc:  # noqa: BLE001 - raised again in the parent
+                    answer = (False, exc)
+                pickle.dump(answer, answers, pickle.HIGHEST_PROTOCOL)
+                answers.flush()
+        finally:
+            os._exit(0)  # never the parent's clean-up, stdio flushes or atexit
+    os.close(task_out)
+    os.close(answer_in)
+    return pid, open(task_in, "wb"), open(answer_out, "rb")
+
+
+def _forked_map(function, tasks, workers: int) -> typing.Iterator:
+    """``function(*task)`` of each of ``tasks`` in order, computed by up to
+    ``workers`` forked processes that take the tasks in turn: task ``i``
+    goes to worker ``i % workers`` once it has answered task ``i -
+    workers``, so one task per worker is in flight. The workers are
+    driven from this thread alone, and are killed and reaped however the
+    iteration ends: they hold nothing to save."""
+    pool = []
+
+    def answer(number):
+        pid, _, answers = pool[number % workers]
+        try:
+            done, value = pickle.load(answers)
+        except (EOFError, pickle.UnpicklingError):
+            raise ChildProcessError(f"worker process {pid} ended early") from None
+        if not done:
+            raise value
+        return value
+
+    try:
+        sent = 0
+        for task in tasks:
+            if sent < workers:
+                pool.append(_fork_worker(function))
+            else:
+                value = answer(sent - workers)
+            _, requests, _ = pool[sent % workers]
+            pickle.dump(task, requests, pickle.HIGHEST_PROTOCOL)
+            requests.flush()
+            sent += 1
+            if sent > workers:
+                yield value
+        for number in range(max(sent - workers, 0), sent):
+            yield answer(number)
+    finally:
+        for pid, _, _ in pool:
+            os.kill(pid, signal.SIGKILL)
+        for pid, requests, answers in pool:
+            with contextlib.suppress(ChildProcessError):  # reaped already: SIGCHLD ignored
+                os.waitpid(pid, 0)
+            with contextlib.suppress(OSError):  # a pipe whose reader is gone
+                requests.close()
+            answers.close()
+
+
+def _ordered_map(function, tasks, chars: int) -> typing.Iterator:
+    """``function(*task)`` of each of ``tasks``, in order: in forked workers
+    where the tasks hold ``chars`` characters of text, at least
+    ``_PARALLEL_CHARS``, and ``_fork_workers`` allows any, else here."""
+    workers = _fork_workers() if chars >= _PARALLEL_CHARS else 0
+    if workers:
+        yield from _forked_map(function, tasks, workers)
+    else:
+        yield from itertools.starmap(function, tasks)
+
+
+def _csv_text(matrix: np.ndarray) -> str:
+    return "".join(_csv_lines(matrix))
+
+
 def save_matrix(values, path) -> None:
-    """Write a 2-D float64 matrix as CSV with a ``#shape`` header line."""
+    """Write a 2-D float64 matrix as CSV with a ``#shape`` header line.
+
+    The rows are formatted by ``_ordered_map`` in slices of about a batch
+    of text each."""
     matrix = np.asarray(values, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValidationError(f"matrix must be 2-D, got shape {matrix.shape}")
     header = f"#shape {matrix.shape[0]} {matrix.shape[1]}\n"
-    write_text(path, itertools.chain([header], _csv_lines(matrix)))
+    row_chars = _FIELD_CHARS * max(matrix.shape[1], 1)
+    step = max(1, _BATCH_CHARS // row_chars)
+    slices = ((matrix[start : start + step],) for start in range(0, matrix.shape[0], step))
+    with contextlib.closing(_ordered_map(_csv_text, slices, matrix.shape[0] * row_chars)) as text:
+        write_text(path, itertools.chain([header], text))
 
 
 def _parse_rows(path, numbered_lines, empty: str, width: int | None = None) -> np.ndarray:
@@ -171,16 +300,34 @@ def _parse_batch(path, lines: list[str], number: int, width: int | None) -> np.n
     return _parse_rows(path, enumerate(lines, number), "empty matrix file", width)
 
 
-def _blocks(path, batches, number: int) -> typing.Iterator[np.ndarray]:
-    """One matrix per nonempty batch of lines, the first line numbered
-    ``number``; every row has the first row's width."""
-    width = None
+def _blocks(path, batches, number: int, chars: int) -> typing.Iterator[np.ndarray]:
+    """One matrix per nonempty batch of lines of a text of ``chars``
+    characters, the first line numbered ``number``. The first batch is
+    parsed here and fixes the width of every row; the batches after it are
+    parsed by ``_ordered_map``."""
+    batches = filter(None, batches)
+    lines = next(batches, None)
+    if lines is None:
+        return
+    first = _parse_batch(path, lines, number, None)
+    yield first
+    tasks = _parse_tasks(path, batches, number + len(lines), first.shape[1])
+    yield from _ordered_map(_parse_text, tasks, chars)
+
+
+def _parse_text(path, text: str, number: int, width: int) -> np.ndarray:
+    """``_parse_batch`` of a batch of lines joined by newlines, which no
+    line holds. A task carries its batch as this one string, since pickling
+    each line leaves heap fragments the rest of the process cannot reuse."""
+    return _parse_batch(path, text.split("\n"), number, width)
+
+
+def _parse_tasks(path, batches, number: int, width: int) -> typing.Iterator[tuple]:
+    """The ``_parse_text`` arguments of each batch of lines in turn, the
+    first line numbered ``number``."""
     for lines in batches:
-        if lines:
-            block = _parse_batch(path, lines, number, width)
-            width = block.shape[1]
-            number += len(lines)
-            yield block
+        yield path, "\n".join(lines), number, width
+        number += len(lines)
 
 
 def _is_shape_header(line: str) -> bool:
@@ -198,31 +345,67 @@ def _shape_header(path, line: str) -> tuple[int, int]:
         raise ParseError(f"{path}:1: malformed shape header {line!r}") from exc
 
 
+def _text_size(path) -> int:
+    """The bytes of ``path`` if it is a regular file, else 0: the size of a
+    pipe's text is unknown until it is read."""
+    try:
+        status = os.stat(path)
+    except OSError:
+        return 0
+    return status.st_size if stat.S_ISREG(status.st_mode) else 0
+
+
+def _stack(first: np.ndarray, blocks, declared, size: int) -> tuple[np.ndarray, tuple]:
+    """The rows of ``first`` and then of ``blocks`` as one matrix, and the
+    shape of all the rows. The rows a ``#shape`` header declares, where a
+    file of ``size`` bytes can hold them at two characters a field (a digit
+    and a comma or line end), are allocated up front and each block placed
+    at its row offset, rows past them only counted; else the buffer grows
+    as the rows come."""
+    width = first.shape[1]
+    rows = -1 if declared is None else declared[0]
+    if not 0 <= 2 * width * rows <= size + 1:
+        matrix = np.fromiter(
+            itertools.chain(first, itertools.chain.from_iterable(blocks)),
+            dtype=np.dtype((np.float64, (width,))),
+        )
+        return matrix, matrix.shape
+    matrix = np.empty((rows, width))
+    count = 0
+    for block in itertools.chain([first], blocks):
+        matrix[count : count + len(block)] = block[: max(rows - count, 0)]
+        count += len(block)
+    return matrix, (count, width)
+
+
 def load_matrix(path, expected_shape=None) -> np.ndarray:
     """Read a CSV matrix; the optional ``#shape`` header must match the body.
 
     The file is read once, batch by batch, and each batch's rows are
     copied into the result as soon as they are parsed, so the whole text
-    is never held.
+    is never held. A file's header, where the file is big enough to hold
+    the rows it declares, sizes the result up front.
     """
+    size = _text_size(path)
     batches = _line_batches(path)
     try:
         lines, number, declared = next(batches, []), 1, None
         if lines and _is_shape_header(lines[0]):
             declared = _shape_header(path, lines[0])
             lines, number = lines[1:], 2
-        blocks = _blocks(path, itertools.chain([lines], batches), number)
-        first = next(blocks, None)
-        if first is None:
-            raise ParseError(f"{path}: empty matrix file")
-        rows = itertools.chain(first, itertools.chain.from_iterable(blocks))
-        matrix = np.fromiter(rows, dtype=np.dtype((np.float64, first.shape[1:])))
+        with contextlib.closing(
+            _blocks(path, itertools.chain([lines], batches), number, size)
+        ) as blocks:
+            first = next(blocks, None)
+            if first is None:
+                raise ParseError(f"{path}: empty matrix file")
+            matrix, shape = _stack(first, blocks, declared, size)
     except ValidationError:
         for _ in batches:  # a decoding fault later in the file outranks this one
             pass
         raise
-    if declared is not None and matrix.shape != declared:
-        raise ShapeError(f"{path}: header declares {declared}, content is {matrix.shape}")
+    if declared is not None and shape != declared:
+        raise ShapeError(f"{path}: header declares {declared}, content is {shape}")
     if expected_shape is not None and matrix.shape != tuple(expected_shape):
         raise ShapeError(f"{path}: expected shape {tuple(expected_shape)}, got {matrix.shape}")
     return matrix
@@ -282,11 +465,24 @@ def _parse_kv_lines(path, numbered_lines) -> dict:
     return pairs
 
 
+def _parse_int(text: str) -> int:
+    """``text`` as an ``int``: an integer, whatever its digits, or a real
+    number that is one, such as ``2.0``, which ``errors._integer`` takes
+    as a count too."""
+    try:
+        return int(text)
+    except ValueError:
+        number = float(text)
+    if not number.is_integer():
+        raise ValueError(f"{text!r} is not an integer")
+    return int(number)
+
+
 def _parse_value(text: str, kind):
     """``text`` read as the annotated type ``kind``: a scalar type, or a
     tuple split on ``,``, or on ``;`` when its items are tuples."""
     if typing.get_origin(kind) is not tuple:
-        return kind(text)
+        return _parse_int(text) if kind is int else kind(text)
     item = typing.get_args(kind)[0]
     separator = ";" if typing.get_origin(item) is tuple else ","
     return tuple(_parse_value(part, item) for part in text.split(separator))

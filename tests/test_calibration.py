@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ftcal import (
     EmptyGroupError,
+    GammaEstimate,
     LabeledFeatures,
     LabeledLogits,
     LabelPartition,
@@ -38,6 +39,12 @@ from test_metrics import (
     tie_instance,
     tie_instances,
 )
+
+
+def test_gamma_estimate_stores_a_float():
+    gamma = GammaEstimate(np.float32(0.1), "MANUAL", {}).as_dict()["gamma"]
+    assert type(gamma) is float
+    assert gamma == float(np.float32(0.1))
 
 
 class TestApplyGamma:

@@ -233,6 +233,17 @@ class TestTrainConfigFile:
         with pytest.raises(ParseError, match=re.escape(message)):
             io.load_train_config(path)
 
+    def test_counts_are_read_as_the_constructor_reads_them(self, tmp_path):
+        # an integral real is a count, as TrainConfig(0.1, epochs=2.0) takes it;
+        # an integer keeps digits a float would round (2**64 - 1 would become 2**64)
+        path = tmp_path / "config.txt"
+        path.write_text(
+            "learning_rate=0.1\nepochs=2.0\nbatch_size=1e1\nseed=18446744073709551615\n"
+        )
+        config = io.load_train_config(path)
+        assert config == TrainConfig(0.1, epochs=2.0, batch_size=10, seed=2**64 - 1)
+        assert (config.epochs, config.seed) == (2, 2**64 - 1)
+
 
 class TestToySpecFile:
     def test_round_trip(self, tmp_path):

@@ -4,6 +4,7 @@ exactly the errors of the whole-file line-by-line loader kept below as the
 reference."""
 
 import os
+import signal
 import threading
 import tracemalloc
 
@@ -82,6 +83,15 @@ def outcome(load, *args):
     return "ok", matrix.shape, matrix.tobytes()
 
 
+def no_child_process():
+    """Whether this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 def assert_same_as_reference(path, expected_shape=None):
     got = outcome(io.load_matrix, path, expected_shape)
     assert got == outcome(ref_load_matrix, path, expected_shape)
@@ -153,6 +163,26 @@ EDGES = {
 def batch_chars(request, monkeypatch):
     monkeypatch.setattr(io, "_BATCH_CHARS", request.param)
     return request.param
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Fan out to two forked workers whatever the text's size and the
+    host's CPUs; the list it returns gains an entry for each pool started.
+    No worker may outlive the test."""
+    monkeypatch.setattr(io, "_PARALLEL_CHARS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert io._fork_workers() == 2, "the pool needs the main thread alone and fork"
+    started = []
+    forked_map = io._forked_map
+
+    def spy(function, tasks, workers):
+        started.append(workers)
+        return forked_map(function, tasks, workers)
+
+    monkeypatch.setattr(io, "_forked_map", spy)
+    yield started
+    assert no_child_process()
 
 
 class TestEdgeFiles:
@@ -328,8 +358,11 @@ _FORMATS = [
     choices=st.lists(st.integers(0, len(_FORMATS) - 1), min_size=36, max_size=36),
     header=st.booleans(),
     batch=st.integers(1, 64),
+    forked=st.booleans(),
 )
-def test_formatted_fields_match_the_reference(tmp_path_factory, matrix, choices, header, batch):
+def test_formatted_fields_match_the_reference(
+    tmp_path_factory, matrix, choices, header, batch, forked
+):
     picks = iter(choices)
     lines = [",".join(_FORMATS[next(picks)](float(v)) for v in row) for row in matrix]
     if header:
@@ -338,4 +371,143 @@ def test_formatted_fields_match_the_reference(tmp_path_factory, matrix, choices,
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(io, "_BATCH_CHARS", batch)
+        if forked:  # as the forked fixture does
+            patch.setattr(io, "_PARALLEL_CHARS", 0)
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert assert_same_as_reference(path)[0] == "ok"
+    assert no_child_process()
+
+
+# ------------------------------------------------ forked workers
+
+
+class TestForkedWorkers:
+    """Parsing and formatting fanned out to forked workers give the bytes
+    and the faults of the same work done in-process, and leave no process."""
+
+    def _big(self, tmp_path):
+        matrix = np.random.default_rng(8).normal(size=(300, 40)) * 3.0
+        path = tmp_path / "m.csv"
+        io.save_matrix(matrix, path)
+        return matrix, path
+
+    @pytest.mark.parametrize("name", list(EDGES))
+    def test_edge_files_match_the_line_by_line_loader(self, name, tmp_path, batch_chars, forked):
+        TestEdgeFiles().test_matches_the_line_by_line_loader(name, tmp_path, batch_chars)
+
+    def test_a_fault_in_the_last_row_is_found_in_bounded_memory(self, tmp_path, forked):
+        TestOnePass().test_a_fault_in_the_last_row_is_found_in_bounded_memory(tmp_path)
+        assert forked
+
+    def test_save_is_byte_identical(self, tmp_path, monkeypatch, forked):
+        matrix, path = self._big(tmp_path)
+        monkeypatch.setattr(io, "_BATCH_CHARS", 1024)  # many tasks
+        io.save_matrix(matrix, tmp_path / "forked.csv")
+        assert forked
+        assert (tmp_path / "forked.csv").read_bytes() == path.read_bytes()
+        assert no_child_process()
+
+    def test_a_failed_save_leaves_no_file(self, tmp_path, monkeypatch, forked):
+        matrix, _ = self._big(tmp_path)
+        monkeypatch.setattr(io, "_BATCH_CHARS", 1024)
+
+        def fail(block):  # the workers are forked with this in place
+            raise ValueError("format fault")
+
+        monkeypatch.setattr(io, "_csv_lines", fail)
+        with pytest.raises(ValueError, match="format fault"):
+            io.save_matrix(matrix, tmp_path / "out.csv")
+        assert forked
+        assert sorted(os.listdir(tmp_path)) == ["m.csv"]
+        assert no_child_process()
+
+    @pytest.mark.parametrize("fault", ["clean", "row", "decoding"])
+    def test_loads_leave_no_worker(self, tmp_path, monkeypatch, forked, fault):
+        matrix, path = self._big(tmp_path)
+        monkeypatch.setattr(io, "_BATCH_CHARS", 512)
+        text = path.read_bytes()
+        tail = {"clean": b"", "row": b"1,x\n" + text[-2000:], "decoding": b"\xff\n"}[fault]
+        path.write_bytes(text + tail)
+        got = assert_same_as_reference(path)
+        assert forked
+        assert got[0] == ("ok" if fault == "clean" else ParseError)
+        assert no_child_process()
+
+    def test_a_row_fault_is_outranked_by_a_later_decoding_fault(
+        self, tmp_path, monkeypatch, forked
+    ):
+        _, path = self._big(tmp_path)
+        monkeypatch.setattr(io, "_BATCH_CHARS", 512)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[5] = b"1,x\n"
+        path.write_bytes(b"".join(lines) + b"\xff\n")
+        assert assert_same_as_reference(path)[1] == f"{path}: not a UTF-8 text file"
+        assert forked
+
+    def test_an_interrupt_shuts_the_workers_down(self, tmp_path, monkeypatch, forked):
+        _, path = self._big(tmp_path)
+        monkeypatch.setattr(io, "_BATCH_CHARS", 512)
+        line_batches = io._line_batches
+
+        def interrupted(path):
+            for number, batch in enumerate(line_batches(path)):
+                if number == 20:
+                    raise KeyboardInterrupt
+                yield batch
+
+        monkeypatch.setattr(io, "_line_batches", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            io.load_matrix(path)
+        assert forked
+        assert no_child_process()
+
+    def test_workers_ignore_sigint(self, forked):
+        assert list(io._forked_map(signal.getsignal, [(signal.SIGINT,)], 2)) == [signal.SIG_IGN]
+        assert no_child_process()
+
+    def test_a_worker_that_dies_is_an_error_not_a_hang(self, forked):
+        with pytest.raises(ChildProcessError, match="ended early"):
+            list(io._forked_map(os._exit, [(0,)], 2))
+        assert no_child_process()
+
+    def test_a_process_that_ignores_sigchld_still_loads(self, tmp_path, forked):
+        # such a process has its children reaped for it
+        matrix, path = self._big(tmp_path)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert io.load_matrix(path).tobytes() == matrix.tobytes()
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert forked
+
+    def test_one_cpu_starts_no_process(self, tmp_path, monkeypatch):
+        matrix, path = self._big(tmp_path)
+        monkeypatch.setattr(io, "_PARALLEL_CHARS", 0)
+        monkeypatch.setattr(io, "_BATCH_CHARS", 512)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+        def refuse():
+            raise AssertionError("forked a worker on one CPU")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        io.save_matrix(matrix, tmp_path / "again.csv")
+        assert io.load_matrix(tmp_path / "again.csv").tobytes() == matrix.tobytes()
+
+    def test_another_thread_keeps_the_work_in_process(self, tmp_path, monkeypatch, forked):
+        # a forked worker would inherit the FIFO's write end from the writing
+        # thread, and the reader would never see the end of the pipe
+        matrix, source = self._big(tmp_path)
+        forked.clear()  # the pool that wrote the source
+        monkeypatch.setattr(io, "_BATCH_CHARS", 512)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        loaded = []
+        loader = threading.Thread(
+            target=lambda: loaded.append(outcome(io.load_matrix, fifo)), daemon=True
+        )
+        loader.start()
+        fifo.write_bytes(source.read_bytes())
+        loader.join(timeout=10)
+        assert not loader.is_alive()
+        assert loaded == [("ok", matrix.shape, matrix.tobytes())]
+        assert forked == []
