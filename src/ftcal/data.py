@@ -15,13 +15,18 @@ gamma and logit diagnostic then reads that one result.
 
 It also owns the two row primitives every kernel shares: ``_row_blocks``
 cuts rows into blocks of the ``_BLOCK_BYTES`` budget, and ``_ncm_scores``
-is the one squared-distance kernel, behind NCM and the greedy split. And
-``_class_set`` is the one reader of every collection of class indices.
+is the one squared-distance kernel, behind NCM and the greedy split. It
+runs on one thread per CPU of the affinity mask (``_cpu_count``, as ``io``
+counts them), with one difference slab per thread and the same bits at any
+count; ``taskset -c 0`` keeps it on one CPU. And ``_class_set`` is the one
+reader of every collection of class indices.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,21 +61,69 @@ def _row_blocks(num_rows: int, row_bytes: int) -> list[slice]:
     return [slice(start, end) for start, end in zip(starts, starts[1:] + [num_rows])]
 
 
+def _cpu_count() -> int:
+    """CPUs of this process's affinity mask, or 1 on a platform without one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _score_block(rows: np.ndarray, candidates: np.ndarray, slab: np.ndarray, scores: np.ndarray) -> None:
+    """Write minus the squared distances of ``rows`` to ``candidates`` into
+    ``scores``, squaring the differences in place in ``slab``, a C-ordered
+    buffer of len(rows) x len(candidates) x d."""
+    np.subtract(rows[:, None, :], candidates[None, :, :], out=slab)
+    slab *= slab
+    np.sum(slab, axis=2, out=scores)
+    np.negative(scores, out=scores)
+
+
 def _ncm_scores(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Negative squared Euclidean distance of each row of ``rows`` to each
     row of ``candidates``, computed in row blocks of ``_BLOCK_BYTES``.
 
     Each entry is the direct sum of squared differences, not the
     |u|^2 - 2 u.m + |m|^2 expansion, whose cancellation can flip near-tie
-    argmins. Each block's difference slab is squared in place and freed
-    before the next is made, so one slab is held beside the scores.
+    argmins. The blocks go out in order to one thread per CPU, at most one
+    per block, the calling thread among them. Each thread squares its
+    blocks in one slab of a block's size, so one slab per thread is held
+    beside the scores, and each entry is the same sum over a contiguous
+    slab row on any thread, so the bits do not depend on the CPU count.
+    Every thread is joined before the call returns; the first failing
+    block's exception is raised.
     """
     scores = np.empty((rows.shape[0], candidates.shape[0]))
-    for block in _row_blocks(rows.shape[0], rows.itemsize * candidates.size):
-        diff = rows[block, None, :] - candidates[None, :, :]
-        diff *= diff
-        scores[block] = -diff.sum(axis=2)
-        del diff  # rebinding would free it only after the next slab is made
+    blocks = _row_blocks(rows.shape[0], rows.itemsize * candidates.size)
+    slab_rows = max((block.stop - block.start for block in blocks), default=0)
+    workers = max(1, min(_cpu_count(), len(blocks)))
+    # made here: a slab a thread made would come from its own malloc arena,
+    # which stays resident after the thread ends
+    slabs = [np.empty((slab_rows, *candidates.shape)) for _ in range(workers)]
+    pending = iter(enumerate(blocks))
+    taking = threading.Lock()
+    faults: dict[int, BaseException] = {}  # by block index; any entry stops every thread
+
+    def take_blocks(slab: np.ndarray) -> None:
+        while not faults:
+            with taking:
+                index, block = next(pending, (None, None))
+            if block is None:
+                return
+            try:
+                _score_block(rows[block], candidates, slab[: block.stop - block.start], scores[block])
+            except BaseException as fault:  # raised in the calling thread below
+                faults[index] = fault
+
+    started = []
+    try:
+        for slab in slabs[1:]:
+            thread = threading.Thread(target=take_blocks, args=(slab,))
+            thread.start()
+            started.append(thread)
+        take_blocks(slabs[0])
+    finally:
+        for thread in started:
+            thread.join()
+    if faults:
+        raise faults[min(faults)]
     return scores
 
 

@@ -61,7 +61,7 @@ import typing
 
 import numpy as np
 
-from .data import LabelPartition, LinearHead
+from .data import LabelPartition, LinearHead, _cpu_count
 from .errors import ParseError, ShapeError, ValidationError
 from .trainer import ACTIVATIONS, EpochRecord, MlpModel, ToySpec, TrainConfig
 
@@ -152,11 +152,9 @@ def _fork_workers() -> int:
     ``fork``, or where the process runs another thread, since a forked
     child keeps a copy of every lock and file that thread holds and no
     thread to release them."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    if not hasattr(os, "fork") or threading.active_count() != 1:
         return 0
-    if threading.active_count() != 1:
-        return 0
-    cpus = len(os.sched_getaffinity(0))
+    cpus = _cpu_count()
     return cpus if cpus > 1 else 0
 
 

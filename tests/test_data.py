@@ -2,7 +2,10 @@ import ast
 import dataclasses
 import inspect
 import itertools
+import os
 import re
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -36,6 +39,7 @@ from ftcal import (
     loss_and_grads,
     make_greedy_similar_split,
     make_random_split,
+    ncm_logits,
     ncm_predict,
     predict_cosine,
     predict_restricted,
@@ -51,6 +55,12 @@ from ftcal.rng import check_seed
 
 def _distances(means):
     return np.sqrt(-_ncm_scores(means, means))
+
+
+def _cpus(monkeypatch, count):
+    """Make the process's affinity mask, as ``data`` and ``io`` read it,
+    ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 class TestLabelPartition:
@@ -577,7 +587,8 @@ class TestTotalIntraGroupDistance:
         assert not hasattr(metrics, "_BLOCK_BYTES")
         assert metrics._row_blocks is data._row_blocks
 
-    def test_no_classes_x_classes_x_dim_temporary(self):
+    def test_no_classes_x_classes_x_dim_temporary(self, monkeypatch):
+        _cpus(monkeypatch, 1)  # a bound for one thread; TestNcmScoresOnThreads bounds four
         means = np.random.default_rng(10).normal(size=(100, 512))  # 0.4 MB; 100 x 100 x 512 is 41 MB
         tracemalloc.start()
         try:
@@ -588,7 +599,8 @@ class TestTotalIntraGroupDistance:
             tracemalloc.stop()
         assert peak < 8 * means.nbytes, f"peak {peak} B for {means.nbytes} B of means"
 
-    def test_one_difference_slab_per_block(self):
+    def test_one_difference_slab_per_block(self, monkeypatch):
+        _cpus(monkeypatch, 1)
         rng = np.random.default_rng(12)
         rows, candidates = rng.normal(size=(100, 512)), rng.normal(size=(100, 512))
         blocks = data._row_blocks(100, rows.itemsize * candidates.size)
@@ -628,3 +640,149 @@ class TestTotalIntraGroupDistance:
         means = [[0.0, 0.0], [4.0, 4.0], [4.0, 0.0]]
         with pytest.raises(ValidationError, match="subset"):
             total_intra_group_distance(means, subset)
+
+
+def _broadcast_scores(rows, candidates):
+    diff = rows[:, None, :] - candidates[None, :, :]
+    return -(diff * diff).sum(axis=2)
+
+
+class TestNcmScoresOnThreads:
+    """``_ncm_scores`` shares its row blocks among one thread per CPU of the
+    affinity mask; its bits do not depend on the mask, it holds one slab
+    per thread, and no thread outlives the call."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("block_bytes", [300, data._BLOCK_BYTES])
+    def test_matches_the_broadcast_formula_bit_for_bit(self, cpus, block_bytes, monkeypatch):
+        _cpus(monkeypatch, cpus)
+        monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(20)
+        for num_candidates, dim in ((1, 1), (2, 3), (7, 9), (40, 64)):
+            row_bytes = 8 * num_candidates * dim
+            step = max(2, block_bytes // row_bytes)
+            for num_blocks in sorted({1, 2, 3, cpus, cpus + 1}):
+                for num_rows in (num_blocks * step, num_blocks * step + 1):  # a lone last row joins its block
+                    assert len(data._row_blocks(num_rows, row_bytes)) == num_blocks
+                    rows = rng.normal(size=(num_rows, dim)) * 10.0 ** rng.integers(-5, 6)
+                    candidates = rng.normal(size=(num_candidates, dim))
+                    expected = _broadcast_scores(rows, candidates)
+                    assert _ncm_scores(rows, candidates).tobytes() == expected.tobytes()
+        assert _ncm_scores(np.ones((0, 3)), np.ones((2, 3))).shape == (0, 2)
+
+    def test_the_memory_order_of_the_inputs_moves_no_bit(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        rng = np.random.default_rng(21)
+        rows, candidates = rng.normal(size=(300, 33)), rng.normal(size=(60, 33))
+        expected = _broadcast_scores(rows, candidates).tobytes()
+        strided = np.repeat(rows, 2, axis=1)[:, ::2]
+        for r, c in ((np.asfortranarray(rows), candidates), (rows, np.asfortranarray(candidates)), (strided, candidates)):
+            assert _ncm_scores(r, c).tobytes() == expected
+
+    def test_public_results_are_the_same_at_one_and_four_cpus(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        features = LabeledFeatures(rng.normal(size=(400, 64)), np.arange(400) % 100)
+        means = class_means(features, range(100))
+        split_means = rng.normal(size=(200, 256))
+        assert len(data._row_blocks(400, 8 * 100 * 64)) > 4
+        assert len(data._row_blocks(200, 8 * 200 * 256)) > 4
+
+        def results():
+            return (
+                ncm_predict(features, means, range(100)).tobytes(),
+                ncm_predict(features, means, range(0, 100, 3)).tobytes(),
+                ncm_logits(features, means).values.tobytes(),
+                make_greedy_similar_split(split_means, 20).fine_tuning,
+                total_intra_group_distance(split_means, range(0, 200, 2)),
+            )
+
+        with monkeypatch.context() as patch:
+            _cpus(patch, 1)
+            one = results()
+        _cpus(monkeypatch, 4)
+        assert results() == one
+
+    def test_one_difference_slab_per_thread(self, monkeypatch):
+        _cpus(monkeypatch, 4)
+        rng = np.random.default_rng(12)
+        rows, candidates = rng.normal(size=(100, 512)), rng.normal(size=(100, 512))
+        blocks = data._row_blocks(100, rows.itemsize * candidates.size)
+        slab = max(block.stop - block.start for block in blocks) * candidates.nbytes
+        tracemalloc.start()
+        try:
+            scores = _ncm_scores(rows, candidates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < scores.nbytes + 4 * slab + slab // 2, f"peak {peak} B, slab {slab} B"
+
+    def test_every_cpu_scores_and_no_thread_outlives_the_call(self, monkeypatch):
+        _cpus(monkeypatch, 4)
+        score_block = data._score_block
+        arrived = threading.Barrier(4, timeout=10)
+        scorers = set()
+
+        def spy(rows, candidates, slab, scores):
+            if threading.get_ident() not in scorers:
+                scorers.add(threading.get_ident())
+                arrived.wait()  # every thread takes a block before any takes a second
+            score_block(rows, candidates, slab, scores)
+
+        monkeypatch.setattr(data, "_score_block", spy)
+        rows = np.random.default_rng(23).normal(size=(100, 512))  # 50 blocks
+        before = threading.active_count()
+        scores = _ncm_scores(rows, rows)
+        assert threading.active_count() == before
+        assert len(scorers) == 4 and threading.get_ident() in scorers
+        assert scores.tobytes() == _broadcast_scores(rows, rows).tobytes()
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        _cpus(monkeypatch, 4)
+        rows = np.random.default_rng(25).normal(size=(30, 8))
+        assert len(data._row_blocks(30, rows.itemsize * rows.size)) == 1
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("started a thread for one block")
+
+        monkeypatch.setattr(threading, "Thread", refuse)
+        assert _ncm_scores(rows, rows).tobytes() == _broadcast_scores(rows, rows).tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_the_first_failing_block_is_raised_after_every_thread_ends(self, cpus, monkeypatch):
+        _cpus(monkeypatch, cpus)
+        rows = np.repeat(np.arange(100.0)[:, None], 512, axis=1)  # row i holds i
+        step = data._row_blocks(100, rows.itemsize * rows.size)[0].stop
+        later_failed = threading.Event()
+        score_block = data._score_block
+
+        def faulty(block_rows, candidates, slab, scores):
+            index = int(block_rows[0, 0]) // step
+            if index == 9:
+                later_failed.set()
+                raise ValueError("block 9")
+            if index == 3:
+                # on 4 CPUs, block 9 fails first: the other threads go on past block 3
+                if cpus > 1 and not later_failed.wait(timeout=10):
+                    raise AssertionError("block 9 was never scored")
+                raise ValueError("block 3")
+            score_block(block_rows, candidates, slab, scores)
+
+        monkeypatch.setattr(data, "_score_block", faulty)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^block 3$"):
+            _ncm_scores(rows, rows)
+        assert threading.active_count() == before
+        assert later_failed.is_set() == (cpus > 1)
+
+    def test_more_threads_than_cores_lose_no_row(self, monkeypatch):
+        _cpus(monkeypatch, 8)
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 300)  # two rows a block: many hand-offs
+        rng = np.random.default_rng(24)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                rows, candidates = rng.normal(size=(int(rng.integers(20, 400)), 5)), rng.normal(size=(3, 5))
+                assert _ncm_scores(rows, candidates).tobytes() == _broadcast_scores(rows, candidates).tobytes()
+        finally:
+            sys.setswitchinterval(interval)

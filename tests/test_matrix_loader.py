@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ftcal import ParseError, ShapeError
-from ftcal import io
+from ftcal import data, io
 
 # ------------------------------------------------ line-by-line reference
 
@@ -511,3 +511,19 @@ class TestForkedWorkers:
         assert not loader.is_alive()
         assert loaded == [("ok", matrix.shape, matrix.tobytes())]
         assert forked == []
+
+    def test_a_load_after_threaded_ncm_scores_still_forks(self, tmp_path, monkeypatch, forked):
+        # the distance kernel joins its threads before it returns or raises
+        matrix, path = self._big(tmp_path)
+        forked.clear()  # the pool that wrote the matrix
+        rows = np.random.default_rng(9).normal(size=(100, 512))  # 50 blocks on two threads
+        data._ncm_scores(rows, rows)
+
+        def fail(*block):
+            raise ValueError("block fault")
+
+        monkeypatch.setattr(data, "_score_block", fail)
+        with pytest.raises(ValueError, match="block fault"):
+            data._ncm_scores(rows, rows)
+        assert io.load_matrix(path).tobytes() == matrix.tobytes()
+        assert forked == [2]
