@@ -14,6 +14,7 @@ from .data import (
     LabelPartition,
     LinearHead,
     _class_set,
+    _each_block,
     _frozen_array,
     _row_blocks,
     check_num_classes,
@@ -162,15 +163,20 @@ def absent_binary_prob(logits: LabeledLogits, partition: LabelPartition) -> floa
     absent group (the group-level factor of the softmax decomposition)."""
     stats = _group_stats(logits, partition)
     rows = _absent_labeled_rows(stats)
+    if rows.size == 1:  # numpy sums a lone row's gather pairwise, any larger one column by column
+        rows = np.repeat(rows, 2)
     values = logits.values
     seen, absent = partition.group_indices("S"), partition.group_indices("U")
     row_max = np.maximum(stats.max_s, stats.max_u)[rows]
     prob = np.empty(rows.size)
-    for block in _row_blocks(rows.size, values.itemsize * values.shape[1]):
+
+    def block_prob(block: slice) -> None:
         z = np.exp(values[rows[block]] - row_max[block, None])
         z_seen = z[:, seen].sum(axis=1)
         z_absent = z[:, absent].sum(axis=1)
         prob[block] = z_absent / (z_seen + z_absent)
+
+    _each_block(_row_blocks(rows.size, values.itemsize * values.shape[1]), block_prob)
     return float(prob.mean())
 
 

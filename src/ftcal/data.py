@@ -13,17 +13,23 @@ partition: ``metrics._group_stats`` keeps the last result on the instance,
 keyed by partition equality, with read-only arrays. Every accuracy, curve,
 gamma and logit diagnostic then reads that one result.
 
-It also owns the two row primitives every kernel shares: ``_row_blocks``
-cuts rows into blocks of the ``_BLOCK_BYTES`` budget, and ``_ncm_scores``
-is the one squared-distance kernel, behind NCM and the greedy split. It
-runs on one thread per CPU of the affinity mask (``_cpu_count``, as ``io``
-counts them), with one difference slab per thread and the same bits at any
-count; ``taskset -c 0`` keeps it on one CPU. And ``_class_set`` is the one
+It also owns the row primitives every kernel shares. ``_row_blocks`` cuts
+rows into blocks of the ``_BLOCK_BYTES`` budget, and ``_each_block`` runs a
+pass over them on one thread per CPU of the affinity mask (``_cpu_count``,
+as ``io`` counts them) once there are ``_THREAD_BLOCKS`` blocks. Every
+row-block pass goes through it: the container copy and check here, the one
+squared-distance kernel ``_ncm_scores`` (NCM and the greedy split), the
+statistics kernel in ``metrics`` and the absent probability in
+``analysis``. Each block writes only its own rows, computed as on one
+thread, so bits and faults are the same at any CPU count. Memory is one
+block's temporaries (for NCM, one difference slab) per thread, and
+``taskset -c 0`` keeps all of it on one CPU. And ``_class_set`` is the one
 reader of every collection of class indices.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import threading
@@ -43,6 +49,11 @@ _GROUPS = ("S", "U", "Y")
 # blocks ran 1.3-1.5x faster than 4 MiB blocks and 2-3x faster than one
 # block.
 _BLOCK_BYTES = 512 * 1024
+
+# ``_each_block`` starts threads only on this many blocks or more. On 2 CPUs,
+# threads on a 20-block feature copy and a 31-block cosine kernel made the
+# NCM, cosine and CKA pass 3-7 % slower; from 32 on it was as fast as before.
+_THREAD_BLOCKS = 32
 
 
 def _row_blocks(num_rows: int, row_bytes: int) -> list[slice]:
@@ -66,6 +77,49 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+def _each_block(blocks: list[slice], work, per_thread=None) -> None:
+    """Call ``work(block)`` on every slice of ``blocks``, or
+    ``work(block, buffer)`` with one ``per_thread()`` buffer per thread.
+
+    From ``_THREAD_BLOCKS`` blocks on, they go out in order, under a lock,
+    to one thread per CPU, the caller among them; each helper runs in a
+    copy of the caller's context, so its ``np.errstate`` holds in every
+    block. The buffers are made here, not in a thread's own malloc arena,
+    which would stay resident. Every thread is joined before the call
+    returns; the lowest-numbered failing block's exception is raised (a
+    thread finishes the block it holds, so every lower block has run).
+    """
+    workers = min(_cpu_count(), len(blocks)) if len(blocks) >= _THREAD_BLOCKS else 1
+    buffers = [() if per_thread is None else (per_thread(),) for _ in range(workers)]
+    pending = iter(enumerate(blocks))
+    taking = threading.Lock()
+    faults: dict[int, BaseException] = {}  # by block index; any entry stops every thread
+
+    def take_blocks(buffer: tuple) -> None:
+        while not faults:
+            with taking:
+                index, block = next(pending, (None, None))
+            if block is None:
+                return
+            try:
+                work(block, *buffer)
+            except BaseException as fault:  # raised in the calling thread below
+                faults[index] = fault
+
+    started = []
+    try:
+        for buffer in buffers[1:]:
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(take_blocks, buffer))
+            thread.start()
+            started.append(thread)
+        take_blocks(buffers[0])
+    finally:
+        for thread in started:
+            thread.join()
+    if faults:
+        raise faults[min(faults)]
+
+
 def _score_block(rows: np.ndarray, candidates: np.ndarray, slab: np.ndarray, scores: np.ndarray) -> None:
     """Write minus the squared distances of ``rows`` to ``candidates`` into
     ``scores``, squaring the differences in place in ``slab``, a C-ordered
@@ -82,48 +136,18 @@ def _ncm_scores(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
 
     Each entry is the direct sum of squared differences, not the
     |u|^2 - 2 u.m + |m|^2 expansion, whose cancellation can flip near-tie
-    argmins. The blocks go out in order to one thread per CPU, at most one
-    per block, the calling thread among them. Each thread squares its
-    blocks in one slab of a block's size, so one slab per thread is held
-    beside the scores, and each entry is the same sum over a contiguous
-    slab row on any thread, so the bits do not depend on the CPU count.
-    Every thread is joined before the call returns; the first failing
-    block's exception is raised.
+    argmins. Through ``_each_block``, each thread squares its blocks in one
+    slab of a block's size, held beside the scores, and each entry is the
+    same sum over a contiguous slab row on any thread.
     """
     scores = np.empty((rows.shape[0], candidates.shape[0]))
     blocks = _row_blocks(rows.shape[0], rows.itemsize * candidates.size)
     slab_rows = max((block.stop - block.start for block in blocks), default=0)
-    workers = max(1, min(_cpu_count(), len(blocks)))
-    # made here: a slab a thread made would come from its own malloc arena,
-    # which stays resident after the thread ends
-    slabs = [np.empty((slab_rows, *candidates.shape)) for _ in range(workers)]
-    pending = iter(enumerate(blocks))
-    taking = threading.Lock()
-    faults: dict[int, BaseException] = {}  # by block index; any entry stops every thread
 
-    def take_blocks(slab: np.ndarray) -> None:
-        while not faults:
-            with taking:
-                index, block = next(pending, (None, None))
-            if block is None:
-                return
-            try:
-                _score_block(rows[block], candidates, slab[: block.stop - block.start], scores[block])
-            except BaseException as fault:  # raised in the calling thread below
-                faults[index] = fault
+    def score(block: slice, slab: np.ndarray) -> None:
+        _score_block(rows[block], candidates, slab[: block.stop - block.start], scores[block])
 
-    started = []
-    try:
-        for slab in slabs[1:]:
-            thread = threading.Thread(target=take_blocks, args=(slab,))
-            thread.start()
-            started.append(thread)
-        take_blocks(slabs[0])
-    finally:
-        for thread in started:
-            thread.join()
-    if faults:
-        raise faults[min(faults)]
+    _each_block(blocks, score, per_thread=lambda: np.empty((slab_rows, *candidates.shape)))
     return scores
 
 
@@ -150,8 +174,8 @@ def _frozen_array(values, dtype, name: str, ndim: int, flatten: bool = False) ->
     ones (``int()`` would truncate 0.7 to 0).
 
     A numeric input, or a sequence numpy makes a numeric array of, is
-    copied in row blocks of ``_BLOCK_BYTES``, each checked while it is still
-    in cache, so no full-size boolean temporary is made. Anything numpy
+    copied in ``_each_block`` row blocks, each checked while it is still in
+    cache, so no full-size boolean temporary is made. Anything numpy
     makes no bool, integer or float array of (complex numbers, strings,
     ``None``, ragged lists) raises ``ValidationError``, never a cast.
     """
@@ -168,7 +192,8 @@ def _frozen_array(values, dtype, name: str, ndim: int, flatten: bool = False) ->
     arr = np.empty_like(source, dtype=dtype, subok=False)  # the memory order np.array keeps
     check_finite = arr.dtype.kind == "f"
     check_integral = arr.dtype.kind in "iu" and source.dtype.kind == "f"
-    for rows in _row_blocks(arr.shape[0], arr.itemsize * math.prod(arr.shape[1:])):
+
+    def copy_block(rows: slice) -> None:
         block, chunk = arr[rows], source[rows]
         if check_integral:
             with np.errstate(invalid="ignore"):  # a nan, inf or overflowing cast fails the check
@@ -180,6 +205,8 @@ def _frozen_array(values, dtype, name: str, ndim: int, flatten: bool = False) ->
             block[...] = chunk
             if check_finite and not np.isfinite(block).all():
                 raise ValidationError(f"{name} contains non-finite entries")
+
+    _each_block(_row_blocks(arr.shape[0], arr.itemsize * math.prod(arr.shape[1:])), copy_block)
     arr.flags.writeable = False
     return arr
 

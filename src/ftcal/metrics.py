@@ -13,6 +13,7 @@ from .data import (
     LabeledLogits,
     LabelPartition,
     _class_set,
+    _each_block,
     _frozen_array,
     _row_blocks,
     check_gamma,
@@ -165,16 +166,20 @@ def _group_stats(logits: LabeledLogits, partition: LabelPartition) -> _GroupStat
 def _stats_kernel(values: np.ndarray, labels: np.ndarray, partition: LabelPartition) -> _GroupStats:
     """Max, argmax and sum over each group's columns, the ground-truth logit
     and the runner-up absent logit of every row of ``values`` (N x C, C the
-    partition's class count), computed in one pass of row blocks.
-    ``labels`` holds N column indices.
+    partition's class count), computed in one pass of row blocks through
+    ``data._each_block``. ``labels`` holds N column indices.
     """
     num_rows, num_cols = values.shape
+    if num_rows == 1:  # numpy sums a lone row's gather pairwise, any larger one column by column
+        twin = _stats_kernel(values[[0, 0]], labels[[0, 0]], partition)
+        return _GroupStats(*(field[:1] for field in twin))
     groups = (partition.group_indices("S"), partition.group_indices("U"))
     maxima = [np.empty(num_rows) for _ in groups]
     argmaxima = [np.empty(num_rows, dtype=np.int64) for _ in groups]
     sums = [np.empty(num_rows) for _ in groups]
     gt, next_u = np.empty(num_rows), np.empty(num_rows)
-    for rows in _row_blocks(num_rows, values.itemsize * num_cols):
+
+    def block_stats(rows: slice) -> None:
         block = values[rows]
         at = np.arange(block.shape[0])
         gt[rows] = block[at, labels[rows]]
@@ -189,6 +194,8 @@ def _stats_kernel(values: np.ndarray, labels: np.ndarray, partition: LabelPartit
         # alignment, so adding 0.0 makes every zero +0.0.
         sub[at, idx] = -np.inf
         next_u[rows] = sub.max(axis=1) + 0.0
+
+    _each_block(_row_blocks(num_rows, values.itemsize * num_cols), block_stats)
     # a lookup table rather than np.isin, whose fixed cost dominates small inputs
     absent = np.zeros(num_cols, dtype=bool)
     absent[groups[1]] = True

@@ -6,6 +6,7 @@ import os
 import re
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from ftcal import (
     ToySpec,
     TrainConfig,
     ValidationError,
+    absent_binary_prob,
     absent_feature_shift,
     acc_report,
     class_means,
@@ -661,7 +663,7 @@ class TestNcmScoresOnThreads:
         for num_candidates, dim in ((1, 1), (2, 3), (7, 9), (40, 64)):
             row_bytes = 8 * num_candidates * dim
             step = max(2, block_bytes // row_bytes)
-            for num_blocks in sorted({1, 2, 3, cpus, cpus + 1}):
+            for num_blocks in sorted({1, 2, 3, cpus, cpus + 1, data._THREAD_BLOCKS, data._THREAD_BLOCKS + 1}):
                 for num_rows in (num_blocks * step, num_blocks * step + 1):  # a lone last row joins its block
                     assert len(data._row_blocks(num_rows, row_bytes)) == num_blocks
                     rows = rng.normal(size=(num_rows, dim)) * 10.0 ** rng.integers(-5, 6)
@@ -786,3 +788,170 @@ class TestNcmScoresOnThreads:
                 assert _ncm_scores(rows, candidates).tobytes() == _broadcast_scores(rows, candidates).tobytes()
         finally:
             sys.setswitchinterval(interval)
+
+
+def _count_threads(monkeypatch) -> list:
+    """Record every thread started from now on; returns the list it fills.
+    Each thread lingers a little after its work, so a call that returns
+    without joining its threads leaves them alive."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+        def run(self):
+            super().run()
+            time.sleep(0.01)
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+class TestRowBlockPassesOnThreads:
+    """Every row-block pass (the container copy and check, the statistics
+    kernel, the absent probability and the NCM distances) runs through
+    ``data._each_block``: the same bits and faults at any CPU count, the
+    caller's ``np.errstate`` in every block, no thread on too few blocks
+    and none left after a call."""
+
+    def _instance(self, num_rows=600):
+        rng = np.random.default_rng(30)
+        values = rng.normal(size=(num_rows, 40)) * 10.0 ** rng.integers(-3, 4, size=(num_rows, 1))
+        labels = rng.integers(0, 40, size=num_rows)
+        features = LabeledFeatures(rng.normal(size=(num_rows, 24)), labels)
+        return values, labels, LabelPartition(40, range(0, 40, 3)), features, LinearHead(rng.normal(size=(40, 24)))
+
+    def _results(self, values, labels, partition, features, head):
+        logits = LabeledLogits(values, labels)
+        stats = metrics._stats_kernel(logits.values, logits.labels, partition)
+        return (
+            logits.values.tobytes(),
+            logits.labels.tobytes(),
+            features.values.tobytes(),
+            *(field.tobytes() for field in stats),
+            np.float64(absent_binary_prob(logits, partition)).tobytes(),
+            predict_cosine(features, head, partition, 0.3).tobytes(),
+        )
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_every_pass_matches_one_thread_bit_for_bit(self, cpus, monkeypatch):
+        with monkeypatch.context() as patch:
+            _cpus(patch, 1)
+            expected = self._results(*self._instance())
+        _cpus(monkeypatch, cpus)
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 2048)  # 6 logits rows a block: 100 blocks
+        assert len(data._row_blocks(600, 8 * 40)) == 100
+        started = _count_threads(monkeypatch)
+        assert self._results(*self._instance()) == expected
+        assert bool(started) == (cpus > 1)
+
+    def test_two_non_finite_blocks_raise_one_message(self, monkeypatch):
+        _cpus(monkeypatch, 4)
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 64)  # 4 rows a block: 1,000 blocks
+        values = np.random.default_rng(31).normal(size=(4000, 2))
+        values[1001, 1], values[3500, 0] = np.nan, -np.inf
+        for _ in range(5):
+            with pytest.raises(ValidationError, match=r"^logits contains non-finite entries$"):
+                LabeledLogits(values, np.zeros(4000, dtype=np.int64))
+
+    def test_the_first_non_integral_label_in_row_order_is_named(self, monkeypatch):
+        _cpus(monkeypatch, 4)
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 64)  # 8 labels a block: 500 blocks
+
+        class SlowFirstFault(np.ndarray):
+            def __getitem__(self, index):
+                if isinstance(index, slice) and index.start == 1000:
+                    time.sleep(0.2)  # the other threads fail later blocks meanwhile
+                return super().__getitem__(index)
+
+        labels = np.zeros(4000)
+        bad = np.arange(1000, 4000, 37)
+        labels[bad] = bad + 0.5  # a bad label in most blocks from the 125th on
+        for source in (labels, labels.view(SlowFirstFault)):
+            with pytest.raises(ValidationError, match=r"^labels entry 1000\.5 is not an integer$"):
+                LabeledLogits(np.zeros((4000, 2)), source)
+
+    def test_no_thread_outlives_a_pass(self, monkeypatch):
+        _cpus(monkeypatch, 4)
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 2048)
+        values, labels, partition, features, head = self._instance()
+        logits = LabeledLogits(values, labels)
+        broken = values.copy()
+        broken[-1, -1] = np.inf
+        started = _count_threads(monkeypatch)
+        before = threading.active_count()
+
+        def rejected():
+            with pytest.raises(ValidationError, match="non-finite"):
+                LabeledLogits(broken, labels)
+
+        for call in (
+            lambda: LabeledLogits(values, labels),
+            lambda: metrics._stats_kernel(logits.values, logits.labels, partition),
+            lambda: absent_binary_prob(logits, partition),
+            lambda: predict_cosine(features, head, partition, 0.3),
+            rejected,
+        ):
+            threads = len(started)
+            call()
+            assert len(started) > threads and threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_too_few_blocks_start_no_thread(self, cpus, monkeypatch):
+        _cpus(monkeypatch, cpus)
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 2048)  # 6 rows of 40 logits a block
+        started = _count_threads(monkeypatch)
+        partition = LabelPartition(40, range(20))
+        candidates = np.ones((4, 10))  # NCM rows of 4 x 10 differences: 6 rows a block too
+        for num_blocks in (data._THREAD_BLOCKS - 1, data._THREAD_BLOCKS):
+            num_rows = 6 * num_blocks
+            values = np.random.default_rng(num_blocks).normal(size=(num_rows, 40))
+            logits = LabeledLogits(values, np.full(num_rows, 30))  # every row absent-labelled
+            absent_binary_prob(logits, partition)
+            _ncm_scores(values[:, :10], candidates)
+            # the container, the kernel, the absent probability and NCM
+            assert len(started) == (0 if num_blocks < data._THREAD_BLOCKS else 4 * (cpus - 1))
+
+    def test_more_threads_than_cores_lose_no_row(self, monkeypatch):
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 64)  # two rows of 4 logits a block: many hand-offs
+        rng = np.random.default_rng(33)
+        partition = LabelPartition(4, (0, 2))
+
+        def results(values, labels):
+            logits = LabeledLogits(values, labels)
+            stats = metrics._stats_kernel(logits.values, logits.labels, partition)
+            return [logits.values.tobytes(), *(field.tobytes() for field in stats)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                num_rows = int(rng.integers(2 * data._THREAD_BLOCKS, 400))
+                values, labels = rng.normal(size=(num_rows, 4)), rng.integers(0, 4, size=num_rows)
+                _cpus(monkeypatch, 1)
+                expected = results(values, labels)
+                _cpus(monkeypatch, 8)
+                assert results(values, labels) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_the_callers_errstate_reaches_every_block(self, cpus, monkeypatch):
+        _cpus(monkeypatch, cpus)
+        rng = np.random.default_rng(32)
+        rows, candidates = rng.normal(size=(400, 256)), rng.normal(size=(100, 256))
+        rows[-2:] = 1e200  # overflows in the last of 200 blocks only
+        assert len(data._row_blocks(400, rows.itemsize * candidates.size)) == 200
+        for _ in range(6):
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+                _ncm_scores(rows, candidates)
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 2048)  # 100 blocks
+        values = rng.normal(size=(600, 40))
+        values[-3:, 0] = -1000.0  # exp underflows in the last block only
+        logits, partition = LabeledLogits(values, np.full(600, 39)), LabelPartition(40, range(20))
+        _group_stats(logits, partition)
+        for _ in range(6):
+            with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+                absent_binary_prob(logits, partition)

@@ -66,6 +66,8 @@ def ref_logit_gap_stats(logits, partition):
 def ref_absent_binary_prob(logits, partition):
     mask = is_absent_label(partition, logits.labels)
     rows = logits.values[mask]
+    if rows.shape[0] == 1:  # a lone row is summed as in any larger gather, column by column
+        rows = np.repeat(rows, 2, axis=0)
     z = np.exp(rows - rows.max(axis=1, keepdims=True))
     z_seen = z[:, partition.group_indices("S")].sum(axis=1)
     z_absent = z[:, partition.group_indices("U")].sum(axis=1)
@@ -268,6 +270,49 @@ def every_statistic(logits, partition):
         absent_binary_prob(logits, partition),
         gt_vs_top_nongt_absent(logits, partition),
     )
+
+
+class TestOneRowSums:
+    """A one-row container, or one absent-labelled row, is summed as the same
+    row inside a larger container: numpy would sum a lone row's column
+    gather pairwise, but the rows of any larger gather column by column."""
+
+    def _rows(self):
+        rng = np.random.default_rng(40)
+        values = rng.normal(size=(1500, 16)) * 1e-3
+        labels = rng.integers(0, 16, size=1500)
+        return values, labels, LabelPartition(16, range(0, 16, 2))
+
+    def test_a_lone_row_has_the_statistics_it_has_among_others(self):
+        values, labels, partition = self._rows()
+        whole = _group_stats(LabeledLogits(values, labels), partition)
+        means = nongt_logit_means(LabeledLogits(values, labels), partition)
+        seen = partition.group_indices("S")
+        pairwise = 0
+        for i in range(values.shape[0]):
+            one = LabeledLogits(values[i : i + 1], labels[i : i + 1])
+            for got, want in zip(_group_stats(one, partition), whole):
+                assert got.tobytes() == want[i : i + 1].tobytes()
+            for got, want in zip(nongt_logit_means(one, partition), means):
+                assert got.tobytes() == want[i : i + 1].tobytes()
+            pairwise += values[i : i + 1][:, seen].sum(axis=1)[0] != whole.sum_s[i]
+        # the pairwise sum of a lone row differs in the last bit on most rows
+        assert pairwise > 500
+
+    def test_a_lone_absent_row_has_the_probability_it_has_among_others(self):
+        values, labels, partition = self._rows()
+        absent = is_absent_label(partition, labels)
+        rows = values[absent]  # hundreds of rows: each summed column by column
+        z = np.exp(rows - rows.max(axis=1, keepdims=True))
+        z_seen = z[:, partition.group_indices("S")].sum(axis=1)
+        z_absent = z[:, partition.group_indices("U")].sum(axis=1)
+        expected = z_absent / (z_seen + z_absent)
+        seen_row = int(np.flatnonzero(~absent)[0])
+        for k, i in enumerate(np.flatnonzero(absent)):
+            alone = LabeledLogits(values[[i]], labels[[i]])
+            beside_a_seen_row = LabeledLogits(values[[i, seen_row]], labels[[i, seen_row]])
+            for logits in (alone, beside_a_seen_row):
+                assert bits(absent_binary_prob(logits, partition)) == bits(expected[k])
 
 
 class TestMemo:

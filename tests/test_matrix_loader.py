@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ftcal import ParseError, ShapeError
+from ftcal import LabeledLogits, LabelPartition, ParseError, ShapeError, absent_binary_prob
 from ftcal import data, io
 
 # ------------------------------------------------ line-by-line reference
@@ -525,5 +525,19 @@ class TestForkedWorkers:
         monkeypatch.setattr(data, "_score_block", fail)
         with pytest.raises(ValueError, match="block fault"):
             data._ncm_scores(rows, rows)
+        assert io.load_matrix(path).tobytes() == matrix.tobytes()
+        assert forked == [2]
+
+    def test_a_load_after_threaded_containers_still_forks(self, tmp_path, monkeypatch, forked):
+        # the container copy, the statistics kernel and the absent
+        # probability join their threads before they return
+        matrix, path = self._big(tmp_path)
+        forked.clear()  # the pool that wrote the matrix
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 8192)  # 10 rows a block: 200 blocks
+        rng = np.random.default_rng(10)
+        logits = LabeledLogits(rng.normal(size=(2000, 100)), rng.integers(0, 100, size=2000))
+        assert len(data._row_blocks(2000, 8 * 100)) >= data._THREAD_BLOCKS
+        absent_binary_prob(logits, LabelPartition(100, range(0, 100, 4)))
+        assert threading.active_count() == 1
         assert io.load_matrix(path).tobytes() == matrix.tobytes()
         assert forked == [2]
