@@ -7,7 +7,9 @@ Each model formula is stated once. ``_forward`` is the one forward kernel:
 ``forward`` (a one-row batch), ``forward_batch`` and the loss all call it.
 ``_batch_loss_grads`` is the one loss-gradient kernel: the only place the
 softmax error (softmax - one-hot) / N is formed, read by ``fine_tune``,
-``loss_and_grads`` and ``absent_feature_shift`` alike.
+``loss_and_grads`` and ``absent_feature_shift`` alike. They and the SGD
+update work in place, yet make the plain formulas' IEEE operations in the
+same order, so every result is bit-identical to those formulas.
 """
 
 from __future__ import annotations
@@ -126,13 +128,11 @@ class ToySpec:
         return len(self.class_means)
 
 
-def _activate(pre: np.ndarray, activation: str) -> np.ndarray:
-    return pre if activation == "linear" else np.maximum(pre, 0.0)
-
-
 def _forward(hidden_map, head_weights, activation, inputs) -> tuple[np.ndarray, np.ndarray]:
     """Hidden features and logits of an N x d_in input matrix."""
-    hidden = _activate(inputs @ hidden_map.T, activation)
+    hidden = inputs @ hidden_map.T
+    if activation == "rectified":
+        np.maximum(hidden, 0.0, out=hidden)
     return hidden, hidden @ head_weights.T
 
 
@@ -187,11 +187,12 @@ def _ce(hidden_map, head_weights, activation, inputs, labels):
     value is positive.
     """
     hidden, logits = _forward(hidden_map, head_weights, activation, inputs)
-    shift = logits.max(axis=1, keepdims=True)
-    z = np.exp(logits - shift)
-    z_sum = z.sum(axis=1)
-    rows = np.arange(inputs.shape[0])
-    loss = float(np.mean(np.log(z_sum) + shift[:, 0] - logits[rows, labels]))
+    shift = np.maximum.reduce(logits, axis=1, keepdims=True)
+    z = np.subtract(logits, shift)
+    np.exp(z, out=z)
+    z_sum = np.add.reduce(z, axis=1)
+    per_sample = np.log(z_sum) + shift[:, 0] - logits[np.arange(labels.size), labels]
+    loss = float(np.add.reduce(per_sample)) / labels.size  # np.mean's sum and division
     return hidden, logits, z, z_sum, loss
 
 
@@ -199,25 +200,22 @@ def _batch_loss_grads(hidden_map, head_weights, activation, inputs, labels):
     """Mean loss, mean gradients and the softmax error over a batch.
 
     Returns (loss, grad_head, grad_hidden_map, err), where row i of ``err``
-    is (softmax_i - onehot(labels[i])) / N.
+    is (softmax_i - onehot(labels[i])) / N, formed in place in ``z``.
     """
-    hidden, _, z, z_sum, loss = _ce(hidden_map, head_weights, activation, inputs, labels)
-    n = inputs.shape[0]
-    err = z / z_sum[:, None]
-    err[np.arange(n), labels] -= 1.0
-    err /= n
-    grad_head = err.T @ hidden
+    hidden, _, err, z_sum, loss = _ce(hidden_map, head_weights, activation, inputs, labels)
+    np.divide(err, z_sum[:, None], out=err)
+    err[np.arange(labels.size), labels] -= 1.0
+    err /= labels.size
     delta = err @ head_weights
     if activation == "rectified":
-        delta = delta * (hidden > 0.0)
-    grad_hidden_map = delta.T @ inputs
-    return loss, grad_head, grad_hidden_map, err
+        delta *= hidden > 0.0
+    return loss, err.T @ hidden, delta.T @ inputs, err
 
 
 def _mean_loss_and_accuracy(hidden_map, head_weights, activation, inputs, labels):
     # a function of its own, so the N x C logits are freed before the next epoch
     _, logits, _, _, loss = _ce(hidden_map, head_weights, activation, inputs, labels)
-    return loss, float(np.mean(np.argmax(logits, axis=1) == labels))
+    return loss, np.count_nonzero(logits.argmax(axis=1) == labels) / labels.size
 
 
 def fine_tune(
@@ -244,12 +242,12 @@ def fine_tune(
     if data.dim != model.dim_in:
         raise ValidationError(f"data has {data.dim} features, model expects {model.dim_in}")
 
-    params = [model.hidden_map, model.head.weights]
-    velocity = [np.zeros_like(p) for p in params]
+    params = [model.hidden_map.copy(), model.head.weights.copy()]
     updated = _UPDATED[config.mode]
+    velocity = [np.zeros_like(params[i]) for i in updated]
     inputs, labels = data.values, data.labels
     n = data.num_samples
-    lr, mu, wd = config.learning_rate, config.momentum, config.weight_decay
+    lr, mu, decay = config.learning_rate, config.momentum, config.learning_rate * config.weight_decay
 
     history: list[EpochRecord] = []
     for epoch in range(config.epochs):
@@ -257,14 +255,18 @@ def fine_tune(
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             loss, grad_head, grad_hidden, _ = _batch_loss_grads(
-                *params, model.activation, inputs[batch], labels[batch]
+                *params, model.activation, inputs.take(batch, axis=0), labels[batch]
             )
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
             grads = (grad_hidden, grad_head)
-            for i in updated:
-                velocity[i] = mu * velocity[i] + grads[i]
-                params[i] = params[i] - lr * velocity[i] - lr * wd * params[i]
+            for i, v in zip(updated, velocity):
+                # in place: v <- mu*v + g, then p <- (p - lr*v) - (lr*wd)*p, formed in g
+                v *= mu
+                v += grads[i]
+                moved = np.subtract(params[i], np.multiply(v, lr, out=grads[i]), out=grads[i])
+                params[i] *= decay
+                np.subtract(moved, params[i], out=params[i])
         loss, acc = _mean_loss_and_accuracy(*params, model.activation, inputs, labels)
         if not math.isfinite(loss):
             raise TrainingError(f"non-finite loss at epoch {epoch}")
@@ -304,18 +306,16 @@ def gradient_check(num_cases: int = 100, step: float = 1e-5, seed: int = 0) -> f
         model = MlpModel(hidden_map=hidden_map, head=LinearHead(head), activation=activation)
         _, grad_head, grad_hidden = loss_and_grads(model, x, y)
         inputs, labels = x[None, :], np.array([y])
-
-        def loss_at(hm, hw):
-            return _ce(hm, hw, activation, inputs, labels)[-1]
-
         for analytic, matrix, is_head in ((grad_head, head, True), (grad_hidden, hidden_map, False)):
             numeric = np.zeros_like(matrix)
+            bumped = matrix.copy()  # each entry is moved, evaluated twice and put back
+            pair = (hidden_map, bumped) if is_head else (bumped, head)
             for idx in np.ndindex(matrix.shape):
-                bumped = matrix.copy()
                 bumped[idx] = matrix[idx] + step
-                up = loss_at(hidden_map, bumped) if is_head else loss_at(bumped, head)
+                up = _ce(*pair, activation, inputs, labels)[-1]
                 bumped[idx] = matrix[idx] - step
-                down = loss_at(hidden_map, bumped) if is_head else loss_at(bumped, head)
+                down = _ce(*pair, activation, inputs, labels)[-1]
+                bumped[idx] = matrix[idx]
                 numeric[idx] = (up - down) / (2.0 * step)
             scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1.0)
             worst = max(worst, float(np.abs(analytic - numeric).max() / scale))

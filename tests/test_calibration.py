@@ -31,7 +31,7 @@ from ftcal.calibration import select_balanced_gamma
 from ftcal.data import unit_rows
 from ftcal.metrics import _group_stats
 
-from helpers import is_absent_label
+from helpers import exact_accuracies, is_absent_label
 from test_metrics import (
     grid_curve_points,
     random_instance,
@@ -242,18 +242,18 @@ def realised(logits, p, gamma):
     return accs
 
 
-def loop_gamma_star_pick(curve):
-    """The index of gamma* as a loop: best overall, then best balance, then
-    smallest gamma."""
-    overall = curve.acc_y_y()
-    balance = np.minimum(curve.points[:, 0], curve.points[:, 1])
-    best = 0
-    for k in range(1, overall.size):
-        if overall[k] > overall[best] or (
-            overall[k] == overall[best] and balance[k] > balance[best]
-        ):
-            best = k
-    return best
+def exact_gamma_star_pick(accuracies):
+    """The index of gamma* over exact accuracies: best overall, then best
+    balance, then smallest gamma."""
+    return max(
+        range(len(accuracies)),
+        key=lambda k: (accuracies[k][2], min(accuracies[k][:2]), -k),
+    )
+
+
+def as_floats(acc_s, acc_u, acc_y):
+    """An exact (Acc_{S/Y}, Acc_{U/Y}, Acc_{Y/Y}) in ``realised``'s order."""
+    return float(acc_y), float(acc_s), float(acc_u)
 
 
 class TestReportedEqualsRealised:
@@ -262,10 +262,13 @@ class TestReportedEqualsRealised:
     def test_gamma_star(self, instance):
         logits, p = tie_instance(*instance)
         estimate = estimate_gamma_star(logits, p)
-        curve = seen_unseen_curve(logits, p)
-        assert estimate.value == curve.candidate_gammas()[loop_gamma_star_pick(curve)]
+        candidates = seen_unseen_curve(logits, p).candidate_gammas()
+        exact = exact_accuracies(logits.values, logits.labels, p, candidates)
+        best = exact_gamma_star_pick(exact)
+        assert estimate.value == candidates[best]
         d = estimate.diagnostics
-        assert realised(logits, p, estimate.value) == (d["acc_y_y"], d["acc_s_y"], d["acc_u_y"])
+        assert (d["acc_y_y"], d["acc_s_y"], d["acc_u_y"]) == as_floats(*exact[best])
+        assert realised(logits, p, estimate.value) == as_floats(*exact[best])
 
     @given(tie_instances)
     @settings(max_examples=100, deadline=None)
@@ -273,15 +276,20 @@ class TestReportedEqualsRealised:
         logits, p = tie_instance(*instance)
         curve = seen_unseen_curve(logits, p)
         overall = curve.acc_y_y()
-        for k, gamma in enumerate(curve.candidate_gammas()):
-            assert realised(logits, p, gamma) == (overall[k], *curve.points[k])
+        candidates = curve.candidate_gammas()
+        exact = exact_accuracies(logits.values, logits.labels, p, candidates)
+        for k, gamma in enumerate(candidates):
+            assert (overall[k], *curve.points[k]) == as_floats(*exact[k])
+            assert realised(logits, p, gamma) == as_floats(*exact[k])
 
     @given(tie_instances)
     @settings(max_examples=100, deadline=None)
     def test_balanced_pick(self, instance):
         logits, p = tie_instance(*instance)
         gamma, acc_seen, acc_absent = select_balanced_gamma(seen_unseen_curve(logits, p))
-        assert realised(logits, p, gamma)[1:] == (acc_seen, acc_absent)
+        accs = realised(logits, p, gamma)
+        assert accs == as_floats(*exact_accuracies(logits.values, logits.labels, p, [gamma])[0])
+        assert accs[1:] == (acc_seen, acc_absent)
 
     def test_pcv_per_repeat_picks(self, monkeypatch):
         import ftcal.calibration as calibration

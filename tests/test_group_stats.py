@@ -3,6 +3,7 @@ partition, and read by every accuracy and logit diagnostic, which must equal
 their full-matrix formulas bit for bit."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ftcal import (
     acc_report,
     accuracy,
     apply_gamma,
+    ausuc,
     estimate_gamma_alg,
     estimate_gamma_star,
     gt_vs_top_nongt_absent,
@@ -27,7 +29,7 @@ from ftcal import cli, data, metrics
 from ftcal.analysis import nongt_logit_means
 from ftcal.metrics import _group_stats
 
-from helpers import is_absent_label
+from helpers import exact_accuracies, exact_area, is_absent_label
 
 # ------------------------------------------------ full-matrix references
 
@@ -221,6 +223,13 @@ class TestBitForBitWithFullMatrixFormulas:
         # the formula keeps whichever zero its sort leaves; the curve keeps +0.0
         assert bits(curve.thresholds) == bits(thresholds + 0.0)
         assert bits(curve.points) == bits(points)
+        # recounted in exact arithmetic at each candidate gamma
+        exact = exact_accuracies(values, labels, partition, curve.candidate_gammas())
+        assert curve.points.tolist() == [[float(s), float(u)] for s, u, _ in exact]
+        assert curve.acc_y_y().tolist() == [float(y) for _, _, y in exact]
+        # the rounded accuracies, the widths, the products and the sum each
+        # add at most K + 1 half-ulps of 1 over K points
+        assert abs(Fraction(ausuc(curve)) - exact_area(exact)) <= 4 * (len(exact) + 1) * 2.0**-53
 
     @given(diagnostic_instances, st.integers(1, 4096))
     @example((173, 1e-3, False), 1)  # a runner-up of 0.0 and -0.0 in one row

@@ -1,7 +1,11 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from ftcal import (
+    EpochRecord,
     LabeledFeatures,
     LabelPartition,
     LinearHead,
@@ -21,6 +25,7 @@ from ftcal import (
     run_toy_pipeline,
 )
 from ftcal import trainer
+from ftcal.rng import derive_rng
 
 
 def random_model(seed, dim_in=3, dim_hidden=3, num_classes=4, activation="linear"):
@@ -30,6 +35,106 @@ def random_model(seed, dim_in=3, dim_hidden=3, num_classes=4, activation="linear
         head=LinearHead(rng.normal(size=(num_classes, dim_hidden))),
         activation=activation,
     )
+
+
+def bits(*values):
+    """Bytes of floats and float arrays, so -0.0 and 0.0 compare unequal."""
+    return [np.asarray(v, dtype=np.float64).tobytes() for v in values]
+
+
+# ---------------------------------------------------------------------------
+# The plain formulas: every temporary a fresh array, every step one numpy
+# expression. The trainer's in-place kernels must equal them bit for bit.
+
+
+def ref_forward(hidden_map, head, activation, inputs):
+    pre = inputs @ hidden_map.T
+    hidden = pre if activation == "linear" else np.maximum(pre, 0.0)
+    return hidden, hidden @ head.T
+
+
+def ref_ce(hidden_map, head, activation, inputs, labels):
+    hidden, logits = ref_forward(hidden_map, head, activation, inputs)
+    shift = logits.max(axis=1, keepdims=True)
+    z = np.exp(logits - shift)
+    z_sum = z.sum(axis=1)
+    rows = np.arange(inputs.shape[0])
+    loss = float(np.mean(np.log(z_sum) + shift[:, 0] - logits[rows, labels]))
+    return hidden, logits, z, z_sum, loss
+
+
+def ref_batch_loss_grads(hidden_map, head, activation, inputs, labels):
+    hidden, _, z, z_sum, loss = ref_ce(hidden_map, head, activation, inputs, labels)
+    err = z / z_sum[:, None]
+    err[np.arange(inputs.shape[0]), labels] -= 1.0
+    err /= inputs.shape[0]
+    delta = err @ head
+    if activation == "rectified":
+        delta = delta * (hidden > 0.0)
+    return loss, err.T @ hidden, delta.T @ inputs, err
+
+
+def ref_fine_tune(model, data, config):
+    """(hidden_map, head, history) of the plain SGD loop."""
+    params = [np.array(model.hidden_map), np.array(model.head.weights)]
+    velocity = [np.zeros_like(p) for p in params]
+    updated = {"full": (0, 1), "frozen_classifier": (0,), "linear_probe": (1,)}[config.mode]
+    lr, mu, wd = config.learning_rate, config.momentum, config.weight_decay
+    history = []
+    for epoch in range(config.epochs):
+        order = derive_rng(config.seed, epoch).permutation(data.num_samples)
+        for start in range(0, data.num_samples, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            loss, grad_head, grad_hidden, _ = ref_batch_loss_grads(
+                *params, model.activation, data.values[batch], data.labels[batch]
+            )
+            if not math.isfinite(loss):
+                raise TrainingError(f"non-finite loss at epoch {epoch}")
+            grads = (grad_hidden, grad_head)
+            for i in updated:
+                velocity[i] = mu * velocity[i] + grads[i]
+                params[i] = params[i] - lr * velocity[i] - lr * wd * params[i]
+        _, logits, _, _, loss = ref_ce(*params, model.activation, data.values, data.labels)
+        if not math.isfinite(loss):
+            raise TrainingError(f"non-finite loss at epoch {epoch}")
+        accuracy = float(np.mean(np.argmax(logits, axis=1) == data.labels))
+        history.append(EpochRecord(epoch=epoch, loss=loss, accuracy=accuracy))
+    return params[0], params[1], history
+
+
+def ref_gradient_check(num_cases, step, seed):
+    """``gradient_check``'s draws and comparison, with a fresh perturbed
+    copy of the matrix for every entry."""
+    rng = derive_rng(seed)
+    worst = 0.0
+    for case in range(num_cases):
+        dim_in = int(rng.integers(2, 7))
+        dim_hidden = int(rng.integers(2, 6))
+        num_classes = int(rng.integers(2, 7))
+        activation = ("linear", "rectified")[case % 2]
+        hidden_map = rng.normal(0.0, 0.7, size=(dim_hidden, dim_in))
+        head = rng.normal(0.0, 0.7, size=(num_classes, dim_hidden))
+        x = rng.normal(0.0, 1.0, size=dim_in)
+        if activation == "rectified":
+            while np.abs(hidden_map @ x).min() < 1e-3:
+                x = rng.normal(0.0, 1.0, size=dim_in)
+        inputs, labels = x[None, :], np.array([int(rng.integers(num_classes))])
+        _, grad_head, grad_hidden, _ = ref_batch_loss_grads(
+            hidden_map, head, activation, inputs, labels
+        )
+        for analytic, matrix, is_head in ((grad_head, head, True), (grad_hidden, hidden_map, False)):
+            numeric = np.zeros_like(matrix)
+            for idx in np.ndindex(matrix.shape):
+                losses = []
+                for moved in (matrix[idx] + step, matrix[idx] - step):
+                    bumped = matrix.copy()
+                    bumped[idx] = moved
+                    pair = (hidden_map, bumped) if is_head else (bumped, head)
+                    losses.append(ref_ce(*pair, activation, inputs, labels)[-1])
+                numeric[idx] = (losses[0] - losses[1]) / (2.0 * step)
+            scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1.0)
+            worst = max(worst, float(np.abs(analytic - numeric).max() / scale))
+    return worst
 
 
 class TestForward:
@@ -142,6 +247,93 @@ class TestLossAndGrads:
             x = np.random.default_rng(seed).normal(size=3)
             _, grad_head, _ = loss_and_grads(model, x, 0)
             assert np.abs(grad_head.sum(axis=0)).max() < 1e-12 * max(1.0, np.abs(x).max())
+
+
+class TestKernelsEqualThePlainFormulas:
+    @pytest.mark.parametrize("activation", ["linear", "rectified"])
+    @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+    def test_forward_loss_error_gradients_and_feature_shift(self, activation, scale):
+        # the head's scale sets the logits' scale: near-uniform softmax at
+        # 1e-3, underflowing exponentials at 1e3
+        for seed in range(10):
+            rng = np.random.default_rng([seed, 1])
+            base = random_model(seed, dim_in=5, dim_hidden=4, num_classes=6, activation=activation)
+            model = MlpModel(base.hidden_map, LinearHead(base.head.weights * scale), activation)
+            hidden_map, head = model.hidden_map, model.head.weights
+            inputs = rng.normal(size=(7, 5))
+            labels = rng.integers(0, 6, size=7)
+            assert bits(*forward_batch(model, inputs)) == bits(
+                *ref_forward(hidden_map, head, activation, inputs)
+            )
+            got = trainer._batch_loss_grads(hidden_map, head, activation, inputs, labels)
+            want = ref_batch_loss_grads(hidden_map, head, activation, inputs, labels)
+            assert bits(*got) == bits(*want)
+            assert bits(*loss_and_grads(model, inputs[0], labels[0])) == bits(
+                *ref_batch_loss_grads(hidden_map, head, activation, inputs[:1], labels[:1])[:3]
+            )
+            if activation == "linear":
+                lr = float(rng.uniform(0.01, 1.0))
+                _, _, grad_hidden, err = ref_batch_loss_grads(
+                    hidden_map, head, activation, inputs[:1], labels[:1]
+                )
+                predicted = -lr * (head.T @ err[0]) * float(inputs[0] @ inputs[1])
+                actual = (hidden_map - lr * grad_hidden) @ inputs[1] - hidden_map @ inputs[1]
+                shift = absent_feature_shift(model, (inputs[0], labels[0]), inputs[1], lr)
+                assert bits(*shift) == bits(predicted, actual)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradient_check(self, seed):
+        assert bits(gradient_check(30, seed=seed)) == bits(ref_gradient_check(30, 1e-5, seed))
+
+
+class TestFineTuneEqualsThePlainLoop:
+    """``fine_tune`` updates its matrices in place; the plain loop makes
+    fresh arrays at every step. Same bits, same history, same failures."""
+
+    # (momentum, weight decay) and (samples, batch size): a ragged last
+    # batch, one sample per batch, one batch larger than the data
+    settings = [(0.0, 0.0), (0.9, 0.0), (0.0, 0.05), (0.9, 0.05)]
+    batches = [(23, 5), (23, 1), (23, 40)]
+
+    @pytest.mark.parametrize("activation", ["linear", "rectified"])
+    @pytest.mark.parametrize("mode", ["full", "frozen_classifier", "linear_probe"])
+    def test_trained_matrices_and_history(self, mode, activation):
+        for k, ((momentum, decay), (n, batch_size)) in enumerate(
+            itertools.product(self.settings, self.batches)
+        ):
+            rng = np.random.default_rng(k)
+            model = random_model(k, dim_in=4, dim_hidden=3, num_classes=5, activation=activation)
+            before = bits(model.hidden_map, model.head.weights)
+            data = LabeledFeatures(rng.normal(size=(n, 4)), rng.choice([0, 2, 3], n))
+            config = TrainConfig(
+                learning_rate=0.3, momentum=momentum, weight_decay=decay, epochs=3,
+                batch_size=batch_size, mode=mode, seed=k,
+            )
+            trained, history = fine_tune(model, data, (0, 2, 3), config)
+            hidden_map, head, ref_history = ref_fine_tune(model, data, config)
+            assert bits(trained.hidden_map, trained.head.weights) == bits(hidden_map, head)
+            assert [bits(r.epoch, r.loss, r.accuracy) for r in history] == [
+                bits(r.epoch, r.loss, r.accuracy) for r in ref_history
+            ]
+            assert bits(model.hidden_map, model.head.weights) == before
+            assert not model.hidden_map.flags.writeable
+            assert not model.head.weights.flags.writeable
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("activation", ["linear", "rectified"])
+    @pytest.mark.parametrize("learning_rate", [1e8, 1e20, 1e60])
+    def test_divergence_names_the_same_epoch(self, activation, learning_rate):
+        # the hidden map and head grow each other, so a large rate overflows
+        # after a few epochs, a huge one in the first
+        rng = np.random.default_rng(6)
+        model = MlpModel(rng.normal(size=(3, 3)), LinearHead(rng.normal(size=(4, 3))), activation)
+        data = LabeledFeatures(rng.normal(size=(23, 3)), rng.integers(0, 2, 23))
+        config = TrainConfig(learning_rate, momentum=0.5, epochs=6, batch_size=5, seed=1)
+        with pytest.raises(TrainingError) as want:
+            ref_fine_tune(model, data, config)
+        with pytest.raises(TrainingError) as got:
+            fine_tune(model, data, (0, 1), config)
+        assert str(got.value) == str(want.value)
 
 
 class TestFineTune:
