@@ -21,7 +21,7 @@ from .data import (
     unit_rows,
 )
 from .errors import DegenerateInputError, EmptyGroupError, ValidationError
-from .metrics import _group_stats
+from .metrics import _group_stats, _row_sums
 
 # Centered Grams of nearly identical rows have HSIC at rounding-noise level;
 # anything at or below this is treated as "all rows identical".
@@ -163,8 +163,6 @@ def absent_binary_prob(logits: LabeledLogits, partition: LabelPartition) -> floa
     absent group (the group-level factor of the softmax decomposition)."""
     stats = _group_stats(logits, partition)
     rows = _absent_labeled_rows(stats)
-    if rows.size == 1:  # numpy sums a lone row's gather pairwise, any larger one column by column
-        rows = np.repeat(rows, 2)
     values = logits.values
     seen, absent = partition.group_indices("S"), partition.group_indices("U")
     row_max = np.maximum(stats.max_s, stats.max_u)[rows]
@@ -172,8 +170,7 @@ def absent_binary_prob(logits: LabeledLogits, partition: LabelPartition) -> floa
 
     def block_prob(block: slice) -> None:
         z = np.exp(values[rows[block]] - row_max[block, None])
-        z_seen = z[:, seen].sum(axis=1)
-        z_absent = z[:, absent].sum(axis=1)
+        z_seen, z_absent = _row_sums(z[:, seen]), _row_sums(z[:, absent])
         prob[block] = z_absent / (z_seen + z_absent)
 
     _each_block(_row_blocks(rows.size, values.itemsize * values.shape[1]), block_prob)

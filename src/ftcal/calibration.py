@@ -89,15 +89,16 @@ def estimate_gamma_star(test_logits: LabeledLogits, partition: LabelPartition) -
     """
     curve = seen_unseen_curve(test_logits, partition)
     candidates = curve.candidate_gammas()
-    overall = curve.acc_y_y()
-    balance = np.minimum(curve.points[:, 0], curve.points[:, 1])
-    # first maximum of the balance among the best overall points
-    best = int(np.argmax(np.where(overall == overall.max(), balance, -np.inf)))
+    seen, absent = curve.hits[:, 0], curve.hits[:, 1]
+    overall = seen + absent
+    balance = np.minimum(seen * curve.num_absent, absent * curve.num_seen)
+    # first maximum of the balance (times num_seen * num_absent) among the best overall points
+    best = int(np.argmax(np.where(overall == overall.max(), balance, -1)))
     return GammaEstimate(
         value=float(candidates[best]),
         method="STAR",
         diagnostics={
-            "acc_y_y": float(overall[best]),
+            "acc_y_y": float(curve.acc_y_y()[best]),
             "acc_s_y": float(curve.points[best, 0]),
             "acc_u_y": float(curve.points[best, 1]),
         },
@@ -125,10 +126,11 @@ def predict_cosine(
 
 
 def select_balanced_gamma(curve) -> tuple[float, float, float]:
-    """Curve gamma minimizing |Acc_{S/Y} - Acc_{U/Y}|; ties take the
-    smallest gamma. Returns (gamma, acc_seen, acc_absent) at the pick."""
+    """Curve gamma minimizing |Acc_{S/Y} - Acc_{U/Y}|, compared exactly in
+    hit counts; ties take the smallest gamma. Returns (gamma, acc_seen,
+    acc_absent) at the pick."""
     candidates = curve.candidate_gammas()
-    gap = np.abs(curve.points[:, 0] - curve.points[:, 1])
+    gap = np.abs(curve.hits[:, 0] * curve.num_absent - curve.hits[:, 1] * curve.num_seen)
     best = int(np.argmin(gap))  # first minimum = smallest gamma
     return (
         float(candidates[best]),

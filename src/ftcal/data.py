@@ -58,18 +58,12 @@ _THREAD_BLOCKS = 32
 
 def _row_blocks(num_rows: int, row_bytes: int) -> list[slice]:
     """Slices covering ``num_rows`` rows, each of about ``_BLOCK_BYTES``
-    when one row takes ``row_bytes``.
-
-    No block has a single row unless ``num_rows`` is 1. numpy sums the rows
-    of a column gather of two or more rows column by column, but a single
-    row pairwise, so this keeps every row sum independent of the blocking.
-    Rows of no bytes (no columns) all go in one block.
+    when one row takes ``row_bytes``. Rows of no bytes (no columns) all go
+    in one block.
     """
+    # two rows at least, so that an NCM slab outweighs numpy's fixed per-thread reduction buffers
     step = max(2, _BLOCK_BYTES // max(1, row_bytes))
-    starts = list(range(0, num_rows, step))
-    if len(starts) > 1 and num_rows - starts[-1] == 1:
-        starts.pop()  # the last row joins the block before it
-    return [slice(start, end) for start, end in zip(starts, starts[1:] + [num_rows])]
+    return [slice(start, min(start + step, num_rows)) for start in range(0, num_rows, step)]
 
 
 def _cpu_count() -> int:

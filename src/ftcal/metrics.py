@@ -63,7 +63,8 @@ class SeenUnseenCurve:
     (thresholds[k-1], thresholds[k]); points[0] covers
     (-inf, thresholds[0]) and points[-1] covers
     (thresholds[-1], +inf). Inside an interval no sample is tied between
-    the groups, so each interval's accuracies are constant.
+    the groups, so each interval's accuracies are constant. ``hits[k]``
+    holds the int64 seen and absent hit counts of ``points[k]``.
     ``candidate_gammas()[k]`` realises ``points[k]`` exactly under
     ``acc_report`` and ``apply_gamma``.
 
@@ -79,13 +80,14 @@ class SeenUnseenCurve:
 
     thresholds: np.ndarray
     points: np.ndarray
+    hits: np.ndarray
     within_group_acc: tuple[float, float]
     num_seen: int
     num_absent: int
 
     def __post_init__(self):
-        self.thresholds.flags.writeable = False
-        self.points.flags.writeable = False
+        for array in (self.thresholds, self.points, self.hits):
+            array.flags.writeable = False
 
     def candidate_gammas(self) -> np.ndarray:
         """One gamma realizing each staircase point, in interval order.
@@ -106,12 +108,10 @@ class SeenUnseenCurve:
     def acc_y_y(self) -> np.ndarray:
         """Overall accuracy at each staircase point.
 
-        Taken from the recovered correct counts, so it equals the overall
-        accuracy ``acc_report`` gives at the point's gamma bit for bit.
+        Taken from the hit counts, so it equals the overall accuracy
+        ``acc_report`` gives at the point's gamma bit for bit.
         """
-        n_s, n_u = self.num_seen, self.num_absent
-        correct = np.rint(self.points[:, 0] * n_s) + np.rint(self.points[:, 1] * n_u)
-        return correct / (n_s + n_u)
+        return (self.hits[:, 0] + self.hits[:, 1]) / (self.num_seen + self.num_absent)
 
 
 def _argmax_restricted(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -138,8 +138,8 @@ class _GroupStats(NamedTuple):
     max_u: np.ndarray  # max logit over the absent columns
     arg_u: np.ndarray  # its class index, the lowest on ties
     label_absent: np.ndarray  # whether the label is an absent class
-    sum_s: np.ndarray  # sum of the seen logits, as values[:, seen].sum(axis=1)
-    sum_u: np.ndarray  # sum of the absent logits, as values[:, absent].sum(axis=1)
+    sum_s: np.ndarray  # sum of the seen logits, as _row_sums(values[:, seen])
+    sum_u: np.ndarray  # sum of the absent logits, as _row_sums(values[:, absent])
     gt: np.ndarray  # the ground-truth logit, values[i, labels[i]]
     next_u: np.ndarray  # max absent logit outside column arg_u, a zero as +0.0; -inf if none
 
@@ -163,6 +163,14 @@ def _group_stats(logits: LabeledLogits, partition: LabelPartition) -> _GroupStat
     return stats
 
 
+def _row_sums(sub: np.ndarray) -> np.ndarray:
+    """Each row of a column gather ``block[:, cols]`` summed in ascending
+    column order, whatever rows surround it: numpy makes a gather of two or
+    more rows Fortran-ordered and sums its rows column by column, but sums
+    a one-row gather pairwise."""
+    return np.cumsum(sub, axis=1)[:, -1] if sub.shape[0] == 1 else sub.sum(axis=1)
+
+
 def _stats_kernel(values: np.ndarray, labels: np.ndarray, partition: LabelPartition) -> _GroupStats:
     """Max, argmax and sum over each group's columns, the ground-truth logit
     and the runner-up absent logit of every row of ``values`` (N x C, C the
@@ -170,9 +178,6 @@ def _stats_kernel(values: np.ndarray, labels: np.ndarray, partition: LabelPartit
     ``data._each_block``. ``labels`` holds N column indices.
     """
     num_rows, num_cols = values.shape
-    if num_rows == 1:  # numpy sums a lone row's gather pairwise, any larger one column by column
-        twin = _stats_kernel(values[[0, 0]], labels[[0, 0]], partition)
-        return _GroupStats(*(field[:1] for field in twin))
     groups = (partition.group_indices("S"), partition.group_indices("U"))
     maxima = [np.empty(num_rows) for _ in groups]
     argmaxima = [np.empty(num_rows, dtype=np.int64) for _ in groups]
@@ -188,7 +193,7 @@ def _stats_kernel(values: np.ndarray, labels: np.ndarray, partition: LabelPartit
             idx = np.argmax(sub, axis=1)  # first maximum: lowest class index
             best[rows] = sub[at, idx]
             arg[rows] = cols[idx]
-            total[rows] = sub.sum(axis=1)  # a row's sum does not depend on the block
+            total[rows] = _row_sums(sub)
         # sub and idx are the absent group's; masking after the sum keeps it
         # exact. Which zero max returns depends on the block's memory
         # alignment, so adding 0.0 makes every zero +0.0.
@@ -286,18 +291,18 @@ def decompose(logit_row, partition: LabelPartition):
     p_absent * within_absent[c] (c absent) or
     (1 - p_absent) * within_seen[c] (c seen).
 
-    Exponentials are max-shifted, which leaves every ratio unchanged while
-    preventing overflow.
+    Exponentials are shifted by the row's max for ``p_absent``, which then
+    equals ``absent_binary_prob`` of the row bit for bit, and by each
+    group's own max for its within-group vector, so none overflows or
+    underflows to 0 / 0.
     """
     row = _frozen_array(logit_row, np.float64, "logit row", ndim=1, flatten=True)
     check_num_classes("logit row has", row.shape[0], partition)
-    z = np.exp(row - row.max())
-    seen = partition.group_indices("S")
-    absent = partition.group_indices("U")
-    z_seen = float(z[seen].sum())
-    z_absent = float(z[absent].sum())
-    p_absent = z_absent / (z_seen + z_absent)
-    return p_absent, z[seen] / z_seen, z[absent] / z_absent
+    groups = (partition.group_indices("S"), partition.group_indices("U"))
+    z = np.exp(row - row.max())[None]
+    z_seen, z_absent = (float(_row_sums(z[:, cols])[0]) for cols in groups)
+    within = [np.exp(row[None, cols] - row[cols].max()) for cols in groups]
+    return z_absent / (z_seen + z_absent), *(w[0] / _row_sums(w)[0] for w in within)
 
 
 def seen_unseen_curve(logits: LabeledLogits, partition: LabelPartition) -> SeenUnseenCurve:
@@ -322,8 +327,10 @@ def seen_unseen_curve(logits: LabeledLogits, partition: LabelPartition) -> SeenU
     k = thresholds.size
     hist_seen = np.bincount(j[correct_seen], minlength=k)
     hist_absent = np.bincount(j[correct_absent], minlength=k)
-    seen_counts = np.concatenate([np.cumsum(hist_seen[::-1])[::-1], [0]])
-    absent_counts = np.concatenate([[0], np.cumsum(hist_absent)])
+    hits = np.zeros((k + 1, 2), dtype=np.int64)
+    seen_counts, absent_counts = hits[:, 0], hits[:, 1]
+    np.cumsum(hist_seen[::-1], out=seen_counts[-2::-1])
+    np.cumsum(hist_absent, out=absent_counts[1:])
     # No float lies strictly between ulp-adjacent thresholds, so such an
     # interval's point is the one realised at its upper threshold, where
     # the samples flipping there follow the tie rule.
@@ -333,14 +340,11 @@ def seen_unseen_curve(logits: LabeledLogits, partition: LabelPartition) -> SeenU
         seen_counts[upper] -= np.bincount(j[correct_seen & tied_absent], minlength=k)[upper]
         absent_counts[upper] += np.bincount(j[correct_absent & tied_absent], minlength=k)[upper]
     points = np.stack([seen_counts / num_seen, absent_counts / num_absent], axis=1)
-    within = (
-        float(correct_seen.sum() / num_seen),
-        float(correct_absent.sum() / num_absent),
-    )
     return SeenUnseenCurve(
         thresholds=thresholds,
         points=points,
-        within_group_acc=within,
+        hits=hits,
+        within_group_acc=(float(points[0, 0]), float(points[-1, 1])),  # all seen, then all absent
         num_seen=num_seen,
         num_absent=num_absent,
     )
@@ -349,14 +353,14 @@ def seen_unseen_curve(logits: LabeledLogits, partition: LabelPartition) -> SeenU
 def ausuc(curve: SeenUnseenCurve) -> float:
     """Area under the staircase of achievable accuracy pairs.
 
-    Computed as the area of the region dominated by at least one achievable
-    point (union of rectangles), by rectangle summation over the sorted
-    staircase; both accuracies live in [0, 1], so the result does too.
+    The area of the region dominated by at least one achievable point
+    (union of rectangles), summed over the sorted staircase in hit counts:
+    the integer sum of U_k * (S_k - S_{k+1}) divided once by
+    num_seen * num_absent, so the result is correctly rounded.
     """
-    x = curve.points[:, 0]
-    y = curve.points[:, 1]
-    width = x - np.append(x[1:], 0.0)
-    return float(np.sum(y * width))
+    seen, absent = curve.hits[:, 0], curve.hits[:, 1]
+    area = int(np.sum(absent * (seen - np.append(seen[1:], 0))))
+    return area / (curve.num_seen * curve.num_absent)
 
 
 def format_curve_csv(curve: SeenUnseenCurve) -> str:

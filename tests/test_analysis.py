@@ -282,7 +282,15 @@ class TestAbsentBinaryProb:
         labels = rng.integers(3, 6, size=25)
         logits = LabeledLogits(rng.normal(size=(25, 6)), labels)
         expected = np.mean([decompose(row, p)[0] for row in logits.values])
-        assert absent_binary_prob(logits, p) == pytest.approx(expected, abs=1e-14)
+        assert absent_binary_prob(logits, p) == expected
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_a_lone_absent_row_matches_its_decomposition(self, scale):
+        rng = np.random.default_rng(9)
+        p = LabelPartition(40, range(0, 40, 3))
+        for row in rng.normal(size=(200, 40)) * scale:
+            logits = LabeledLogits(row[None], [1])
+            assert absent_binary_prob(logits, p) == decompose(row, p)[0]
 
     def test_requires_absent_samples(self):
         logits = LabeledLogits([[1.0, 0.0, 0.0]], [0])

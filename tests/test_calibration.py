@@ -283,12 +283,19 @@ class TestReportedEqualsRealised:
             assert realised(logits, p, gamma) == as_floats(*exact[k])
 
     @given(tie_instances)
+    @example((9, 1.0, True))  # gaps of exactly 1/12 on both sides of the pick
     @settings(max_examples=100, deadline=None)
     def test_balanced_pick(self, instance):
         logits, p = tie_instance(*instance)
-        gamma, acc_seen, acc_absent = select_balanced_gamma(seen_unseen_curve(logits, p))
+        curve = seen_unseen_curve(logits, p)
+        gamma, acc_seen, acc_absent = select_balanced_gamma(curve)
+        candidates = curve.candidate_gammas()
+        exact = exact_accuracies(logits.values, logits.labels, p, candidates)
+        # the smallest exact gap, then the smallest gamma
+        best = min(range(len(exact)), key=lambda k: (abs(exact[k][0] - exact[k][1]), k))
+        assert gamma == candidates[best]
         accs = realised(logits, p, gamma)
-        assert accs == as_floats(*exact_accuracies(logits.values, logits.labels, p, [gamma])[0])
+        assert accs == as_floats(*exact[best])
         assert accs[1:] == (acc_seen, acc_absent)
 
     def test_pcv_per_repeat_picks(self, monkeypatch):

@@ -194,8 +194,8 @@ class TestOneValidator:
     @pytest.mark.parametrize("rows, at", [(6, 0), (6, 5), (7, 6), (1, 0)])
     @pytest.mark.parametrize("ndim", [1, 2])
     def test_non_finite_entry_in_any_block(self, bad, rows, at, ndim, monkeypatch):
-        # two rows a block; a seventh row joins the block before it, and a
-        # one-row input is a block of its own
+        # two rows a block, so a seventh row, like a one-row input, is a
+        # block of its own
         monkeypatch.setattr(data, "_BLOCK_BYTES", 1)
         values = np.ones((rows, 3)[:ndim])
         values.reshape(rows, -1)[at, -1] = bad
@@ -664,8 +664,8 @@ class TestNcmScoresOnThreads:
             row_bytes = 8 * num_candidates * dim
             step = max(2, block_bytes // row_bytes)
             for num_blocks in sorted({1, 2, 3, cpus, cpus + 1, data._THREAD_BLOCKS, data._THREAD_BLOCKS + 1}):
-                for num_rows in (num_blocks * step, num_blocks * step + 1):  # a lone last row joins its block
-                    assert len(data._row_blocks(num_rows, row_bytes)) == num_blocks
+                for num_rows, blocks in ((num_blocks * step, num_blocks), (num_blocks * step + 1, num_blocks + 1)):
+                    assert len(data._row_blocks(num_rows, row_bytes)) == blocks  # the last of one row
                     rows = rng.normal(size=(num_rows, dim)) * 10.0 ** rng.integers(-5, 6)
                     candidates = rng.normal(size=(num_candidates, dim))
                     expected = _broadcast_scores(rows, candidates)

@@ -3,7 +3,6 @@ partition, and read by every accuracy and logit diagnostic, which must equal
 their full-matrix formulas bit for bit."""
 
 import dataclasses
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -227,9 +226,11 @@ class TestBitForBitWithFullMatrixFormulas:
         exact = exact_accuracies(values, labels, partition, curve.candidate_gammas())
         assert curve.points.tolist() == [[float(s), float(u)] for s, u, _ in exact]
         assert curve.acc_y_y().tolist() == [float(y) for _, _, y in exact]
-        # the rounded accuracies, the widths, the products and the sum each
-        # add at most K + 1 half-ulps of 1 over K points
-        assert abs(Fraction(ausuc(curve)) - exact_area(exact)) <= 4 * (len(exact) + 1) * 2.0**-53
+        # the points are the int64 hit counts over the group sizes
+        assert curve.hits.dtype == np.int64
+        assert bits(curve.points) == bits(curve.hits / [curve.num_seen, curve.num_absent])
+        # the area is the exact one, correctly rounded
+        assert ausuc(curve) == float(exact_area(exact))
 
     @given(diagnostic_instances, st.integers(1, 4096))
     @example((173, 1e-3, False), 1)  # a runner-up of 0.0 and -0.0 in one row
@@ -255,11 +256,12 @@ class TestBitForBitWithFullMatrixFormulas:
         assert stats.next_u.tolist() == [-np.inf, -np.inf]
 
     def test_group_sums_equal_full_column_gathers(self, monkeypatch):
-        # 25 rows in blocks of 2 would leave the last row alone, and numpy
-        # sums a lone row in another order than the rows of a gathered block
+        # 25 rows in blocks of 2 leave the 25th row in a block of its own,
+        # whose sums follow the same column order as every gathered block
         values = np.random.default_rng(3).normal(size=(25, 11)) * 1e-3
         partition = LabelPartition(11, (0, 2, 3, 4, 6, 7, 8, 10))
         monkeypatch.setattr(data, "_BLOCK_BYTES", 2 * values.itemsize * 11)
+        assert data._row_blocks(25, values.itemsize * 11)[-1] == slice(24, 25)
         stats = _group_stats(LabeledLogits(values, np.arange(25) % 11), partition)
         assert bits(stats.sum_s) == bits(values[:, partition.group_indices("S")].sum(axis=1))
         assert bits(stats.sum_u) == bits(values[:, partition.group_indices("U")].sum(axis=1))
@@ -279,6 +281,37 @@ def every_statistic(logits, partition):
         absent_binary_prob(logits, partition),
         gt_vs_top_nongt_absent(logits, partition),
     )
+
+
+def ascending_sums(sub):
+    """Each row of ``sub`` summed left to right, one column at a time."""
+    total = sub[:, 0].copy()
+    for column in sub.T[1:]:
+        total += column
+    return total
+
+
+class TestRowSumRule:
+    """Every group row sum adds the row's entries in ascending column
+    order, whatever rows surround it."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_gathers_of_one_two_and_many_rows(self, scale):
+        rng = np.random.default_rng(41)
+        block = rng.normal(size=(300, 64)) * scale
+        reordered = pairwise = 0
+        for num_cols in (1, 2, 7, 9, 33, 64):
+            cols = np.sort(rng.permutation(64)[:num_cols])
+            for num_rows in (1, 2, 300):
+                sub = block[:num_rows][:, cols]
+                assert bits(metrics._row_sums(sub)) == bits(ascending_sums(sub))
+                if num_rows == 1:
+                    pairwise += sub.sum(axis=1)[0] != ascending_sums(sub)[0]
+                for copy in (np.take(block[:num_rows], cols, axis=1), np.ascontiguousarray(sub)):
+                    reordered += int(np.count_nonzero(copy.sum(axis=1) != ascending_sums(sub)))
+        # numpy sums a one-row gather, and the rows of a C-ordered copy of
+        # any gather, pairwise: the rule rests on the gather's memory order
+        assert reordered > 0 and pairwise > 0
 
 
 class TestOneRowSums:

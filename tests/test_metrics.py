@@ -156,6 +156,30 @@ class TestDecompose:
         p_absent, _, _ = decompose([0.0, 0.0, 20.0], p)
         assert abs(p_absent - 1.0) < 1e-8
 
+    def test_no_group_underflows_at_large_scale(self):
+        p_absent, within_s, within_u = decompose([0.0, 1.0, 1000.0, 999.0], LabelPartition(4, (0, 1)))
+        assert p_absent == 1.0
+        assert within_s.tolist() == within_u[::-1].tolist()
+        assert np.all(np.isfinite(within_s))
+
+    @given(st.integers(0, 10_000), st.sampled_from([1e-3, 1e-1, 1.0, 1e1, 1e2, 1e3]))
+    @settings(max_examples=200, deadline=None)
+    def test_within_group_parts_are_each_groups_softmax(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        c = int(rng.integers(2, 40))
+        p = LabelPartition(c, tuple(np.sort(rng.permutation(c)[: int(rng.integers(1, c))]).tolist()))
+        row = rng.normal(0.0, 3.0, size=c) * scale
+        _, within_s, within_u = decompose(row, p)
+        for within, cols in ((within_s, p.group_indices("S")), (within_u, p.group_indices("U"))):
+            assert np.all(np.isfinite(within))
+            assert abs(within.sum() - 1.0) <= 1e-12
+            # the group's own softmax, its exponentials added in ascending column order
+            shifted = np.exp(row[cols] - row[cols].max())
+            total = 0.0
+            for term in shifted:
+                total += term
+            assert within.tolist() == (shifted / total).tolist()
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=200, deadline=None)
     def test_reconstruction_identity(self, seed):
