@@ -43,6 +43,7 @@ from .errors import (
     TrainingError,
     ValidationError,
 )
+from .io import format_curve_csv
 from .metrics import (
     AccReport,
     SeenUnseenCurve,
@@ -50,7 +51,6 @@ from .metrics import (
     accuracy,
     ausuc,
     decompose,
-    format_curve_csv,
     predict_restricted,
     seen_unseen_curve,
 )

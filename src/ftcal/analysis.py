@@ -21,7 +21,7 @@ from .data import (
     unit_rows,
 )
 from .errors import DegenerateInputError, EmptyGroupError, ValidationError
-from .metrics import _group_stats, _row_sums
+from .metrics import _absent_mass, _group_stats
 
 # Centered Grams of nearly identical rows have HSIC at rounding-noise level;
 # anything at or below this is treated as "all rows identical".
@@ -93,11 +93,9 @@ def delta_w_similarity(w_pre: LinearHead, w_ft: LinearHead, subset) -> Similarit
         raise ValidationError(
             f"head shapes differ: {w_pre.weights.shape} vs {w_ft.weights.shape}"
         )
-    classes = _class_set(subset, "subset", w_pre.num_classes).tolist()
+    classes = _class_set(subset, "subset", w_pre.num_classes, repeats="reject").tolist()
     if len(classes) < 2:
         raise ValidationError("subset must contain at least 2 classes")
-    if len(set(classes)) != len(classes):
-        raise ValidationError("subset contains duplicate class indices")
 
     delta = w_ft.weights[classes] - w_pre.weights[classes]
     norms = np.linalg.norm(delta, axis=1)
@@ -164,14 +162,12 @@ def absent_binary_prob(logits: LabeledLogits, partition: LabelPartition) -> floa
     stats = _group_stats(logits, partition)
     rows = _absent_labeled_rows(stats)
     values = logits.values
-    seen, absent = partition.group_indices("S"), partition.group_indices("U")
+    groups = (partition.group_indices("S"), partition.group_indices("U"))
     row_max = np.maximum(stats.max_s, stats.max_u)[rows]
     prob = np.empty(rows.size)
 
     def block_prob(block: slice) -> None:
-        z = np.exp(values[rows[block]] - row_max[block, None])
-        z_seen, z_absent = _row_sums(z[:, seen]), _row_sums(z[:, absent])
-        prob[block] = z_absent / (z_seen + z_absent)
+        prob[block] = _absent_mass(values[rows[block]], row_max[block], groups)
 
     _each_block(_row_blocks(rows.size, values.itemsize * values.shape[1]), block_prob)
     return float(prob.mean())

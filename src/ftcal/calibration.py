@@ -15,6 +15,7 @@ from .data import (
     LabeledLogits,
     LabelPartition,
     LinearHead,
+    _split_per_class,
     check_gamma,
     check_num_classes,
     unit_rows,
@@ -139,21 +140,6 @@ def select_balanced_gamma(curve) -> tuple[float, float, float]:
     )
 
 
-def _stratified_split(labels: np.ndarray, classes, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class 80/20 index split: every class with samples keeps at least
-    one in training. At least one label must lie in ``classes``."""
-    train_idx, val_idx = [], []
-    for c in classes:
-        idx = np.flatnonzero(labels == c)
-        if idx.size == 0:
-            continue
-        idx = idx[rng.permutation(idx.size)]
-        n_train = int(np.ceil(0.8 * idx.size))
-        train_idx.append(idx[:n_train])
-        val_idx.append(idx[n_train:])
-    return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(val_idx))
-
-
 def estimate_gamma_pcv(
     train_features: LabeledFeatures,
     pretrained: MlpModel,
@@ -195,7 +181,7 @@ def estimate_gamma_pcv(
     values, labels = train_features.values, train_features.labels
     gammas, diagnostics = [], {"repeats": repeats}
     for r in range(repeats):
-        train_idx, val_idx = _stratified_split(labels, seen, derive_rng(seed, r, 0))
+        train_idx, val_idx = _split_per_class(labels, seen, derive_rng(seed, r, 0))
         if val_idx.size == 0:
             raise ValidationError(f"repeat {r}: pseudo-validation split is empty")
         order = derive_rng(seed, r, 1).permutation(seen.size)

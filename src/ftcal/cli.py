@@ -35,7 +35,7 @@ from .data import (
     make_random_split,
 )
 from .errors import TrainingError, ValidationError
-from .metrics import acc_report, accuracy, ausuc, format_curve_csv, seen_unseen_curve
+from .metrics import acc_report, accuracy, ausuc, seen_unseen_curve
 from .ncm import class_means, ncm_logits
 from .pipeline import run_toy_pipeline
 from .trainer import ToySpec, default_train_config, fine_tune, gradient_check
@@ -81,7 +81,7 @@ def _cmd_ausuc(args) -> int:
     logits, partition = _load_logits_inputs(args)
     curve = seen_unseen_curve(logits, partition)
     if args.curve_out:
-        io.write_text(args.curve_out, [format_curve_csv(curve)])
+        io.write_text(args.curve_out, [io.format_curve_csv(curve)])
     _emit({"ausuc": ausuc(curve)})
     return 0
 

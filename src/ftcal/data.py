@@ -24,7 +24,8 @@ statistics kernel in ``metrics`` and the absent probability in
 thread, so bits and faults are the same at any CPU count. Memory is one
 block's temporaries (for NCM, one difference slab) per thread, and
 ``taskset -c 0`` keeps all of it on one CPU. And ``_class_set`` is the one
-reader of every collection of class indices.
+reader of every collection of class indices, ``_split_per_class`` the one
+per-class train/test split (the toy's and PCV's).
 """
 
 from __future__ import annotations
@@ -145,11 +146,13 @@ def _ncm_scores(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _class_set(classes, what: str, bound: int = 2**63) -> np.ndarray:
-    """The class indices in ``classes`` as an ascending int64 array, repeats
-    kept; raise ``ValidationError`` naming ``what`` unless ``classes`` is
-    iterable and each entry an integral index in [0, ``bound``), the class
-    count where one applies. Repeats and size are each caller's own rule."""
+def _class_set(classes, what: str, bound: int = 2**63, repeats: str = "keep") -> np.ndarray:
+    """The class indices in ``classes`` as an ascending int64 array; raise
+    ``ValidationError`` naming ``what`` unless ``classes`` is iterable and
+    each entry an integral index in [0, ``bound``), the class count where
+    one applies. A repeated index is kept (``repeats="keep"``), merged into
+    one with an empty set refused (``"merge"``) or refused (``"reject"``);
+    any other size rule is the caller's."""
     entry = f"{what}: class index"
     try:
         indices = sorted(_integer(c, entry) for c in classes)
@@ -158,7 +161,28 @@ def _class_set(classes, what: str, bound: int = 2**63) -> np.ndarray:
     if indices and (indices[0] < 0 or indices[-1] >= bound):
         outside = indices[0] if indices[0] < 0 else indices[-1]
         raise ValidationError(f"{what}: class index {outside} is outside [0, {bound})")
+    if repeats == "merge":
+        indices = sorted(set(indices))
+        if not indices:
+            raise ValidationError(f"{what} must be nonempty")
+    elif repeats == "reject" and len(set(indices)) != len(indices):
+        raise ValidationError(f"{what} contains duplicate class indices")
     return np.array(indices, dtype=np.int64)
+
+
+def _split_per_class(labels: np.ndarray, classes, rng=None) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending (train, test) row indices that split the rows of each class
+    in ``classes`` 80/20: a class's first ceil(4 n_c / 5) rows train, in row
+    order or, if ``rng`` is given, after one ``rng.permutation`` per class."""
+    train_idx, test_idx = [], []
+    for c in classes:
+        idx = np.flatnonzero(labels == c)
+        if rng is not None:
+            idx = idx[rng.permutation(idx.size)]
+        n_train = int(np.ceil(0.8 * idx.size))
+        train_idx.append(idx[:n_train])
+        test_idx.append(idx[n_train:])
+    return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx))
 
 
 def _frozen_array(values, dtype, name: str, ndim: int, flatten: bool = False) -> np.ndarray:
@@ -240,9 +264,7 @@ class LabelPartition:
 
     def __post_init__(self):
         object.__setattr__(self, "num_classes", _integer(self.num_classes, "num_classes", 2))
-        indices = _class_set(self.fine_tuning, "fine_tuning", self.num_classes)
-        if np.any(np.diff(indices) == 0):
-            raise ValidationError("fine_tuning contains duplicate class indices")
+        indices = _class_set(self.fine_tuning, "fine_tuning", self.num_classes, repeats="reject")
         if not 0 < len(indices) < self.num_classes:
             raise ValidationError(
                 "fine_tuning must be a nonempty strict subset of the label space "
@@ -415,8 +437,6 @@ def total_intra_group_distance(class_means, subset) -> float:
     the upper triangle, over the subset's classes in ascending order, of
     the distance matrix ``make_greedy_similar_split`` minimises over."""
     means = _frozen_array(class_means, np.float64, "class_means", ndim=2)
-    idx = _class_set(subset, "subset", means.shape[0])
-    if np.any(np.diff(idx) == 0):
-        raise ValidationError("subset contains duplicate class indices")
+    idx = _class_set(subset, "subset", means.shape[0], repeats="reject")
     dist = np.sqrt(-_ncm_scores(means[idx], means[idx]))
     return float(dist[np.triu_indices(idx.size, k=1)].sum())

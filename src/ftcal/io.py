@@ -1,11 +1,13 @@
 """Text file formats: CSV matrices, label lists, partition files, model
-containers, training configs, toy specs, and key=value reports.
+containers, training configs, toy specs, seen/absent curves, and key=value
+reports.
 
-Matrices serialize with 17 significant decimal digits, so a write-read
-round trip reproduces every float64 bit for bit. All numbers use the
-period as the decimal separator regardless of locale. Every file goes
-through ``write_text``, which replaces a regular file only once the whole
-text is written, and appends to the process's own stdout or stderr.
+Matrices and the numbers of a curve serialize with 17 significant
+decimal digits, so a write-read round trip reproduces every float64 bit
+for bit. All numbers use the period as the decimal separator regardless
+of locale. Every file goes through ``write_text``, which replaces a
+regular file only once the whole text is written, and appends to the
+process's own stdout or stderr.
 
 Every file is read through one reader, ``_line_batches``: it opens the
 file or pipe once and yields its lines in batches of about
@@ -63,6 +65,7 @@ import numpy as np
 
 from .data import LabelPartition, LinearHead, _cpu_count
 from .errors import ParseError, ShapeError, ValidationError
+from .metrics import SeenUnseenCurve
 from .trainer import ACTIVATIONS, EpochRecord, MlpModel, ToySpec, TrainConfig
 
 
@@ -81,6 +84,14 @@ def _csv_lines(matrix: np.ndarray) -> typing.Iterator[str]:
     floats, so every CSV number is spelled by this one template."""
     template = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
     return (template % tuple(row.tolist()) for row in matrix)
+
+
+def format_curve_csv(curve: SeenUnseenCurve) -> str:
+    """Curve as CSV: a header, then one row per staircase interval holding
+    its left endpoint (``-inf`` for the first interval) and its accuracy
+    pair, spelled by ``_csv_lines``."""
+    table = np.column_stack([np.concatenate([[-np.inf], curve.thresholds]), curve.points])
+    return "".join(itertools.chain(["gamma_threshold,acc_s_y,acc_u_y\n"], _csv_lines(table)))
 
 
 def _is_std_stream(path) -> bool:

@@ -171,6 +171,15 @@ def _row_sums(sub: np.ndarray) -> np.ndarray:
     return np.cumsum(sub, axis=1)[:, -1] if sub.shape[0] == 1 else sub.sum(axis=1)
 
 
+def _absent_mass(rows: np.ndarray, row_max: np.ndarray, groups) -> np.ndarray:
+    """Softmax mass of the absent group in each row of ``rows``: with
+    z = exp(row - row max), z_u / (z_s + z_u) for the ``_row_sums`` of the
+    seen and absent columns, ``groups`` = (seen, absent)."""
+    z = np.exp(rows - row_max[:, None])
+    z_seen, z_absent = (_row_sums(z[:, cols]) for cols in groups)
+    return z_absent / (z_seen + z_absent)
+
+
 def _stats_kernel(values: np.ndarray, labels: np.ndarray, partition: LabelPartition) -> _GroupStats:
     """Max, argmax and sum over each group's columns, the ground-truth logit
     and the runner-up absent logit of every row of ``values`` (N x C, C the
@@ -291,18 +300,17 @@ def decompose(logit_row, partition: LabelPartition):
     p_absent * within_absent[c] (c absent) or
     (1 - p_absent) * within_seen[c] (c seen).
 
-    Exponentials are shifted by the row's max for ``p_absent``, which then
-    equals ``absent_binary_prob`` of the row bit for bit, and by each
-    group's own max for its within-group vector, so none overflows or
+    ``p_absent`` is ``_absent_mass`` of the row, as in
+    ``absent_binary_prob``, so the two agree bit for bit. Each within-group
+    vector is shifted by its group's own max, so none overflows or
     underflows to 0 / 0.
     """
     row = _frozen_array(logit_row, np.float64, "logit row", ndim=1, flatten=True)
     check_num_classes("logit row has", row.shape[0], partition)
     groups = (partition.group_indices("S"), partition.group_indices("U"))
-    z = np.exp(row - row.max())[None]
-    z_seen, z_absent = (float(_row_sums(z[:, cols])[0]) for cols in groups)
+    p_absent = float(_absent_mass(row[None], row.max(keepdims=True), groups)[0])
     within = [np.exp(row[None, cols] - row[cols].max()) for cols in groups]
-    return z_absent / (z_seen + z_absent), *(w[0] / _row_sums(w)[0] for w in within)
+    return p_absent, *(w[0] / _row_sums(w)[0] for w in within)
 
 
 def seen_unseen_curve(logits: LabeledLogits, partition: LabelPartition) -> SeenUnseenCurve:
@@ -361,16 +369,3 @@ def ausuc(curve: SeenUnseenCurve) -> float:
     seen, absent = curve.hits[:, 0], curve.hits[:, 1]
     area = int(np.sum(absent * (seen - np.append(seen[1:], 0))))
     return area / (curve.num_seen * curve.num_absent)
-
-
-def format_curve_csv(curve: SeenUnseenCurve) -> str:
-    """Curve as CSV, one row per staircase interval.
-
-    The row's first field is the interval's left endpoint (``-inf`` for the
-    first interval).
-    """
-    lines = ["gamma_threshold,acc_s_y,acc_u_y"]
-    left = ["-inf"] + [f"{t:.17g}" for t in curve.thresholds]
-    for bound, (acc_s, acc_u) in zip(left, curve.points):
-        lines.append(f"{bound},{acc_s:.17g},{acc_u:.17g}")
-    return "\n".join(lines) + "\n"

@@ -50,9 +50,7 @@ class ClassMeans:
 
 def class_means(features: LabeledFeatures, classes) -> ClassMeans:
     """Mean of the unit-normalized feature rows of each requested class."""
-    ids = np.unique(_class_set(classes, "classes"))
-    if ids.size == 0:
-        raise ValidationError("classes must be nonempty")
+    ids = _class_set(classes, "classes", repeats="merge")
     unit = unit_rows(features.values, "feature")
     means, counts = [], []
     for c in ids.tolist():
@@ -83,9 +81,7 @@ def ncm_predict(features: LabeledFeatures, means: ClassMeans, restriction) -> np
     Features are unit-normalized before the distance computation, so
     positively rescaling a row never changes its prediction.
     """
-    wanted = np.unique(_class_set(restriction, "restriction"))
-    if wanted.size == 0:
-        raise ValidationError("restriction must be nonempty")
+    wanted = _class_set(restriction, "restriction", repeats="merge")
     missing = wanted[~np.isin(wanted, means.class_ids)]
     if missing.size:
         raise MissingClassError(f"no class mean available for class {missing[0]}")

@@ -30,9 +30,9 @@ from .calibration import (
     estimate_gamma_pcv,
     estimate_gamma_star,
 )
-from .data import LabeledFeatures, LabeledLogits, LabelPartition, LinearHead
+from .data import LabeledFeatures, LabeledLogits, LabelPartition, LinearHead, _split_per_class
 from .errors import ValidationError
-from .metrics import AccReport, acc_report, ausuc, format_curve_csv, seen_unseen_curve
+from .metrics import AccReport, acc_report, ausuc, seen_unseen_curve
 from .rng import derive_seed
 from .trainer import (
     MlpModel,
@@ -44,7 +44,6 @@ from .trainer import (
 )
 
 PCV_REPEATS = 3
-_TRAIN_FRACTION = 0.8
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,19 +71,12 @@ class ToyReport:
     outdir: str
 
 
-def _split_per_class(data: LabeledFeatures) -> tuple[LabeledFeatures, LabeledFeatures]:
-    """First 80% of each class's rows (generation order) as the train part."""
-    train_idx, test_idx = [], []
-    for c in np.unique(data.labels):
-        idx = np.flatnonzero(data.labels == c)
-        n_train = int(np.ceil(_TRAIN_FRACTION * idx.size))
-        train_idx.append(idx[:n_train])
-        test_idx.append(idx[n_train:])
-    train = np.concatenate(train_idx)
-    test = np.concatenate(test_idx)
-    return (
-        LabeledFeatures(data.values[train], data.labels[train]),
-        LabeledFeatures(data.values[test], data.labels[test]),
+def _train_test(data: LabeledFeatures) -> tuple[LabeledFeatures, LabeledFeatures]:
+    """The train and test parts of ``data`` by ``_split_per_class``: each
+    class's first rows in generation order train."""
+    return tuple(
+        LabeledFeatures(data.values[idx], data.labels[idx])
+        for idx in _split_per_class(data.labels, np.unique(data.labels))
     )
 
 
@@ -117,8 +109,8 @@ def run_toy_pipeline(spec: ToySpec, config: TrainConfig, outdir) -> ToyReport:
     os.makedirs(outdir, exist_ok=True)
 
     pretraining, target = gen_toy_data(spec, derive_seed(config.seed, 0))
-    pre_train, _ = _split_per_class(pretraining)
-    tgt_train, tgt_test = _split_per_class(target)
+    pre_train, _ = _train_test(pretraining)
+    tgt_train, tgt_test = _train_test(target)
     ft_rows = np.isin(tgt_train.labels, partition.fine_tuning)
     tgt_train_ft = LabeledFeatures(tgt_train.values[ft_rows], tgt_train.labels[ft_rows])
 
@@ -211,8 +203,8 @@ def run_toy_pipeline(spec: ToySpec, config: TrainConfig, outdir) -> ToyReport:
     io.write_report(pre_acc.as_dict(), path("metrics_pretrained.txt"))
     io.write_report(ft_acc.as_dict(), path("metrics_finetuned.txt"))
     io.write_report(calibrated_acc.as_dict(), path("metrics_calibrated.txt"))
-    io.write_text(path("curve_pretrained.csv"), [format_curve_csv(pre_curve)])
-    io.write_text(path("curve_finetuned.csv"), [format_curve_csv(ft_curve)])
+    io.write_text(path("curve_pretrained.csv"), [io.format_curve_csv(pre_curve)])
+    io.write_text(path("curve_finetuned.csv"), [io.format_curve_csv(ft_curve)])
     io.write_report(gamma_alg.as_dict(), path("gamma_alg.txt"))
     io.write_report(gamma_star.as_dict(), path("gamma_star.txt"))
     if gamma_pcv is not None:

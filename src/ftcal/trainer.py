@@ -234,9 +234,7 @@ def fine_tune(
     epoch index, so results are reproducible and order-independent. The
     history records end-of-epoch loss and accuracy on the training data.
     """
-    allowed = np.unique(_class_set(allowed_classes, "allowed_classes", model.num_classes))
-    if allowed.size == 0:
-        raise ValidationError("allowed_classes must be nonempty")
+    allowed = _class_set(allowed_classes, "allowed_classes", model.num_classes, repeats="merge")
     if not np.all(np.isin(data.labels, allowed)):
         raise ValidationError("training data contains labels outside allowed_classes")
     if data.dim != model.dim_in:

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import inspect
 import itertools
+import math
 import os
 import re
 import sys
@@ -32,6 +33,7 @@ from ftcal import (
     class_means,
     decompose,
     delta_w_similarity,
+    derive_rng,
     derive_seed,
     estimate_gamma_pcv,
     fine_tune,
@@ -332,10 +334,63 @@ _CLASS_SET_READERS = {
 }
 
 
+# what each reader of _CLASS_SET_READERS does with a repeated class ("merge"
+# it or "reject" the set) and the message of an empty set, None where the
+# empty set is accepted
+_CLASS_SET_RULES = {
+    "LabelPartition": (
+        "reject",
+        "fine_tuning must be a nonempty strict subset of the label space (got 0 of 4 classes)",
+    ),
+    "total_intra_group_distance": ("reject", None),
+    "predict_restricted": ("merge", "restriction must be a nonempty set of class indices"),
+    "class_means": ("merge", "classes must be nonempty"),
+    "ncm_predict": ("merge", "restriction must be nonempty"),
+    "fine_tune": ("merge", "allowed_classes must be nonempty"),
+    "delta_w_similarity": ("reject", "subset must contain at least 2 classes"),
+}
+
+
+def _same_result(a, b) -> bool:
+    """Whether two reader results hold the same values, arrays bit for bit."""
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same_result(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same_result, a, b))
+    return a == b
+
+
 class TestClassSets:
     """Every collection of class indices is read by one rule: an iterable of
     integral indices, each in [0, class count), or below 2**63 where no
     count applies."""
+
+    def test_the_rule_table_names_every_reader(self):
+        assert sorted(_CLASS_SET_RULES) == sorted(_CLASS_SET_READERS)
+
+    @pytest.mark.parametrize("repeated", [[3, 0, 1, 2, 3], [2, 0, 2, 1, 3, 3, 1]])
+    @pytest.mark.parametrize("reader", sorted(_CLASS_SET_READERS))
+    def test_a_repeated_class_is_merged_or_rejected(self, reader, repeated):
+        what, read = _CLASS_SET_READERS[reader]
+        if _CLASS_SET_RULES[reader][0] == "reject":
+            with pytest.raises(ValidationError, match=f"^{what} contains duplicate class indices$"):
+                read(repeated)
+        else:
+            assert _same_result(read(repeated), read(sorted(set(repeated))))
+
+    @pytest.mark.parametrize("reader", sorted(_CLASS_SET_READERS))
+    def test_an_empty_set_raises_its_readers_message(self, reader):
+        _, read = _CLASS_SET_READERS[reader]
+        message = _CLASS_SET_RULES[reader][1]
+        if message is None:
+            assert read([]) == 0.0
+        else:
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                read([])
 
     @pytest.mark.parametrize(
         "classes", [3, None, [2**70], [1.5], [-1]],
@@ -478,6 +533,43 @@ class TestRandomSplit:
         tolerance = 5 * np.sqrt(trials * (1 / 20) * (19 / 20))
         for subset, count in counts.items():
             assert abs(count - expected) <= tolerance, (subset, count)
+
+
+class TestSplitPerClass:
+    """``_split_per_class``: each class's rows split 80/20, in row order or
+    in the order of one permutation per class."""
+
+    @staticmethod
+    def labels(seed):
+        rng = np.random.default_rng(seed)
+        return rng.integers(0, 6, size=int(rng.integers(20, 200)))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_without_a_generator_each_class_trains_on_its_first_rows(self, seed):
+        labels = self.labels(seed)
+        classes = [4, 0, 2, 5]
+        train, test = data._split_per_class(labels, classes)
+        expected = []
+        for c in classes:
+            rows = np.flatnonzero(labels == c)
+            expected.extend(rows[: math.ceil(0.8 * rows.size)])
+        assert train.tolist() == sorted(expected)
+        labelled = np.flatnonzero(np.isin(labels, classes))
+        assert test.tolist() == sorted(set(labelled.tolist()) - set(expected))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_with_a_generator_sizes_cover_and_seed_are_kept(self, seed):
+        labels = self.labels(seed)
+        classes = [1, 2, 3, 5]
+        train, test = data._split_per_class(labels, classes, derive_rng(seed, 0))
+        assert np.all(np.diff(train) > 0) and np.all(np.diff(test) > 0)
+        assert np.intersect1d(train, test).size == 0
+        assert np.union1d(train, test).tolist() == np.flatnonzero(np.isin(labels, classes)).tolist()
+        for c in classes:
+            n_c = np.count_nonzero(labels == c)
+            assert np.count_nonzero(labels[train] == c) == math.ceil(0.8 * n_c)
+        again = data._split_per_class(labels, classes, derive_rng(seed, 0))
+        assert train.tolist() == again[0].tolist() and test.tolist() == again[1].tolist()
 
 
 def _oracle_total_distance(means, subset):

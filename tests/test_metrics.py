@@ -16,6 +16,7 @@ from ftcal import (
     predict_restricted,
     seen_unseen_curve,
 )
+from ftcal import io
 
 
 def random_instance(seed, max_n=60, max_c=10):
@@ -340,7 +341,60 @@ class TestAusuc:
         assert before == after
 
 
+def spelling_curve(seed):
+    """A random curve at a scale from 1e-3 to 1e3 whose thresholds include
+    float32 ties, flips of both zeros and ulp-adjacent pairs."""
+    rng = np.random.default_rng(seed)
+    c = int(rng.integers(2, 9))
+    partition = LabelPartition(c, tuple(rng.permutation(c)[: int(rng.integers(1, c))].tolist()))
+    seen, absent = partition.group_indices("S"), partition.group_indices("U")
+    n = int(rng.integers(6, 80))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    values = (rng.normal(size=(n, c)) * scale).astype(np.float32).astype(np.float64)
+    zeros = rng.random((n, c)) < 0.2
+    values[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    # two rows whose seen logits are all zero flip at -t and -nextafter(t)
+    t = values[0, absent[0]]
+    values[-2:, seen] = 0.0
+    values[-2:, absent] = np.minimum(values[-2:, absent], t)
+    values[-2, absent[0]], values[-1, absent[0]] = t, np.nextafter(t, np.inf)
+    labels = rng.integers(0, c, size=n)
+    labels[:2] = rng.choice(seen), rng.choice(absent)
+    return seen_unseen_curve(LabeledLogits(values, labels), partition)
+
+
+def reference_curve_csv(curve):
+    """The curve CSV spelled value by value: the header, then each
+    interval's left endpoint (-inf first) and accuracy pair, each number in
+    17 significant digits and a zero as 0."""
+
+    def spell(x):
+        return "-inf" if x == -np.inf else "0" if x == 0 else "%.17g" % x
+
+    lines = ["gamma_threshold,acc_s_y,acc_u_y"]
+    for left, (acc_s, acc_u) in zip([-np.inf, *curve.thresholds.tolist()], curve.points.tolist()):
+        lines.append(",".join(map(spell, (left, acc_s, acc_u))))
+    return "\n".join(lines) + "\n"
+
+
 class TestCurveCsv:
+    def test_numbers_are_spelled_value_by_value(self):
+        adjacent = zero = 0
+        for seed in range(300):
+            curve = spelling_curve(seed)
+            t = curve.thresholds
+            adjacent += bool(np.any(np.nextafter(t[:-1], np.inf) == t[1:]))
+            zero += bool(np.any(t == 0))
+            assert format_curve_csv(curve) == reference_curve_csv(curve)
+        assert adjacent > 100 and zero > 100
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_the_body_round_trips_as_a_matrix(self, seed, tmp_path):
+        body = format_curve_csv(spelling_curve(seed)).split("\n", 1)[1]
+        (tmp_path / "body.csv").write_text(body)
+        io.save_matrix(io.load_matrix(tmp_path / "body.csv"), tmp_path / "saved.csv")
+        assert (tmp_path / "saved.csv").read_text().split("\n", 1)[1] == body
+
     def test_header_and_sentinel(self):
         logits = LabeledLogits([[3.0, 0.0, 0.5], [1.0, 0.0, 0.5]], [0, 2])
         text = format_curve_csv(seen_unseen_curve(logits, LabelPartition(3, (0, 1))))
