@@ -5,6 +5,8 @@ update moves the hidden features of an input the batch never contained.
 
 Each model formula is stated once. ``_forward`` is the one forward kernel:
 ``forward`` (a one-row batch), ``forward_batch`` and the loss all call it.
+``_ce``, the one cross-entropy formula, also serves a stack of weight
+copies, so ``gradient_check`` differences each matrix in one call.
 ``_batch_loss_grads`` is the one loss-gradient kernel: the only place the
 softmax error (softmax - one-hot) / N is formed, read by ``fine_tune``,
 ``loss_and_grads`` and ``absent_feature_shift`` alike. They and the SGD
@@ -129,11 +131,11 @@ class ToySpec:
 
 
 def _forward(hidden_map, head_weights, activation, inputs) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden features and logits of an N x d_in input matrix."""
-    hidden = inputs @ hidden_map.T
+    """Hidden features and logits of an N x d_in input matrix, per stacked weight copy."""
+    hidden = inputs @ hidden_map.swapaxes(-1, -2)
     if activation == "rectified":
         np.maximum(hidden, 0.0, out=hidden)
-    return hidden, hidden @ head_weights.T
+    return hidden, hidden @ head_weights.swapaxes(-1, -2)
 
 
 def _input_vector(model: MlpModel, x, name: str = "input") -> np.ndarray:
@@ -184,32 +186,36 @@ def _ce(hidden_map, head_weights, activation, inputs, labels):
     Returns (hidden, logits, z, z_sum, loss): hidden features, logits, the
     max-shifted exponentials with their row sums, and the mean loss. The
     pre-activations are not kept: a rectified unit is active iff its hidden
-    value is positive.
+    value is positive. A stack of weight copies gives one loss per copy.
     """
     hidden, logits = _forward(hidden_map, head_weights, activation, inputs)
-    shift = np.maximum.reduce(logits, axis=1, keepdims=True)
+    shift = np.maximum.reduce(logits, axis=-1, keepdims=True)
     z = np.subtract(logits, shift)
     np.exp(z, out=z)
-    z_sum = np.add.reduce(z, axis=1)
-    per_sample = np.log(z_sum) + shift[:, 0] - logits[np.arange(labels.size), labels]
-    loss = float(np.add.reduce(per_sample)) / labels.size  # np.mean's sum and division
-    return hidden, logits, z, z_sum, loss
+    z_sum = np.add.reduce(z, axis=-1)
+    per_sample = np.log(z_sum) + shift[..., 0] - logits[..., np.arange(labels.size), labels]
+    loss = np.add.reduce(per_sample, axis=-1) / labels.size  # np.mean's sum and division
+    return hidden, logits, z, z_sum, loss if loss.ndim else float(loss)
 
 
-def _batch_loss_grads(hidden_map, head_weights, activation, inputs, labels):
+def _batch_loss_grads(hidden_map, head_weights, activation, inputs, labels, updated=(0, 1)):
     """Mean loss, mean gradients and the softmax error over a batch.
 
     Returns (loss, grad_head, grad_hidden_map, err), where row i of ``err``
-    is (softmax_i - onehot(labels[i])) / N, formed in place in ``z``.
+    is (softmax_i - onehot(labels[i])) / N, formed in place in ``z``. A
+    gradient whose index (as in ``_UPDATED``) is not in ``updated`` is None.
     """
     hidden, _, err, z_sum, loss = _ce(hidden_map, head_weights, activation, inputs, labels)
     np.divide(err, z_sum[:, None], out=err)
     err[np.arange(labels.size), labels] -= 1.0
     err /= labels.size
+    grad_head = err.T @ hidden if 1 in updated else None
+    if 0 not in updated:
+        return loss, grad_head, None, err
     delta = err @ head_weights
     if activation == "rectified":
         delta *= hidden > 0.0
-    return loss, err.T @ hidden, delta.T @ inputs, err
+    return loss, grad_head, delta.T @ inputs, err
 
 
 def _mean_loss_and_accuracy(hidden_map, head_weights, activation, inputs, labels):
@@ -253,7 +259,7 @@ def fine_tune(
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             loss, grad_head, grad_hidden, _ = _batch_loss_grads(
-                *params, model.activation, inputs.take(batch, axis=0), labels[batch]
+                *params, model.activation, inputs.take(batch, axis=0), labels[batch], updated
             )
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
@@ -283,7 +289,8 @@ def gradient_check(num_cases: int = 100, step: float = 1e-5, seed: int = 0) -> f
     case's error is the max absolute difference scaled by the larger
     gradient magnitude (floored at 1 so near-zero gradients are compared
     absolutely). Rectified cases resample until every pre-activation is
-    well clear of the kink.
+    well clear of the kink. Each matrix's n entries take one stacked loss
+    call: copy k has entry k moved by +step, copy n + k by -step.
     """
     num_cases = _integer(num_cases, "num_cases", 1)
     step = _real(step, "step", 0.0, low_open=True)
@@ -305,16 +312,14 @@ def gradient_check(num_cases: int = 100, step: float = 1e-5, seed: int = 0) -> f
         _, grad_head, grad_hidden = loss_and_grads(model, x, y)
         inputs, labels = x[None, :], np.array([y])
         for analytic, matrix, is_head in ((grad_head, head, True), (grad_hidden, hidden_map, False)):
-            numeric = np.zeros_like(matrix)
-            bumped = matrix.copy()  # each entry is moved, evaluated twice and put back
+            n, entry = matrix.size, np.arange(matrix.size)
+            bumped = np.repeat(matrix.reshape(1, n), 2 * n, axis=0)
+            bumped[entry, entry] += step
+            bumped[n + entry, entry] -= step
+            bumped = bumped.reshape(2 * n, *matrix.shape)
             pair = (hidden_map, bumped) if is_head else (bumped, head)
-            for idx in np.ndindex(matrix.shape):
-                bumped[idx] = matrix[idx] + step
-                up = _ce(*pair, activation, inputs, labels)[-1]
-                bumped[idx] = matrix[idx] - step
-                down = _ce(*pair, activation, inputs, labels)[-1]
-                bumped[idx] = matrix[idx]
-                numeric[idx] = (up - down) / (2.0 * step)
+            losses = _ce(*pair, activation, inputs, labels)[-1]
+            numeric = ((losses[:n] - losses[n:]) / (2.0 * step)).reshape(matrix.shape)
             scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1.0)
             worst = max(worst, float(np.abs(analytic - numeric).max() / scale))
     return worst

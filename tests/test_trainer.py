@@ -286,6 +286,74 @@ class TestKernelsEqualThePlainFormulas:
         assert bits(gradient_check(30, seed=seed)) == bits(ref_gradient_check(30, 1e-5, seed))
 
 
+class TestStackedLoss:
+    """``_ce`` on a stack of weight copies returns, per copy, the loss of
+    the plain 2-D call on that copy, bit for bit."""
+
+    @pytest.mark.parametrize("activation", ["linear", "rectified"])
+    @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+    def test_each_copy_matches_its_own_call(self, activation, scale):
+        for seed in range(20):
+            rng = np.random.default_rng([seed, 2])
+            dim_in, dim_hidden, num_classes, n, copies = rng.integers(1, 9, size=5)
+            hidden_map = rng.normal(size=(dim_hidden, dim_in))
+            head = scale * rng.normal(size=(num_classes, dim_hidden))
+            inputs = rng.normal(size=(n, dim_in))
+            labels = rng.integers(0, num_classes, size=n)
+            heads = scale * rng.normal(size=(copies, num_classes, dim_hidden))
+            hidden_maps = rng.normal(size=(copies, dim_hidden, dim_in))
+
+            def loss(hidden_map, head):
+                return trainer._ce(hidden_map, head, activation, inputs, labels)[-1]
+
+            stacked = (loss(hidden_map, heads), loss(hidden_maps, head))
+            one_by_one = [loss(hidden_map, h) for h in heads], [loss(m, head) for m in hidden_maps]
+            for got, want in zip(stacked, one_by_one):
+                assert got.shape == (copies,)
+                assert bits(got) == bits(want)
+
+    def test_a_2d_call_returns_a_python_float(self):
+        model = random_model(3, activation="rectified")
+        inputs, labels = np.ones((2, 3)), np.array([0, 3])
+        out = trainer._ce(model.hidden_map, model.head.weights, model.activation, inputs, labels)
+        assert type(out[-1]) is float
+
+    def test_gradient_check_makes_one_loss_call_per_matrix(self, monkeypatch):
+        # one call for the analytic gradients, one stacked call per matrix
+        calls = []
+        ce = trainer._ce
+
+        def counted(*args):
+            calls.append(args)
+            return ce(*args)
+
+        monkeypatch.setattr(trainer, "_ce", counted)
+        gradient_check(num_cases=4, seed=3)
+        assert len(calls) == 3 * 4
+
+
+class TestBatchLossGradsPerMode:
+    @pytest.mark.parametrize("activation", ["linear", "rectified"])
+    def test_kept_parts_equal_the_full_call_and_skipped_is_none(self, activation):
+        for seed in range(10):
+            rng = np.random.default_rng([seed, 4])
+            model = random_model(seed, dim_in=5, dim_hidden=4, num_classes=6, activation=activation)
+            inputs = rng.normal(size=(7, 5))
+            labels = rng.integers(0, 6, size=7)
+            args = (model.hidden_map, model.head.weights, activation, inputs, labels)
+            loss, grad_head, grad_hidden, err = trainer._batch_loss_grads(*args)
+            grads = (grad_hidden, grad_head)
+            for mode, updated in trainer._UPDATED.items():
+                got = trainer._batch_loss_grads(*args, updated)
+                assert bits(got[0], got[3]) == bits(loss, err), mode
+                got_grads = (got[2], got[1])
+                for i in (0, 1):
+                    if i in updated:
+                        assert bits(got_grads[i]) == bits(grads[i]), mode
+                    else:
+                        assert got_grads[i] is None, mode
+
+
 class TestFineTuneEqualsThePlainLoop:
     """``fine_tune`` updates its matrices in place; the plain loop makes
     fresh arrays at every step. Same bits, same history, same failures."""
