@@ -80,6 +80,12 @@ def estimate_gamma_alg(train_logits: LabeledLogits, partition: LabelPartition) -
     )
 
 
+def _curve_pick(curve, best: int) -> tuple[float, float, float]:
+    """(candidate gamma, Acc_{S/Y}, Acc_{U/Y}) of staircase point ``best``."""
+    seen, absent = curve.points[best]
+    return float(curve.candidate_gammas()[best]), float(seen), float(absent)
+
+
 def estimate_gamma_star(test_logits: LabeledLogits, partition: LabelPartition) -> GammaEstimate:
     """Cheating calibration factor: the curve gamma maximizing overall
     accuracy on labeled test data.
@@ -89,21 +95,14 @@ def estimate_gamma_star(test_logits: LabeledLogits, partition: LabelPartition) -
     min(Acc_{S/Y}, Acc_{U/Y}), then the smaller gamma.
     """
     curve = seen_unseen_curve(test_logits, partition)
-    candidates = curve.candidate_gammas()
     seen, absent = curve.hits[:, 0], curve.hits[:, 1]
     overall = seen + absent
     balance = np.minimum(seen * curve.num_absent, absent * curve.num_seen)
     # first maximum of the balance (times num_seen * num_absent) among the best overall points
     best = int(np.argmax(np.where(overall == overall.max(), balance, -1)))
-    return GammaEstimate(
-        value=float(candidates[best]),
-        method="STAR",
-        diagnostics={
-            "acc_y_y": float(curve.acc_y_y()[best]),
-            "acc_s_y": float(curve.points[best, 0]),
-            "acc_u_y": float(curve.points[best, 1]),
-        },
-    )
+    value, acc_seen, acc_absent = _curve_pick(curve, best)
+    acc = {"acc_y_y": float(curve.acc_y_y()[best]), "acc_s_y": acc_seen, "acc_u_y": acc_absent}
+    return GammaEstimate(value=value, method="STAR", diagnostics=acc)
 
 
 def predict_cosine(
@@ -130,14 +129,8 @@ def select_balanced_gamma(curve) -> tuple[float, float, float]:
     """Curve gamma minimizing |Acc_{S/Y} - Acc_{U/Y}|, compared exactly in
     hit counts; ties take the smallest gamma. Returns (gamma, acc_seen,
     acc_absent) at the pick."""
-    candidates = curve.candidate_gammas()
     gap = np.abs(curve.hits[:, 0] * curve.num_absent - curve.hits[:, 1] * curve.num_seen)
-    best = int(np.argmin(gap))  # first minimum = smallest gamma
-    return (
-        float(candidates[best]),
-        float(curve.points[best, 0]),
-        float(curve.points[best, 1]),
-    )
+    return _curve_pick(curve, int(np.argmin(gap)))  # first minimum = smallest gamma
 
 
 def estimate_gamma_pcv(

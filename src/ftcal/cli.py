@@ -38,7 +38,7 @@ from .errors import TrainingError, ValidationError
 from .metrics import acc_report, accuracy, ausuc, seen_unseen_curve
 from .ncm import class_means, ncm_logits
 from .pipeline import run_toy_pipeline
-from .trainer import ToySpec, default_train_config, fine_tune, gradient_check
+from .trainer import MODES, ToySpec, default_train_config, fine_tune, gradient_check
 
 GRADCHECK_TOLERANCE = 1e-6
 
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-out", required=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--mode", choices=["full", "frozen-classifier", "linear-probe"], required=True)
+    p.add_argument("--mode", choices=[m.replace("_", "-") for m in MODES], required=True)
     p.add_argument("--history-out")
     p.set_defaults(func=_cmd_train)
 

@@ -6,12 +6,9 @@ instances are safe to share across threads. The copy is made in row blocks,
 each checked for non-finite entries as it is copied. Every dataclass that
 holds arrays, here and elsewhere, compares and hashes by identity.
 
-Because a ``LabeledLogits`` never changes, it computes its per-sample group
-statistics (per-group max, argmax and row sum, whether each label is
-absent, the ground-truth logit and the runner-up absent logit) once per
-partition: ``metrics._group_stats`` keeps the last result on the instance,
-keyed by partition equality, with read-only arrays. Every accuracy, curve,
-gamma and logit diagnostic then reads that one result.
+Because containers never change, ``metrics`` may memoise on them: its
+``_group_stats`` keeps a ``LabeledLogits``' per-sample group statistics and
+seen-unseen curve on the instance, and documents the memo's layout.
 
 It also owns the row primitives every kernel shares. ``_row_blocks`` cuts
 rows into blocks of the ``_BLOCK_BYTES`` budget, and ``_each_block`` runs a
@@ -306,10 +303,6 @@ class LabeledLogits:
 
     def __post_init__(self):
         _freeze_labeled(self, "logits", labels_are_columns=True)
-        # (partition, stats) of the last metrics._group_stats call: not a
-        # dataclass field, so it takes no part in repr, and replaced as one
-        # tuple, so threads sharing the container never see a mix
-        object.__setattr__(self, "_stats_memo", None)
 
     @property
     def num_samples(self) -> int:

@@ -148,18 +148,21 @@ def _group_stats(logits: LabeledLogits, partition: LabelPartition) -> _GroupStat
     """``_stats_kernel`` of the container's values and labels, computed once
     per container and partition.
 
-    The result is kept on the container (which never changes), keyed by
-    partition equality, and its arrays are read-only. Only the last
-    partition is kept.
+    The container never changes, so the result is kept on it, for the last
+    partition only, as ``_stats_memo`` = (partition, stats, curve or None),
+    keyed by partition equality; ``seen_unseen_curve`` adds the curve. The
+    tuple is replaced whole, so threads sharing the container never see a
+    mix, and is no dataclass field, so it is not in repr. The statistics'
+    arrays are read-only.
     """
-    memo = logits._stats_memo
+    memo = getattr(logits, "_stats_memo", None)
     if memo is not None and memo[0] == partition:
         return memo[1]
     check_num_classes("logits have", logits.num_classes, partition)
     stats = _stats_kernel(logits.values, logits.labels, partition)
     for array in stats:
         array.flags.writeable = False
-    object.__setattr__(logits, "_stats_memo", (partition, stats))
+    object.__setattr__(logits, "_stats_memo", (partition, stats, None))
     return stats
 
 
@@ -319,9 +322,12 @@ def seen_unseen_curve(logits: LabeledLogits, partition: LabelPartition) -> SeenU
     For each sample the predicted group flips exactly once, at
     gamma = (max seen logit) - (max absent logit); within-group correctness
     does not depend on gamma. Sorting the per-sample flip values therefore
-    yields the full curve without any grid.
+    yields the full curve without any grid, once per container and partition.
     """
     stats = _group_stats(logits, partition)
+    memo = logits._stats_memo
+    if memo[1] is stats and memo[2] is not None:
+        return memo[2]
     num_seen, num_absent = _group_sizes(stats)
     flip = stats.max_s - stats.max_u
     correct_seen = stats.arg_s == logits.labels
@@ -348,7 +354,7 @@ def seen_unseen_curve(logits: LabeledLogits, partition: LabelPartition) -> SeenU
         seen_counts[upper] -= np.bincount(j[correct_seen & tied_absent], minlength=k)[upper]
         absent_counts[upper] += np.bincount(j[correct_absent & tied_absent], minlength=k)[upper]
     points = np.stack([seen_counts / num_seen, absent_counts / num_absent], axis=1)
-    return SeenUnseenCurve(
+    curve = SeenUnseenCurve(
         thresholds=thresholds,
         points=points,
         hits=hits,
@@ -356,6 +362,8 @@ def seen_unseen_curve(logits: LabeledLogits, partition: LabelPartition) -> SeenU
         num_seen=num_seen,
         num_absent=num_absent,
     )
+    object.__setattr__(logits, "_stats_memo", (partition, stats, curve))
+    return curve
 
 
 def ausuc(curve: SeenUnseenCurve) -> float:

@@ -32,13 +32,14 @@ class ClassMeans:
 
     def __post_init__(self):
         means = _frozen_array(self.means, np.float64, "means", ndim=2)
-        class_ids = _class_set(self.class_ids, "class_ids")
+        given = list(self.class_ids) if np.iterable(self.class_ids) else self.class_ids
+        class_ids = _class_set(given, "class_ids", repeats="reject")
         counts = _frozen_array(self.counts, np.int64, "counts", ndim=1)
-        if not (means.shape[0] == class_ids.shape[0] == counts.shape[0]):
-            raise ValidationError("means, class_ids and counts must agree in length")
         if class_ids.size == 0:
             raise ValidationError("at least one class is required")
-        if np.any(np.diff(class_ids) == 0) or not np.array_equal(class_ids, self.class_ids):
+        if not (means.shape[0] == class_ids.shape[0] == counts.shape[0]):
+            raise ValidationError("means, class_ids and counts must agree in length")
+        if not np.array_equal(class_ids, given):
             raise ValidationError("class_ids must be strictly increasing")
         class_ids.flags.writeable = False
         if counts.min() < 1:

@@ -135,10 +135,7 @@ def run_toy_pipeline(spec: ToySpec, config: TrainConfig, outdir) -> ToyReport:
 
     def evaluate(model, data):
         hidden, logits = forward_batch(model, data.values)
-        return (
-            LabeledFeatures(hidden, data.labels),
-            LabeledLogits(logits, data.labels),
-        )
+        return hidden, LabeledLogits(logits, data.labels)
 
     pre_hidden, pre_logits = evaluate(pretrained, tgt_test)
     ft_hidden, ft_logits = evaluate(finetuned, tgt_test)
@@ -198,8 +195,8 @@ def run_toy_pipeline(spec: ToySpec, config: TrainConfig, outdir) -> ToyReport:
     io.save_matrix(ft_logits.values, path("logits_finetuned.csv"))
     io.save_matrix(ft_train_logits.values, path("train_logits_finetuned.csv"))
     io.save_labels(tgt_train_ft.labels, path("train_labels_finetuned.csv"))
-    io.save_matrix(pre_hidden.values, path("hidden_pretrained.csv"))
-    io.save_matrix(ft_hidden.values, path("hidden_finetuned.csv"))
+    io.save_matrix(pre_hidden, path("hidden_pretrained.csv"))
+    io.save_matrix(ft_hidden, path("hidden_finetuned.csv"))
     io.write_report(pre_acc.as_dict(), path("metrics_pretrained.txt"))
     io.write_report(ft_acc.as_dict(), path("metrics_finetuned.txt"))
     io.write_report(calibrated_acc.as_dict(), path("metrics_calibrated.txt"))
@@ -251,8 +248,8 @@ def run_toy_pipeline(spec: ToySpec, config: TrainConfig, outdir) -> ToyReport:
         pretrained_acc=pre_acc,
         finetuned_acc=ft_acc,
         calibrated_acc=calibrated_acc,
-        pretrained_ausuc=ausuc(pre_curve),
-        finetuned_ausuc=ausuc(ft_curve),
+        pretrained_ausuc=summary["ausuc_pretrained"],
+        finetuned_ausuc=summary["ausuc_finetuned"],
         gamma_alg=gamma_alg,
         gamma_star=gamma_star,
         gamma_pcv=gamma_pcv,

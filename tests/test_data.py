@@ -308,6 +308,7 @@ _EYE4 = LabeledFeatures(np.eye(4), [0, 1, 2, 3])
 # each public reader of a class set, with the name its errors give the set
 _CLASS_SET_READERS = {
     "LabelPartition": ("fine_tuning", lambda classes: LabelPartition(4, classes)),
+    "ClassMeans": ("class_ids", lambda classes: ClassMeans(np.eye(4)[:2], classes, [1, 1])),
     "total_intra_group_distance": (
         "subset",
         lambda classes: total_intra_group_distance(np.eye(4), classes),
@@ -324,7 +325,10 @@ _CLASS_SET_READERS = {
     "fine_tune": (
         "allowed_classes",
         lambda classes: fine_tune(
-            MlpModel(np.eye(4), LinearHead(np.eye(4))), _EYE4, classes, TrainConfig(0.01, seed=0)
+            MlpModel(np.eye(4), LinearHead(np.eye(4))),
+            LabeledFeatures(np.eye(4)[::2], [0, 2]),
+            classes,
+            TrainConfig(0.01, seed=0),
         ),
     ),
     "delta_w_similarity": (
@@ -342,6 +346,7 @@ _CLASS_SET_RULES = {
         "reject",
         "fine_tuning must be a nonempty strict subset of the label space (got 0 of 4 classes)",
     ),
+    "ClassMeans": ("reject", "at least one class is required"),
     "total_intra_group_distance": ("reject", None),
     "predict_restricted": ("merge", "restriction must be a nonempty set of class indices"),
     "class_means": ("merge", "classes must be nonempty"),
@@ -372,25 +377,32 @@ class TestClassSets:
     def test_the_rule_table_names_every_reader(self):
         assert sorted(_CLASS_SET_RULES) == sorted(_CLASS_SET_READERS)
 
+    @pytest.mark.parametrize("reader", sorted(_CLASS_SET_READERS))
+    def test_a_one_shot_iterator_reads_as_its_list(self, reader):
+        _, read = _CLASS_SET_READERS[reader]
+        assert _same_result(read(iter([0, 2])), read([0, 2]))
+
     @pytest.mark.parametrize("repeated", [[3, 0, 1, 2, 3], [2, 0, 2, 1, 3, 3, 1]])
     @pytest.mark.parametrize("reader", sorted(_CLASS_SET_READERS))
     def test_a_repeated_class_is_merged_or_rejected(self, reader, repeated):
         what, read = _CLASS_SET_READERS[reader]
-        if _CLASS_SET_RULES[reader][0] == "reject":
-            with pytest.raises(ValidationError, match=f"^{what} contains duplicate class indices$"):
-                read(repeated)
-        else:
-            assert _same_result(read(repeated), read(sorted(set(repeated))))
+        for given in (repeated, iter(repeated)):
+            if _CLASS_SET_RULES[reader][0] == "reject":
+                with pytest.raises(ValidationError, match=f"^{what} contains duplicate class indices$"):
+                    read(given)
+            else:
+                assert _same_result(read(given), read(sorted(set(repeated))))
 
     @pytest.mark.parametrize("reader", sorted(_CLASS_SET_READERS))
     def test_an_empty_set_raises_its_readers_message(self, reader):
         _, read = _CLASS_SET_READERS[reader]
         message = _CLASS_SET_RULES[reader][1]
-        if message is None:
-            assert read([]) == 0.0
-        else:
-            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-                read([])
+        for given in ([], iter([])):
+            if message is None:
+                assert read(given) == 0.0
+            else:
+                with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                    read(given)
 
     @pytest.mark.parametrize(
         "classes", [3, None, [2**70], [1.5], [-1]],
@@ -399,8 +411,9 @@ class TestClassSets:
     @pytest.mark.parametrize("reader", sorted(_CLASS_SET_READERS))
     def test_faults_are_ftcal_errors_naming_the_set(self, reader, classes):
         what, read = _CLASS_SET_READERS[reader]
-        with pytest.raises(FtcalError, match=f"^{what}"):
-            read(classes)
+        for given in [classes] + ([iter(classes)] if isinstance(classes, list) else []):
+            with pytest.raises(FtcalError, match=f"^{what}"):
+                read(given)
 
     def test_only_data_reads_class_indices(self):
         # an _integer call without bounds reads a class index

@@ -2,7 +2,11 @@
 partition, and read by every accuracy and logit diagnostic, which must equal
 their full-matrix formulas bit for bit."""
 
+import copy
 import dataclasses
+import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,20 +17,24 @@ from ftcal import (
     EmptyGroupError,
     LabeledLogits,
     LabelPartition,
+    ToySpec,
     absent_binary_prob,
     acc_report,
     accuracy,
     apply_gamma,
     ausuc,
+    default_train_config,
     estimate_gamma_alg,
     estimate_gamma_star,
     gt_vs_top_nongt_absent,
     logit_gap_stats,
+    run_toy_pipeline,
     seen_unseen_curve,
 )
 from ftcal import cli, data, metrics
 from ftcal.analysis import nongt_logit_means
 from ftcal.metrics import _group_stats
+from ftcal.pipeline import PCV_REPEATS
 
 from helpers import exact_accuracies, exact_area, is_absent_label
 
@@ -453,3 +461,121 @@ class TestOneKernelPass:
         values, labels, _, partition = diagnostic_instance(5, 1.0, False)
         every_statistic(LabeledLogits(values, labels), partition)
         assert len(kernel_passes) == 1
+
+
+@pytest.fixture()
+def curve_builds(monkeypatch):
+    """Count the ``SeenUnseenCurve`` constructions (memo hits not included)."""
+    builds = []
+    real = metrics.SeenUnseenCurve
+
+    def counting(**fields):
+        builds.append(1)
+        return real(**fields)
+
+    monkeypatch.setattr(metrics, "SeenUnseenCurve", counting)
+    return builds
+
+
+def curve_numbers(logits, partition):
+    """Every number of the curve and of gamma*, as bytes where a float."""
+    curve = seen_unseen_curve(logits, partition)
+    star = estimate_gamma_star(logits, partition)
+    return (
+        curve.thresholds.tobytes(),
+        curve.points.tobytes(),
+        curve.hits.tobytes(),
+        bits(curve.within_group_acc),
+        (curve.num_seen, curve.num_absent),
+        bits(ausuc(curve)),
+        [(key, bits(value)) for key, value in star.as_dict().items() if key != "method"],
+    )
+
+
+class TestOneCurve:
+    """The curve is built once per container and partition and kept beside
+    the statistics, so the curve, gamma* and AUSUC read one staircase."""
+
+    def test_curve_then_gamma_star_builds_one_curve(self, curve_builds):
+        values, labels, partition = curve_instance(3, 1.0, True)
+        logits = LabeledLogits(values, labels)
+        curve = seen_unseen_curve(logits, partition)
+        estimate_gamma_star(logits, partition)
+        assert seen_unseen_curve(logits, LabelPartition(*dataclasses.astuple(partition))) is curve
+        assert len(curve_builds) == 1
+
+    def test_a_single_group_container_raises_each_time_and_builds_no_curve(self, curve_builds):
+        logits = LabeledLogits([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0]], [0, 1])
+        partition = LabelPartition(3, (0, 1))
+        for _ in range(2):
+            with pytest.raises(EmptyGroupError, match="group U"):
+                seen_unseen_curve(logits, partition)
+        assert not curve_builds
+
+    @pytest.mark.parametrize("pcv", [False, True], ids=["default", "4+4-with-pcv"])
+    def test_a_toy_run_builds_each_curve_once(self, tmp_path, curve_builds, pcv):
+        spec = ToySpec(samples_per_class=20)
+        if pcv:
+            spec = ToySpec(
+                class_means=tuple((10.0, 1.5 * c) for c in range(8)),
+                shift=(0.5, -0.5) * 4,
+                samples_per_class=20,
+                fine_tuning=(0, 1, 2, 3),
+            )
+        report = run_toy_pipeline(spec, default_train_config(seed=4), tmp_path)
+        assert (report.gamma_pcv is not None) == pcv
+        # the pretrained and finetuned curves, then one per PCV repeat
+        assert len(curve_builds) == 2 + (PCV_REPEATS if pcv else 0)
+
+    def test_diagnose_builds_none(self, toy_report, curve_builds, capsys):
+        out = toy_report.outdir
+        code = cli.main([
+            "diagnose",
+            "--logits", f"{out}/logits_finetuned.csv",
+            "--labels", f"{out}/target_test_labels.csv",
+            "--partition", f"{out}/partition.txt",
+            "--head", f"{out}/head_finetuned.csv",
+        ])
+        assert code == 0 and "absent_binary_prob=" in capsys.readouterr().out
+        assert not curve_builds
+
+    def test_alternating_partitions_equal_fresh_containers(self):
+        values, labels, first = curve_instance(3, 1.0, True)
+        second = LabelPartition(first.num_classes, first.absent)
+        shared = LabeledLogits(values, labels)
+        for partition in (first, second, first):
+            assert curve_numbers(shared, partition) == curve_numbers(
+                LabeledLogits(values, labels), partition
+            )
+
+    def test_threads_sharing_one_container_equal_fresh_containers(self):
+        values, labels, first = curve_instance(8, 1.0, True)
+        partitions = (first, LabelPartition(first.num_classes, first.absent))
+        expected = [curve_numbers(LabeledLogits(values, labels), p) for p in partitions]
+        shared = LabeledLogits(values, labels)
+        picks = [i % 2 for i in range(64)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=data._cpu_count() + 2) as pool:
+                work = pool.map(lambda i: curve_numbers(shared, partitions[i]), picks, timeout=120)
+                got = list(work)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [expected[i] for i in picks]
+
+    @pytest.mark.parametrize("copy_of", [
+        copy.copy,
+        lambda logits: dataclasses.replace(logits),
+        lambda logits: pickle.loads(pickle.dumps(logits)),
+    ], ids=["copy", "replace", "pickle"])
+    @pytest.mark.parametrize("queried", [False, True], ids=["fresh", "queried"])
+    def test_copies_report_the_same_numbers(self, copy_of, queried):
+        values, labels, partition = curve_instance(5, 1.0, True)
+        logits = LabeledLogits(values, labels)
+        expected = curve_numbers(LabeledLogits(values, labels), partition)
+        if queried:
+            curve_numbers(logits, partition)
+        copied = copy_of(logits)
+        assert curve_numbers(copied, partition) == expected
+        assert curve_numbers(logits, partition) == expected
