@@ -20,8 +20,8 @@ from .data import (
     check_num_classes,
     unit_rows,
 )
-from .errors import DegenerateInputError, EmptyGroupError, ValidationError
-from .metrics import _absent_mass, _group_stats
+from .errors import DegenerateInputError, ValidationError
+from .metrics import _absent_mass, _group_stats, _hits, _labeled
 
 # Centered Grams of nearly identical rows have HSIC at rounding-noise level;
 # anything at or below this is treated as "all rows identical".
@@ -149,18 +149,11 @@ def logit_gap_stats(logits: LabeledLogits, partition: LabelPartition) -> tuple[f
     return float(seen_means.mean()), float(absent_means.mean())
 
 
-def _absent_labeled_rows(stats) -> np.ndarray:
-    rows = np.flatnonzero(stats.label_absent)
-    if rows.size == 0:
-        raise EmptyGroupError("no samples labeled in group U")
-    return rows
-
-
 def absent_binary_prob(logits: LabeledLogits, partition: LabelPartition) -> float:
     """Mean predicted probability that absent-labeled samples belong to the
     absent group (the group-level factor of the softmax decomposition)."""
     stats = _group_stats(logits, partition)
-    rows = _absent_labeled_rows(stats)
+    rows = np.flatnonzero(_labeled(stats, "U"))
     values = logits.values
     groups = (partition.group_indices("S"), partition.group_indices("U"))
     row_max = np.maximum(stats.max_s, stats.max_u)[rows]
@@ -179,8 +172,8 @@ def gt_vs_top_nongt_absent(logits: LabeledLogits, partition: LabelPartition) -> 
     stats = _group_stats(logits, partition)
     if len(partition.absent) < 2:
         raise ValidationError("needs at least 2 absent classes")
-    rows = _absent_labeled_rows(stats)
+    rows = np.flatnonzero(_labeled(stats, "U"))
     # The largest absent logit is the largest non-ground-truth one unless
     # the ground truth is its argmax; then the runner-up is.
-    top = np.where(stats.arg_u[rows] == logits.labels[rows], stats.next_u[rows], stats.max_u[rows])
+    top = np.where(_hits(stats, logits.labels)[1][rows], stats.next_u[rows], stats.max_u[rows])
     return float(stats.gt[rows].mean()), float(top.mean())

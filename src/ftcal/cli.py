@@ -31,6 +31,7 @@ from .data import (
     LabelPartition,
     LinearHead,
     _class_set,
+    check_num_classes,
     make_greedy_similar_split,
     make_random_split,
 )
@@ -159,6 +160,7 @@ def _cmd_delta_w(args) -> int:
     pre = LinearHead(io.load_matrix(args.pre))
     ft = LinearHead(io.load_matrix(args.ft))
     partition = io.load_partition(args.partition)
+    check_num_classes("head has", pre.num_classes, partition)
     report = delta_w_similarity(pre, ft, partition.group_indices(args.group))
     if args.out:
         io.save_matrix(report.matrix, args.out)
@@ -214,6 +216,7 @@ def _cmd_train(args) -> int:
     model = io.load_model(args.model_in)
     partition = io.load_partition(args.partition)
     config = replace(io.load_train_config(args.config), mode=args.mode.replace("-", "_"))
+    check_num_classes("model has", model.num_classes, partition)
     trained, history = fine_tune(model, data, partition.fine_tuning, config)
     io.save_model(trained, args.model_out)
     io.save_history(history, args.history_out or args.model_out + ".history.csv")

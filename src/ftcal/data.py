@@ -4,7 +4,9 @@ Class indices are 0-based. All real values are float64. Every container is
 immutable after construction (arrays are copied and marked read-only), so
 instances are safe to share across threads. The copy is made in row blocks,
 each checked for non-finite entries as it is copied. Every dataclass that
-holds arrays, here and elsewhere, compares and hashes by identity.
+holds arrays, here and elsewhere, compares and hashes by identity. A pickle
+or copy of a container is rebuilt through its constructor (``_Frozen``), so
+``copy.copy`` copies and checks the arrays instead of sharing them.
 
 Because containers never change, ``metrics`` may memoise on them: its
 ``_group_stats`` keeps a ``LabeledLogits``' per-sample group statistics and
@@ -31,7 +33,7 @@ import contextvars
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -226,25 +228,12 @@ def _frozen_array(values, dtype, name: str, ndim: int, flatten: bool = False) ->
     return arr
 
 
-def _freeze_labeled(container, name: str, labels_are_columns: bool) -> None:
-    """Replace ``container.values`` (N x ?, N >= 1) and ``container.labels``
-    (N nonnegative integers, column indices of ``values`` when
-    ``labels_are_columns``) by validated read-only copies."""
-    values = _frozen_array(container.values, np.float64, name, ndim=2)
-    labels = _frozen_array(container.labels, np.int64, "labels", ndim=1)
-    if values.shape[0] < 1:
-        raise ValidationError(f"{name} must contain at least one sample")
-    if values.shape[0] != labels.shape[0]:
-        raise ValidationError(
-            f"row count {values.shape[0]} does not match label count {labels.shape[0]}"
-        )
-    lowest = labels.min()
-    if labels_are_columns and (lowest < 0 or labels.max() >= values.shape[1]):
-        raise ValidationError(f"labels must lie in [0, {values.shape[1]})")
-    if lowest < 0:
-        raise ValidationError("labels must be nonnegative")
-    object.__setattr__(container, "values", values)
-    object.__setattr__(container, "labels", labels)
+class _Frozen:
+    """Base of the containers that freeze arrays: a pickle or copy calls the
+    constructor on the fields, so it is checked and frozen anew, with no memo."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, field.name) for field in fields(self))
 
 
 @dataclass(frozen=True)
@@ -291,22 +280,44 @@ class LabelPartition:
 
 
 @dataclass(frozen=True, eq=False)
-class LabeledLogits:
-    """N x C matrix of decision values plus N ground-truth labels.
-
-    Equality is identity and instances hash by identity, as the statistics
-    memo assumes: two containers holding equal arrays are not equal.
-    """
+class _Labeled(_Frozen):
+    """``values`` (N x ?, N >= 1, named ``_name``) and N nonnegative integer
+    ``labels``, column indices of ``values`` if ``_labels_are_columns``, held
+    as validated read-only copies. Equality is identity and instances hash by
+    identity, as the statistics memo assumes: two containers holding equal
+    arrays are not equal."""
 
     values: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        _freeze_labeled(self, "logits", labels_are_columns=True)
+        values = _frozen_array(self.values, np.float64, self._name, ndim=2)
+        labels = _frozen_array(self.labels, np.int64, "labels", ndim=1)
+        if values.shape[0] < 1:
+            raise ValidationError(f"{self._name} must contain at least one sample")
+        if values.shape[0] != labels.shape[0]:
+            raise ValidationError(
+                f"row count {values.shape[0]} does not match label count {labels.shape[0]}"
+            )
+        lowest = labels.min()
+        if self._labels_are_columns and (lowest < 0 or labels.max() >= values.shape[1]):
+            raise ValidationError(f"labels must lie in [0, {values.shape[1]})")
+        if lowest < 0:
+            raise ValidationError("labels must be nonnegative")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def num_samples(self) -> int:
         return self.values.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class LabeledLogits(_Labeled):
+    """N x C matrix of decision values plus N ground-truth labels."""
+
+    _name = "logits"
+    _labels_are_columns = True
 
     @property
     def num_classes(self) -> int:
@@ -314,19 +325,11 @@ class LabeledLogits:
 
 
 @dataclass(frozen=True, eq=False)
-class LabeledFeatures:
-    """N x d feature matrix plus N labels; equality is identity, as for
-    ``LabeledLogits``."""
+class LabeledFeatures(_Labeled):
+    """N x d feature matrix plus N labels."""
 
-    values: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        _freeze_labeled(self, "features", labels_are_columns=False)
-
-    @property
-    def num_samples(self) -> int:
-        return self.values.shape[0]
+    _name = "features"
+    _labels_are_columns = False
 
     @property
     def dim(self) -> int:
@@ -334,7 +337,7 @@ class LabeledFeatures:
 
 
 @dataclass(frozen=True, eq=False)
-class LinearHead:
+class LinearHead(_Frozen):
     """Bias-free linear classifier: row c holds the weight vector of class c."""
 
     weights: np.ndarray

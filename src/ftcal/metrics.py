@@ -14,6 +14,7 @@ from .data import (
     LabelPartition,
     _class_set,
     _each_block,
+    _Frozen,
     _frozen_array,
     _row_blocks,
     check_gamma,
@@ -54,7 +55,7 @@ class AccReport:
 
 
 @dataclass(frozen=True, eq=False)
-class SeenUnseenCurve:
+class SeenUnseenCurve(_Frozen):
     """Exact staircase of (Acc_{S/Y}, Acc_{U/Y}) over all calibration factors.
 
     ``thresholds`` holds the strictly increasing flip values, the gammas at
@@ -114,19 +115,14 @@ class SeenUnseenCurve:
         return (self.hits[:, 0] + self.hits[:, 1]) / (self.num_seen + self.num_absent)
 
 
-def _argmax_restricted(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    # np.argmax returns the first maximum, so ascending columns give the
-    # lowest-class-index tie rule.
-    return cols[np.argmax(values[:, cols], axis=1)]
-
-
 def predict_restricted(logits: LabeledLogits, restriction) -> np.ndarray:
     """Per-row argmax over the columns in ``restriction``; ties resolve to
     the lowest class index."""
     cols = np.unique(_class_set(restriction, "restriction", logits.num_classes))
     if cols.size == 0:
         raise ValidationError("restriction must be a nonempty set of class indices")
-    return _argmax_restricted(logits.values, cols)
+    # np.argmax returns the first maximum, and the columns ascend
+    return cols[np.argmax(logits.values[:, cols], axis=1)]
 
 
 class _GroupStats(NamedTuple):
@@ -239,15 +235,23 @@ def _predict(stats: _GroupStats, gamma: float) -> np.ndarray:
     return np.where(_absent_side(stats, gamma), stats.arg_u, stats.arg_s)
 
 
+def _hits(stats: _GroupStats, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(arg_s == labels, arg_u == labels); as arg_s is seen and arg_u absent, one at most holds."""
+    return stats.arg_s == labels, stats.arg_u == labels
+
+
+def _labeled(stats: _GroupStats, group: str) -> np.ndarray:
+    """Mask of the samples labeled in group ``group``, "S" or "U"; raise
+    ``EmptyGroupError`` if there are none."""
+    mask = stats.label_absent if group == "U" else ~stats.label_absent
+    if not mask.any():
+        raise EmptyGroupError(f"no samples labeled in group {group}")
+    return mask
+
+
 def _group_sizes(stats: _GroupStats) -> tuple[int, int]:
     """(seen-labeled, absent-labeled) sample counts; both must be nonzero."""
-    num_absent = int(np.count_nonzero(stats.label_absent))
-    num_seen = stats.label_absent.size - num_absent
-    if num_seen == 0:
-        raise EmptyGroupError("no samples labeled in group S")
-    if num_absent == 0:
-        raise EmptyGroupError("no samples labeled in group U")
-    return num_seen, num_absent
+    return tuple(int(np.count_nonzero(_labeled(stats, group))) for group in "SU")
 
 
 def accuracy(logits: LabeledLogits, partition: LabelPartition, group_a: str, group_b: str) -> float:
@@ -256,15 +260,13 @@ def accuracy(logits: LabeledLogits, partition: LabelPartition, group_a: str, gro
     stats = _group_stats(logits, partition)
     check_group(group_a)
     check_group(group_b)
-    if group_b == "Y":  # the tie rule at gamma 0 is the plain argmax
-        preds = _predict(stats, 0.0)
+    hit_s, hit_u = _hits(stats, logits.labels)
+    if group_b == "Y":  # acc_report's rule at gamma 0, the plain argmax
+        hits = np.where(_absent_side(stats, 0.0), hit_u, hit_s)
     else:
-        preds = stats.arg_s if group_b == "S" else stats.arg_u
-    hits = preds == logits.labels
+        hits = hit_s if group_b == "S" else hit_u
     if group_a != "Y":
-        hits = hits[stats.label_absent if group_a == "U" else ~stats.label_absent]
-        if hits.size == 0:
-            raise EmptyGroupError(f"no samples labeled in group {group_a}")
+        hits = hits[_labeled(stats, group_a)]
     return float(np.mean(hits))
 
 
@@ -276,9 +278,7 @@ def acc_report(logits: LabeledLogits, partition: LabelPartition, gamma: float = 
     gamma = check_gamma(gamma)
     stats = _group_stats(logits, partition)
     num_seen, num_absent = _group_sizes(stats)
-    # arg_s can only hit a seen label and arg_u only an absent one.
-    correct_seen = stats.arg_s == logits.labels
-    correct_absent = stats.arg_u == logits.labels
+    correct_seen, correct_absent = _hits(stats, logits.labels)
     absent_side = _absent_side(stats, gamma)
     hits_s_y = int(np.count_nonzero(correct_seen & ~absent_side))
     hits_u_y = int(np.count_nonzero(correct_absent & absent_side))
@@ -330,8 +330,7 @@ def seen_unseen_curve(logits: LabeledLogits, partition: LabelPartition) -> SeenU
         return memo[2]
     num_seen, num_absent = _group_sizes(stats)
     flip = stats.max_s - stats.max_u
-    correct_seen = stats.arg_s == logits.labels
-    correct_absent = stats.arg_u == logits.labels
+    correct_seen, correct_absent = _hits(stats, logits.labels)
 
     # j is the interval index of each sample's flip, read off the sort that
     # finds the thresholds: every flip is a threshold. The sample is predicted

@@ -16,6 +16,7 @@ from .data import (
     LabeledLogits,
     _class_set,
     _frozen_array,
+    _Frozen,
     _ncm_scores,
     unit_rows,
 )
@@ -23,7 +24,7 @@ from .errors import MissingClassError, ValidationError
 
 
 @dataclass(frozen=True, eq=False)
-class ClassMeans:
+class ClassMeans(_Frozen):
     """Arithmetic means of unit-normalized feature rows, one per class."""
 
     means: np.ndarray

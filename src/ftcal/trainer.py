@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabelPartition, LabeledFeatures, LinearHead, _class_set, _frozen_array
+from .data import LabelPartition, LabeledFeatures, LinearHead, _class_set, _frozen_array, _Frozen
 from .errors import TrainingError, ValidationError, _integer, _real
 from .rng import check_seed, derive_rng
 
@@ -32,7 +32,7 @@ MODES = tuple(_UPDATED)
 
 
 @dataclass(frozen=True, eq=False)
-class MlpModel:
+class MlpModel(_Frozen):
     """hidden = activation(hidden_map @ x); logits = head @ hidden."""
 
     hidden_map: np.ndarray

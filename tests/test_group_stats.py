@@ -14,9 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ftcal import (
+    ClassMeans,
     EmptyGroupError,
+    LabeledFeatures,
     LabeledLogits,
     LabelPartition,
+    LinearHead,
+    MlpModel,
     ToySpec,
     absent_binary_prob,
     acc_report,
@@ -579,3 +583,99 @@ class TestOneCurve:
         copied = copy_of(logits)
         assert curve_numbers(copied, partition) == expected
         assert curve_numbers(logits, partition) == expected
+
+
+# ---------------------------------------------- one empty-group rule
+
+# 3 classes, class 0 seen and classes 1 and 2 absent, so that every reader,
+# gt_vs_top_nongt_absent among them, gets past its own checks
+ONE_SEEN = LabelPartition(3, (0,))
+ONLY_SEEN = LabeledLogits([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0]], [0, 0])
+ONLY_ABSENT = LabeledLogits([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0]], [1, 2])
+
+EMPTY_GROUP_READERS = {
+    "acc_report": acc_report,
+    "seen_unseen_curve": seen_unseen_curve,
+    "estimate_gamma_star": estimate_gamma_star,
+    **{
+        f"accuracy({a}|{b})": (lambda logits, p, a=a, b=b: accuracy(logits, p, a, b))
+        for a in "SU"
+        for b in "SUY"
+    },
+    "absent_binary_prob": absent_binary_prob,
+    "gt_vs_top_nongt_absent": gt_vs_top_nongt_absent,
+}
+# the readers that also refuse a container with no seen-labelled sample
+NEEDS_SEEN = ["acc_report", "seen_unseen_curve", "estimate_gamma_star"] + [
+    f"accuracy(S|{b})" for b in "SUY"
+]
+
+
+@pytest.mark.parametrize(
+    "name, logits, group",
+    [(name, ONLY_SEEN, "U") for name in EMPTY_GROUP_READERS if "(S|" not in name]
+    + [(name, ONLY_ABSENT, "S") for name in NEEDS_SEEN],
+)
+def test_every_reader_names_the_empty_group(name, logits, group):
+    with pytest.raises(EmptyGroupError) as info:
+        EMPTY_GROUP_READERS[name](logits, ONE_SEEN)
+    assert str(info.value) == f"no samples labeled in group {group}"
+
+
+# ------------------------------------------ copies rebuilt by constructor
+
+
+def frozen_containers():
+    logits = LabeledLogits([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0]], [0, 1])
+    head = LinearHead([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    return {
+        "LabeledLogits": logits,
+        "LabeledFeatures": LabeledFeatures([[1.0, 2.0], [3.0, 4.0]], [0, 5]),
+        "LinearHead": head,
+        "MlpModel": MlpModel([[1.0, 0.5], [0.0, 2.0]], head, "rectified"),
+        "ClassMeans": ClassMeans([[0.6, 0.8], [1.0, 0.0]], [1, 4], [3, 2]),
+        "SeenUnseenCurve": seen_unseen_curve(logits, LabelPartition(3, (0,))),
+    }
+
+
+def array_fields(container):
+    return {
+        field.name: getattr(container, field.name)
+        for field in dataclasses.fields(container)
+        if isinstance(getattr(container, field.name), np.ndarray)
+    }
+
+
+class TestCopiesAreRebuilt:
+    """A pickle or copy of a frozen container calls its constructor again,
+    so it comes back checked, read-only and without a memo."""
+
+    @pytest.mark.parametrize("name", list(frozen_containers()))
+    @pytest.mark.parametrize("copy_of", [
+        copy.copy,
+        copy.deepcopy,
+        lambda container: pickle.loads(pickle.dumps(container)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_hold_read_only_arrays(self, name, copy_of):
+        original = frozen_containers()[name]
+        copied = copy_of(original)
+        assert type(copied) is type(original)
+        arrays = array_fields(copied)
+        if name == "MlpModel":
+            arrays["head.weights"] = copied.head.weights
+        assert arrays
+        for field, array in arrays.items():
+            assert not array.flags.writeable, field
+            np.testing.assert_array_equal(array, array_fields(original).get(field, array))
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = -5.0
+
+    def test_an_unpickled_queried_container_holds_no_memo(self):
+        logits = LabeledLogits([[1.0, 0.0], [0.0, 1.0]], [0, 1])
+        partition = LabelPartition(2, (0,))
+        seen_unseen_curve(logits, partition)
+        assert hasattr(logits, "_stats_memo")
+        for copied in (pickle.loads(pickle.dumps(logits)), copy.copy(logits)):
+            assert not hasattr(copied, "_stats_memo")
+            assert copied.values is not logits.values
+            assert acc_report(copied, partition) == acc_report(logits, partition)

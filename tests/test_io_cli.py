@@ -899,6 +899,31 @@ class TestCli:
         ):
             assert f"{key}=" in out
 
+    @pytest.mark.parametrize("group", ["S", "U"])
+    def test_delta_w_refuses_a_partition_of_another_class_count(self, tmp_path, capsys, group):
+        io.save_matrix(np.ones((4, 2)), tmp_path / "pre.csv")
+        io.save_matrix(np.arange(1.0, 9.0).reshape(4, 2), tmp_path / "ft.csv")
+        io.save_partition(LabelPartition(6, (0, 1)), tmp_path / "p6.txt")
+        code = run_cli("delta-w", "--pre", str(tmp_path / "pre.csv"), "--ft", str(tmp_path / "ft.csv"),
+                       "--partition", str(tmp_path / "p6.txt"), "--group", group)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "head has 4 classes but the partition has 6" in captured.err
+
+    def test_train_refuses_a_partition_of_another_class_count(self, tmp_path, capsys):
+        io.save_matrix(np.ones((4, 2)), tmp_path / "f.csv")
+        io.save_labels([0, 1, 0, 1], tmp_path / "l.csv")
+        io.save_partition(LabelPartition(6, (0, 1)), tmp_path / "p6.txt")
+        io.save_model(MlpModel(np.eye(2), LinearHead(np.ones((4, 2)))), tmp_path / "in.csv")
+        io.save_train_config(TrainConfig(0.05, epochs=1, batch_size=2, seed=0), tmp_path / "cfg.txt")
+        out = tmp_path / "out.csv"
+        code = run_cli("train", "--features", str(tmp_path / "f.csv"), "--labels", str(tmp_path / "l.csv"),
+                       "--model-in", str(tmp_path / "in.csv"), "--model-out", str(out),
+                       "--partition", str(tmp_path / "p6.txt"), "--config", str(tmp_path / "cfg.txt"),
+                       "--mode", "full")
+        assert code == 2 and not out.exists()
+        assert "model has 4 classes but the partition has 6" in capsys.readouterr().err
+
     def test_toy_smoke(self, tmp_path, capsys):
         spec = tmp_path / "spec.txt"
         io.save_toy_spec(ToySpec(samples_per_class=25), spec)
