@@ -15,6 +15,7 @@ from .data import (
     LinearHead,
     _class_set,
     _each_block,
+    _Frozen,
     _frozen_array,
     _row_blocks,
     check_num_classes,
@@ -29,12 +30,15 @@ _DEGENERATE_HSIC = 1e-24
 
 
 @dataclass(frozen=True, eq=False)
-class SimilarityReport:
-    """Pairwise cosine similarities over a class subset."""
+class SimilarityReport(_Frozen):
+    """Pairwise cosine similarities over a class subset; ``matrix`` is read-only."""
 
     matrix: np.ndarray
     mean_offdiag: float
     subset: tuple[int, ...]
+
+    def __post_init__(self):
+        self.matrix.flags.writeable = False
 
 
 def linear_cka(weights_a, weights_b) -> float:

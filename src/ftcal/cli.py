@@ -128,6 +128,7 @@ def _cmd_ncm(args) -> int:
     mean_data = _load_features(args.mean_features, args.mean_labels)
     eval_data = _load_features(args.eval_features, args.eval_labels)
     partition = io.load_partition(args.partition)
+    check_num_classes("mean data has", int(mean_data.labels.max()) + 1, partition)
     scores = ncm_logits(eval_data, class_means(mean_data, range(partition.num_classes)))
     if args.restrict == "Y":
         _emit(acc_report(scores, partition).as_dict())

@@ -10,34 +10,37 @@ regular file only once the whole text is written, and appends to the
 process's own stdout or stderr.
 
 Every file is read through one reader, ``_line_batches``: it opens the
-file or pipe once and yields its lines in batches of about
-``_BATCH_CHARS`` characters. A batch is whole lines, split by
-``str.splitlines`` after universal-newline decoding, so any line ending
-is read and the batch size never moves a line break.
+file or pipe once, or a byte range of a regular file, and yields its
+lines in batches of about ``_BATCH_CHARS`` characters. A batch is whole
+lines, split by ``str.splitlines`` after universal-newline decoding, so
+any line ending is read and the batch size never moves a line break.
 
 A matrix field is anything Python's ``float()`` accepts; blank lines are
-rejected. ``load_matrix`` parses each batch on its own, so the text of
-about one batch per worker is held at a time beside the rows parsed so
-far. ``np.loadtxt`` parses a batch with no blank line, no ``\x1f``
-(whitespace to it, not to ``float()``) and the width of the rows before
-it. Any other batch, or one it rejects, goes to the line parser
-``_parse_rows``, which sets what is accepted, every value bit and every
-error message with its line number.
+rejected. ``load_matrix`` parses each batch, or a worker each byte range,
+on its own, so about one batch here and one range per worker are held at
+a time beside the rows parsed so far. ``np.loadtxt`` parses lines with no
+blank line, no ``\x1f`` (whitespace to it, not to ``float()``) and the
+width of the rows before them. Any other batch, or one it rejects, goes
+to the line parser ``_parse_rows``, which sets what is accepted, every
+value bit and every error message with its line number.
 
 A file that is not UTF-8 raises ``ParseError`` naming the file. That
 fault outranks any other in the file, wherever it sits, since the file
 is read to its end before a header or row fault is raised.
 
 Large matrices are parsed and formatted on every CPU of the process's
-affinity mask. The reader is unchanged: this process parses the first
-batch, which fixes the width, and where the text is at least
-``_PARALLEL_CHARS`` characters (a regular file's size, or what
-``save_matrix`` writes; a pipe's size is unknown), ``_ordered_map`` sends
-each later batch, or slice of rows, to a forked worker and takes the
-results back in order, so every bit and every fault are as in one
-process. Workers are forked only while the process runs one thread: a
-forked child keeps a copy of every lock and file another thread holds,
-such as a FIFO's write end, and nothing in it releases them.
+affinity mask, with every bit and every fault as in one process. A
+regular file of at least ``_PARALLEL_CHARS`` bytes is cut at ``\n`` bytes
+into ranges of about as many bytes. This process parses the first, about
+one batch, which fixes the width; each later range goes to a forked
+worker, which reads it itself. A range a worker declines (bytes that do
+not decode, a fault to name, or a field only ``float()`` reads) is read
+again here, its first line numbered by the rows before it. A pipe, whose
+size is unknown, and a one-CPU process parse here alone. ``save_matrix``
+sends workers slices of rows. Workers are forked only while the process
+runs one thread: a forked child keeps a copy of every lock and file
+another thread holds, such as a FIFO's write end, and nothing in it
+releases them.
 
 Partition, training-config and toy-spec files are read by one reader,
 ``_load_fields``, which takes each file's keys, which of them are
@@ -60,6 +63,7 @@ import stat
 import sys
 import threading
 import typing
+from io import BytesIO, TextIOWrapper
 
 import numpy as np
 
@@ -139,13 +143,18 @@ def write_text(path, chunks) -> None:
         raise
 
 
-def _line_batches(path) -> typing.Iterator[list[str]]:
-    """The lines of ``path``, read once, as lists of about ``_BATCH_CHARS``
-    characters. Each batch ends at a line end, so the batches together hold
-    the lines ``str.splitlines`` gives for the whole text."""
+def _line_batches(path, start: int = 0, stop: int | None = None) -> typing.Iterator[list[str]]:
+    """The lines of ``path`` from byte ``start`` to ``stop`` (the end if
+    None), both just past a line end, read once, as lists of about
+    ``_BATCH_CHARS`` characters that each end at a line end, so together
+    they hold the lines ``str.splitlines`` gives for the text. A range with
+    a ``stop`` is read whole first: a text reader cannot stop at a byte."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for chunk in iter(functools.partial(handle.readlines, _BATCH_CHARS), []):
+        with open(path, "rb") as handle:
+            if start:
+                handle.seek(start)
+            text = TextIOWrapper(handle if stop is None else BytesIO(handle.read(stop - start)), "utf-8")
+            for chunk in iter(functools.partial(text.readlines, _BATCH_CHARS), []):
                 yield "".join(chunk).splitlines()
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
@@ -153,8 +162,8 @@ def _line_batches(path) -> typing.Iterator[list[str]]:
         raise ParseError(f"{path}: not a UTF-8 text file") from None
 
 
-def _read_lines(path) -> list[str]:
-    return list(itertools.chain.from_iterable(_line_batches(path)))
+def _read_lines(path, start: int = 0, stop: int | None = None) -> list[str]:
+    return list(itertools.chain.from_iterable(_line_batches(path, start, stop)))
 
 
 def _fork_workers() -> int:
@@ -198,12 +207,15 @@ def _fork_worker(function) -> tuple[int, typing.BinaryIO, typing.BinaryIO]:
 
 
 def _forked_map(function, tasks, workers: int) -> typing.Iterator:
-    """``function(*task)`` of each of ``tasks`` in order, computed by up to
-    ``workers`` forked processes that take the tasks in turn: task ``i``
-    goes to worker ``i % workers`` once it has answered task ``i -
-    workers``, so one task per worker is in flight. The workers are
-    driven from this thread alone, and are killed and reaped however the
-    iteration ends: they hold nothing to save."""
+    """``function(*task)`` of each of ``tasks`` in order, computed here if
+    ``workers`` is 0, else by up to ``workers`` forked processes that take
+    the tasks in turn: task ``i`` goes to worker ``i % workers`` once it
+    has answered task ``i - workers``, so one task per worker is in flight.
+    The workers are driven from this thread alone, and are killed and
+    reaped however the iteration ends: they hold nothing to save."""
+    if not workers:
+        yield from itertools.starmap(function, tasks)
+        return
     pool = []
 
     def answer(number):
@@ -242,17 +254,6 @@ def _forked_map(function, tasks, workers: int) -> typing.Iterator:
             answers.close()
 
 
-def _ordered_map(function, tasks, chars: int) -> typing.Iterator:
-    """``function(*task)`` of each of ``tasks``, in order: in forked workers
-    where the tasks hold ``chars`` characters of text, at least
-    ``_PARALLEL_CHARS``, and ``_fork_workers`` allows any, else here."""
-    workers = _fork_workers() if chars >= _PARALLEL_CHARS else 0
-    if workers:
-        yield from _forked_map(function, tasks, workers)
-    else:
-        yield from itertools.starmap(function, tasks)
-
-
 def _csv_text(matrix: np.ndarray) -> str:
     return "".join(_csv_lines(matrix))
 
@@ -260,8 +261,8 @@ def _csv_text(matrix: np.ndarray) -> str:
 def save_matrix(values, path) -> None:
     """Write a 2-D float64 matrix as CSV with a ``#shape`` header line.
 
-    The rows are formatted by ``_ordered_map`` in slices of about a batch
-    of text each."""
+    The rows are formatted in slices of about a batch of text each, by
+    forked workers where they fill at least ``_PARALLEL_CHARS``."""
     matrix = np.asarray(values, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValidationError(f"matrix must be 2-D, got shape {matrix.shape}")
@@ -269,7 +270,8 @@ def save_matrix(values, path) -> None:
     row_chars = _FIELD_CHARS * max(matrix.shape[1], 1)
     step = max(1, _BATCH_CHARS // row_chars)
     slices = ((matrix[start : start + step],) for start in range(0, matrix.shape[0], step))
-    with contextlib.closing(_ordered_map(_csv_text, slices, matrix.shape[0] * row_chars)) as text:
+    workers = _fork_workers() if matrix.shape[0] * row_chars >= _PARALLEL_CHARS else 0
+    with contextlib.closing(_forked_map(_csv_text, slices, workers)) as text:
         write_text(path, itertools.chain([header], text))
 
 
@@ -296,47 +298,78 @@ def _parse_rows(path, numbered_lines, empty: str, width: int | None = None) -> n
     return np.array(rows, dtype=np.float64)
 
 
-def _parse_batch(path, lines: list[str], number: int, width: int | None) -> np.ndarray:
-    """Matrix of a batch of ``lines``, the first numbered ``number``, whose
-    rows must have ``width`` columns unless it is None."""
+def _loadtxt(lines: list[str], width: int | None) -> np.ndarray | None:
+    """``np.loadtxt``'s matrix of ``lines`` where it reads them as ``float()``
+    does, with ``width`` columns unless that is None; else None."""
     # np.loadtxt skips a blank line and reads \x1f as whitespace; float() does neither
-    if "" not in lines and not any(map(str.isspace, lines)) and "\x1f" not in "".join(lines):
-        with contextlib.suppress(ValueError):
-            block = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-            if width in (None, block.shape[1]):
-                return block
-    # a fault to name, or fields only float() reads, such as 1_0
-    return _parse_rows(path, enumerate(lines, number), "empty matrix file", width)
+    if "" in lines or any(map(str.isspace, lines)) or any("\x1f" in line for line in lines):
+        return None
+    with contextlib.suppress(ValueError):
+        block = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+        if width in (None, block.shape[1]):
+            return block
+    return None
 
 
-def _blocks(path, batches, number: int, chars: int) -> typing.Iterator[np.ndarray]:
-    """One matrix per nonempty batch of lines of a text of ``chars``
-    characters, the first line numbered ``number``. The first batch is
-    parsed here and fixes the width of every row; the batches after it are
-    parsed by ``_ordered_map``."""
-    batches = filter(None, batches)
-    lines = next(batches, None)
-    if lines is None:
+def _parse_batches(path, batches, number: int, width: int | None):
+    """One matrix per nonempty batch of lines, the first numbered ``number``,
+    whose rows must have ``width`` columns unless it is None, when the first
+    batch fixes it; returns the next line's number and the width."""
+    for lines in filter(None, batches):
+        block = _loadtxt(lines, width)
+        if block is None:  # a fault to name, or fields only float() reads, such as 1_0
+            block = _parse_rows(path, enumerate(lines, number), "empty matrix file", width)
+        number, width = number + len(lines), block.shape[1]
+        yield block
+    return number, width
+
+
+def _parse_range(path, start: int, stop: int | None, width: int) -> np.ndarray | None:
+    """A forked worker's task: ``_loadtxt`` of the lines of bytes ``start``
+    to ``stop`` of ``path``, or None where they do not decode or it
+    declines them."""
+    with contextlib.suppress(ParseError):
+        return _loadtxt(_read_lines(path, start, stop), width)
+    return None
+
+
+def _byte_ranges(path, size: int) -> typing.Iterator[tuple[int, int | None]]:
+    """``(start, stop)`` of ranges of whole lines of a regular file of
+    ``size`` bytes: the first ends with the line holding byte
+    ``_BATCH_CHARS - 1``, each later one about ``_PARALLEL_CHARS`` bytes on,
+    and the last runs to the end, stop None. A cut falls only just past a
+    ``\n`` byte, so it splits no UTF-8 character and no CRLF pair."""
+    start, step = 0, _BATCH_CHARS
+    with contextlib.suppress(OSError), open(path, "rb") as handle:  # for the reader to name
+        while start + step < size:
+            handle.seek(start + step - 1)
+            while (piece := handle.readline(_BATCH_CHARS)) and not piece.endswith(b"\n"):
+                pass
+            if handle.tell() >= size:
+                break
+            yield start, handle.tell()
+            start, step = handle.tell(), max(_PARALLEL_CHARS, 1)
+    yield start, None
+
+
+def _blocks(path, batches, number: int, ranges, workers: int) -> typing.Iterator[np.ndarray]:
+    """One matrix per nonempty batch of lines of ``batches``, the first
+    numbered ``number``, parsed here; then one per byte range of ``ranges``,
+    parsed by one of ``workers`` forked processes or, where that declines
+    it, here, where the rows before it, one per line, number its lines."""
+    number, width = yield from _parse_batches(path, batches, number, None)
+    if not workers:
         return
-    first = _parse_batch(path, lines, number, None)
-    yield first
-    tasks = _parse_tasks(path, batches, number + len(lines), first.shape[1])
-    yield from _ordered_map(_parse_text, tasks, chars)
-
-
-def _parse_text(path, text: str, number: int, width: int) -> np.ndarray:
-    """``_parse_batch`` of a batch of lines joined by newlines, which no
-    line holds. A task carries its batch as this one string, since pickling
-    each line leaves heap fragments the rest of the process cannot reuse."""
-    return _parse_batch(path, text.split("\n"), number, width)
-
-
-def _parse_tasks(path, batches, number: int, width: int) -> typing.Iterator[tuple]:
-    """The ``_parse_text`` arguments of each batch of lines in turn, the
-    first line numbered ``number``."""
-    for lines in batches:
-        yield path, "\n".join(lines), number, width
-        number += len(lines)
+    spans, ranges = itertools.tee(ranges)
+    tasks = ((path, start, stop, width) for start, stop in ranges)  # the width when sent
+    with contextlib.closing(_forked_map(_parse_range, tasks, workers)) as answers:
+        for span, block in zip(spans, answers):
+            if block is None or width not in (None, block.shape[1]):
+                lines = _line_batches(path, *span)
+                number, width = yield from _parse_batches(path, lines, number, width)
+            else:
+                number, width = number + len(block), block.shape[1]
+                yield block
 
 
 def _is_shape_header(line: str) -> bool:
@@ -390,27 +423,31 @@ def _stack(first: np.ndarray, blocks, declared, size: int) -> tuple[np.ndarray, 
 def load_matrix(path, expected_shape=None) -> np.ndarray:
     """Read a CSV matrix; the optional ``#shape`` header must match the body.
 
-    The file is read once, batch by batch, and each batch's rows are
-    copied into the result as soon as they are parsed, so the whole text
-    is never held. A file's header, where the file is big enough to hold
-    the rows it declares, sizes the result up front.
+    The file is read once, in batches or byte ranges of lines, and each
+    block of rows is copied into the result as soon as it is parsed, so the
+    whole text is never held. A file's header, where the file is big enough
+    to hold the rows it declares, sizes the result up front.
     """
     size = _text_size(path)
-    batches = _line_batches(path)
+    workers = _fork_workers() if size >= max(_PARALLEL_CHARS, 1) else 0
+    ranges = _byte_ranges(path, size) if workers else iter([(0, None)])
+    _, stop = next(ranges)
+    batches = _line_batches(path, 0, stop)
     try:
         lines, number, declared = next(batches, []), 1, None
         if lines and _is_shape_header(lines[0]):
             declared = _shape_header(path, lines[0])
             lines, number = lines[1:], 2
         with contextlib.closing(
-            _blocks(path, itertools.chain([lines], batches), number, size)
+            _blocks(path, itertools.chain([lines], batches), number, ranges, workers)
         ) as blocks:
             first = next(blocks, None)
             if first is None:
                 raise ParseError(f"{path}: empty matrix file")
             matrix, shape = _stack(first, blocks, declared, size)
     except ValidationError:
-        for _ in batches:  # a decoding fault later in the file outranks this one
+        # a decoding fault later in the file outranks this one
+        for _ in itertools.chain(batches, _line_batches(path, stop) if stop else ()):
             pass
         raise
     if declared is not None and shape != declared:

@@ -183,6 +183,11 @@ class TestDeltaWSimilarity:
         assert np.all(report.matrix <= 1 + 1e-12) and np.all(report.matrix >= -1 - 1e-12)
         np.testing.assert_allclose(report.matrix, report.matrix.T, atol=0)
 
+    def test_matrix_is_read_only(self):
+        report = delta_w_similarity(LinearHead(np.eye(3)), LinearHead(2 * np.eye(3)), (0, 1, 2))
+        with pytest.raises(ValueError, match="read-only"):
+            report.matrix[0, 1] = 5.0
+
     def test_zero_delta_names_class(self):
         pre = LinearHead(np.eye(3))
         ft = LinearHead(np.eye(3) + [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])

@@ -32,6 +32,7 @@ from ftcal import (
     estimate_gamma_star,
     gt_vs_top_nongt_absent,
     logit_gap_stats,
+    delta_w_similarity,
     run_toy_pipeline,
     seen_unseen_curve,
 )
@@ -635,6 +636,7 @@ def frozen_containers():
         "MlpModel": MlpModel([[1.0, 0.5], [0.0, 2.0]], head, "rectified"),
         "ClassMeans": ClassMeans([[0.6, 0.8], [1.0, 0.0]], [1, 4], [3, 2]),
         "SeenUnseenCurve": seen_unseen_curve(logits, LabelPartition(3, (0,))),
+        "SimilarityReport": delta_w_similarity(head, LinearHead(head.weights + 1.0), (0, 1)),
     }
 
 

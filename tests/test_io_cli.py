@@ -910,6 +910,15 @@ class TestCli:
         assert code == 2 and captured.out == ""
         assert "head has 4 classes but the partition has 6" in captured.err
 
+    @pytest.mark.parametrize("num_classes", [4, 7])
+    def test_ncm_refuses_a_partition_of_another_class_count(self, tmp_path, capsys, num_classes):
+        args = self.ncm_files(tmp_path)  # mean labels 0..4
+        io.save_partition(LabelPartition(num_classes, (1, 2)), tmp_path / "partition.txt")
+        code = run_cli(*args)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"mean data has 5 classes but the partition has {num_classes}" in captured.err
+
     def test_train_refuses_a_partition_of_another_class_count(self, tmp_path, capsys):
         io.save_matrix(np.ones((4, 2)), tmp_path / "f.csv")
         io.save_labels([0, 1, 0, 1], tmp_path / "l.csv")

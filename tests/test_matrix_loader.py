@@ -317,6 +317,120 @@ class TestOnePass:
         assert peak < 2 * matrix.nbytes, f"peak {peak} B for a {matrix.nbytes} B matrix"
 
 
+# ------------------------------------------------ byte ranges
+
+
+class TestByteRanges:
+    """A regular file fans out to forked workers in byte ranges of many
+    lines, each read by its worker; a range a worker declines is read again
+    here. Values, faults and line numbers are the line-by-line loader's."""
+
+    @pytest.fixture
+    def ranges(self, monkeypatch, forked):
+        """About 4 lines a batch and 6 a range; the list the ``forked``
+        fixture returns."""
+        monkeypatch.setattr(io, "_BATCH_CHARS", 256)
+        monkeypatch.setattr(io, "_PARALLEL_CHARS", 400)
+        return forked
+
+    @staticmethod
+    def lines(rows=240):
+        matrix = np.random.default_rng(11).normal(size=(rows, 4)) * 3.0
+        return [",".join("%.17g" % value for value in row).encode() for row in matrix]
+
+    @staticmethod
+    def write(path, lines, ending=b"\n"):
+        path.write_bytes(ending.join(lines) + ending)
+        return path
+
+    @staticmethod
+    def first_lines(path):
+        """The number of the first line of each byte range of a file whose
+        lines all end with \\n."""
+        text = path.read_bytes()
+        return [text.count(b"\n", 0, start) + 1 for start, _ in io._byte_ranges(path, len(text))]
+
+    @pytest.mark.parametrize("fault, message", [
+        (b"1,x,3,4", "not a comma-separated list of reals"),
+        (b"1,2,3", "expected 4 columns, found 3"),
+        (b"", "blank line inside matrix"),
+        (b" \t ", "blank line inside matrix"),
+    ], ids=["bad field", "ragged row", "blank line", "whitespace line"])
+    def test_a_fault_in_the_third_range_names_its_line(self, tmp_path, ranges, fault, message):
+        lines = self.lines()
+        number = self.first_lines(self.write(tmp_path / "m.csv", lines))[2] + 2
+        lines[number - 1] = fault
+        path = self.write(tmp_path / "m.csv", lines)
+        starts = self.first_lines(path)
+        assert len(starts) > 10 and starts[2] <= number < starts[3]
+        assert assert_same_as_reference(path) == (ParseError, f"{path}:{number}: {message}")
+        assert ranges == [2]
+
+    def test_an_underscore_field_in_a_middle_range_is_read(self, tmp_path, monkeypatch, ranges):
+        lines = self.lines()
+        number = self.first_lines(self.write(tmp_path / "m.csv", lines))[20] + 1
+        lines[number - 1] = b"1_0," + lines[number - 1].split(b",", 1)[1]
+        path = self.write(tmp_path / "m.csv", lines)
+        starts = self.first_lines(path)
+        assert starts[20] < number < starts[21] and len(starts) > 30
+        parse_rows = io._parse_rows
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return parse_rows(*args)
+
+        monkeypatch.setattr(io, "_parse_rows", counted)
+        got = assert_same_as_reference(path)
+        assert got[0] == "ok" and np.frombuffer(got[2]).reshape(got[1])[number - 1, 0] == 10.0
+        assert len(calls) == 1 and ranges == [2]
+
+    def test_a_row_fault_is_outranked_by_a_decoding_fault_in_the_last_range(
+        self, tmp_path, ranges
+    ):
+        lines = self.lines()
+        second = self.first_lines(self.write(tmp_path / "m.csv", lines))[1]
+        lines[second] = b"1,x,3,4"  # the second line of the second range
+        lines[-1] += b"\xff"
+        path = self.write(tmp_path / "m.csv", lines)
+        assert self.first_lines(path)[-1] < len(lines)  # the last range holds more than one line
+        assert assert_same_as_reference(path) == (ParseError, f"{path}: not a UTF-8 text file")
+        assert ranges == [2]
+
+    @pytest.mark.parametrize("fault", [False, True], ids=["clean", "bad field"])
+    @pytest.mark.parametrize("endings", [[b"\r\n"], [b"\r", b"\n"]], ids=["crlf", "cr and lf"])
+    def test_other_line_endings_cut_mid_file(self, tmp_path, ranges, endings, fault):
+        lines = self.lines()
+        if fault:
+            lines[150] = b"1,x,3,4"
+        text = b"".join(line + endings[number % len(endings)] for number, line in enumerate(lines))
+        path = tmp_path / "m.csv"
+        path.write_bytes(text)
+        cuts = [start for start, _ in io._byte_ranges(path, len(text))]
+        assert len(cuts) > 10 and all(text[cut - 1 : cut] == b"\n" for cut in cuts[1:])
+        got = assert_same_as_reference(path)
+        assert got[0] == (ParseError if fault else "ok")
+        assert ranges == [2]
+
+    def test_a_lone_cr_file_has_no_cut_and_is_read_here(self, tmp_path, monkeypatch, ranges):
+        path = self.write(tmp_path / "m.csv", self.lines(), b"\r")
+        assert list(io._byte_ranges(path, path.stat().st_size)) == [(0, None)]
+
+        def refuse():
+            raise AssertionError("forked a worker for a file with no cut")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        assert assert_same_as_reference(path)[0] == "ok"
+
+    @pytest.mark.parametrize("declared", [233, 247])
+    def test_a_header_that_miscounts_the_rows(self, tmp_path, ranges, declared):
+        path = self.write(tmp_path / "m.csv", [b"#shape %d 4" % declared] + self.lines())
+        assert assert_same_as_reference(path) == (
+            ShapeError, f"{path}: header declares ({declared}, 4), content is (240, 4)"
+        )
+        assert ranges == [2]
+
+
 # ------------------------------------------------ properties
 
 _FINITE = st.one_of(
@@ -445,20 +559,28 @@ class TestForkedWorkers:
         assert forked
 
     def test_an_interrupt_shuts_the_workers_down(self, tmp_path, monkeypatch, forked):
+        # one line a range: the interrupt comes from the task source while
+        # both workers hold a range
         _, path = self._big(tmp_path)
-        monkeypatch.setattr(io, "_BATCH_CHARS", 512)
-        line_batches = io._line_batches
+        byte_ranges, fork_worker = io._byte_ranges, io._fork_worker
+        pids = []
 
-        def interrupted(path):
-            for number, batch in enumerate(line_batches(path)):
+        def interrupted(path, size):
+            for number, span in enumerate(byte_ranges(path, size)):
                 if number == 20:
                     raise KeyboardInterrupt
-                yield batch
+                yield span
 
-        monkeypatch.setattr(io, "_line_batches", interrupted)
+        def counted(function):
+            worker = fork_worker(function)
+            pids.append(worker[0])
+            return worker
+
+        monkeypatch.setattr(io, "_byte_ranges", interrupted)
+        monkeypatch.setattr(io, "_fork_worker", counted)
         with pytest.raises(KeyboardInterrupt):
             io.load_matrix(path)
-        assert forked
+        assert len(pids) == 2
         assert no_child_process()
 
     def test_workers_ignore_sigint(self, forked):
