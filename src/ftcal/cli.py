@@ -151,7 +151,7 @@ def _cmd_cka(args) -> int:
             rows = list(io._parse_value(args.rows, tuple[int, ...]))
         except ValueError:
             raise ValidationError(f"--rows must be comma-separated integers, got {args.rows!r}")
-        _class_set(rows, "--rows", min(a.shape[0], b.shape[0]))
+        _class_set(rows, "--rows", min(a.shape[0], b.shape[0]), repeats="merge")
         a, b = a[rows], b[rows]  # in the order given, not _class_set's sorted order
     _emit({"cka": linear_cka(a, b)})
     return 0
@@ -376,10 +376,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except TrainingError as exc:

@@ -145,13 +145,13 @@ def _ncm_scores(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _class_set(classes, what: str, bound: int = 2**63, repeats: str = "keep") -> np.ndarray:
+def _class_set(classes, what: str, bound: int = 2**63, *, repeats: str) -> np.ndarray:
     """The class indices in ``classes`` as an ascending int64 array; raise
     ``ValidationError`` naming ``what`` unless ``classes`` is iterable and
     each entry an integral index in [0, ``bound``), the class count where
-    one applies. A repeated index is kept (``repeats="keep"``), merged into
-    one with an empty set refused (``"merge"``) or refused (``"reject"``);
-    any other size rule is the caller's."""
+    one applies. A repeated index is merged into one with an empty set
+    refused (``repeats="merge"``) or refused (``"reject"``); any other size
+    rule is the caller's."""
     entry = f"{what}: class index"
     try:
         indices = sorted(_integer(c, entry) for c in classes)

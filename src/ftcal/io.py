@@ -25,22 +25,24 @@ to the line parser ``_parse_rows``, which sets what is accepted, every
 value bit and every error message with its line number.
 
 A file that is not UTF-8 raises ``ParseError`` naming the file. That
-fault outranks any other in the file, wherever it sits, since the file
-is read to its end before a header or row fault is raised.
+fault outranks any other in the file, wherever it sits: a header or row
+fault is raised once the file decodes from the end of the range where it
+sat, and every range before that one has been decoded already.
 
 Large matrices are parsed and formatted on every CPU of the process's
 affinity mask, with every bit and every fault as in one process. A
 regular file of at least ``_PARALLEL_CHARS`` bytes is cut at ``\n`` bytes
 into ranges of about as many bytes. This process parses the first, about
-one batch, which fixes the width; each later range goes to a forked
-worker, which reads it itself. A range a worker declines (bytes that do
-not decode, a fault to name, or a field only ``float()`` reads) is read
-again here, its first line numbered by the rows before it. A pipe, whose
-size is unknown, and a one-CPU process parse here alone. ``save_matrix``
-sends workers slices of rows. Workers are forked only while the process
-runs one thread: a forked child keeps a copy of every lock and file
-another thread holds, such as a FIFO's write end, and nothing in it
-releases them.
+one batch, which fixes the width; each later range is sent to a forked
+worker as its byte offsets alone, and the worker reads it itself. A range
+a worker declines (bytes that do not decode, a fault to name, or a field
+only ``float()`` reads), or whose block has another width, is read again
+here, its first line numbered by the rows before it. A pipe, whose size
+is unknown, and a one-CPU process parse here alone.
+``save_matrix`` sends workers slices of rows. Workers are forked only
+while the process runs one thread: a forked child keeps a copy of every
+lock and file another thread holds, such as a FIFO's write end, and
+nothing in it releases them.
 
 Partition, training-config and toy-spec files are read by one reader,
 ``_load_fields``, which takes each file's keys, which of them are
@@ -324,12 +326,12 @@ def _parse_batches(path, batches, number: int, width: int | None):
     return number, width
 
 
-def _parse_range(path, start: int, stop: int | None, width: int) -> np.ndarray | None:
+def _parse_range(path, start: int, stop: int | None) -> np.ndarray | None:
     """A forked worker's task: ``_loadtxt`` of the lines of bytes ``start``
     to ``stop`` of ``path``, or None where they do not decode or it
     declines them."""
     with contextlib.suppress(ParseError):
-        return _loadtxt(_read_lines(path, start, stop), width)
+        return _loadtxt(_read_lines(path, start, stop), None)
     return None
 
 
@@ -352,32 +354,46 @@ def _byte_ranges(path, size: int) -> typing.Iterator[tuple[int, int | None]]:
     yield start, None
 
 
-def _blocks(path, batches, number: int, ranges, workers: int) -> typing.Iterator[np.ndarray]:
-    """One matrix per nonempty batch of lines of ``batches``, the first
-    numbered ``number``, parsed here; then one per byte range of ``ranges``,
-    parsed by one of ``workers`` forked processes or, where that declines
-    it, here, where the rows before it, one per line, number its lines."""
-    number, width = yield from _parse_batches(path, batches, number, None)
-    if not workers:
-        return
-    spans, ranges = itertools.tee(ranges)
-    tasks = ((path, start, stop, width) for start, stop in ranges)  # the width when sent
-    with contextlib.closing(_forked_map(_parse_range, tasks, workers)) as answers:
-        for span, block in zip(spans, answers):
-            if block is None or width not in (None, block.shape[1]):
-                lines = _line_batches(path, *span)
-                number, width = yield from _parse_batches(path, lines, number, width)
-            else:
-                number, width = number + len(block), block.shape[1]
-                yield block
+def _blocks(path, size: int) -> typing.Iterator:
+    """The shape a ``#shape`` header declares, or None; then one matrix per
+    nonempty batch of the first byte range, parsed here, and one per later
+    range, parsed by a forked worker or, where that declines it or finds
+    another width, here, its lines numbered by the rows before it. A fault
+    is raised once the file decodes from the end of the range it sat in."""
+    workers = _fork_workers() if size >= max(_PARALLEL_CHARS, 1) else 0
+    ranges = _byte_ranges(path, size) if workers else iter([(0, None)])
+    _, stop = next(ranges)
+    batches = _line_batches(path, 0, stop)  # the range in use: its reader and its stop
+    try:
+        lines = next(batches, [])
+        declared = _shape_header(path, lines[0]) if lines else None
+        yield declared
+        number = 1 if declared is None else 2
+        batches = itertools.chain([lines[number - 1 :]], batches)
+        number, width = yield from _parse_batches(path, batches, number, None)
+        if not workers:
+            return
+        spans, ranges = itertools.tee(ranges)
+        tasks = ((path, *span) for span in ranges)
+        with contextlib.closing(_forked_map(_parse_range, tasks, workers)) as answers:
+            for (start, stop), block in zip(spans, answers):
+                if block is None or width not in (None, block.shape[1]):
+                    batches = _line_batches(path, start, stop)
+                    number, width = yield from _parse_batches(path, batches, number, width)
+                else:
+                    number, width = number + len(block), block.shape[1]
+                    yield block
+    except ValidationError:  # a decoding fault later in the file outranks it
+        for _ in itertools.chain(batches, _line_batches(path, stop) if stop else ()):
+            pass
+        raise
 
 
-def _is_shape_header(line: str) -> bool:
-    return line.lstrip().startswith("#shape")
-
-
-def _shape_header(path, line: str) -> tuple[int, int]:
-    """The ``(rows, cols)`` a ``#shape`` header line declares."""
+def _shape_header(path, line: str) -> tuple[int, int] | None:
+    """The ``(rows, cols)`` a ``#shape`` header line declares, or None where
+    ``line`` is not one."""
+    if not line.lstrip().startswith("#shape"):
+        return None
     parts = line.split()
     if len(parts) != 3:
         raise ParseError(f"{path}:1: malformed shape header {line!r}")
@@ -429,27 +445,11 @@ def load_matrix(path, expected_shape=None) -> np.ndarray:
     to hold the rows it declares, sizes the result up front.
     """
     size = _text_size(path)
-    workers = _fork_workers() if size >= max(_PARALLEL_CHARS, 1) else 0
-    ranges = _byte_ranges(path, size) if workers else iter([(0, None)])
-    _, stop = next(ranges)
-    batches = _line_batches(path, 0, stop)
-    try:
-        lines, number, declared = next(batches, []), 1, None
-        if lines and _is_shape_header(lines[0]):
-            declared = _shape_header(path, lines[0])
-            lines, number = lines[1:], 2
-        with contextlib.closing(
-            _blocks(path, itertools.chain([lines], batches), number, ranges, workers)
-        ) as blocks:
-            first = next(blocks, None)
-            if first is None:
-                raise ParseError(f"{path}: empty matrix file")
-            matrix, shape = _stack(first, blocks, declared, size)
-    except ValidationError:
-        # a decoding fault later in the file outranks this one
-        for _ in itertools.chain(batches, _line_batches(path, stop) if stop else ()):
-            pass
-        raise
+    with contextlib.closing(_blocks(path, size)) as blocks:
+        declared, first = next(blocks), next(blocks, None)
+        if first is None:
+            raise ParseError(f"{path}: empty matrix file")
+        matrix, shape = _stack(first, blocks, declared, size)
     if declared is not None and shape != declared:
         raise ShapeError(f"{path}: header declares {declared}, content is {shape}")
     if expected_shape is not None and matrix.shape != tuple(expected_shape):

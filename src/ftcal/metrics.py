@@ -21,7 +21,7 @@ from .data import (
     check_group,
     check_num_classes,
 )
-from .errors import EmptyGroupError, ValidationError
+from .errors import EmptyGroupError
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,7 @@ class SeenUnseenCurve(_Frozen):
 def predict_restricted(logits: LabeledLogits, restriction) -> np.ndarray:
     """Per-row argmax over the columns in ``restriction``; ties resolve to
     the lowest class index."""
-    cols = np.unique(_class_set(restriction, "restriction", logits.num_classes))
-    if cols.size == 0:
-        raise ValidationError("restriction must be a nonempty set of class indices")
+    cols = _class_set(restriction, "restriction", logits.num_classes, repeats="merge")
     # np.argmax returns the first maximum, and the columns ascend
     return cols[np.argmax(logits.values[:, cols], axis=1)]
 

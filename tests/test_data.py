@@ -348,7 +348,7 @@ _CLASS_SET_RULES = {
     ),
     "ClassMeans": ("reject", "at least one class is required"),
     "total_intra_group_distance": ("reject", None),
-    "predict_restricted": ("merge", "restriction must be a nonempty set of class indices"),
+    "predict_restricted": ("merge", "restriction must be nonempty"),
     "class_means": ("merge", "classes must be nonempty"),
     "ncm_predict": ("merge", "restriction must be nonempty"),
     "fine_tune": ("merge", "allowed_classes must be nonempty"),

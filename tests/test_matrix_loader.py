@@ -397,6 +397,31 @@ class TestByteRanges:
         assert assert_same_as_reference(path) == (ParseError, f"{path}: not a UTF-8 text file")
         assert ranges == [2]
 
+    @pytest.mark.parametrize("which", [-1, 20], ids=["last range", "middle range"])
+    def test_a_row_fault_reads_no_range_a_worker_decoded(self, tmp_path, monkeypatch, ranges, which):
+        path = self.write(tmp_path / "m.csv", self.lines())
+        starts = self.first_lines(path)
+        spans = list(io._byte_ranges(path, path.stat().st_size))
+        assert len(spans) > 30
+        lines = self.lines()
+        number = starts[which] + 1  # the second line of the range
+        lines[number - 1] = b"x" + lines[number - 1][1:]  # same length: the cuts stay
+        self.write(path, lines)
+        line_batches = io._line_batches
+        reads = []
+
+        def spy(path, start=0, stop=None):
+            reads.append((start, stop))
+            return line_batches(path, start, stop)
+
+        monkeypatch.setattr(io, "_line_batches", spy)
+        message = f"{path}:{number}: not a comma-separated list of reals"
+        assert assert_same_as_reference(path) == (ParseError, message)
+        faulting = spans[which]
+        rest = [(faulting[1], None)] if faulting[1] is not None else []
+        assert reads == [spans[0], faulting, *rest]
+        assert ranges == [2]
+
     @pytest.mark.parametrize("fault", [False, True], ids=["clean", "bad field"])
     @pytest.mark.parametrize("endings", [[b"\r\n"], [b"\r", b"\n"]], ids=["crlf", "cr and lf"])
     def test_other_line_endings_cut_mid_file(self, tmp_path, ranges, endings, fault):

@@ -87,7 +87,7 @@ class TestPredictRestricted:
 
     def test_empty_restriction(self):
         logits = LabeledLogits([[1.0, 0.0]], [0])
-        with pytest.raises(ValidationError, match="^restriction must be a nonempty set"):
+        with pytest.raises(ValidationError, match="^restriction must be nonempty$"):
             predict_restricted(logits, set())
 
     def test_repeated_classes_are_merged(self):
