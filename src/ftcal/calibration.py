@@ -16,11 +16,12 @@ from .data import (
     LabelPartition,
     LinearHead,
     _split_per_class,
+    check_dim,
     check_gamma,
     check_num_classes,
     unit_rows,
 )
-from .errors import EmptyGroupError, TrainingError, ValidationError, _integer
+from .errors import EmptyGroupError, TrainingError, ValidationError, _choice, _integer
 from .metrics import _group_stats, _predict, _stats_kernel, seen_unseen_curve
 from .rng import derive_rng, derive_seed
 from .trainer import MlpModel, TrainConfig, fine_tune, forward_batch
@@ -37,8 +38,7 @@ class GammaEstimate:
     diagnostics: dict
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValidationError(f"method must be one of {METHODS}, got {self.method!r}")
+        object.__setattr__(self, "method", _choice(self.method, METHODS, "method"))
         object.__setattr__(self, "value", check_gamma(self.value))
 
     def as_dict(self) -> dict:
@@ -116,8 +116,7 @@ def predict_cosine(
     itself: it is computed once and never copied into a container.
     """
     check_num_classes("head has", head.num_classes, partition)
-    if head.dim != features.dim:
-        raise ValidationError(f"features have dim {features.dim}, head expects {head.dim}")
+    check_dim("features have", features.dim, "head", head.dim)
     cosines = unit_rows(features.values, "feature") @ unit_rows(head.weights, "weight").T
     gamma = check_gamma(gamma)
     # labels take no part in a prediction, so any label the features carry is accepted
@@ -165,10 +164,7 @@ def estimate_gamma_pcv(
     repeats = _integer(repeats, "repeats", 1)
     if not np.all(np.isin(train_features.labels, seen)):
         raise ValidationError("PCV training data must be labeled within the fine-tuning classes")
-    if train_features.dim != pretrained.dim_in:
-        raise ValidationError(
-            f"features have dim {train_features.dim}, model expects {pretrained.dim_in}"
-        )
+    check_dim("features have", train_features.dim, "model", pretrained.dim_in)
     check_num_classes("model has", pretrained.num_classes, partition)
 
     values, labels = train_features.values, train_features.labels

@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ValidationError, _integer, _real
+from .errors import ValidationError, _choice, _integer, _real
 from .rng import derive_rng
 
 _GROUPS = ("S", "U", "Y")
@@ -193,14 +193,15 @@ def _frozen_array(values, dtype, name: str, ndim: int, flatten: bool = False) ->
     A numeric input, or a sequence numpy makes a numeric array of, is
     copied in ``_each_block`` row blocks, each checked while it is still in
     cache, so no full-size boolean temporary is made. Anything numpy
-    makes no bool, integer or float array of (complex numbers, strings,
-    ``None``, ragged lists) raises ``ValidationError``, never a cast.
+    makes no integer or float array of (bools, as the scalar readers
+    refuse ``True``, complex numbers, strings, ``None``, ragged lists)
+    raises ``ValidationError``, never a cast.
     """
     try:
         source = values if isinstance(values, np.ndarray) else np.asarray(values)
     except ValueError:  # ragged nesting
         source = None
-    if source is None or source.dtype.kind not in "biuf":
+    if source is None or source.dtype.kind not in "iuf":
         raise ValidationError(f"{name} must be an array of real numbers")
     if flatten:
         source = source.reshape(-1)
@@ -265,7 +266,7 @@ class LabelPartition:
 
     def group_indices(self, selector: str) -> np.ndarray:
         """Class indices of group ``selector`` in {"S", "U", "Y"}, ascending."""
-        check_group(selector)
+        selector = _choice(selector, _GROUPS, "group selector")
         if selector == "S":
             return np.array(self.fine_tuning, dtype=np.int64)
         if selector == "U":
@@ -368,10 +369,11 @@ def check_num_classes(subject: str, num_classes: int, partition: LabelPartition)
         )
 
 
-def check_group(selector: str) -> None:
-    """Raise unless ``selector`` names a group: "S", "U" or "Y"."""
-    if selector not in _GROUPS:
-        raise ValidationError(f"group selector must be one of {_GROUPS}, got {selector!r}")
+def check_dim(subject: str, dim: int, owner: str, expected: int) -> None:
+    """Raise unless ``dim`` is the width ``owner`` expects; ``subject`` opens
+    the message, e.g. "features have"."""
+    if dim != expected:
+        raise ValidationError(f"{subject} dim {dim}, {owner} expects {expected}")
 
 
 def unit_rows(matrix: np.ndarray, what: str) -> np.ndarray:

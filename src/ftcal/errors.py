@@ -5,7 +5,8 @@ numerical/training failures with 3 (usage errors are handled by argparse
 and exit with 1).
 
 Every count, seed, class index and real setting is read by ``_integer`` or
-``_real``: here, since every module (``rng`` too) imports this one.
+``_real``, and every named option (a mode, a method, an activation, a
+group) by ``_choice``: here, since every module (``rng`` too) imports this one.
 """
 
 import math
@@ -80,3 +81,11 @@ def _real(value, what: str, low=-math.inf, high=math.inf, low_open=False) -> flo
     bounds = f" and {'>' if low_open else '>='} {low:g}" if low > -math.inf else ""
     bounds += f" and < {high:g}" if high < math.inf else ""
     raise ValidationError(f"{what} must be finite{bounds}, got {value!r}")
+
+
+def _choice(value, choices: tuple[str, ...], what: str) -> str:
+    """The entry of ``choices`` equal to ``value``, as a plain ``str``; raise
+    ``ValidationError`` naming ``what`` for anything else, a non-``str`` too."""
+    if isinstance(value, str) and value in choices:
+        return choices[choices.index(value)]
+    raise ValidationError(f"{what} must be one of {choices}, got {value!r}")

@@ -261,15 +261,16 @@ def _csv_text(matrix: np.ndarray) -> str:
 
 
 def save_matrix(values, path) -> None:
-    """Write a 2-D float64 matrix as CSV with a ``#shape`` header line.
+    """Write a 2-D float64 matrix as CSV with a ``#shape`` header line; one
+    without a row or a column, which ``load_matrix`` refuses, is refused.
 
     The rows are formatted in slices of about a batch of text each, by
     forked workers where they fill at least ``_PARALLEL_CHARS``."""
     matrix = np.asarray(values, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValidationError(f"matrix must be 2-D, got shape {matrix.shape}")
+    if matrix.ndim != 2 or 0 in matrix.shape:
+        raise ValidationError(f"matrix must be 2-D with a row and a column, got shape {matrix.shape}")
     header = f"#shape {matrix.shape[0]} {matrix.shape[1]}\n"
-    row_chars = _FIELD_CHARS * max(matrix.shape[1], 1)
+    row_chars = _FIELD_CHARS * matrix.shape[1]
     step = max(1, _BATCH_CHARS // row_chars)
     slices = ((matrix[start : start + step],) for start in range(0, matrix.shape[0], step))
     workers = _fork_workers() if matrix.shape[0] * row_chars >= _PARALLEL_CHARS else 0

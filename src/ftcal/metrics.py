@@ -16,12 +16,12 @@ from .data import (
     _each_block,
     _Frozen,
     _frozen_array,
+    _GROUPS,
     _row_blocks,
     check_gamma,
-    check_group,
     check_num_classes,
 )
-from .errors import EmptyGroupError
+from .errors import EmptyGroupError, _choice
 
 
 @dataclass(frozen=True)
@@ -256,8 +256,8 @@ def accuracy(logits: LabeledLogits, partition: LabelPartition, group_a: str, gro
     """Acc_{A/B}: fraction of A-labeled samples whose argmax restricted to
     group B equals their label."""
     stats = _group_stats(logits, partition)
-    check_group(group_a)
-    check_group(group_b)
+    group_a = _choice(group_a, _GROUPS, "group selector")
+    group_b = _choice(group_b, _GROUPS, "group selector")
     hit_s, hit_u = _hits(stats, logits.labels)
     if group_b == "Y":  # acc_report's rule at gamma 0, the plain argmax
         hits = np.where(_absent_side(stats, 0.0), hit_u, hit_s)

@@ -18,6 +18,7 @@ from .data import (
     _frozen_array,
     _Frozen,
     _ncm_scores,
+    check_dim,
     unit_rows,
 )
 from .errors import MissingClassError, ValidationError
@@ -69,10 +70,7 @@ def class_means(features: LabeledFeatures, classes) -> ClassMeans:
 
 
 def _unit_features(features: LabeledFeatures, means: ClassMeans) -> np.ndarray:
-    if features.dim != means.means.shape[1]:
-        raise ValidationError(
-            f"features have dim {features.dim}, means have dim {means.means.shape[1]}"
-        )
+    check_dim("features have", features.dim, "each class mean", means.means.shape[1])
     return unit_rows(features.values, "feature")
 
 

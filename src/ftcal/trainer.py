@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabelPartition, LabeledFeatures, LinearHead, _class_set, _frozen_array, _Frozen
-from .errors import TrainingError, ValidationError, _integer, _real
+from .data import LabelPartition, LabeledFeatures, LinearHead, _class_set, _frozen_array, _Frozen, check_dim
+from .errors import TrainingError, ValidationError, _choice, _integer, _real
 from .rng import check_seed, derive_rng
 
 ACTIVATIONS = ("linear", "rectified")
@@ -41,13 +41,8 @@ class MlpModel(_Frozen):
 
     def __post_init__(self):
         hidden_map = _frozen_array(self.hidden_map, np.float64, "hidden_map", ndim=2)
-        if self.head.dim != hidden_map.shape[0]:
-            raise ValidationError(
-                f"head expects {self.head.dim} hidden features but hidden_map "
-                f"produces {hidden_map.shape[0]}"
-            )
-        if self.activation not in ACTIVATIONS:
-            raise ValidationError(f"activation must be one of {ACTIVATIONS}")
+        check_dim("hidden_map output has", hidden_map.shape[0], "head", self.head.dim)
+        object.__setattr__(self, "activation", _choice(self.activation, ACTIVATIONS, "activation"))
         object.__setattr__(self, "hidden_map", hidden_map)
 
     @property
@@ -76,8 +71,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
+        object.__setattr__(self, "mode", _choice(self.mode, MODES, "mode"))
         object.__setattr__(self, "learning_rate", _real(self.learning_rate, "learning_rate", 0.0))
         object.__setattr__(self, "momentum", _real(self.momentum, "momentum", 0.0, 1.0))
         object.__setattr__(self, "weight_decay", _real(self.weight_decay, "weight_decay", 0.0))
@@ -141,8 +135,7 @@ def _forward(hidden_map, head_weights, activation, inputs) -> tuple[np.ndarray, 
 def _input_vector(model: MlpModel, x, name: str = "input") -> np.ndarray:
     """``x`` flattened to a finite vector of the model's input width."""
     x = _frozen_array(x, np.float64, name, ndim=1, flatten=True)
-    if x.shape[0] != model.dim_in:
-        raise ValidationError(f"{name} has {x.shape[0]} entries, model expects {model.dim_in}")
+    check_dim(f"{name} has", x.shape[0], "model", model.dim_in)
     return x
 
 
@@ -162,8 +155,7 @@ def forward(model: MlpModel, x) -> tuple[np.ndarray, np.ndarray]:
 def forward_batch(model: MlpModel, inputs) -> tuple[np.ndarray, np.ndarray]:
     """Hidden features and logits for an N x d_in input matrix."""
     inputs = _frozen_array(inputs, np.float64, "inputs", ndim=2)
-    if inputs.shape[1] != model.dim_in:
-        raise ValidationError(f"inputs must have shape (N, {model.dim_in}), got {inputs.shape}")
+    check_dim("inputs have", inputs.shape[1], "model", model.dim_in)
     return _forward(model.hidden_map, model.head.weights, model.activation, inputs)
 
 
@@ -243,8 +235,7 @@ def fine_tune(
     allowed = _class_set(allowed_classes, "allowed_classes", model.num_classes, repeats="merge")
     if not np.all(np.isin(data.labels, allowed)):
         raise ValidationError("training data contains labels outside allowed_classes")
-    if data.dim != model.dim_in:
-        raise ValidationError(f"data has {data.dim} features, model expects {model.dim_in}")
+    check_dim("features have", data.dim, "model", model.dim_in)
 
     params = [model.hidden_map.copy(), model.head.weights.copy()]
     updated = _UPDATED[config.mode]

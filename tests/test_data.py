@@ -17,6 +17,7 @@ import pytest
 from ftcal import (
     ClassMeans,
     FtcalError,
+    GammaEstimate,
     LabeledFeatures,
     LabeledLogits,
     LabelPartition,
@@ -30,6 +31,7 @@ from ftcal import (
     absent_binary_prob,
     absent_feature_shift,
     acc_report,
+    accuracy,
     class_means,
     decompose,
     delta_w_similarity,
@@ -38,6 +40,7 @@ from ftcal import (
     estimate_gamma_pcv,
     fine_tune,
     forward,
+    forward_batch,
     gradient_check,
     linear_cka,
     loss_and_grads,
@@ -52,9 +55,11 @@ from ftcal import (
     weight_norms,
 )
 from ftcal import data, errors, metrics
+from ftcal.calibration import METHODS
 from ftcal.data import _ncm_scores, check_gamma
 from ftcal.metrics import _group_stats
 from ftcal.rng import check_seed
+from ftcal.trainer import ACTIVATIONS, MODES
 
 
 def _distances(means):
@@ -234,6 +239,21 @@ class TestOneValidator:
              "ragged-row-forward", "ragged-row-loss-and-grads", "ragged-row-feature-shift"],
     )
     def test_non_real_input_is_named(self, name, build):
+        with pytest.raises(ValidationError, match=f"^{name} must be an array of real numbers$"):
+            build()
+
+    @pytest.mark.parametrize(
+        "name, build",
+        [
+            ("labels", lambda: LabeledLogits(np.eye(2), [True, False])),
+            ("logits", lambda: LabeledLogits(np.eye(2, dtype=bool), [1, 0])),
+            ("features", lambda: LabeledFeatures([[True], [False]], [0, 1])),
+            ("weights", lambda: LinearHead(np.eye(2, dtype=bool))),
+            ("counts", lambda: ClassMeans([[1.0]], [0], np.array([True]))),
+        ],
+    )
+    def test_bool_arrays_are_not_real_numbers(self, name, build):
+        # as the scalar readers refuse True rather than read it as 1
         with pytest.raises(ValidationError, match=f"^{name} must be an array of real numbers$"):
             build()
 
@@ -515,6 +535,93 @@ class TestScalarReaders:
                 text = text.replace(inspect.getsource(reader), "")
             checks = re.findall(r"np\.integer|numbers\.Real|isfinite\((?![^()]*\)\.all\(\))", text)
             assert checks == [], source.name
+
+
+_PARTITION4 = LabelPartition(4, (0, 1))
+_LOGITS4 = LabeledLogits(np.eye(4), [0, 1, 2, 3])
+# each named option, with its choices, the name its errors give it and a call that reads it
+_CHOICE_SITES = {
+    "GammaEstimate.method": (METHODS, "method", lambda v: GammaEstimate(0.0, v, {})),
+    "TrainConfig.mode": (MODES, "mode", lambda v: TrainConfig(0.1, mode=v)),
+    "MlpModel.activation": (
+        ACTIVATIONS, "activation", lambda v: MlpModel(np.eye(2), _LINEAR.head, v)
+    ),
+    "LabelPartition.group_indices": (("S", "U", "Y"), "group selector", _PARTITION4.group_indices),
+    "accuracy.group_a": (
+        ("S", "U", "Y"), "group selector", lambda v: accuracy(_LOGITS4, _PARTITION4, v, "Y")
+    ),
+    "accuracy.group_b": (
+        ("S", "U", "Y"), "group selector", lambda v: accuracy(_LOGITS4, _PARTITION4, "Y", v)
+    ),
+}
+# each pair of widths that must agree, with a call where they differ and its message
+_WIDTH_SITES = {
+    "predict_cosine": (
+        lambda: predict_cosine(
+            LabeledFeatures(np.eye(2), [0, 1]), LinearHead(np.eye(4, 3)), _PARTITION4, 0.0
+        ),
+        "features have dim 2, head expects 3",
+    ),
+    "estimate_gamma_pcv": (
+        lambda: estimate_gamma_pcv(
+            _EYE4, MlpModel(np.eye(3), LinearHead(np.eye(5, 3))), LabelPartition(5, (0, 1, 2, 3)),
+            TrainConfig(0.01),
+        ),
+        "features have dim 4, model expects 3",
+    ),
+    "ncm_predict": (
+        lambda: ncm_predict(_EYE4, ClassMeans(np.eye(2), [0, 1], [1, 1]), [0, 1]),
+        "features have dim 4, each class mean expects 2",
+    ),
+    "MlpModel.hidden_map": (
+        lambda: MlpModel(np.eye(3, 2), _LINEAR.head), "hidden_map output has dim 3, head expects 2"
+    ),
+    "forward": (lambda: forward(_LINEAR, np.ones(3)), "input has dim 3, model expects 2"),
+    "forward_batch": (
+        lambda: forward_batch(_LINEAR, np.ones((1, 3))), "inputs have dim 3, model expects 2"
+    ),
+    "fine_tune": (
+        lambda: fine_tune(
+            _LINEAR, LabeledFeatures(np.ones((2, 3)), [0, 1]), [0, 1], TrainConfig(0.1)
+        ),
+        "features have dim 3, model expects 2",
+    ),
+}
+
+
+class TestChoicesAndWidths:
+    """Every named option is read by ``errors._choice`` and every pair of
+    widths that must agree is checked by ``data.check_dim``: a fault is a
+    ``ValidationError`` with that rule's one message."""
+
+    @pytest.mark.parametrize("bad", ["bogus", None, "array"])
+    @pytest.mark.parametrize("site", sorted(_CHOICE_SITES))
+    def test_anything_but_a_choice_is_refused(self, site, bad):
+        choices, what, read = _CHOICE_SITES[site]
+        value = np.array([choices[0]]) if bad == "array" else bad
+        message = f"{what} must be one of {choices}, got {value!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            read(value)
+
+    @pytest.mark.parametrize("site", sorted(_WIDTH_SITES))
+    def test_a_width_mismatch_names_both_widths(self, site):
+        call, message = _WIDTH_SITES[site]
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_a_choice_is_kept_as_a_plain_str(self):
+        assert type(errors._choice(np.str_("U"), ("S", "U"), "group")) is str
+        assert type(TrainConfig(0.1, mode=np.str_("linear_probe")).mode) is str
+        assert type(MlpModel(np.eye(2), _LINEAR.head, np.str_("rectified")).activation) is str
+        assert type(GammaEstimate(0.0, np.str_("ALG"), {}).method) is str
+
+    def test_only_the_two_rules_word_their_messages(self):
+        for source in Path(data.__file__).parent.glob("*.py"):
+            text = source.read_text()
+            for rule in (errors._choice, data.check_dim):
+                text = text.replace(inspect.getsource(rule), "")
+            assert re.findall(r"must be one of| expects ", text) == [], source.name
+        assert not hasattr(data, "check_group")
 
 
 class TestRandomSplit:

@@ -21,8 +21,10 @@ from ftcal import (
     ShapeError,
     TrainConfig,
     ToySpec,
+    ValidationError,
     class_means,
     estimate_gamma_alg,
+    linear_cka,
     ncm_logits,
 )
 from ftcal import cli, io
@@ -58,6 +60,14 @@ class TestMatrixFile:
         io.save_matrix(matrix, path)
         body = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in matrix)
         assert path.read_bytes() == f"#shape {matrix.shape[0]} {matrix.shape[1]}\n{body}".encode()
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+    def test_a_matrix_load_matrix_refuses_is_not_written(self, tmp_path, shape):
+        # load_matrix reads a header and three blank lines, or a header alone, as a fault
+        message = f"matrix must be 2-D with a row and a column, got shape {shape}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            io.save_matrix(np.zeros(shape), tmp_path / "m.csv")
+        assert list(tmp_path.iterdir()) == []
 
     def test_shape_header_mismatch(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -709,6 +719,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("cka=")
         assert abs(float(out.strip().split("=")[1]) - 1.0) < 1e-9
+
+    def test_cka_rows_are_taken_in_the_order_given(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 4))
+        io.save_matrix(a, tmp_path / "a.csv")
+        io.save_matrix(b, tmp_path / "b.csv")
+        assert run_cli("cka", "--weights-a", str(tmp_path / "a.csv"),
+                       "--weights-b", str(tmp_path / "b.csv"), "--rows", "3,2") == 0
+        expected = io.format_report({"cka": linear_cka(a[[3, 2]], b[[3, 2]])})
+        assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize(
         "rows, message",

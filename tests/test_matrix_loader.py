@@ -659,6 +659,32 @@ class TestForkedWorkers:
         assert loaded == [("ok", matrix.shape, matrix.tobytes())]
         assert forked == []
 
+    def test_a_second_thread_saves_and_loads_in_process(self, tmp_path, monkeypatch, forked):
+        # a regular file, unlike a pipe, is large enough to fork for, so the
+        # thread count alone keeps the work here
+        matrix, source = self._big(tmp_path)
+        forked.clear()  # the pool that wrote the source
+        monkeypatch.setattr(io, "_BATCH_CHARS", 512)
+
+        def refuse():
+            raise AssertionError("forked while another thread ran")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        path = tmp_path / "again.csv"
+        loaded = []
+
+        def save_and_load():
+            io.save_matrix(matrix, path)
+            loaded.append(outcome(io.load_matrix, path))
+
+        worker = threading.Thread(target=save_and_load, daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert path.read_bytes() == source.read_bytes()
+        assert loaded == [("ok", matrix.shape, matrix.tobytes())]
+        assert forked == [0]  # the save's slices, formatted here
+
     def test_a_load_after_threaded_ncm_scores_still_forks(self, tmp_path, monkeypatch, forked):
         # the distance kernel joins its threads before it returns or raises
         matrix, path = self._big(tmp_path)
