@@ -181,3 +181,20 @@ def gt_vs_top_nongt_absent(logits: LabeledLogits, partition: LabelPartition) -> 
     # the ground truth is its argmax; then the runner-up is.
     top = np.where(_hits(stats, logits.labels)[1][rows], stats.next_u[rows], stats.max_u[rows])
     return float(stats.gt[rows].mean()), float(top.mean())
+
+
+def _diagnostics(logits: LabeledLogits, head: LinearHead, partition: LabelPartition) -> dict:
+    """The report of ``ftcal diagnose``: the head's group weight norms and
+    the logit statistics of ``logits``, each key spelled here alone."""
+    seen_norm, absent_norm = weight_norms(head, partition)
+    gap_seen, gap_absent = logit_gap_stats(logits, partition)
+    gt_mean, top_nongt = gt_vs_top_nongt_absent(logits, partition)
+    return {
+        "mean_seen_weight_norm": seen_norm,
+        "mean_absent_weight_norm": absent_norm,
+        "mean_nongt_seen_logit": gap_seen,
+        "mean_nongt_absent_logit": gap_absent,
+        "absent_binary_prob": absent_binary_prob(logits, partition),
+        "mean_gt_logit_absent": gt_mean,
+        "mean_top_nongt_absent_logit": top_nongt,
+    }

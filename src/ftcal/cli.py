@@ -11,14 +11,7 @@ import sys
 from dataclasses import asdict, replace
 
 from . import io
-from .analysis import (
-    absent_binary_prob,
-    delta_w_similarity,
-    gt_vs_top_nongt_absent,
-    linear_cka,
-    logit_gap_stats,
-    weight_norms,
-)
+from .analysis import _diagnostics, delta_w_similarity, linear_cka
 from .calibration import (
     apply_gamma,
     estimate_gamma_alg,
@@ -177,21 +170,7 @@ def _cmd_delta_w(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     logits, partition = _load_logits_inputs(args)
-    head = LinearHead(io.load_matrix(args.head))
-    seen_norm, absent_norm = weight_norms(head, partition)
-    gap_seen, gap_absent = logit_gap_stats(logits, partition)
-    gt_mean, top_nongt = gt_vs_top_nongt_absent(logits, partition)
-    _emit(
-        {
-            "mean_seen_weight_norm": seen_norm,
-            "mean_absent_weight_norm": absent_norm,
-            "mean_nongt_seen_logit": gap_seen,
-            "mean_nongt_absent_logit": gap_absent,
-            "absent_binary_prob": absent_binary_prob(logits, partition),
-            "mean_gt_logit_absent": gt_mean,
-            "mean_top_nongt_absent_logit": top_nongt,
-        }
-    )
+    _emit(_diagnostics(logits, LinearHead(io.load_matrix(args.head)), partition))
     return 0
 
 

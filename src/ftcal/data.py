@@ -184,25 +184,29 @@ def _split_per_class(labels: np.ndarray, classes, rng=None) -> tuple[np.ndarray,
     return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx))
 
 
-def _frozen_array(values, dtype, name: str, ndim: int, flatten: bool = False) -> np.ndarray:
-    """Read-only copy of ``values`` as ``dtype``, flattened to one dimension
-    first if ``flatten``; raise unless it has ``ndim`` dimensions and, for a
-    float dtype, only finite entries or, for an integer dtype, only integral
-    ones (``int()`` would truncate 0.7 to 0).
-
-    A numeric input, or a sequence numpy makes a numeric array of, is
-    copied in ``_each_block`` row blocks, each checked while it is still in
-    cache, so no full-size boolean temporary is made. Anything numpy
-    makes no integer or float array of (bools, as the scalar readers
-    refuse ``True``, complex numbers, strings, ``None``, ragged lists)
-    raises ``ValidationError``, never a cast.
-    """
+def _real_array(values, name: str) -> np.ndarray:
+    """``values`` as an integer or float array, not copied if it is one;
+    anything else (bools, as the scalar readers refuse ``True``, complex
+    numbers, strings, ``None``, ragged lists) is a ``ValidationError``."""
     try:
         source = values if isinstance(values, np.ndarray) else np.asarray(values)
     except ValueError:  # ragged nesting
         source = None
     if source is None or source.dtype.kind not in "iuf":
         raise ValidationError(f"{name} must be an array of real numbers")
+    return source
+
+
+def _frozen_array(values, dtype, name: str, ndim: int, flatten: bool = False) -> np.ndarray:
+    """Read-only copy of ``_real_array(values)`` as ``dtype``, flattened to
+    one dimension first if ``flatten``; raise unless it has ``ndim``
+    dimensions and, for a float dtype, only finite entries or, for an
+    integer dtype, only integral ones (``int()`` would truncate 0.7 to 0).
+
+    It is copied in ``_each_block`` row blocks, each checked while it is
+    still in cache, so no full-size boolean temporary is made.
+    """
+    source = _real_array(values, name)
     if flatten:
         source = source.reshape(-1)
     if source.ndim != ndim:

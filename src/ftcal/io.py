@@ -47,6 +47,8 @@ nothing in it releases them.
 Partition, training-config and toy-spec files are read by one reader,
 ``_load_fields``, which takes each file's keys, which of them are
 required and each value's type from the fields of the dataclass it builds.
+It and a model file's ``[meta]`` section parse ``key=value`` lines with
+``_parse_kv_lines``, the one place an unknown key is refused.
 They are written by ``write_report`` of the dataclass's fields, whose
 ``format_report`` is the one writer of ``key=value`` text: ``_format_value``
 spells each value as ``_parse_value`` reads it back.
@@ -69,10 +71,10 @@ from io import BytesIO, TextIOWrapper
 
 import numpy as np
 
-from .data import LabelPartition, LinearHead, _cpu_count
+from .data import LabelPartition, LinearHead, _cpu_count, _frozen_array, _real_array
 from .errors import ParseError, ShapeError, ValidationError
 from .metrics import SeenUnseenCurve
-from .trainer import ACTIVATIONS, EpochRecord, MlpModel, ToySpec, TrainConfig
+from .trainer import EpochRecord, MlpModel, ToySpec, TrainConfig
 
 
 # characters of text per batch of lines
@@ -84,10 +86,10 @@ _FIELD_CHARS = 20
 
 
 def _csv_lines(matrix: np.ndarray) -> typing.Iterator[str]:
-    """The CSV lines of a 2-D float64 ``matrix``, made one row at a time.
+    """The CSV lines of a 2-D real ``matrix``, made one row at a time.
 
     One ``%.17g`` template per matrix is filled from each row's Python
-    floats, so every CSV number is spelled by this one template."""
+    numbers, so every CSV number is spelled by this one template."""
     template = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
     return (template % tuple(row.tolist()) for row in matrix)
 
@@ -261,12 +263,12 @@ def _csv_text(matrix: np.ndarray) -> str:
 
 
 def save_matrix(values, path) -> None:
-    """Write a 2-D float64 matrix as CSV with a ``#shape`` header line; one
-    without a row or a column, which ``load_matrix`` refuses, is refused.
+    """Write a 2-D ``data._real_array`` as CSV with a ``#shape`` header line;
+    one without a row or a column, which ``load_matrix`` refuses, is refused.
 
     The rows are formatted in slices of about a batch of text each, by
     forked workers where they fill at least ``_PARALLEL_CHARS``."""
-    matrix = np.asarray(values, dtype=np.float64)
+    matrix = _real_array(values, "matrix")
     if matrix.ndim != 2 or 0 in matrix.shape:
         raise ValidationError(f"matrix must be 2-D with a row and a column, got shape {matrix.shape}")
     header = f"#shape {matrix.shape[0]} {matrix.shape[1]}\n"
@@ -278,10 +280,10 @@ def save_matrix(values, path) -> None:
         write_text(path, itertools.chain([header], text))
 
 
-def _parse_rows(path, numbered_lines, empty: str, width: int | None = None) -> np.ndarray:
+def _parse_rows(path, numbered_lines, width: int | None = None) -> np.ndarray:
     """Matrix from ``(line number, text)`` pairs of comma-separated reals;
     errors name the line. ``width`` is the column count rows before these
-    fixed, if any; ``empty`` is the message when there is no row."""
+    fixed, if any."""
     rows = []
     for number, line in numbered_lines:
         text = line.strip()
@@ -296,8 +298,6 @@ def _parse_rows(path, numbered_lines, empty: str, width: int | None = None) -> n
         elif len(row) != width:
             raise ParseError(f"{path}:{number}: expected {width} columns, found {len(row)}")
         rows.append(row)
-    if not rows:
-        raise ParseError(f"{path}: {empty}")
     return np.array(rows, dtype=np.float64)
 
 
@@ -321,7 +321,7 @@ def _parse_batches(path, batches, number: int, width: int | None):
     for lines in filter(None, batches):
         block = _loadtxt(lines, width)
         if block is None:  # a fault to name, or fields only float() reads, such as 1_0
-            block = _parse_rows(path, enumerate(lines, number), "empty matrix file", width)
+            block = _parse_rows(path, enumerate(lines, number), width)
         number, width = number + len(lines), block.shape[1]
         yield block
     return number, width
@@ -459,10 +459,13 @@ def load_matrix(path, expected_shape=None) -> np.ndarray:
 
 
 def save_labels(labels, path) -> None:
-    arr = np.asarray(labels, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValidationError(f"labels must be 1-D, got shape {arr.shape}")
-    write_text(path, (f"{int(value)}\n" for value in arr))
+    """Write labels one per line, refusing what a container or ``load_labels`` would."""
+    arr = _frozen_array(labels, np.int64, "labels", ndim=1)
+    if arr.size == 0:
+        raise ValidationError("labels must be nonempty")
+    if arr.min() < 0:
+        raise ValidationError("labels must be nonnegative")
+    write_text(path, (f"{value}\n" for value in arr.tolist()))
 
 
 def load_labels(path) -> np.ndarray:
@@ -494,9 +497,10 @@ def load_partition(path) -> LabelPartition:
     return _load_fields(path, LabelPartition)
 
 
-def _parse_kv_lines(path, numbered_lines) -> dict:
+def _parse_kv_lines(path, numbered_lines, keys) -> dict:
     """``key=value`` pairs from ``(line number, text)`` pairs, blank lines
-    skipped; a line without ``=`` or a key given twice is a fault."""
+    skipped; a line without ``=``, a key given twice or a key not in
+    ``keys`` is a fault."""
     pairs = {}
     for number, line in numbered_lines:
         text = line.strip()
@@ -509,6 +513,9 @@ def _parse_kv_lines(path, numbered_lines) -> dict:
         if key in pairs:
             raise ParseError(f"{path}:{number}: duplicate key {key!r}")
         pairs[key] = value.strip()
+    unknown = sorted(set(pairs) - set(keys))
+    if unknown:
+        raise ParseError(f"{path}: unknown keys {unknown}")
     return pairs
 
 
@@ -557,11 +564,8 @@ def _load_fields(path, cls):
     """An instance of the dataclass ``cls`` from a ``key=value`` file. The
     keys are its fields, those without a default are required, and each
     value is read as the field's annotated type."""
-    pairs = _parse_kv_lines(path, enumerate(_read_lines(path), 1))
     hints = _field_types(cls)
-    unknown = sorted(set(pairs) - set(hints))
-    if unknown:
-        raise ParseError(f"{path}: unknown keys {unknown}")
+    pairs = _parse_kv_lines(path, enumerate(_read_lines(path), 1), hints)
     for field in dataclasses.fields(cls):
         if field.default is dataclasses.MISSING and field.name not in pairs:
             raise ParseError(f"{path}: {field.name} is required")
@@ -587,16 +591,20 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
-    lines = _read_lines(path)
-    sections: dict[str, list[tuple[int, str]]] = {}
+    """The model of a ``save_model`` file. Its three sections are required
+    and its ``[meta]`` keys optional; any other section or key is refused,
+    and a fault ``MlpModel`` finds in the content names the file."""
+    sections = dict.fromkeys(("meta", "hidden_map", "head"))  # None until its header
     current = None
-    for number, line in enumerate(lines, 1):
+    for number, line in enumerate(_read_lines(path), 1):
         text = line.strip()
         if not text:
             continue
         if text.startswith("[") and text.endswith("]"):
             current = text[1:-1]
-            if current in sections:
+            if current not in sections:
+                raise ParseError(f"{path}:{number}: unknown section [{current}]")
+            if sections[current] is not None:
                 raise ParseError(f"{path}:{number}: duplicate section [{current}]")
             sections[current] = []
             continue
@@ -604,16 +612,12 @@ def load_model(path) -> MlpModel:
             raise ParseError(f"{path}:{number}: content before any section header")
         sections[current].append((number, text))
 
-    for required in ("meta", "hidden_map", "head"):
-        if required not in sections:
-            raise ParseError(f"{path}: missing [{required}] section")
-    meta = _parse_kv_lines(path, sections["meta"])
-    activation = meta.get("activation", "linear")
-    if activation not in ACTIVATIONS:
-        raise ParseError(f"{path}: unknown activation {activation!r}")
-
-    hidden_map = _parse_rows(path, sections["hidden_map"], "section [hidden_map] is empty")
-    head = _parse_rows(path, sections["head"], "section [head] is empty")
+    for name, lines in sections.items():
+        if lines is None:
+            raise ParseError(f"{path}: missing [{name}] section")
+    meta = _parse_kv_lines(path, sections["meta"], ("activation", "hidden_map_shape", "head_shape"))
+    hidden_map = _parse_rows(path, sections["hidden_map"])
+    head = _parse_rows(path, sections["head"])
     for key, matrix in (("hidden_map_shape", hidden_map), ("head_shape", head)):
         if key in meta:
             try:
@@ -622,7 +626,10 @@ def load_model(path) -> MlpModel:
                 raise ParseError(f"{path}: malformed {key} {meta[key]!r}") from None
             if declared != matrix.shape:
                 raise ShapeError(f"{path}: {key} declares {declared}, content is {matrix.shape}")
-    return MlpModel(hidden_map=hidden_map, head=LinearHead(head), activation=activation)
+    try:
+        return MlpModel(hidden_map, LinearHead(head), meta.get("activation", "linear"))
+    except ValidationError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def save_train_config(config: TrainConfig, path) -> None:

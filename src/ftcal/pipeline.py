@@ -16,13 +16,7 @@ import numpy as np
 
 from . import io
 from .analysis import (
-    SimilarityReport,
-    absent_binary_prob,
-    delta_w_similarity,
-    gt_vs_top_nongt_absent,
-    linear_cka,
-    logit_gap_stats,
-    weight_norms,
+    SimilarityReport, _diagnostics, absent_binary_prob, delta_w_similarity, linear_cka
 )
 from .calibration import (
     GammaEstimate,
@@ -161,7 +155,6 @@ def run_toy_pipeline(spec: ToySpec, config: TrainConfig, outdir) -> ToyReport:
 
     seen_sim = delta_w_similarity(pretrained.head, finetuned.head, partition.fine_tuning)
     absent_sim = delta_w_similarity(pretrained.head, finetuned.head, partition.absent)
-    seen_norm, absent_norm = weight_norms(finetuned.head, partition)
     seen_idx = list(partition.fine_tuning)
     absent_idx = list(partition.absent)
     seen_cka = linear_cka(pretrained.head.weights[seen_idx], finetuned.head.weights[seen_idx])
@@ -169,9 +162,11 @@ def run_toy_pipeline(spec: ToySpec, config: TrainConfig, outdir) -> ToyReport:
         pretrained.head.weights[absent_idx], finetuned.head.weights[absent_idx]
     )
     binary_prob_pre = absent_binary_prob(pre_logits, partition)
-    binary_prob_ft = absent_binary_prob(ft_logits, partition)
-    gap_seen, gap_absent = logit_gap_stats(ft_logits, partition)
-    gt_mean, top_nongt_mean = gt_vs_top_nongt_absent(ft_logits, partition)
+    diagnostics = _diagnostics(ft_logits, finetuned.head, partition)  # ftcal diagnose's report
+    norms = {
+        key: diagnostics.pop(key) for key in ("mean_seen_weight_norm", "mean_absent_weight_norm")
+    }
+    binary_prob_ft = diagnostics.pop("absent_binary_prob")
 
     def path(name):
         return os.path.join(outdir, name)
@@ -210,18 +205,14 @@ def run_toy_pipeline(spec: ToySpec, config: TrainConfig, outdir) -> ToyReport:
     io.save_matrix(absent_sim.matrix, path("delta_w_absent.csv"))
     io.write_report(
         {
-            "mean_seen_weight_norm": seen_norm,
-            "mean_absent_weight_norm": absent_norm,
+            **norms,
             "delta_w_seen_mean_offdiag": seen_sim.mean_offdiag,
             "delta_w_absent_mean_offdiag": absent_sim.mean_offdiag,
             "cka_seen": seen_cka,
             "cka_absent": absent_cka,
             "absent_binary_prob_pretrained": binary_prob_pre,
             "absent_binary_prob_finetuned": binary_prob_ft,
-            "mean_nongt_seen_logit": gap_seen,
-            "mean_nongt_absent_logit": gap_absent,
-            "mean_gt_logit_absent": gt_mean,
-            "mean_top_nongt_absent_logit": top_nongt_mean,
+            **diagnostics,  # the four logit statistics
         },
         path("analysis.txt"),
     )
@@ -255,8 +246,8 @@ def run_toy_pipeline(spec: ToySpec, config: TrainConfig, outdir) -> ToyReport:
         gamma_pcv=gamma_pcv,
         seen_update_similarity=seen_sim,
         absent_update_similarity=absent_sim,
-        seen_weight_norm=seen_norm,
-        absent_weight_norm=absent_norm,
+        seen_weight_norm=norms["mean_seen_weight_norm"],
+        absent_weight_norm=norms["mean_absent_weight_norm"],
         seen_cka=seen_cka,
         absent_cka=absent_cka,
         absent_binary_prob=binary_prob_ft,

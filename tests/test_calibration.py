@@ -30,6 +30,7 @@ from ftcal import data
 from ftcal.calibration import select_balanced_gamma
 from ftcal.data import unit_rows
 from ftcal.metrics import _group_stats
+from ftcal.rng import derive_rng
 
 from helpers import exact_accuracies, is_absent_label
 from test_metrics import (
@@ -552,6 +553,42 @@ class TestPcv:
             estimate_gamma_pcv(
                 features_big, model_big, partition_big, config, repeats=0
             )
+
+    def test_labels_outside_the_fine_tuning_classes_are_refused(self):
+        features, model, partition = balanced_pcv_fixture()  # labels 0..5 of 8, 0..5 seen
+        labels = np.where(features.labels == 5, 7, features.labels)
+        config = TrainConfig(learning_rate=0.0, epochs=1, batch_size=8, seed=0)
+        message = "PCV training data must be labeled within the fine-tuning classes"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            estimate_gamma_pcv(LabeledFeatures(features.values, labels), model, partition, config)
+
+    def test_empty_pseudo_validation_names_the_repeat(self):
+        # four rows per class all train: ceil(0.8 * 4) = 4
+        features, model, partition = balanced_pcv_fixture(per_class=4)
+        config = TrainConfig(learning_rate=0.0, epochs=1, batch_size=8, seed=0)
+        with pytest.raises(ValidationError, match=r"^repeat 0: pseudo-validation split is empty$"):
+            estimate_gamma_pcv(features, model, partition, config, repeats=1, seed=1)
+
+    @pytest.mark.parametrize("fine_tuned", [True, False])
+    def test_a_pseudo_group_without_samples_names_the_repeat(self, fine_tuned):
+        # Every row is of class 0. Fine-tuning the pseudo subset that holds it
+        # leaves the other subset no validation sample; fine-tuning the other
+        # subset leaves no training sample.
+        features, model, partition = balanced_pcv_fixture(per_class=5)
+        rows = features.labels == 0
+        only_zero = LabeledFeatures(features.values[rows], features.labels[rows])
+        config = TrainConfig(learning_rate=0.0, epochs=1, batch_size=8, seed=0)
+        seed = 4
+        zero_pseudo_seen = 0 in derive_rng(seed, 0, 1).permutation(6)[:3]
+        with pytest.raises(ValidationError) as info:
+            estimate_gamma_pcv(only_zero, model, partition, config, repeats=1, seed=seed,
+                               finetune_on_pseudo_absent=zero_pseudo_seen != fine_tuned)
+        if fine_tuned:
+            assert type(info.value) is EmptyGroupError
+            group = "U" if zero_pseudo_seen else "S"
+            assert str(info.value) == f"repeat 0: no samples labeled in group {group}"
+        else:
+            assert str(info.value) == "repeat 0: no pseudo-training samples to fine-tune on"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_training_failure_names_the_repeat(self):

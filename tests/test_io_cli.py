@@ -202,6 +202,63 @@ class TestModelFile:
             io.load_model(path)
 
 
+class TestSharedInputRules:
+    """The writers read their input by the containers' array rule, and the
+    model reader by the settings, choice, array and width rules."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [[[None, 1.0]], [["1", "2"]], np.eye(2, dtype=bool), [[1.0 + 2.0j]], [[1.0], [1.0, 2.0]]],
+        ids=["none", "text", "bool", "complex", "ragged"],
+    )
+    def test_save_matrix_refuses_what_is_not_real(self, tmp_path, values):
+        with pytest.raises(ValidationError, match=r"^matrix must be an array of real numbers$"):
+            io.save_matrix(values, tmp_path / "m.csv")
+        assert list(tmp_path.iterdir()) == []  # no file and no .tmp
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([1.5], "labels entry 1.5 is not an integer"),
+            (["2"], "labels must be an array of real numbers"),
+            ([None], "labels must be an array of real numbers"),
+            ([True], "labels must be an array of real numbers"),
+            ([-1], "labels must be nonnegative"),
+            ([], "labels must be nonempty"),
+        ],
+        ids=["fraction", "text", "none", "bool", "negative", "empty"],
+    )
+    def test_save_labels_refuses_what_load_labels_or_a_container_refuses(
+        self, tmp_path, labels, message
+    ):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            io.save_labels(labels, tmp_path / "l.csv")
+        assert list(tmp_path.iterdir()) == []  # no file and no .tmp
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[meta]\nactivation=linear\n[hidden_map]\n1\n[head]\n1\n1\n[bias]\n0\n",
+             ":8: unknown section [bias]"),
+            ("[meta]\nactivation=bogus\n[hidden_map]\n1\n[head]\n1\n1\n",
+             ": activation must be one of ('linear', 'rectified'), got 'bogus'"),
+            ("[meta]\nactivation=linear\n[hidden_map]\nnan\n[head]\n1\n1\n",
+             ": hidden_map contains non-finite entries"),
+            ("[meta]\n[hidden_map]\n1\n[head]\n",
+             ": weights must be 2-dimensional, got shape (0,)"),
+            ("[meta]\n[hidden_map]\n1,0\n[head]\n1,0\n0,1\n",
+             ": hidden_map output has dim 1, head expects 2"),
+        ],
+        ids=["extra-section", "bogus-activation", "nan", "empty-head", "widths"],
+    )
+    def test_load_model_faults_start_with_the_path(self, tmp_path, text, message):
+        path = tmp_path / "model.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            io.load_model(path)
+        assert str(info.value) == f"{path}{message}"
+
+
 class TestTrainConfigFile:
     def test_round_trip(self, tmp_path):
         config = TrainConfig(0.05, momentum=0.9, weight_decay=1e-4, epochs=7, batch_size=4, seed=3)
@@ -435,6 +492,8 @@ class TestKeyValueFiles:
             (io.load_toy_spec, "class_means=10,2;10,y\n",
              "malformed value for class_means: '10,2;10,y'"),
             (io.load_partition, "classes=3\nfine_tuning=1\n", "unknown keys ['classes']"),
+            (io.load_model, "[meta]\nactivaton=rectified\n[hidden_map]\n1\n[head]\n1\n1\n",
+             "unknown keys ['activaton']"),
             (io.load_partition, "fine_tuning=1\n", "num_classes is required"),
         ],
     )
@@ -952,6 +1011,32 @@ class TestCli:
                        "--mode", "full")
         assert code == 2 and not out.exists()
         assert "model has 4 classes but the partition has 6" in capsys.readouterr().err
+
+    def test_greedy_split_refuses_class_means_of_another_count(self, tmp_path, capsys):
+        io.save_matrix(np.array([[0.0], [1.0], [10.0], [11.0]]), tmp_path / "means.csv")
+        out = tmp_path / "p.txt"
+        code = run_cli("split", "--mode", "greedy", "--num-classes", "5", "--k", "2",
+                       "--class-means", str(tmp_path / "means.csv"), "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert captured.err == "error: --num-classes is 5 but --class-means has 4 rows\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_training_failure_exits_3(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        io.save_matrix(rng.normal(size=(30, 2)), tmp_path / "f.csv")
+        io.save_labels(rng.choice([0, 1], 30), tmp_path / "l.csv")
+        io.save_partition(LabelPartition(3, (0, 1)), tmp_path / "partition.txt")
+        io.save_model(MlpModel(np.eye(2), LinearHead(np.ones((3, 2)))), tmp_path / "in.csv")
+        io.save_train_config(TrainConfig(1e300, epochs=2, batch_size=8, seed=0), tmp_path / "cfg.txt")
+        out = tmp_path / "out.csv"
+        code = run_cli("train", "--features", str(tmp_path / "f.csv"), "--labels", str(tmp_path / "l.csv"),
+                       "--model-in", str(tmp_path / "in.csv"), "--model-out", str(out),
+                       "--partition", str(tmp_path / "partition.txt"),
+                       "--config", str(tmp_path / "cfg.txt"), "--mode", "full")
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and not out.exists()
+        assert re.fullmatch(r"training failure: non-finite loss at epoch \d+\n", captured.err)
 
     def test_toy_smoke(self, tmp_path, capsys):
         spec = tmp_path / "spec.txt"
