@@ -47,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_logits(logits_path, labels_path) -> LabeledLogits:
-    return LabeledLogits(io.load_matrix(logits_path), io.load_labels(labels_path))
+    return LabeledLogits(io._cached_matrix(logits_path), io.load_labels(labels_path))
 
 
 def _load_logits_inputs(args) -> tuple[LabeledLogits, LabelPartition]:
@@ -56,7 +56,7 @@ def _load_logits_inputs(args) -> tuple[LabeledLogits, LabelPartition]:
 
 
 def _load_features(features_path, labels_path) -> LabeledFeatures:
-    return LabeledFeatures(io.load_matrix(features_path), io.load_labels(labels_path))
+    return LabeledFeatures(io._cached_matrix(features_path), io.load_labels(labels_path))
 
 
 def _emit(pairs: dict, out_path=None) -> None:
@@ -137,8 +137,8 @@ def _cmd_ncm(args) -> int:
 
 
 def _cmd_cka(args) -> int:
-    a = io.load_matrix(args.weights_a)
-    b = io.load_matrix(args.weights_b)
+    a = io._cached_matrix(args.weights_a)
+    b = io._cached_matrix(args.weights_b)
     if args.rows:
         try:  # read as a partition's fine_tuning= is
             rows = list(io._parse_value(args.rows, tuple[int, ...]))
@@ -151,8 +151,8 @@ def _cmd_cka(args) -> int:
 
 
 def _cmd_delta_w(args) -> int:
-    pre = LinearHead(io.load_matrix(args.pre))
-    ft = LinearHead(io.load_matrix(args.ft))
+    pre = LinearHead(io._cached_matrix(args.pre))
+    ft = LinearHead(io._cached_matrix(args.ft))
     partition = io.load_partition(args.partition)
     check_num_classes("head has", pre.num_classes, partition)
     report = delta_w_similarity(pre, ft, partition.group_indices(args.group))
@@ -170,7 +170,7 @@ def _cmd_delta_w(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     logits, partition = _load_logits_inputs(args)
-    _emit(_diagnostics(logits, LinearHead(io.load_matrix(args.head)), partition))
+    _emit(_diagnostics(logits, LinearHead(io._cached_matrix(args.head)), partition))
     return 0
 
 
@@ -180,7 +180,7 @@ def _cmd_split(args) -> int:
     else:
         if not args.class_means:
             raise ValidationError("greedy split requires --class-means")
-        means = io.load_matrix(args.class_means)
+        means = io._cached_matrix(args.class_means)
         if means.shape[0] != args.num_classes:
             raise ValidationError(
                 f"--num-classes is {args.num_classes} but --class-means has {means.shape[0]} rows"

@@ -5,8 +5,8 @@ reports.
 Matrices and the numbers of a curve serialize with 17 significant
 decimal digits, so a write-read round trip reproduces every float64 bit
 for bit. All numbers use the period as the decimal separator regardless
-of locale. Every file goes through ``write_text``, which replaces a
-regular file only once the whole text is written, and appends to the
+of locale. Every file goes through ``_write_whole``, which replaces a
+regular file only once the whole file is written, and appends to the
 process's own stdout or stderr.
 
 Every file is read through one reader, ``_line_batches``: it opens the
@@ -52,6 +52,16 @@ It and a model file's ``[meta]`` section parse ``key=value`` lines with
 They are written by ``write_report`` of the dataclass's fields, whose
 ``format_report`` is the one writer of ``key=value`` text: ``_format_value``
 spells each value as ``_parse_value`` reads it back.
+
+The CLI reads every matrix through ``_cached_matrix``, so that a large CSV
+is parsed once across runs. A regular file of at least ``_PARALLEL_CHARS``
+bytes is looked up by the BLAKE2b digest of its bytes in a directory of
+``.npy`` entries, ``ftcal/matrix-v1`` under ``$XDG_CACHE_HOME`` or
+``~/.cache``; a miss is ``load_matrix``, whose result is kept there if the
+file did not change while it was read. The entries hold at most
+``_CACHE_BYTES``, the least recently used going first. Output never
+depends on the cache: an entry that is not a C-order float64 matrix, of
+exactly its file's size, is a miss, and a store that fails is skipped.
 """
 
 from __future__ import annotations
@@ -60,6 +70,8 @@ import contextlib
 import dataclasses
 import functools
 import itertools
+import math
+import operator
 import os
 import pickle
 import signal
@@ -83,6 +95,8 @@ _BATCH_CHARS = 1 << 16
 _PARALLEL_CHARS = 1 << 22
 # characters of a typical %.17g field and its comma, to size tasks of rows
 _FIELD_CHARS = 20
+# bytes the CLI's parse cache entries may hold together
+_CACHE_BYTES = 1 << 30
 
 
 def _csv_lines(matrix: np.ndarray) -> typing.Iterator[str]:
@@ -115,12 +129,13 @@ def _is_std_stream(path) -> bool:
     return False
 
 
-def write_text(path, chunks) -> None:
-    """Stream the strings of ``chunks`` into ``path``, whole or not at all.
+def _write_whole(path, write, binary: bool = False) -> None:
+    """Call ``write`` with a handle that writes ``path``, whole or not at all:
+    a UTF-8 text handle with ``\n`` line ends, or a bytes one if ``binary``.
 
-    The text goes to a temporary file beside the target (the file a symlink
-    points to), which ``os.replace`` moves over it once complete and any
-    failure, KeyboardInterrupt included, removes. A target that is this
+    The file is written to a temporary file beside the target (the file a
+    symlink points to), which ``os.replace`` moves over it once complete and
+    any failure, KeyboardInterrupt included, removes. A target that is this
     process's own stdout or stderr, such as ``/dev/stdout`` redirected to a
     file, is appended to in place once both streams are flushed, so what
     they already wrote there stays. Any other target that exists but is not
@@ -133,9 +148,11 @@ def write_text(path, chunks) -> None:
     in_place = own_stream or (os.path.exists(path) and not os.path.isfile(path))
     target = path if in_place else os.path.realpath(path)
     scratch = target if in_place else f"{target}.{os.getpid()}.tmp"
+    mode = ("a" if own_stream else "w") + ("b" if binary else "")
+    text = {} if binary else {"encoding": "utf-8", "newline": "\n"}
     try:
-        with open(scratch, "a" if own_stream else "w", encoding="utf-8", newline="\n") as handle:
-            handle.writelines(chunks)  # one write per chunk, never joined
+        with open(scratch, mode, **text) as handle:
+            write(handle)
         if not in_place:
             os.replace(scratch, target)
     except BaseException as exc:
@@ -145,6 +162,12 @@ def write_text(path, chunks) -> None:
             with contextlib.suppress(OSError):
                 os.remove(scratch)
         raise
+
+
+def write_text(path, chunks) -> None:
+    """Stream the strings of ``chunks`` into ``path`` by ``_write_whole``,
+    one write per chunk, never joined."""
+    _write_whole(path, lambda handle: handle.writelines(chunks))
 
 
 def _line_batches(path, start: int = 0, stop: int | None = None) -> typing.Iterator[list[str]]:
@@ -458,6 +481,104 @@ def load_matrix(path, expected_shape=None) -> np.ndarray:
     return matrix
 
 
+# what must not change while a file is read for the parse cache
+_version = operator.attrgetter("st_size", "st_mtime_ns", "st_ino")
+
+
+def _cache_dir() -> str:
+    """The parse cache's directory: ``ftcal/matrix-v1`` under
+    ``$XDG_CACHE_HOME``, or under ``~/.cache`` where that is unset or not
+    an absolute path."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(root, "ftcal", "matrix-v1")
+
+
+def _file_digest(path) -> str:
+    """The hex BLAKE2b-256 digest of the bytes of ``path``."""
+    # _blake2 is the module behind hashlib.blake2b; importing hashlib maps
+    # OpenSSL, which adds 3.5 MB to the resident memory of a CLI run
+    from _blake2 import blake2b
+
+    digest = blake2b(digest_size=32)
+    with open(path, "rb") as handle:
+        for block in iter(functools.partial(handle.read, _BATCH_CHARS), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _read_entry(entry) -> np.ndarray | None:
+    """The matrix of the cache entry ``entry``, or None unless it is a
+    version 1.0 ``.npy`` file of a C-order float64 matrix with a row and a
+    column and of exactly the size that header declares; the size is
+    checked before the matrix is allocated. A hit marks the entry used."""
+    try:
+        with open(entry, "rb") as handle:
+            if np.lib.format.read_magic(handle) != (1, 0):
+                return None
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
+            count = math.prod(shape)
+            if dtype != np.float64 or fortran_order or len(shape) != 2 or not count:
+                return None
+            if handle.tell() + dtype.itemsize * count != os.fstat(handle.fileno()).st_size:
+                return None
+            matrix = np.fromfile(handle, dtype, count).reshape(shape)
+    except (OSError, ValueError, EOFError):
+        return None
+    with contextlib.suppress(OSError):
+        os.utime(entry)
+    return matrix
+
+
+def _store_entry(entry, matrix: np.ndarray) -> None:
+    """Keep ``matrix`` as the cache entry ``entry``, written by
+    ``_write_whole``, unless the entry would be larger than ``_CACHE_BYTES``;
+    then remove the least recently used files of the cache until they hold
+    at most ``_CACHE_BYTES``. Raises OSError where a step fails."""
+    if matrix.nbytes >= _CACHE_BYTES:
+        return
+    directory = os.path.dirname(entry)
+    os.makedirs(directory, mode=0o700, exist_ok=True)
+    _write_whole(entry, lambda handle: np.save(handle, matrix), binary=True)
+    files = []
+    for item in os.scandir(directory):
+        with contextlib.suppress(OSError):  # removed by another run meanwhile
+            status = item.stat(follow_symlinks=False)
+            files.append((status.st_mtime_ns, status.st_size, item.path))
+    total = sum(size for _, size, _ in files)
+    for _, size, name in sorted(files):
+        if total <= _CACHE_BYTES:
+            break
+        with contextlib.suppress(OSError):
+            os.remove(name)
+            total -= size
+
+
+def _cached_matrix(path) -> np.ndarray:
+    """``load_matrix(path)``, as the CLI reads it: a regular file of at
+    least ``_PARALLEL_CHARS`` bytes is served from the parse cache entry of
+    its bytes' digest where that holds a matrix; else it is parsed and, if
+    its size, mtime and inode are the same after the parse as before the
+    digest, kept there. Any other file, one that cannot be opened, or a
+    run with no absolute cache directory goes to ``load_matrix`` alone."""
+    entry = None
+    with contextlib.suppress(OSError, ImportError):
+        status, directory = os.stat(path), _cache_dir()
+        large = stat.S_ISREG(status.st_mode) and status.st_size >= _PARALLEL_CHARS
+        if large and os.path.isabs(directory):
+            entry = os.path.join(directory, f"{_file_digest(path)}.npy")
+    if entry is None:
+        return load_matrix(path)
+    matrix = _read_entry(entry)
+    if matrix is None:
+        matrix = load_matrix(path)
+        with contextlib.suppress(OSError):
+            if _version(os.stat(path)) == _version(status):
+                _store_entry(entry, matrix)
+    return matrix
+
+
 def save_labels(labels, path) -> None:
     """Write labels one per line, refusing what a container or ``load_labels`` would."""
     arr = _frozen_array(labels, np.int64, "labels", ndim=1)
@@ -563,7 +684,8 @@ def _field_types(cls) -> dict:
 def _load_fields(path, cls):
     """An instance of the dataclass ``cls`` from a ``key=value`` file. The
     keys are its fields, those without a default are required, and each
-    value is read as the field's annotated type."""
+    value is read as the field's annotated type; a fault ``cls`` finds in
+    the values names the file."""
     hints = _field_types(cls)
     pairs = _parse_kv_lines(path, enumerate(_read_lines(path), 1), hints)
     for field in dataclasses.fields(cls):
@@ -575,7 +697,10 @@ def _load_fields(path, cls):
             kwargs[key] = _parse_value(value, hints[key])
         except ValueError:
             raise ParseError(f"{path}: malformed value for {key}: {value!r}") from None
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValidationError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def save_model(model: MlpModel, path) -> None:
@@ -621,7 +746,7 @@ def load_model(path) -> MlpModel:
     for key, matrix in (("hidden_map_shape", hidden_map), ("head_shape", head)):
         if key in meta:
             try:
-                declared = tuple(int(v) for v in meta[key].split())
+                declared = tuple(_parse_int(v) for v in meta[key].split())
             except ValueError:
                 raise ParseError(f"{path}: malformed {key} {meta[key]!r}") from None
             if declared != matrix.shape:

@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import os
 import re
+import stat
 import subprocess
 import sys
 import threading
@@ -188,6 +190,18 @@ class TestModelFile:
         )
         with pytest.raises(ShapeError):
             io.load_model(path)
+
+    def test_declared_shapes_are_read_as_counts(self, tmp_path):
+        # each part is read as a settings count is: 1.0 is 1, 1.5 is no count
+        path = tmp_path / "model.csv"
+        body = "[hidden_map]\n1,0\n[head]\n2\n3\n"
+        path.write_text(f"[meta]\nhidden_map_shape=1.0 2\nhead_shape=2 1e0\n{body}")
+        model = io.load_model(path)
+        assert (model.hidden_map.shape, model.head.weights.shape) == ((1, 2), (2, 1))
+        path.write_text(f"[meta]\nhidden_map_shape=1.5 2\n{body}")
+        with pytest.raises(ParseError) as info:
+            io.load_model(path)
+        assert str(info.value) == f"{path}: malformed hidden_map_shape '1.5 2'"
 
     def test_ragged_head_row_names_its_line(self, tmp_path):
         path = tmp_path / "model.csv"
@@ -495,6 +509,11 @@ class TestKeyValueFiles:
             (io.load_model, "[meta]\nactivaton=rectified\n[hidden_map]\n1\n[head]\n1\n1\n",
              "unknown keys ['activaton']"),
             (io.load_partition, "fine_tuning=1\n", "num_classes is required"),
+            (io.load_train_config, "learning_rate=0.1\nmode=bogus\n",
+             "mode must be one of ('full', 'frozen_classifier', 'linear_probe'), got 'bogus'"),
+            (io.load_partition, "num_classes=4\nfine_tuning=0,0\n",
+             "fine_tuning contains duplicate class indices"),
+            (io.load_toy_spec, "stddev=-1\n", "stddev must be finite and >= 0, got -1.0"),
         ],
     )
     def test_error_messages_name_the_key(self, tmp_path, load, text, message):
@@ -1133,3 +1152,219 @@ class TestOutToOwnStdout:
     def test_pipe_receives_two_copies(self, fixture_dir, alg_command):
         result = self.run(alg_command, subprocess.PIPE)
         assert result.stdout.decode() == 2 * self.report(fixture_dir)
+
+
+class TestParseCache:
+    """The CLI reads a matrix file of at least ``io._PARALLEL_CHARS`` bytes
+    through a cache of ``.npy`` entries named by the digest of its bytes.
+    Here that size is 1 byte, so every regular file is cached."""
+
+    @pytest.fixture(autouse=True)
+    def parses(self, monkeypatch):
+        """The paths ``io.load_matrix`` parses, in order."""
+        monkeypatch.setattr(io, "_PARALLEL_CHARS", 1)
+        parsed, load_matrix = [], io.load_matrix
+
+        def counted(path, expected_shape=None):
+            parsed.append(os.path.basename(path))
+            return load_matrix(path, expected_shape)
+
+        monkeypatch.setattr(io, "load_matrix", counted)
+        return parsed
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        rng = np.random.default_rng(9)
+        logits = rng.normal(size=(40, 5)) * 3.0
+        logits[0, :2] = -0.0, 5e-324
+        io.save_matrix(logits, tmp_path / "logits.csv")
+        io.save_labels(rng.integers(0, 5, 40), tmp_path / "labels.csv")
+        io.save_labels(rng.choice([1, 3], 40), tmp_path / "seen_labels.csv")
+        io.save_partition(LabelPartition(5, (1, 3)), tmp_path / "partition.txt")
+        io.save_matrix(rng.normal(size=(5, 3)), tmp_path / "head.csv")
+        return tmp_path
+
+    @staticmethod
+    def entries() -> list:
+        directory = os.path.join(os.environ["XDG_CACHE_HOME"], "ftcal", "matrix-v1")
+        return sorted(os.listdir(directory)) if os.path.isdir(directory) else []
+
+    @staticmethod
+    def entry(path) -> str:
+        digest = hashlib.blake2b(path.read_bytes(), digest_size=32).hexdigest()
+        return os.path.join(os.environ["XDG_CACHE_HOME"], "ftcal", "matrix-v1", f"{digest}.npy")
+
+    @staticmethod
+    def logit_args(files, logits="logits.csv"):
+        return ["--logits", str(files / logits), "--labels", str(files / "labels.csv"),
+                "--partition", str(files / "partition.txt")]
+
+    @staticmethod
+    def run(capsys, *argv):
+        code = run_cli(*argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "command, extra, matrices",
+        [
+            ("metrics", [], ["logits.csv"]),
+            ("ausuc", ["--curve-out", "{out}"], ["logits.csv"]),
+            ("gamma-star", ["--out", "{out}"], ["logits.csv"]),
+            ("calibrate", ["--gamma", "0.5", "--out", "{out}"], ["logits.csv"]),
+            ("alg", ["--out", "{out}"], ["logits.csv"]),
+            ("diagnose", ["--head", "{head}"], ["logits.csv", "head.csv"]),
+        ],
+    )
+    def test_a_warm_run_parses_nothing_and_prints_and_writes_the_same_bytes(
+        self, files, capsys, parses, command, extra, matrices
+    ):
+        inputs = self.logit_args(files)
+        if command == "alg":
+            inputs = ["--train-logits", str(files / "logits.csv"), "--train-labels",
+                      str(files / "seen_labels.csv"), "--partition", str(files / "partition.txt")]
+        runs = []
+        for run in ("cold", "warm"):
+            out = files / f"{run}.out"
+            result = self.run(capsys, command, *inputs,
+                              *(arg.format(out=out, head=files / "head.csv") for arg in extra))
+            runs.append((result, out.read_bytes() if out.exists() else None))
+        assert runs[0] == runs[1] and runs[0][0][0] == 0
+        assert (runs[0][1] is None) == (command in ("metrics", "diagnose"))
+        assert parses == matrices  # every parse was the cold run's
+        assert self.entries() == sorted(os.path.basename(self.entry(files / m)) for m in matrices)
+
+    def test_a_hit_holds_every_bit_the_parse_gave(self, tmp_path, parses):
+        matrix = np.array([[np.nan, -np.nan, np.inf], [-0.0, 5e-324, 0.1], [1e308, -1.0, 1 / 3]])
+        path = tmp_path / "m.csv"
+        io.save_matrix(matrix, path)
+        cold, warm = io._cached_matrix(str(path)), io._cached_matrix(str(path))
+        assert cold.tobytes() == warm.tobytes() == io.load_matrix(path).tobytes()
+        assert parses == ["m.csv", "m.csv"]  # the cold run and the reference
+        assert warm.dtype == np.float64 and warm.flags.c_contiguous and warm.flags.writeable
+
+    def test_the_cache_directory_is_the_owners_alone(self, tmp_path):
+        io.save_matrix(np.eye(2), tmp_path / "m.csv")
+        io._cached_matrix(str(tmp_path / "m.csv"))
+        directory = os.path.dirname(self.entry(tmp_path / "m.csv"))
+        assert stat.S_IMODE(os.stat(directory).st_mode) == 0o700
+
+    @staticmethod
+    def write_entry(entry, shape, matrix):
+        """An entry whose header declares ``shape`` and whose data is ``matrix``'s."""
+        with open(entry, "wb") as handle:
+            header = {"descr": "<f8", "fortran_order": False, "shape": shape}
+            np.lib.format.write_array_header_1_0(handle, header)
+            handle.write(matrix.tobytes())
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda entry, matrix: open(entry, "r+b").truncate(os.path.getsize(entry) - 8),
+            lambda entry, matrix: np.save(entry, matrix.ravel()),
+            lambda entry, matrix: np.save(entry, matrix.astype(np.float32)),
+            lambda entry, matrix: np.save(entry, matrix.astype(object), allow_pickle=True),
+            lambda entry, matrix: np.save(entry, np.asfortranarray(matrix)),
+            lambda entry, matrix: open(entry, "wb").close(),
+            lambda entry, matrix: TestParseCache.write_entry(entry, (2**30, 2**20), matrix),
+        ],
+        ids=["truncated", "1-d", "float32", "object", "fortran-order", "empty", "8-PiB-header"],
+    )
+    def test_a_damaged_entry_is_a_miss_with_the_same_result(self, files, capsys, parses, damage):
+        args = ["metrics", *self.logit_args(files)]
+        cold = self.run(capsys, *args)
+        entry = self.entry(files / "logits.csv")
+        damage(entry, io.load_matrix(files / "logits.csv"))
+        assert self.run(capsys, *args) == cold and cold[0] == 0
+        assert parses == ["logits.csv"] * 3  # cold, the damage's reference and the miss
+        assert self.run(capsys, *args) == cold  # the miss stored a sound entry again
+        assert len(parses) == 3
+
+    def test_a_bad_field_exits_2_on_every_run_and_stores_nothing(self, files, capsys, parses):
+        (files / "bad.csv").write_text("1,2,3,4,5\n6,7,8,9,10\n1,x,3,4,5\n")
+        runs = [self.run(capsys, "metrics", *self.logit_args(files, "bad.csv")) for _ in range(2)]
+        message = f"error: {files / 'bad.csv'}:3: not a comma-separated list of reals\n"
+        assert runs == [(2, "", message)] * 2
+        assert parses == ["bad.csv"] * 2 and self.entries() == []
+
+    def test_a_file_changed_between_digest_and_parse_is_not_kept(
+        self, files, capsys, parses, monkeypatch
+    ):
+        load_matrix = io.load_matrix
+
+        def rewritten_first(path, expected_shape=None):
+            io.save_matrix(np.ones((40, 5)), path)
+            return load_matrix(path, expected_shape)
+
+        monkeypatch.setattr(io, "load_matrix", rewritten_first)
+        code, out, _ = self.run(capsys, "metrics", *self.logit_args(files))
+        assert code == 0 and "acc_y_y=" in out
+        assert parses == ["logits.csv"] and self.entries() == []
+
+    def test_a_pipe_and_a_file_below_the_threshold_store_nothing(
+        self, files, capsys, parses, monkeypatch
+    ):
+        args = ["metrics", *self.logit_args(files)]
+        fifo = files / "pipe.csv"
+        os.mkfifo(fifo)
+        text = (files / "logits.csv").read_bytes()
+        writer = threading.Thread(target=fifo.write_bytes, args=(text,), daemon=True)
+        writer.start()
+        piped = self.run(capsys, "metrics", *self.logit_args(files, "pipe.csv"))
+        writer.join(timeout=10)
+        monkeypatch.setattr(io, "_PARALLEL_CHARS", len(text) + 1)
+        assert self.run(capsys, *args) == piped and piped[0] == 0
+        assert parses == ["pipe.csv", "logits.csv"] and self.entries() == []
+
+    def test_an_unwritable_cache_changes_no_output(self, files, capsys, parses, monkeypatch):
+        blocker = files / "not_a_directory"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        runs = [self.run(capsys, "metrics", *self.logit_args(files)) for _ in range(2)]
+        assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][2] == ""
+        assert parses == ["logits.csv"] * 2
+
+    def test_the_least_recently_used_entries_go_first(self, tmp_path, parses, monkeypatch):
+        paths = {name: tmp_path / f"{name}.csv" for name in "abc"}
+        for number, path in enumerate(paths.values()):
+            io.save_matrix(np.full((4, 25), float(number)), path)
+        entry_bytes = 128 + 4 * 25 * 8
+        monkeypatch.setattr(io, "_CACHE_BYTES", 2 * entry_bytes + 100)
+        for age, name in ((200, "a"), (100, "b")):
+            io._cached_matrix(str(paths[name]))
+            past = os.stat(self.entry(paths[name])).st_mtime_ns - age * 10**9
+            os.utime(self.entry(paths[name]), ns=(past, past))
+        io._cached_matrix(str(paths["a"]))  # a hit: a is now the most recently used
+        io._cached_matrix(str(paths["c"]))
+        assert parses == ["a.csv", "b.csv", "c.csv"]
+        kept = sorted(os.path.basename(self.entry(paths[name])) for name in "ac")
+        assert self.entries() == kept
+        directory = os.path.dirname(self.entry(paths["a"]))
+        assert sum(os.path.getsize(os.path.join(directory, e)) for e in kept) <= io._CACHE_BYTES
+
+    def test_a_matrix_larger_than_the_cache_is_not_kept(self, tmp_path, parses, monkeypatch):
+        io.save_matrix(np.eye(4), tmp_path / "m.csv")
+        monkeypatch.setattr(io, "_CACHE_BYTES", 4 * 4 * 8)
+        monkeypatch.setattr(io, "_write_whole", None)  # not even written and removed
+        io._cached_matrix(str(tmp_path / "m.csv"))
+        assert parses == ["m.csv"] and self.entries() == []
+
+    def test_concurrent_runs_keep_one_sound_entry(self, tmp_path):
+        # three CLI processes parse and store the same 4 MB file at once
+        rng = np.random.default_rng(4)
+        logits = tmp_path / "logits.csv"
+        io.save_matrix(rng.normal(size=(2_500, 100)) * 3.0, logits)
+        assert logits.stat().st_size >= 1 << 22  # the size from which the CLI caches
+        io.save_labels(rng.integers(0, 100, 2_500), tmp_path / "labels.csv")
+        io.save_partition(LabelPartition(100, tuple(range(0, 100, 2))), tmp_path / "p.txt")
+        src = os.path.dirname(os.path.dirname(ftcal.__file__))
+        command = [sys.executable, "-m", "ftcal.cli", "metrics", "--logits", str(logits),
+                   "--labels", str(tmp_path / "labels.csv"), "--partition", str(tmp_path / "p.txt")]
+        env = {**os.environ, "PYTHONPATH": src}
+        runs = [subprocess.Popen(command, stdout=subprocess.PIPE, env=env) for _ in range(3)]
+        outputs = [run.communicate(timeout=120)[0] for run in runs]
+        assert [run.returncode for run in runs] == [0, 0, 0]
+        assert outputs[1:] == outputs[:2]
+        assert self.entries() == [os.path.basename(self.entry(logits))]
+        cached = io._read_entry(self.entry(logits))
+        assert cached.tobytes() == io.load_matrix(logits).tobytes()
