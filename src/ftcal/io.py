@@ -5,8 +5,8 @@ reports.
 Matrices and the numbers of a curve serialize with 17 significant
 decimal digits, so a write-read round trip reproduces every float64 bit
 for bit. All numbers use the period as the decimal separator regardless
-of locale. Every file goes through ``_write_whole``, which replaces a
-regular file only once the whole file is written, and appends to the
+of locale. Every file goes through ``write_text``, which replaces a
+regular file only once the whole text is written, and appends to the
 process's own stdout or stderr.
 
 Every file is read through one reader, ``_line_batches``: it opens the
@@ -60,8 +60,10 @@ bytes is looked up by the BLAKE2b digest of its bytes in a directory of
 ``~/.cache``; a miss is ``load_matrix``, whose result is kept there if the
 file did not change while it was read. The entries hold at most
 ``_CACHE_BYTES``, the least recently used going first. Output never
-depends on the cache: an entry that is not a C-order float64 matrix, of
-exactly its file's size, is a miss, and a store that fails is skipped.
+depends on the cache: it is used only where that directory is its user's
+alone, an entry that is not a regular file holding a C-order float64
+matrix of exactly its file's size is a miss, and a store that fails is
+skipped.
 """
 
 from __future__ import annotations
@@ -129,13 +131,12 @@ def _is_std_stream(path) -> bool:
     return False
 
 
-def _write_whole(path, write, binary: bool = False) -> None:
-    """Call ``write`` with a handle that writes ``path``, whole or not at all:
-    a UTF-8 text handle with ``\n`` line ends, or a bytes one if ``binary``.
+def write_text(path, chunks) -> None:
+    """Stream the strings of ``chunks`` into ``path``, whole or not at all.
 
-    The file is written to a temporary file beside the target (the file a
-    symlink points to), which ``os.replace`` moves over it once complete and
-    any failure, KeyboardInterrupt included, removes. A target that is this
+    The text goes to a temporary file beside the target (the file a symlink
+    points to), which ``os.replace`` moves over it once complete and any
+    failure, KeyboardInterrupt included, removes. A target that is this
     process's own stdout or stderr, such as ``/dev/stdout`` redirected to a
     file, is appended to in place once both streams are flushed, so what
     they already wrote there stays. Any other target that exists but is not
@@ -148,11 +149,9 @@ def _write_whole(path, write, binary: bool = False) -> None:
     in_place = own_stream or (os.path.exists(path) and not os.path.isfile(path))
     target = path if in_place else os.path.realpath(path)
     scratch = target if in_place else f"{target}.{os.getpid()}.tmp"
-    mode = ("a" if own_stream else "w") + ("b" if binary else "")
-    text = {} if binary else {"encoding": "utf-8", "newline": "\n"}
     try:
-        with open(scratch, mode, **text) as handle:
-            write(handle)
+        with open(scratch, "a" if own_stream else "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(chunks)  # one write per chunk, never joined
         if not in_place:
             os.replace(scratch, target)
     except BaseException as exc:
@@ -162,12 +161,6 @@ def _write_whole(path, write, binary: bool = False) -> None:
             with contextlib.suppress(OSError):
                 os.remove(scratch)
         raise
-
-
-def write_text(path, chunks) -> None:
-    """Stream the strings of ``chunks`` into ``path`` by ``_write_whole``,
-    one write per chunk, never joined."""
-    _write_whole(path, lambda handle: handle.writelines(chunks))
 
 
 def _line_batches(path, start: int = 0, stop: int | None = None) -> typing.Iterator[list[str]]:
@@ -485,14 +478,29 @@ def load_matrix(path, expected_shape=None) -> np.ndarray:
 _version = operator.attrgetter("st_size", "st_mtime_ns", "st_ino")
 
 
-def _cache_dir() -> str:
-    """The parse cache's directory: ``ftcal/matrix-v1`` under
-    ``$XDG_CACHE_HOME``, or under ``~/.cache`` where that is unset or not
-    an absolute path."""
+def _open_cache() -> int | None:
+    """A descriptor of the parse cache's directory, ``ftcal/matrix-v1``
+    under ``$XDG_CACHE_HOME``, or under ``~/.cache`` where that is unset or
+    not an absolute path; made with mode 0700 if missing. None unless it is
+    a directory, not a symlink, owned by this user and closed to all others:
+    every entry is read and written through this descriptor, so no one else
+    can plant an entry or swap the directory in between."""
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):
         root = os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(root, "ftcal", "matrix-v1")
+    directory = os.path.join(root, "ftcal", "matrix-v1")
+    if not os.path.isabs(directory):
+        return None
+    try:
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+        fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW)
+    except OSError:
+        return None
+    status = os.fstat(fd)
+    if status.st_uid == os.getuid() and not status.st_mode & 0o077:
+        return fd
+    os.close(fd)
+    return None
 
 
 def _file_digest(path) -> str:
@@ -508,50 +516,66 @@ def _file_digest(path) -> str:
     return digest.hexdigest()
 
 
-def _read_entry(entry) -> np.ndarray | None:
-    """The matrix of the cache entry ``entry``, or None unless it is a
-    version 1.0 ``.npy`` file of a C-order float64 matrix with a row and a
-    column and of exactly the size that header declares; the size is
-    checked before the matrix is allocated. A hit marks the entry used."""
+def _read_entry(cache: int, name: str) -> np.ndarray | None:
+    """The matrix of the entry ``name`` of the cache directory ``cache``,
+    or None unless it is a regular file (a symlink is not followed, nor a
+    FIFO waited on) holding a version 1.0 ``.npy`` C-order float64 matrix
+    with a row and a column, of exactly the size its header declares; the
+    size is checked before the matrix is allocated. A hit marks the entry
+    used."""
     try:
-        with open(entry, "rb") as handle:
-            if np.lib.format.read_magic(handle) != (1, 0):
+        fd = os.open(name, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK, dir_fd=cache)
+        with open(fd, "rb") as handle:
+            status = os.fstat(fd)
+            if not stat.S_ISREG(status.st_mode) or np.lib.format.read_magic(handle) != (1, 0):
                 return None
             shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
             count = math.prod(shape)
             if dtype != np.float64 or fortran_order or len(shape) != 2 or not count:
                 return None
-            if handle.tell() + dtype.itemsize * count != os.fstat(handle.fileno()).st_size:
+            if handle.tell() + dtype.itemsize * count != status.st_size:
                 return None
             matrix = np.fromfile(handle, dtype, count).reshape(shape)
+            with contextlib.suppress(OSError):
+                os.utime(fd)
     except (OSError, ValueError, EOFError):
         return None
-    with contextlib.suppress(OSError):
-        os.utime(entry)
     return matrix
 
 
-def _store_entry(entry, matrix: np.ndarray) -> None:
-    """Keep ``matrix`` as the cache entry ``entry``, written by
-    ``_write_whole``, unless the entry would be larger than ``_CACHE_BYTES``;
-    then remove the least recently used files of the cache until they hold
-    at most ``_CACHE_BYTES``. Raises OSError where a step fails."""
+def _store_entry(cache: int, name: str, matrix: np.ndarray) -> None:
+    """Keep ``matrix`` as the entry ``name`` of the cache directory
+    ``cache``, unless it would be larger than ``_CACHE_BYTES``: a new
+    temporary file, which ``os.replace`` moves over the entry once complete
+    and any failure removes. Then remove the least recently used files of
+    the cache until they hold at most ``_CACHE_BYTES``. Raises OSError where
+    a step fails."""
     if matrix.nbytes >= _CACHE_BYTES:
         return
-    directory = os.path.dirname(entry)
-    os.makedirs(directory, mode=0o700, exist_ok=True)
-    _write_whole(entry, lambda handle: np.save(handle, matrix), binary=True)
+    scratch = f"{name}.{os.getpid()}.tmp"
+    with contextlib.suppress(FileNotFoundError):  # left by a killed run of this pid
+        os.unlink(scratch, dir_fd=cache)
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW
+    fd = os.open(scratch, flags, 0o600, dir_fd=cache)
+    try:
+        with open(fd, "wb") as handle:
+            np.save(handle, matrix)
+        os.replace(scratch, name, src_dir_fd=cache, dst_dir_fd=cache)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(scratch, dir_fd=cache)
+        raise
     files = []
-    for item in os.scandir(directory):
+    for item in os.scandir(cache):
         with contextlib.suppress(OSError):  # removed by another run meanwhile
             status = item.stat(follow_symlinks=False)
-            files.append((status.st_mtime_ns, status.st_size, item.path))
+            files.append((status.st_mtime_ns, status.st_size, item.name))
     total = sum(size for _, size, _ in files)
-    for _, size, name in sorted(files):
+    for _, size, item in sorted(files):
         if total <= _CACHE_BYTES:
             break
         with contextlib.suppress(OSError):
-            os.remove(name)
+            os.unlink(item, dir_fd=cache)
             total -= size
 
 
@@ -560,23 +584,26 @@ def _cached_matrix(path) -> np.ndarray:
     least ``_PARALLEL_CHARS`` bytes is served from the parse cache entry of
     its bytes' digest where that holds a matrix; else it is parsed and, if
     its size, mtime and inode are the same after the parse as before the
-    digest, kept there. Any other file, one that cannot be opened, or a
-    run with no absolute cache directory goes to ``load_matrix`` alone."""
-    entry = None
+    digest, kept there. Any other file, one that cannot be opened, or a run
+    with no cache directory of its user's alone goes to ``load_matrix``."""
+    cache = None
     with contextlib.suppress(OSError, ImportError):
-        status, directory = os.stat(path), _cache_dir()
-        large = stat.S_ISREG(status.st_mode) and status.st_size >= _PARALLEL_CHARS
-        if large and os.path.isabs(directory):
-            entry = os.path.join(directory, f"{_file_digest(path)}.npy")
-    if entry is None:
+        status = os.stat(path)
+        if stat.S_ISREG(status.st_mode) and status.st_size >= _PARALLEL_CHARS:
+            name = f"{_file_digest(path)}.npy"
+            cache = _open_cache()
+    if cache is None:
         return load_matrix(path)
-    matrix = _read_entry(entry)
-    if matrix is None:
-        matrix = load_matrix(path)
-        with contextlib.suppress(OSError):
-            if _version(os.stat(path)) == _version(status):
-                _store_entry(entry, matrix)
-    return matrix
+    try:
+        matrix = _read_entry(cache, name)
+        if matrix is None:
+            matrix = load_matrix(path)
+            with contextlib.suppress(OSError):
+                if _version(os.stat(path)) == _version(status):
+                    _store_entry(cache, name, matrix)
+        return matrix
+    finally:
+        os.close(cache)
 
 
 def save_labels(labels, path) -> None:

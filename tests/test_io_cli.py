@@ -1249,6 +1249,48 @@ class TestParseCache:
         directory = os.path.dirname(self.entry(tmp_path / "m.csv"))
         assert stat.S_IMODE(os.stat(directory).st_mode) == 0o700
 
+    @pytest.mark.parametrize(
+        "distrust",
+        [
+            lambda directory, monkeypatch: os.chmod(directory, 0o770),
+            lambda directory, monkeypatch: os.chmod(directory, 0o777),
+            lambda directory, monkeypatch: monkeypatch.setattr(os, "getuid", lambda: -1),
+            lambda directory, monkeypatch: (os.rename(directory, f"{directory}-real"),
+                                            os.symlink(f"{directory}-real", directory)),
+        ],
+        ids=["group-writable", "world-writable", "another-owner", "symlink"],
+    )
+    def test_a_directory_others_could_write_to_is_not_used(
+        self, files, capsys, parses, monkeypatch, distrust
+    ):
+        args = ["metrics", *self.logit_args(files)]
+        cold = self.run(capsys, *args)
+        entry = self.entry(files / "logits.csv")
+        np.save(entry, np.zeros((40, 5)))  # a planted entry, served while the directory is sound
+        planted = self.run(capsys, *args)
+        assert planted != cold and parses == ["logits.csv"]
+        distrust(os.path.dirname(entry), monkeypatch)
+        assert self.run(capsys, *args) == cold and cold[0] == 0
+        assert parses == ["logits.csv"] * 2
+        assert np.load(entry).tobytes() == np.zeros((40, 5)).tobytes()  # nor written to
+
+    def test_a_fifo_at_an_entry_is_a_miss_and_is_replaced(self, tmp_path, parses):
+        path = tmp_path / "m.csv"
+        io.save_matrix(np.eye(3), path)
+        entry = self.entry(path)
+        os.makedirs(os.path.dirname(entry), mode=0o700)
+        os.mkfifo(entry)
+        loads = []
+        reader = threading.Thread(target=lambda: loads.append(io._cached_matrix(str(path))),
+                                  daemon=True)
+        reader.start()
+        reader.join(timeout=30)
+        assert not reader.is_alive(), "the read waited on the FIFO"
+        assert loads[0].tobytes() == np.eye(3).tobytes() and parses == ["m.csv"]
+        assert stat.S_ISREG(os.lstat(entry).st_mode)
+        assert io._cached_matrix(str(path)).tobytes() == np.eye(3).tobytes()
+        assert parses == ["m.csv"]
+
     @staticmethod
     def write_entry(entry, shape, matrix):
         """An entry whose header declares ``shape`` and whose data is ``matrix``'s."""
@@ -1260,7 +1302,7 @@ class TestParseCache:
     @pytest.mark.parametrize(
         "damage",
         [
-            lambda entry, matrix: open(entry, "r+b").truncate(os.path.getsize(entry) - 8),
+            lambda entry, matrix: os.truncate(entry, os.path.getsize(entry) - 8),
             lambda entry, matrix: np.save(entry, matrix.ravel()),
             lambda entry, matrix: np.save(entry, matrix.astype(np.float32)),
             lambda entry, matrix: np.save(entry, matrix.astype(object), allow_pickle=True),
@@ -1345,7 +1387,7 @@ class TestParseCache:
     def test_a_matrix_larger_than_the_cache_is_not_kept(self, tmp_path, parses, monkeypatch):
         io.save_matrix(np.eye(4), tmp_path / "m.csv")
         monkeypatch.setattr(io, "_CACHE_BYTES", 4 * 4 * 8)
-        monkeypatch.setattr(io, "_write_whole", None)  # not even written and removed
+        monkeypatch.setattr(np, "save", None)  # not even written and removed
         io._cached_matrix(str(tmp_path / "m.csv"))
         assert parses == ["m.csv"] and self.entries() == []
 
@@ -1366,5 +1408,4 @@ class TestParseCache:
         assert [run.returncode for run in runs] == [0, 0, 0]
         assert outputs[1:] == outputs[:2]
         assert self.entries() == [os.path.basename(self.entry(logits))]
-        cached = io._read_entry(self.entry(logits))
-        assert cached.tobytes() == io.load_matrix(logits).tobytes()
+        assert np.load(self.entry(logits)).tobytes() == io.load_matrix(logits).tobytes()
