@@ -27,6 +27,7 @@ from .rng import derive_rng, derive_seed
 from .trainer import MlpModel, TrainConfig, fine_tune, forward_batch
 
 METHODS = ("ALG", "PCV", "STAR", "MANUAL")
+PCV_MIN_CLASSES = 4  # the fewest fine-tuning classes PCV takes: two per pseudo group
 
 
 @dataclass(frozen=True)
@@ -159,8 +160,8 @@ def estimate_gamma_pcv(
     the swapped convention.
     """
     seen = partition.group_indices("S")
-    if seen.size < 4:
-        raise ValidationError("PCV needs at least 4 fine-tuning classes")
+    if seen.size < PCV_MIN_CLASSES:
+        raise ValidationError(f"PCV needs at least {PCV_MIN_CLASSES} fine-tuning classes")
     repeats = _integer(repeats, "repeats", 1)
     if not np.all(np.isin(train_features.labels, seen)):
         raise ValidationError("PCV training data must be labeled within the fine-tuning classes")

@@ -1,6 +1,8 @@
-"""End-to-end toy experiment: pre-train a 2-2-4 classifier on four Gaussian
-classes, fine-tune it on two of them in a shifted domain, then run every
+"""End-to-end toy experiment: pre-train a d-d-C classifier on C Gaussian
+classes, fine-tune it on some of them in a shifted domain, then run every
 diagnostic and calibration in the package and write the results as files.
+The width d is the common width of the spec's class means; the default
+spec gives 2-2-4 and fine-tunes two of its classes.
 
 The emitted directory doubles as an integration fixture: every file uses
 the package's standard formats, so each CLI subcommand can be pointed at
@@ -19,10 +21,7 @@ from .analysis import (
     SimilarityReport, _diagnostics, absent_binary_prob, delta_w_similarity, linear_cka
 )
 from .calibration import (
-    GammaEstimate,
-    estimate_gamma_alg,
-    estimate_gamma_pcv,
-    estimate_gamma_star,
+    PCV_MIN_CLASSES, GammaEstimate, estimate_gamma_alg, estimate_gamma_pcv, estimate_gamma_star
 )
 from .data import LabeledFeatures, LabeledLogits, LabelPartition, LinearHead, _split_per_class
 from .errors import ValidationError
@@ -82,15 +81,18 @@ def run_toy_pipeline(spec: ToySpec, config: TrainConfig, outdir) -> ToyReport:
     classes from an identity hidden map and a zero head (stream 1);
     fine-tune on the target domain's fine-tuning classes with
     ``config.mode`` (stream 2); estimate gammas, PCV included when the
-    fine-tuning set has at least 4 classes (stream 3); evaluate metrics,
-    the trade-off curve, and the weight-space diagnostics on the held-out
-    target test split. Outputs contain no timestamps, so reruns with the
-    same seed are byte-identical.
+    fine-tuning set has at least ``PCV_MIN_CLASSES`` (4) classes (stream
+    3); evaluate metrics, the trade-off curve, and the weight-space
+    diagnostics on the held-out target test split. Outputs contain no
+    timestamps, so reruns with the same seed are byte-identical.
 
-    ``seen_cka`` and ``absent_cka`` compare the heads' 2-row seen and absent
-    blocks in the default toy, where linear CKA is 1 for any input: a
-    centred 2 x 2 Gram is a multiple of [[1, -1], [-1, 1]]. They say
-    something only when a group has at least 3 classes.
+    The model's width is the spec's: class means of width d give a d x d
+    hidden map and a C x d head. ``seen_cka`` and ``absent_cka`` compare
+    the heads' seen and absent row blocks, and say something only when a
+    group has at least 3 classes: the default toy's groups have 2, where
+    linear CKA is 1 for any input, since a centred 2 x 2 Gram is a
+    multiple of [[1, -1], [-1, 1]]. A wider spec with larger groups, such
+    as 20 classes of width 8 with 10 fine-tuned, makes them informative.
     """
     partition = LabelPartition(spec.num_classes, spec.fine_tuning)
     if len(partition.fine_tuning) < 2 or len(partition.absent) < 2:
@@ -109,8 +111,8 @@ def run_toy_pipeline(spec: ToySpec, config: TrainConfig, outdir) -> ToyReport:
     tgt_train_ft = LabeledFeatures(tgt_train.values[ft_rows], tgt_train.labels[ft_rows])
 
     base = MlpModel(
-        hidden_map=np.eye(2),
-        head=LinearHead(np.zeros((spec.num_classes, 2))),
+        hidden_map=np.eye(pre_train.dim),
+        head=LinearHead(np.zeros((spec.num_classes, pre_train.dim))),
         activation="linear",
     )
     pretrained, pre_history = fine_tune(
@@ -143,7 +145,7 @@ def run_toy_pipeline(spec: ToySpec, config: TrainConfig, outdir) -> ToyReport:
     gamma_star = estimate_gamma_star(ft_logits, partition)
     calibrated_acc = acc_report(ft_logits, partition, gamma=gamma_star.value)
     gamma_pcv = None
-    if len(partition.fine_tuning) >= 4:
+    if len(partition.fine_tuning) >= PCV_MIN_CLASSES:
         gamma_pcv = estimate_gamma_pcv(
             tgt_train_ft,
             pretrained,

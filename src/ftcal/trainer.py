@@ -1,7 +1,8 @@
 """Two-layer linear classifier with analytic softmax cross-entropy
 gradients, a deterministic SGD fine-tuning loop with freezable parts, the
-2-D Gaussian toy-data generator, and the closed-form predictor of how one
-update moves the hidden features of an input the batch never contained.
+Gaussian toy-data generator, whose feature width is the width of its
+spec's class means, and the closed-form predictor of how one update moves
+the hidden features of an input the batch never contained.
 
 Each model formula is stated once. ``_forward`` is the one forward kernel:
 ``forward`` (a one-row batch), ``forward_batch`` and the loss all call it.
@@ -89,11 +90,12 @@ class EpochRecord:
 
 @dataclass(frozen=True)
 class ToySpec:
-    """Generator settings for the 2-D Gaussian toy experiment.
+    """Generator settings for the Gaussian toy experiment.
 
     The pre-training domain draws each class around its mean; the target
-    domain shifts each class mean horizontally by its entry of ``shift``.
-    All coordinates are clamped to be nonnegative.
+    domain shifts each class mean along its first coordinate by its entry
+    of ``shift``. The means share one width, at least 2, and it is the
+    toy's feature width. All coordinates are clamped to be nonnegative.
     """
 
     class_means: tuple[tuple[float, ...], ...] = (
@@ -106,11 +108,11 @@ class ToySpec:
 
     def __post_init__(self):
         means = tuple(tuple(_real(v, "class_means") for v in m) for m in self.class_means)
-        if len(means) < 2 or any(len(m) != 2 for m in means):
-            raise ValidationError("class_means must hold at least two 2-D points")
+        if len(means) < 2 or len({len(m) for m in means}) != 1 or len(means[0]) < 2:
+            raise ValidationError("class_means must hold at least two means of one width of at least 2")
         shift = tuple(_real(s, "shift") for s in self.shift)
         if len(shift) != len(means):
-            raise ValidationError("shift must provide one horizontal offset per class")
+            raise ValidationError("shift must provide one first-coordinate offset per class")
         count = _integer(self.samples_per_class, "samples_per_class", 1)
         ft = LabelPartition(len(means), self.fine_tuning).fine_tuning
         object.__setattr__(self, "class_means", means)
@@ -317,11 +319,12 @@ def gradient_check(num_cases: int = 100, step: float = 1e-5, seed: int = 0) -> f
 
 
 def gen_toy_data(spec: ToySpec, seed: int) -> tuple[LabeledFeatures, LabeledFeatures]:
-    """Draw the pre-training and horizontally shifted target domains.
+    """Draw the pre-training and the shifted target domain.
 
-    Per-class Gaussians with isotropic ``spec.stddev``; target means are the
-    pre-training means moved by ``spec.shift`` along the first coordinate.
-    Coordinates are clamped at zero.
+    Per-class Gaussians with isotropic ``spec.stddev``, as wide as the
+    spec's means; target means are the pre-training means moved by
+    ``spec.shift`` along the first coordinate. Coordinates are clamped at
+    zero.
     """
     rng_pre = derive_rng(seed, 0)
     rng_target = derive_rng(seed, 1)
@@ -330,12 +333,12 @@ def gen_toy_data(spec: ToySpec, seed: int) -> tuple[LabeledFeatures, LabeledFeat
     def draw(rng, means):
         blocks, labels = [], []
         for c, mean in enumerate(means):
-            samples = np.asarray(mean) + spec.stddev * rng.standard_normal((n, 2))
+            samples = np.asarray(mean) + spec.stddev * rng.standard_normal((n, len(mean)))
             blocks.append(np.maximum(samples, 0.0))
             labels.append(np.full(n, c, dtype=np.int64))
         return LabeledFeatures(np.vstack(blocks), np.concatenate(labels))
 
-    target_means = [(mx + dx, my) for (mx, my), dx in zip(spec.class_means, spec.shift)]
+    target_means = [(m[0] + dx, *m[1:]) for m, dx in zip(spec.class_means, spec.shift)]
     return draw(rng_pre, spec.class_means), draw(rng_target, target_means)
 
 

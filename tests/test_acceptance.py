@@ -203,6 +203,21 @@ def test_07_toy_reproduction(toy_report):
         assert elapsed < 10.0, f"took {elapsed:.2f}s"
 
 
+def _wide_spec():
+    """20 Gaussian classes of width 8, the first 10 fine-tuned: groups large
+    enough for CKA to say something and for PCV to run."""
+    rng = np.random.default_rng(12345)
+    means = 10 + 3 * rng.standard_normal((20, 8))
+    shift = rng.choice([-1.0, 1.0], 20)
+    return ToySpec(
+        class_means=tuple(map(tuple, means)),
+        stddev=1.0,
+        shift=tuple(shift),
+        samples_per_class=50,
+        fine_tuning=tuple(range(10)),
+    )
+
+
 def test_08_ncm_oracle_equivalence():
     with criterion(8, "NCM matches exhaustive nearest-mean search"):
         for seed in range(100):
@@ -288,16 +303,17 @@ def _assert_dirs_identical(dir_a, dir_b):
 
 def test_11_determinism(tmp_path, capsys):
     with criterion(11, "toy and PCV runs are byte-identical under a fixed seed"):
-        spec_path = tmp_path / "spec.txt"
-        io.save_toy_spec(ToySpec(samples_per_class=40), spec_path)
-        for run in ("a", "b"):
-            _run_cli(
-                "toy",
-                "--outdir", str(tmp_path / f"toy_{run}"),
-                "--seed", "7",
-                "--spec", str(spec_path),
-            )
-        _assert_dirs_identical(tmp_path / "toy_a", tmp_path / "toy_b")
+        for name, spec in (("spec", ToySpec(samples_per_class=40)), ("wide", _wide_spec())):
+            spec_path = tmp_path / f"{name}.txt"
+            io.save_toy_spec(spec, spec_path)
+            for run in ("a", "b"):
+                _run_cli(
+                    "toy",
+                    "--outdir", str(tmp_path / f"{name}_{run}"),
+                    "--seed", "7",
+                    "--spec", str(spec_path),
+                )
+            _assert_dirs_identical(tmp_path / f"{name}_a", tmp_path / f"{name}_b")
         capsys.readouterr()  # drain the toy runs' stdout
 
         # PCV fixture: six well-separated classes, four of them fine-tuning.
@@ -332,3 +348,28 @@ def test_11_determinism(tmp_path, capsys):
             )
             outputs.append((report.read_bytes(), capsys.readouterr().out))
         assert outputs[0] == outputs[1]
+
+
+def test_12_wide_toy_reproduction(tmp_path):
+    with criterion(12, "the toy's claims hold at width 8, CKA and PCV included"):
+        spec = _wide_spec()
+        start = time.perf_counter()
+        for seed in range(5):
+            r = run_toy_pipeline(spec, default_train_config(seed=seed), tmp_path / str(seed))
+            pre, ft, cal = r.pretrained_acc, r.finetuned_acc, r.calibrated_acc
+            assert pre.acc_u_y - ft.acc_u_y > 0.2, f"seed {seed}: (a) no collapse"
+            assert ft.acc_u_u >= 0.9, f"seed {seed}: (b) within-absent accuracy lost"
+            assert cal.acc_y_y >= 0.9 and cal.acc_y_y > ft.acc_y_y, (
+                f"seed {seed}: (c) calibration fails to reclaim"
+            )
+            assert (
+                r.absent_update_similarity.mean_offdiag > r.seen_update_similarity.mean_offdiag
+            ), f"seed {seed}: (d) absent updates not more aligned"
+            assert r.absent_cka > r.seen_cka, f"seed {seed}: (e) absent CKA not above seen"
+            assert r.seen_weight_norm >= r.absent_weight_norm, f"seed {seed}: (f) seen norms smaller"
+            star = r.gamma_star.value
+            assert abs(r.gamma_pcv.value - star) < abs(r.gamma_alg.value - star), (
+                f"seed {seed}: (g) PCV no closer to gamma* than ALG"
+            )
+        elapsed = time.perf_counter() - start
+        assert elapsed < 5.0, f"took {elapsed:.2f}s"

@@ -369,8 +369,9 @@ _TRAIN_CONFIGS = st.builds(
 @st.composite
 def _toy_specs(draw):
     partition = draw(_partitions(st.integers(2, 6)))
-    points = st.lists(st.tuples(_FINITE, _FINITE), min_size=partition.num_classes,
-                      max_size=partition.num_classes)
+    width = draw(st.integers(2, 6))  # the toy's feature width is its means' common width
+    mean = st.lists(_FINITE, min_size=width, max_size=width).map(tuple)
+    points = st.lists(mean, min_size=partition.num_classes, max_size=partition.num_classes)
     shifts = st.lists(_FINITE, min_size=partition.num_classes, max_size=partition.num_classes)
     return ToySpec(
         class_means=tuple(draw(points)),

@@ -521,10 +521,14 @@ class TestToySpec:
             {"stddev": -0.1},
             {"samples_per_class": 0},
             {"samples_per_class": 7.9},
+            # the means set the width: one common width, at least 2
+            {"class_means": ((10.0, 2.0, 1.0), (10.0, 3.0), (10.0, 8.0, 1.0), (10.0, 7.0, 1.0))},
+            {"class_means": ((10.0,), (3.0,), (8.0,), (7.0,))},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
-        with pytest.raises(ValidationError):
+        (field,) = kwargs
+        with pytest.raises(ValidationError, match=f"^{field}"):
             ToySpec(**kwargs)
 
     @pytest.mark.parametrize(
@@ -545,14 +549,26 @@ class TestToySpec:
 
 
 class TestGenToyData:
-    def test_zero_stddev_hits_means_exactly(self):
-        spec = ToySpec(stddev=0.0, samples_per_class=3)
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ToySpec(stddev=0.0, samples_per_class=3),
+            ToySpec(
+                class_means=((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, 9.0)),
+                stddev=0.0,
+                shift=(1.0, -1.0, -5.0),
+                samples_per_class=3,
+                fine_tuning=(0,),
+            ),
+        ],
+    )
+    def test_zero_stddev_hits_means_exactly(self, spec):
         pretraining, target = gen_toy_data(spec, seed=0)
-        for c, (mx, my) in enumerate(spec.class_means):
+        for c, mean in enumerate(spec.class_means):
             np.testing.assert_array_equal(
-                pretraining.values[pretraining.labels == c], np.tile([mx, my], (3, 1))
+                pretraining.values[pretraining.labels == c], np.tile(mean, (3, 1))
             )
-            shifted = [max(mx + spec.shift[c], 0.0), my]
+            shifted = [max(mean[0] + spec.shift[c], 0.0), *mean[1:]]
             np.testing.assert_array_equal(
                 target.values[target.labels == c], np.tile(shifted, (3, 1))
             )
