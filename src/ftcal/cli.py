@@ -144,7 +144,7 @@ def _cmd_cka(args) -> int:
             rows = list(io._parse_value(args.rows, tuple[int, ...]))
         except ValueError:
             raise ValidationError(f"--rows must be comma-separated integers, got {args.rows!r}")
-        _class_set(rows, "--rows", min(a.shape[0], b.shape[0]), repeats="merge")
+        _class_set(rows, "--rows", min(a.shape[0], b.shape[0]), repeats="reject")
         a, b = a[rows], b[rows]  # in the order given, not _class_set's sorted order
     _emit({"cka": linear_cka(a, b)})
     return 0

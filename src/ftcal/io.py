@@ -16,13 +16,13 @@ lines, split by ``str.splitlines`` after universal-newline decoding, so
 any line ending is read and the batch size never moves a line break.
 
 A matrix field is anything Python's ``float()`` accepts; blank lines are
-rejected. ``load_matrix`` parses each batch, or a worker each byte range,
-on its own, so about one batch here and one range per worker are held at
-a time beside the rows parsed so far. ``np.loadtxt`` parses lines with no
-blank line, no ``\x1f`` (whitespace to it, not to ``float()``) and the
-width of the rows before them. Any other batch, or one it rejects, goes
-to the line parser ``_parse_rows``, which sets what is accepted, every
-value bit and every error message with its line number.
+rejected. ``_parse_batches``, the one matrix parser, parses each batch on
+its own, so about one batch is held at a time beside the rows parsed so
+far. ``np.loadtxt`` parses lines with no blank line, no ``\x1f``
+(whitespace to it, not to ``float()``) and the width of the rows before
+them. Any other batch, or one it rejects, goes to the line parser
+``_parse_rows``, which sets what is accepted, every value bit and every
+error message with its line number.
 
 A file that is not UTF-8 raises ``ParseError`` naming the file. That
 fault outranks any other in the file, wherever it sits: a header or row
@@ -30,19 +30,18 @@ fault is raised once the file decodes from the end of the range where it
 sat, and every range before that one has been decoded already.
 
 Large matrices are parsed and formatted on every CPU of the process's
-affinity mask, with every bit and every fault as in one process. A
-regular file of at least ``_PARALLEL_CHARS`` bytes is cut at ``\n`` bytes
-into ranges of about as many bytes. This process parses the first, about
-one batch, which fixes the width; each later range is sent to a forked
-worker as its byte offsets alone, and the worker reads it itself. A range
-a worker declines (bytes that do not decode, a fault to name, or a field
-only ``float()`` reads), or whose block has another width, is read again
-here, its first line numbered by the rows before it. A pipe, whose size
-is unknown, and a one-CPU process parse here alone.
-``save_matrix`` sends workers slices of rows. Workers are forked only
-while the process runs one thread: a forked child keeps a copy of every
-lock and file another thread holds, such as a FIFO's write end, and
-nothing in it releases them.
+affinity mask, with every bit and every fault as in one process. A regular
+file of at least ``_PARALLEL_CHARS`` bytes is cut at ``\n`` bytes into
+ranges of about as many bytes. This process parses the first, about one
+batch, which fixes the width; a forked worker is sent each later range's
+byte offsets alone and parses it as this process would. A range comes back
+only to name a fault: one the worker found, or a block of another width,
+is read again here, its first line numbered by the rows before it. A pipe,
+whose size is unknown, and a one-CPU process parse here alone.
+``save_matrix`` sends workers row offsets of the matrix they inherited.
+Workers are forked only while the process runs one thread: a forked child
+keeps a copy of every lock and file another thread holds, such as a FIFO's
+write end, and nothing in it releases them.
 
 Partition, training-config and toy-spec files are read by one reader,
 ``_load_fields``, which takes each file's keys, which of them are
@@ -182,8 +181,8 @@ def _line_batches(path, start: int = 0, stop: int | None = None) -> typing.Itera
         raise ParseError(f"{path}: not a UTF-8 text file") from None
 
 
-def _read_lines(path, start: int = 0, stop: int | None = None) -> list[str]:
-    return list(itertools.chain.from_iterable(_line_batches(path, start, stop)))
+def _read_lines(path) -> list[str]:
+    return list(itertools.chain.from_iterable(_line_batches(path)))
 
 
 def _fork_workers() -> int:
@@ -274,8 +273,8 @@ def _forked_map(function, tasks, workers: int) -> typing.Iterator:
             answers.close()
 
 
-def _csv_text(matrix: np.ndarray) -> str:
-    return "".join(_csv_lines(matrix))
+def _csv_text(matrix: np.ndarray, start: int, stop: int) -> str:
+    return "".join(_csv_lines(matrix[start:stop]))
 
 
 def save_matrix(values, path) -> None:
@@ -287,13 +286,12 @@ def save_matrix(values, path) -> None:
     matrix = _real_array(values, "matrix")
     if matrix.ndim != 2 or 0 in matrix.shape:
         raise ValidationError(f"matrix must be 2-D with a row and a column, got shape {matrix.shape}")
-    header = f"#shape {matrix.shape[0]} {matrix.shape[1]}\n"
     row_chars = _FIELD_CHARS * matrix.shape[1]
     step = max(1, _BATCH_CHARS // row_chars)
-    slices = ((matrix[start : start + step],) for start in range(0, matrix.shape[0], step))
+    slices = ((start, start + step) for start in range(0, matrix.shape[0], step))
     workers = _fork_workers() if matrix.shape[0] * row_chars >= _PARALLEL_CHARS else 0
-    with contextlib.closing(_forked_map(_csv_text, slices, workers)) as text:
-        write_text(path, itertools.chain([header], text))
+    with contextlib.closing(_forked_map(functools.partial(_csv_text, matrix), slices, workers)) as text:
+        write_text(path, itertools.chain([f"#shape {matrix.shape[0]} {matrix.shape[1]}\n"], text))
 
 
 def _parse_rows(path, numbered_lines, width: int | None = None) -> np.ndarray:
@@ -344,11 +342,10 @@ def _parse_batches(path, batches, number: int, width: int | None):
 
 
 def _parse_range(path, start: int, stop: int | None) -> np.ndarray | None:
-    """A forked worker's task: ``_loadtxt`` of the lines of bytes ``start``
-    to ``stop`` of ``path``, or None where they do not decode or it
-    declines them."""
-    with contextlib.suppress(ParseError):
-        return _loadtxt(_read_lines(path, start, stop), None)
+    """A forked worker's task: the lines of bytes ``start`` to ``stop`` of
+    ``path`` as one ``_parse_batches`` matrix, or None where they hold a fault."""
+    with contextlib.suppress(ValidationError):
+        return np.concatenate(list(_parse_batches(path, _line_batches(path, start, stop), 1, None)))
     return None
 
 
@@ -374,7 +371,7 @@ def _byte_ranges(path, size: int) -> typing.Iterator[tuple[int, int | None]]:
 def _blocks(path, size: int) -> typing.Iterator:
     """The shape a ``#shape`` header declares, or None; then one matrix per
     nonempty batch of the first byte range, parsed here, and one per later
-    range, parsed by a forked worker or, where that declines it or finds
+    range, parsed by a forked worker or, where that finds a fault or
     another width, here, its lines numbered by the rows before it. A fault
     is raised once the file decodes from the end of the range it sat in."""
     workers = _fork_workers() if size >= max(_PARALLEL_CHARS, 1) else 0
@@ -390,9 +387,9 @@ def _blocks(path, size: int) -> typing.Iterator:
         number, width = yield from _parse_batches(path, batches, number, None)
         if not workers:
             return
-        spans, ranges = itertools.tee(ranges)
-        tasks = ((path, *span) for span in ranges)
-        with contextlib.closing(_forked_map(_parse_range, tasks, workers)) as answers:
+        spans, tasks = itertools.tee(ranges)
+        parse = functools.partial(_parse_range, path)
+        with contextlib.closing(_forked_map(parse, tasks, workers)) as answers:
             for (start, stop), block in zip(spans, answers):
                 if block is None or width not in (None, block.shape[1]):
                     batches = _line_batches(path, start, stop)
@@ -580,21 +577,24 @@ def _store_entry(cache: int, name: str, matrix: np.ndarray) -> None:
 
 
 def _cached_matrix(path) -> np.ndarray:
-    """``load_matrix(path)``, as the CLI reads it: a regular file of at
-    least ``_PARALLEL_CHARS`` bytes is served from the parse cache entry of
-    its bytes' digest where that holds a matrix; else it is parsed and, if
-    its size, mtime and inode are the same after the parse as before the
-    digest, kept there. Any other file, one that cannot be opened, or a run
-    with no cache directory of its user's alone goes to ``load_matrix``."""
+    """``load_matrix(path)``, as the CLI reads it: once the parse cache is
+    open, a regular file of at least ``_PARALLEL_CHARS`` bytes is served from
+    the entry of its bytes' digest where that holds a matrix; else it is
+    parsed and, if its size, mtime and inode are the same after the parse as
+    before the digest, kept there. Any other file, an unreadable one, or a
+    run with no cache directory of its user's alone goes to ``load_matrix``."""
     cache = None
-    with contextlib.suppress(OSError, ImportError):
+    with contextlib.suppress(OSError):
         status = os.stat(path)
         if stat.S_ISREG(status.st_mode) and status.st_size >= _PARALLEL_CHARS:
-            name = f"{_file_digest(path)}.npy"
             cache = _open_cache()
     if cache is None:
         return load_matrix(path)
     try:
+        try:
+            name = f"{_file_digest(path)}.npy"
+        except (OSError, ImportError):  # unreadable, or no BLAKE2b: nothing to look up
+            return load_matrix(path)
         matrix = _read_entry(cache, name)
         if matrix is None:
             matrix = load_matrix(path)

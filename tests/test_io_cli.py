@@ -814,6 +814,7 @@ class TestCli:
         [
             ("1,x", "error: --rows must be comma-separated integers, got '1,x'\n"),
             ("0,5", "error: --rows: class index 5 is outside [0, 5)\n"),
+            ("2,2,3", "error: --rows contains duplicate class indices\n"),
         ],
     )
     def test_cka_rows_faults_exit_2(self, tmp_path, capsys, rows, message):
@@ -1366,6 +1367,41 @@ class TestParseCache:
         runs = [self.run(capsys, "metrics", *self.logit_args(files)) for _ in range(2)]
         assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][2] == ""
         assert parses == ["logits.csv"] * 2
+
+    @pytest.mark.parametrize(
+        "fault", [None, OSError, ImportError], ids=["no-directory", "unreadable", "no-blake2b"]
+    )
+    def test_a_file_is_digested_only_with_the_directory_open(
+        self, files, capsys, parses, monkeypatch, fault
+    ):
+        # with no usable directory nothing is digested; a digest that fails
+        # parses, and the directory's descriptor is closed on every path
+        args = ["metrics", *self.logit_args(files)]
+        cold = self.run(capsys, *args)
+        directory = os.stat(os.path.dirname(self.entry(files / "logits.csv")))
+        opened, digested, open_cache = [], [], io._open_cache
+
+        def opening():
+            if fault is None:
+                return None
+            opened.append(open_cache())
+            return opened[-1]
+
+        def digest(path):
+            digested.append(path)
+            raise fault("no digest")
+
+        def names_the_directory(fd):
+            try:
+                return os.path.samestat(os.fstat(fd), directory)
+            except OSError:  # closed
+                return False
+
+        monkeypatch.setattr(io, "_open_cache", opening)
+        monkeypatch.setattr(io, "_file_digest", digest)
+        assert self.run(capsys, *args) == cold and cold[0] == 0
+        assert parses == ["logits.csv"] * 2 and len(digested) == len(opened) == (fault is not None)
+        assert not any(map(names_the_directory, opened))
 
     def test_the_least_recently_used_entries_go_first(self, tmp_path, parses, monkeypatch):
         paths = {name: tmp_path / f"{name}.csv" for name in "abc"}

@@ -322,8 +322,9 @@ class TestOnePass:
 
 class TestByteRanges:
     """A regular file fans out to forked workers in byte ranges of many
-    lines, each read by its worker; a range a worker declines is read again
-    here. Values, faults and line numbers are the line-by-line loader's."""
+    lines, each read and parsed by its worker; a range comes back here only
+    to name a fault. Values, faults and line numbers are the line-by-line
+    loader's."""
 
     @pytest.fixture
     def ranges(self, monkeypatch, forked):
@@ -367,23 +368,31 @@ class TestByteRanges:
         assert ranges == [2]
 
     def test_an_underscore_field_in_a_middle_range_is_read(self, tmp_path, monkeypatch, ranges):
+        # read by its worker: neither the line parser nor a re-read of the
+        # range runs in this process
         lines = self.lines()
         number = self.first_lines(self.write(tmp_path / "m.csv", lines))[20] + 1
         lines[number - 1] = b"1_0," + lines[number - 1].split(b",", 1)[1]
         path = self.write(tmp_path / "m.csv", lines)
         starts = self.first_lines(path)
         assert starts[20] < number < starts[21] and len(starts) > 30
-        parse_rows = io._parse_rows
-        calls = []
+        parse_rows, line_batches = io._parse_rows, io._line_batches
+        calls, reads = [], []
 
         def counted(*args):
             calls.append(args)
             return parse_rows(*args)
 
+        def spy(path, start=0, stop=None):
+            reads.append((start, stop))
+            return line_batches(path, start, stop)
+
         monkeypatch.setattr(io, "_parse_rows", counted)
+        monkeypatch.setattr(io, "_line_batches", spy)
         got = assert_same_as_reference(path)
         assert got[0] == "ok" and np.frombuffer(got[2]).reshape(got[1])[number - 1, 0] == 10.0
-        assert len(calls) == 1 and ranges == [2]
+        assert len(calls) == 0 and ranges == [2]
+        assert reads == [next(io._byte_ranges(path, path.stat().st_size))]  # the first range alone
 
     def test_a_row_fault_is_outranked_by_a_decoding_fault_in_the_last_range(
         self, tmp_path, ranges
@@ -534,7 +543,8 @@ class TestForkedWorkers:
     def test_edge_files_match_the_line_by_line_loader(self, name, tmp_path, batch_chars, forked):
         TestEdgeFiles().test_matches_the_line_by_line_loader(name, tmp_path, batch_chars)
 
-    def test_a_fault_in_the_last_row_is_found_in_bounded_memory(self, tmp_path, forked):
+    def test_a_fault_in_the_last_row_is_found_in_bounded_memory(self, tmp_path, monkeypatch, forked):
+        monkeypatch.setattr(io, "_PARALLEL_CHARS", 1 << 16)  # ranges of many lines, not one each
         TestOnePass().test_a_fault_in_the_last_row_is_found_in_bounded_memory(tmp_path)
         assert forked
 
@@ -545,6 +555,19 @@ class TestForkedWorkers:
         assert forked
         assert (tmp_path / "forked.csv").read_bytes() == path.read_bytes()
         assert no_child_process()
+
+    def test_save_tasks_are_row_offsets(self, tmp_path, monkeypatch, forked):
+        # each worker formats rows of the matrix it inherited: no array is sent
+        spy, tasks = io._forked_map, []
+
+        def seen(function, given, workers):
+            return spy(function, (tasks.append(task) or task for task in given), workers)
+
+        monkeypatch.setattr(io, "_forked_map", seen)
+        monkeypatch.setattr(io, "_BATCH_CHARS", 1024)  # many tasks
+        self._big(tmp_path)
+        assert forked == [2] and len(tasks) > 2
+        assert all(len(task) == 2 and {type(value) for value in task} == {int} for task in tasks)
 
     def test_a_failed_save_leaves_no_file(self, tmp_path, monkeypatch, forked):
         matrix, _ = self._big(tmp_path)
