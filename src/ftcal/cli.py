@@ -139,7 +139,7 @@ def _cmd_ncm(args) -> int:
 def _cmd_cka(args) -> int:
     a = io._cached_matrix(args.weights_a)
     b = io._cached_matrix(args.weights_b)
-    if args.rows:
+    if args.rows is not None:
         try:  # read as a partition's fine_tuning= is
             rows = list(io._parse_value(args.rows, tuple[int, ...]))
         except ValueError:

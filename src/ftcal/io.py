@@ -33,12 +33,12 @@ Large matrices are parsed and formatted on every CPU of the process's
 affinity mask, with every bit and every fault as in one process. A regular
 file of at least ``_PARALLEL_CHARS`` bytes is cut at ``\n`` bytes into
 ranges of about as many bytes. This process parses the first, about one
-batch, which fixes the width; a forked worker is sent each later range's
-byte offsets alone and parses it as this process would. A range comes back
-only to name a fault: one the worker found, or a block of another width,
-is read again here, its first line numbered by the rows before it. A pipe,
-whose size is unknown, and a one-CPU process parse here alone.
-``save_matrix`` sends workers row offsets of the matrix they inherited.
+batch, which fixes the width. A worker forked with its share of the later
+ranges' byte offsets, and sent nothing, parses each as this process would.
+A range comes back only to name a fault: one the worker found, or a block
+of another width, is read again here, its first line numbered by the rows
+before it. A pipe, whose size is unknown, and a one-CPU process parse here
+alone. ``save_matrix`` forks workers with shares of row offsets instead.
 Workers are forked only while the process runs one thread: a forked child
 keeps a copy of every lock and file another thread holds, such as a FIFO's
 write end, and nothing in it releases them.
@@ -197,79 +197,69 @@ def _fork_workers() -> int:
     return cpus if cpus > 1 else 0
 
 
-def _fork_worker(function) -> tuple[int, typing.BinaryIO, typing.BinaryIO]:
-    """A forked process that answers each pickled task it reads with the
-    pickled ``(True, function(*task))``, or ``(False, exception)``: its pid,
-    the pipe its tasks are written to and the pipe its answers are read from."""
-    task_out, task_in = os.pipe()
+def _fork_worker(function, tasks) -> tuple[int, int, typing.BinaryIO]:
+    """A forked process that pickles ``(True, function(*task))``, or
+    ``(False, exception)``, of each of ``tasks`` in turn into a pipe: its pid,
+    the write end of the hold pipe it then waits on, and its answers' pipe."""
+    hold_out, hold_in = os.pipe()
     answer_out, answer_in = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (hold_out, hold_in, answer_out, answer_in):
+            os.close(fd)
+        raise
     if pid == 0:
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
-            os.close(task_in)
+            os.close(hold_in)
             os.close(answer_out)
-            tasks, answers = open(task_out, "rb"), open(answer_in, "wb")
-            while True:
-                task = pickle.load(tasks)
-                try:
-                    answer = (True, function(*task))
-                except Exception as exc:  # noqa: BLE001 - raised again in the parent
-                    answer = (False, exc)
-                pickle.dump(answer, answers, pickle.HIGHEST_PROTOCOL)
-                answers.flush()
+            with open(answer_in, "wb") as answers:
+                for task in tasks:
+                    try:
+                        answer = (True, function(*task))
+                    except Exception as exc:  # noqa: BLE001 - raised again in the parent
+                        answer = (False, exc)
+                    pickle.dump(answer, answers, pickle.HIGHEST_PROTOCOL)
+                    answers.flush()
+            os.read(hold_out, 1)  # wait to be killed: with SIGCHLD ignored, an exited pid may be reused
         finally:
             os._exit(0)  # never the parent's clean-up, stdio flushes or atexit
-    os.close(task_out)
+    os.close(hold_out)
     os.close(answer_in)
-    return pid, open(task_in, "wb"), open(answer_out, "rb")
+    return pid, hold_in, open(answer_out, "rb")
 
 
 def _forked_map(function, tasks, workers: int) -> typing.Iterator:
     """``function(*task)`` of each of ``tasks`` in order, computed here if
-    ``workers`` is 0, else by up to ``workers`` forked processes that take
-    the tasks in turn: task ``i`` goes to worker ``i % workers`` once it
-    has answered task ``i - workers``, so one task per worker is in flight.
-    The workers are driven from this thread alone, and are killed and
-    reaped however the iteration ends: they hold nothing to save."""
+    ``workers`` is 0, else by up to ``workers`` forked processes: worker
+    ``k`` is forked with its share ``tasks[k::workers]`` and answer ``i`` is
+    read from worker ``i % workers``, so no task is ever sent. The workers
+    are read from this thread alone, and are killed and reaped however the
+    iteration ends: they hold nothing to save."""
     if not workers:
         yield from itertools.starmap(function, tasks)
         return
-    pool = []
-
-    def answer(number):
-        pid, _, answers = pool[number % workers]
-        try:
-            done, value = pickle.load(answers)
-        except (EOFError, pickle.UnpicklingError):
-            raise ChildProcessError(f"worker process {pid} ended early") from None
-        if not done:
-            raise value
-        return value
-
+    tasks, pool = list(tasks), []
     try:
-        sent = 0
-        for task in tasks:
-            if sent < workers:
-                pool.append(_fork_worker(function))
-            else:
-                value = answer(sent - workers)
-            _, requests, _ = pool[sent % workers]
-            pickle.dump(task, requests, pickle.HIGHEST_PROTOCOL)
-            requests.flush()
-            sent += 1
-            if sent > workers:
-                yield value
-        for number in range(max(sent - workers, 0), sent):
-            yield answer(number)
+        for worker in range(min(workers, len(tasks))):
+            pool.append(_fork_worker(function, tasks[worker::workers]))
+        for number in range(len(tasks)):
+            pid, _, answers = pool[number % workers]
+            try:
+                done, value = pickle.load(answers)
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(f"worker process {pid} ended early") from None
+            if not done:
+                raise value
+            yield value
     finally:
         for pid, _, _ in pool:
             os.kill(pid, signal.SIGKILL)
-        for pid, requests, answers in pool:
+        for pid, hold, answers in pool:
             with contextlib.suppress(ChildProcessError):  # reaped already: SIGCHLD ignored
                 os.waitpid(pid, 0)
-            with contextlib.suppress(OSError):  # a pipe whose reader is gone
-                requests.close()
+            os.close(hold)
             answers.close()
 
 
@@ -364,7 +354,7 @@ def _byte_ranges(path, size: int) -> typing.Iterator[tuple[int, int | None]]:
             if handle.tell() >= size:
                 break
             yield start, handle.tell()
-            start, step = handle.tell(), max(_PARALLEL_CHARS, 1)
+            start, step = handle.tell(), _PARALLEL_CHARS
     yield start, None
 
 
@@ -374,7 +364,7 @@ def _blocks(path, size: int) -> typing.Iterator:
     range, parsed by a forked worker or, where that finds a fault or
     another width, here, its lines numbered by the rows before it. A fault
     is raised once the file decodes from the end of the range it sat in."""
-    workers = _fork_workers() if size >= max(_PARALLEL_CHARS, 1) else 0
+    workers = _fork_workers() if size >= _PARALLEL_CHARS else 0
     ranges = _byte_ranges(path, size) if workers else iter([(0, None)])
     _, stop = next(ranges)
     batches = _line_batches(path, 0, stop)  # the range in use: its reader and its stop
@@ -387,9 +377,9 @@ def _blocks(path, size: int) -> typing.Iterator:
         number, width = yield from _parse_batches(path, batches, number, None)
         if not workers:
             return
-        spans, tasks = itertools.tee(ranges)
+        spans = list(ranges)
         parse = functools.partial(_parse_range, path)
-        with contextlib.closing(_forked_map(parse, tasks, workers)) as answers:
+        with contextlib.closing(_forked_map(parse, spans, workers)) as answers:
             for (start, stop), block in zip(spans, answers):
                 if block is None or width not in (None, block.shape[1]):
                     batches = _line_batches(path, start, stop)

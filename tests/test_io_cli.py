@@ -812,6 +812,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "rows, message",
         [
+            ("", "error: --rows must be comma-separated integers, got ''\n"),
             ("1,x", "error: --rows must be comma-separated integers, got '1,x'\n"),
             ("0,5", "error: --rows: class index 5 is outside [0, 5)\n"),
             ("2,2,3", "error: --rows contains duplicate class indices\n"),

@@ -170,7 +170,7 @@ def forked(monkeypatch):
     """Fan out to two forked workers whatever the text's size and the
     host's CPUs; the list it returns gains an entry for each pool started.
     No worker may outlive the test."""
-    monkeypatch.setattr(io, "_PARALLEL_CHARS", 0)
+    monkeypatch.setattr(io, "_PARALLEL_CHARS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert io._fork_workers() == 2, "the pool needs the main thread alone and fork"
     started = []
@@ -520,7 +520,7 @@ def test_formatted_fields_match_the_reference(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(io, "_BATCH_CHARS", batch)
         if forked:  # as the forked fixture does
-            patch.setattr(io, "_PARALLEL_CHARS", 0)
+            patch.setattr(io, "_PARALLEL_CHARS", 1)
             patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert assert_same_as_reference(path)[0] == "ok"
     assert no_child_process()
@@ -607,29 +607,76 @@ class TestForkedWorkers:
         assert forked
 
     def test_an_interrupt_shuts_the_workers_down(self, tmp_path, monkeypatch, forked):
-        # one line a range: the interrupt comes from the task source while
-        # both workers hold a range
+        # one line a range: the interrupt comes as this process reads answer
+        # 20 of about 220, while both workers still have answers to send
         _, path = self._big(tmp_path)
-        byte_ranges, fork_worker = io._byte_ranges, io._fork_worker
-        pids = []
+        load, fork_worker = io.pickle.load, io._fork_worker
+        pids, loads = [], []
 
-        def interrupted(path, size):
-            for number, span in enumerate(byte_ranges(path, size)):
-                if number == 20:
-                    raise KeyboardInterrupt
-                yield span
+        def interrupted(file):
+            loads.append(file)
+            if len(loads) == 20:
+                raise KeyboardInterrupt
+            return load(file)
 
-        def counted(function):
-            worker = fork_worker(function)
+        def counted(function, tasks):
+            worker = fork_worker(function, tasks)
             pids.append(worker[0])
             return worker
 
-        monkeypatch.setattr(io, "_byte_ranges", interrupted)
+        monkeypatch.setattr(io.pickle, "load", interrupted)
         monkeypatch.setattr(io, "_fork_worker", counted)
         with pytest.raises(KeyboardInterrupt):
             io.load_matrix(path)
         assert len(pids) == 2
         assert no_child_process()
+
+    def test_no_task_is_sent_to_a_worker(self, tmp_path, monkeypatch, forked):
+        # the workers' own dumps land in their memory, not in this list
+        dump, dumped = io.pickle.dump, []
+
+        def spy(*args, **kwargs):
+            dumped.append(args[0])
+            return dump(*args, **kwargs)
+
+        monkeypatch.setattr(io.pickle, "dump", spy)
+        monkeypatch.setattr(io, "_BATCH_CHARS", 1024)  # many tasks
+        matrix, path = self._big(tmp_path)
+        assert io.load_matrix(path).tobytes() == matrix.tobytes()
+        assert forked == [2, 2]
+        assert dumped == []
+
+    def test_each_worker_is_forked_with_every_other_task(self, tmp_path, monkeypatch, forked):
+        forked_map, fork_worker = io._forked_map, io._fork_worker
+        given, shares = [], []
+
+        def listed(function, tasks, workers):
+            given.append(list(tasks))
+            return forked_map(function, given[-1], workers)
+
+        def counted(function, tasks):
+            shares.append(tasks)
+            return fork_worker(function, tasks)
+
+        monkeypatch.setattr(io, "_forked_map", listed)
+        monkeypatch.setattr(io, "_fork_worker", counted)
+        monkeypatch.setattr(io, "_BATCH_CHARS", 1024)  # many tasks
+        self._big(tmp_path)
+        assert len(given) == 1 and len(given[0]) > 2
+        assert shares == [given[0][0::2], given[0][1::2]]
+
+    def test_a_failed_fork_leaks_no_descriptor(self, monkeypatch, forked):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd to count descriptors in")
+
+        def refuse():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            list(io._forked_map(abs, [(1,), (2,)], 2))
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_workers_ignore_sigint(self, forked):
         assert list(io._forked_map(signal.getsignal, [(signal.SIGINT,)], 2)) == [signal.SIG_IGN]
@@ -652,7 +699,7 @@ class TestForkedWorkers:
 
     def test_one_cpu_starts_no_process(self, tmp_path, monkeypatch):
         matrix, path = self._big(tmp_path)
-        monkeypatch.setattr(io, "_PARALLEL_CHARS", 0)
+        monkeypatch.setattr(io, "_PARALLEL_CHARS", 1)
         monkeypatch.setattr(io, "_BATCH_CHARS", 512)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
