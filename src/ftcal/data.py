@@ -17,11 +17,11 @@ rows into blocks of the ``_BLOCK_BYTES`` budget, and ``_each_block`` runs a
 pass over them on one thread per CPU of the affinity mask (``_cpu_count``,
 as ``io`` counts them) once there are ``_THREAD_BLOCKS`` blocks. Every
 row-block pass goes through it: the container copy and check here, the one
-squared-distance kernel ``_ncm_scores`` (NCM and the greedy split), the
-statistics kernel in ``metrics`` and the absent probability in
-``analysis``. Each block writes only its own rows, computed as on one
-thread, so bits and faults are the same at any CPU count. Memory is one
-block's temporaries (for NCM, one difference slab) per thread, and
+squared-distance kernel ``_score_block`` (``_ncm_scores`` for NCM logits and
+the greedy split, ``_ncm_nearest`` for NCM predictions), the statistics
+kernel in ``metrics`` and the absent probability in ``analysis``. Each block
+writes only its own rows, computed as on one thread, so bits and faults are
+the same at any CPU count. Memory is one block's temporaries per thread, and
 ``taskset -c 0`` keeps all of it on one CPU. And ``_class_set`` is the one
 reader of every collection of class indices, ``_split_per_class`` the one
 per-class train/test split (the toy's and PCV's).
@@ -116,9 +116,9 @@ def _each_block(blocks: list[slice], work, per_thread=None) -> None:
 
 def _score_block(rows: np.ndarray, candidates: np.ndarray, slab: np.ndarray, scores: np.ndarray) -> None:
     """Write minus the squared distances of ``rows`` to ``candidates`` into
-    ``scores``, squaring the differences in place in ``slab``, a C-ordered
-    buffer of len(rows) x len(candidates) x d."""
-    np.subtract(rows[:, None, :], candidates[None, :, :], out=slab)
+    ``scores``, squaring the differences in place in ``slab``, a C-ordered buffer
+    of ``rows[:, None, :] - candidates``: K x d, or one per row (len(rows) x 1 x d)."""
+    np.subtract(rows[:, None, :], candidates, out=slab)
     slab *= slab
     np.sum(slab, axis=2, out=scores)
     np.negative(scores, out=scores)
@@ -143,6 +143,45 @@ def _ncm_scores(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
 
     _each_block(blocks, score, per_thread=lambda: np.empty((slab_rows, *candidates.shape)))
     return scores
+
+
+def _ncm_nearest(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """The first argmax of each row of ``_ncm_scores(rows, candidates)``,
+    bit for bit, without its N x K matrix. Per row block, a BLAS product
+    gives |m|^2 - 2 u.m, off |u - m|^2 - |u|^2 by E1; the direct sum is off
+    by E2; both stay below (d + 8) eps (|u| + max |m|)^2 / 2 in any order or
+    FMA. Only candidates within 2 (E1 + E2) of the row's least product can be
+    the argmin: ``_score_block`` scores those pairs, gathered into one block
+    budget, into a row of -inf. BLAS never decides; a NaN or inf bound keeps all."""
+    dim = candidates.shape[1]
+    squares, twice = np.einsum("ij,ij->i", candidates, candidates), -2.0 * candidates
+    # 2 (E1 + E2) at 16 times the 1/2 above, and 1.01 for rounding here; + tiny covers underflow
+    slack = 4 * 8 * 1.01 * (dim + 8) * np.finfo(np.float64).eps
+    farthest = np.sqrt(squares.max())
+    blocks = _row_blocks(rows.shape[0], rows.itemsize * candidates.shape[0])
+    block_rows = max((block.stop - block.start for block in blocks), default=0)
+    pairs = max(1, _BLOCK_BYTES // max(1, 2 * rows.itemsize * dim))
+    nearest = np.empty(rows.shape[0], dtype=np.int64)
+
+    def pick(block: slice, buffers: tuple) -> None:
+        near, left, right, exact = buffers
+        u = rows[block]
+        near = np.matmul(u, twice.T, out=near[: len(u)])
+        near += squares
+        reach = (np.sqrt(np.einsum("ij,ij->i", u, u)) + farthest) ** 2 + np.finfo(np.float64).tiny
+        at, of = np.nonzero(~(near > (near.min(axis=1) + slack * reach)[:, None]))
+        near.fill(-np.inf)
+        for start in range(0, at.size, pairs):
+            i, j = at[start : start + pairs], of[start : start + pairs]
+            np.take(u, i, axis=0, out=left[: i.size], mode="clip")  # "raise" would buffer ``out``
+            np.take(candidates, j, axis=0, out=right[: i.size, 0], mode="clip")
+            _score_block(left[: i.size], right[: i.size], right[: i.size], exact[: i.size])
+            near[i, j] = exact[: i.size, 0]
+        np.argmax(near, axis=1, out=nearest[block])
+
+    shapes = ((block_rows, candidates.shape[0]), (pairs, dim), (pairs, 1, dim), (pairs, 1))
+    _each_block(blocks, pick, per_thread=lambda: tuple(np.empty(shape) for shape in shapes))
+    return nearest
 
 
 def _class_set(classes, what: str, bound: int = 2**63, *, repeats: str) -> np.ndarray:

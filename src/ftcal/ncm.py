@@ -2,7 +2,9 @@
 
 NCM depends only on the feature geometry, never on the linear head, which
 makes it a clean probe of feature quality. Means are computed from
-normalized features and deliberately not re-normalized.
+normalized features and deliberately not re-normalized. ``ncm_predict`` is
+the first argmax of ``ncm_logits``, bit for bit at any BLAS thread count: it
+scores directly only the classes a BLAS product cannot rule out.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .data import (
     _class_set,
     _frozen_array,
     _Frozen,
+    _ncm_nearest,
     _ncm_scores,
     check_dim,
     unit_rows,
@@ -87,9 +90,7 @@ def ncm_predict(features: LabeledFeatures, means: ClassMeans, restriction) -> np
         raise MissingClassError(f"no class mean available for class {missing[0]}")
     unit = _unit_features(features, means)
     positions = np.searchsorted(means.class_ids, wanted)
-    scores = _ncm_scores(unit, means.means[positions])
-    winners = np.argmax(scores, axis=1)  # first maximum = lowest class index
-    return wanted[winners]
+    return wanted[_ncm_nearest(unit, means.means[positions])]
 
 
 def ncm_logits(features: LabeledFeatures, means: ClassMeans) -> LabeledLogits:

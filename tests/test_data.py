@@ -998,6 +998,9 @@ class TestNcmScoresOnThreads:
             for _ in range(20):
                 rows, candidates = rng.normal(size=(int(rng.integers(20, 400)), 5)), rng.normal(size=(3, 5))
                 assert _ncm_scores(rows, candidates).tobytes() == _broadcast_scores(rows, candidates).tobytes()
+                wide = rng.normal(size=(20, 5))  # two rows a block for the nearest-mean kernel too
+                nearest = np.argmax(_broadcast_scores(rows, wide), axis=1)
+                assert data._ncm_nearest(rows, wide).tobytes() == nearest.tobytes()
         finally:
             sys.setswitchinterval(interval)
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,24 @@ from ftcal import (
     predict_restricted,
 )
 from ftcal import data
+
+
+def _near_tie_case(rng, dim):
+    """Features, means of the classes 0..K-1 and a restriction, where some
+    means are copies of others perturbed by 1e-16 to 1e-13 relative and
+    some are exact duplicates, and feature rows range over 1e-5 to 1e5."""
+    base = rng.normal(size=(int(rng.integers(2, 6)), dim)) * 10.0 ** rng.uniform(-2, 2)
+    picks = rng.integers(0, len(base), size=int(rng.integers(4, 20)))
+    nudges = rng.choice([-1.0, 1.0], size=(picks.size, dim)) * 10.0 ** rng.uniform(-16, -13, size=(picks.size, 1))
+    duplicates = base[rng.integers(0, len(base), size=int(rng.integers(1, 4)))]
+    means = rng.permutation(np.vstack([base, base[picks] * (1.0 + nudges), duplicates]))
+    num_classes, num_rows = means.shape[0], 120
+    near = means[rng.integers(0, num_classes, size=num_rows)]
+    rows = near + rng.normal(size=(num_rows, dim)) * np.abs(near).max() * 10.0 ** rng.uniform(-3, 0, size=(num_rows, 1))
+    rows *= 10.0 ** rng.uniform(-5, 5, size=(num_rows, 1))
+    features = LabeledFeatures(rows, rng.integers(0, num_classes, size=num_rows))
+    restriction = np.sort(rng.choice(num_classes, size=int(rng.integers(1, num_classes + 1)), replace=False))
+    return features, ClassMeans(means, range(num_classes), np.ones(num_classes)), restriction
 
 
 class TestClassMeans:
@@ -167,6 +190,58 @@ class TestNcmPredict:
                 dists = [float(np.sum((unit - m) ** 2)) for m in means.means]
                 expected.append(int(np.argmin(dists)))
             assert got.tolist() == expected, f"seed {seed}"
+
+    @pytest.mark.parametrize("block_bytes", [1024, 16 * 2**20])
+    def test_is_the_first_maximum_of_ncm_logits_on_near_ties(self, block_bytes, monkeypatch):
+        # BLAS only shortlists: the direct distance decides, bit for bit as
+        # ncm_logits computes it, even where |u|^2 + |m|^2 - 2 u.m does not
+        monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(40)
+        expansion_missed = 0
+        for dim in (1, 2, 3, 255, 256, 1000):
+            for _ in range(4):
+                features, means, restriction = _near_tie_case(rng, dim)
+                scores = ncm_logits(features, means).values[:, restriction]
+                expected = restriction[np.argmax(scores, axis=1)]
+                assert ncm_predict(features, means, restriction).tobytes() == expected.tobytes(), f"d {dim}"
+                unit = data.unit_rows(features.values, "feature")
+                chosen = means.means[restriction]
+                expansion = np.einsum("ij,ij->i", chosen, chosen) - 2.0 * unit @ chosen.T
+                expansion_missed += int(np.sum(restriction[np.argmin(expansion, axis=1)] != expected))
+        assert expansion_missed > 0
+
+    def test_holds_no_score_matrix(self):
+        rng = np.random.default_rng(42)
+        rows, candidates = rng.normal(size=(4000, 32)), rng.normal(size=(500, 32))
+        tracemalloc.start()
+        try:
+            nearest = data._ncm_nearest(rows, candidates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a block of BLAS scores and one of gathered pairs per thread, not the 16 MB N x K matrix
+        assert peak < nearest.nbytes + 2 * data._cpu_count() * data._BLOCK_BYTES + 2**20, f"peak {peak} B"
+        assert nearest.tobytes() == np.argmax(data._ncm_scores(rows, candidates), axis=1).tobytes()
+
+    def test_the_blas_thread_count_moves_no_bit(self):
+        script = (
+            "import sys, numpy as np\n"
+            "from ftcal import ClassMeans, LabeledFeatures, ncm_predict\n"
+            "rng = np.random.default_rng(41)\n"
+            "base = rng.normal(size=(50, 256))\n"
+            "means = np.vstack([base, base * (1.0 + 1e-14 * rng.standard_normal((50, 256)))])\n"
+            "rows = means[rng.integers(0, 100, size=2000)] + 0.1 * rng.standard_normal((2000, 256))\n"
+            "features = LabeledFeatures(rows, np.zeros(2000, dtype=np.int64))\n"
+            "sys.stdout.write(ncm_predict(features, ClassMeans(means, range(100), np.ones(100)), range(100)).tobytes().hex())\n"
+        )
+        default = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+        default["PYTHONPATH"] = os.path.dirname(os.path.dirname(data.__file__))
+        runs = []
+        for env in (default, {**default, "OPENBLAS_NUM_THREADS": "1"}):
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            runs.append(done.stdout)
+        assert runs[0] == runs[1] and len(runs[0]) == 2000 * 16
 
 
 class TestNcmLogits:
