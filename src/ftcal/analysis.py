@@ -50,11 +50,11 @@ def linear_cka(weights_a, weights_b) -> float:
     I - 11^T / n. The value lies in [0, 1] up to rounding; higher means the
     pairwise class relationships are better preserved.
 
-    Two forms compute it, equal up to rounding. When the rows outnumber the
-    columns of both sets (n > max(d_a, d_b)), the unit rows are
-    column-centred and HSIC(K, L) = ||A_c^T B_c||_F^2 / (n - 1)^2
-    (Kornblith et al. 2019), which forms d x d products only, never an
-    n x n matrix. Otherwise (n <= d) the n x n Grams are centred with H.
+    The unit rows are column-centred once, so A_c A_c^T is H K H and H is
+    never formed. When the rows outnumber the columns of both sets
+    (n > max(d_a, d_b)), HSIC(K, L) = ||A_c^T B_c||_F^2 / (n - 1)^2
+    (Kornblith et al. 2019), from d x d products only. Otherwise (n <= d),
+    equal up to rounding, it sums A_c A_c^T * B_c B_c^T from n x n products.
     """
     a = _frozen_array(weights_a, np.float64, "weights_a", ndim=2)
     b = _frozen_array(weights_b, np.float64, "weights_b", ndim=2)
@@ -66,22 +66,16 @@ def linear_cka(weights_a, weights_b) -> float:
 
     a = unit_rows(a, "weights_a")  # rebinding frees the validated copies
     b = unit_rows(b, "weights_b")
+    a -= a.mean(axis=0)  # unit_rows returned fresh arrays
+    b -= b.mean(axis=0)
     scale = (n - 1) ** 2
-    if n > max(a.shape[1], b.shape[1]):
-        a -= a.mean(axis=0)  # unit_rows returned fresh arrays
-        b -= b.mean(axis=0)
-        hsic_ab, hsic_aa, hsic_bb = (
-            float(np.square(x.T @ y).sum()) / scale for x, y in ((a, b), (a, a), (b, b))
-        )
-    else:
-        gram_a = a @ a.T
-        gram_b = b @ b.T
-        centering = np.eye(n) - np.full((n, n), 1.0 / n)
-        ka = centering @ gram_a @ centering
-        kb = centering @ gram_b @ centering
-        hsic_ab = float((ka * kb).sum()) / scale
-        hsic_aa = float((ka * ka).sum()) / scale
-        hsic_bb = float((kb * kb).sum()) / scale
+    gram_form = n <= max(a.shape[1], b.shape[1])
+    if gram_form:
+        a, b = a @ a.T, b @ b.T  # the centred Grams H K H and H L H
+    hsic_ab, hsic_aa, hsic_bb = (
+        float((x * y).sum() if gram_form else np.square(x.T @ y).sum()) / scale
+        for x, y in ((a, b), (a, a), (b, b))
+    )
     if hsic_aa <= _DEGENERATE_HSIC or hsic_bb <= _DEGENERATE_HSIC:
         raise DegenerateInputError("all rows identical after normalization; CKA is undefined")
     return float(hsic_ab / np.sqrt(hsic_aa * hsic_bb))

@@ -7,7 +7,8 @@ decimal digits, so a write-read round trip reproduces every float64 bit
 for bit. All numbers use the period as the decimal separator regardless
 of locale. Every file goes through ``write_text``, which replaces a
 regular file only once the whole text is written, and appends to the
-process's own stdout or stderr.
+process's own stdout or stderr, so what a command prints after it
+follows the text under ``>`` as well as ``>>``.
 
 Every file is read through one reader, ``_line_batches``: it opens the
 file or pipe once, or a byte range of a regular file, and yields its
@@ -117,17 +118,17 @@ def format_curve_csv(curve: SeenUnseenCurve) -> str:
     return "".join(itertools.chain(["gamma_threshold,acc_s_y,acc_u_y\n"], _csv_lines(table)))
 
 
-def _is_std_stream(path) -> bool:
-    """Whether ``path`` is the file this process's stdout or stderr writes to."""
+def _is_std_stream(path) -> int | None:
+    """Which of this process's stdout (1) and stderr (2) writes to ``path``; None if neither."""
     try:
         target = os.stat(path)
     except OSError:
-        return False
+        return None
     for fd in (1, 2):
         with contextlib.suppress(OSError):  # a closed stream is no match
             if os.path.samestat(target, os.fstat(fd)):
-                return True
-    return False
+                return fd
+    return None
 
 
 def write_text(path, chunks) -> None:
@@ -137,19 +138,21 @@ def write_text(path, chunks) -> None:
     points to), which ``os.replace`` moves over it once complete and any
     failure, KeyboardInterrupt included, removes. A target that is this
     process's own stdout or stderr, such as ``/dev/stdout`` redirected to a
-    file, is appended to in place once both streams are flushed, so what
-    they already wrote there stays. Any other target that exists but is not
-    a regular file, such as a FIFO, is written in place.
+    file, is appended to through a duplicate of its descriptor once both
+    streams are flushed: the text follows what they wrote and precedes what
+    they print next, under ``>`` as under ``>>``. Any other target that
+    exists but is not a regular file, such as a FIFO, is written in place.
     """
-    own_stream = _is_std_stream(path)
-    if own_stream:
+    own_fd = _is_std_stream(path)
+    if own_fd:
         sys.stdout.flush()
         sys.stderr.flush()
-    in_place = own_stream or (os.path.exists(path) and not os.path.isfile(path))
+    in_place = own_fd or (os.path.exists(path) and not os.path.isfile(path))
     target = path if in_place else os.path.realpath(path)
     scratch = target if in_place else f"{target}.{os.getpid()}.tmp"
     try:
-        with open(scratch, "a" if own_stream else "w", encoding="utf-8", newline="\n") as handle:
+        with open(os.dup(own_fd) if own_fd else scratch, "a" if own_fd else "w",
+                  encoding="utf-8", newline="\n") as handle:
             handle.writelines(chunks)  # one write per chunk, never joined
         if not in_place:
             os.replace(scratch, target)

@@ -86,9 +86,10 @@ class TestLinearCka:
             assert -1e-9 <= value <= 1.0 + 1e-9
 
     def test_identical_rows_are_degenerate(self):
-        a = np.tile([1.0, 2.0, 0.5], (4, 1))
-        with pytest.raises(DegenerateInputError):
-            linear_cka(a, np.random.default_rng(0).normal(size=(4, 3)))
+        for row, n in (([1.0, 2.0, 0.5], 4), ([1.0, 2.0, 0.5, -3.0, 0.25], 3)):  # n > d, n <= d
+            a = np.tile(row, (n, 1))
+            with pytest.raises(DegenerateInputError):
+                linear_cka(a, np.random.default_rng(0).normal(size=(n, len(row))))
 
     def test_needs_two_rows(self):
         with pytest.raises(ValidationError):
@@ -96,14 +97,14 @@ class TestLinearCka:
 
 
 def _gram_form_cka(a, b):
-    """The n x n Gram form ``linear_cka`` keeps for n <= d, step for step."""
+    """The n x n Gram form ``linear_cka`` keeps for n <= d, step for step:
+    unit rows, columns centred once, two Grams, three sums over ``scale``."""
     a = a / np.linalg.norm(a, axis=1)[:, None]
     b = b / np.linalg.norm(b, axis=1)[:, None]
-    n = a.shape[0]
-    centering = np.eye(n) - np.full((n, n), 1.0 / n)
-    ka = centering @ (a @ a.T) @ centering
-    kb = centering @ (b @ b.T) @ centering
-    scale = (n - 1) ** 2
+    a -= a.mean(axis=0)
+    b -= b.mean(axis=0)
+    ka, kb = a @ a.T, b @ b.T
+    scale = (a.shape[0] - 1) ** 2
     hsic_ab = float((ka * kb).sum()) / scale
     hsic_aa = float((ka * ka).sum()) / scale
     hsic_bb = float((kb * kb).sum()) / scale
@@ -146,16 +147,21 @@ class TestLinearCkaForms:
             a, b = rng.normal(size=(n, d_a)), rng.normal(size=(n, d_b))
             assert linear_cka(a, b) == _gram_form_cka(a, b)
 
-    def test_no_rows_x_rows_matrix_when_rows_outnumber_columns(self):
-        rng = np.random.default_rng(11)
-        a, b = rng.normal(size=(4000, 64)), rng.normal(size=(4000, 64))  # 4 MB in all
+    @pytest.mark.parametrize(
+        "seed, n, d", [(11, 4000, 64), (12, 600, 600)],
+        ids=["rows-outnumber-columns", "rows-reach-the-width"],
+    )
+    def test_peak_stays_below_three_times_the_inputs(self, seed, n, d):
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(n, d)), rng.normal(size=(n, d))  # 4 MB, 5.8 MB in all
         tracemalloc.start()
         try:
             linear_cka(a, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one 4000 x 4000 Gram is 128 MB
+        # one 4000 x 4000 Gram is 128 MB; at 600 x 600, the centred rows beside their
+        # two Grams are 2 x the inputs, and an n x n centering matrix with H K H took 4 x
         assert peak < 3 * (a.nbytes + b.nbytes), f"peak {peak} B for {a.nbytes + b.nbytes} B"
 
 

@@ -24,10 +24,12 @@ from ftcal import (
     TrainConfig,
     ToySpec,
     ValidationError,
+    ausuc,
     class_means,
     estimate_gamma_alg,
     linear_cka,
     ncm_logits,
+    seen_unseen_curve,
 )
 from ftcal import cli, io
 from ftcal.cli import main
@@ -1110,51 +1112,63 @@ class TestCli:
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout on this platform")
 class TestOutToOwnStdout:
-    """``--out /dev/stdout`` with stdout redirected: the report appears twice
-    (stdout copy, then file copy) and nothing the stream held is lost."""
+    """A file written to ``/dev/stdout`` with stdout redirected lands where the
+    stream stands: ``alg`` prints its report and then writes it, ``ausuc``
+    writes its curve and then prints its report, and nothing the stream held
+    is lost or overwritten."""
 
-    @pytest.fixture()
-    def alg_command(self, fixture_dir):
-        io.save_matrix(np.array([[5.0, 1.0, 0.2], [1.4, 7.0, 1.0]]), fixture_dir / "tl.csv")
-        io.save_labels([0, 1], fixture_dir / "tlab.csv")
+    @pytest.fixture(params=["alg", "ausuc"])
+    def case(self, request, fixture_dir):
+        """The command and the text it leaves on stdout, in order."""
+        if request.param == "alg":
+            io.save_matrix(np.array([[5.0, 1.0, 0.2], [1.4, 7.0, 1.0]]), fixture_dir / "tl.csv")
+            io.save_labels([0, 1], fixture_dir / "tlab.csv")
+            logits = LabeledLogits(io.load_matrix(fixture_dir / "tl.csv"), [0, 1])
+            partition = io.load_partition(fixture_dir / "partition.txt")
+            report = io.format_report(estimate_gamma_alg(logits, partition).as_dict())
+            return [
+                "alg",
+                "--train-logits", str(fixture_dir / "tl.csv"),
+                "--train-labels", str(fixture_dir / "tlab.csv"),
+                "--partition", str(fixture_dir / "partition.txt"),
+                "--out", "/dev/stdout",
+            ], 2 * report
+        logits = LabeledLogits(io.load_matrix(fixture_dir / "logits.csv"), [0, 2, 1, 2])
+        curve = seen_unseen_curve(logits, io.load_partition(fixture_dir / "partition.txt"))
         return [
-            sys.executable, "-m", "ftcal.cli", "alg",
-            "--train-logits", str(fixture_dir / "tl.csv"),
-            "--train-labels", str(fixture_dir / "tlab.csv"),
+            "ausuc",
+            "--logits", str(fixture_dir / "logits.csv"),
+            "--labels", str(fixture_dir / "labels.csv"),
             "--partition", str(fixture_dir / "partition.txt"),
-            "--out", "/dev/stdout",
-        ]
+            "--curve-out", "/dev/stdout",
+        ], io.format_curve_csv(curve) + io.format_report({"ausuc": ausuc(curve)})
 
     @staticmethod
-    def run(command, stdout):
+    def run(args, stdout):
         src = os.path.dirname(os.path.dirname(ftcal.__file__))
         env = {**os.environ, "PYTHONPATH": src}
+        command = [sys.executable, "-m", "ftcal.cli", *args]
         return subprocess.run(command, stdout=stdout, env=env, timeout=120, check=True)
 
-    @staticmethod
-    def report(fixture_dir):
-        logits = io.load_matrix(fixture_dir / "tl.csv")
-        partition = io.load_partition(fixture_dir / "partition.txt")
-        estimate = estimate_gamma_alg(LabeledLogits(logits, [0, 1]), partition)
-        return io.format_report(estimate.as_dict())
-
-    def test_appending_redirect_keeps_the_earlier_line(self, fixture_dir, alg_command):
+    def test_appending_redirect_keeps_the_earlier_line(self, fixture_dir, case):
+        args, expected = case
         log = fixture_dir / "log.txt"
         log.write_text("previous line\n")
         with open(log, "a") as handle:
-            self.run(alg_command, handle)
-        assert log.read_text() == "previous line\n" + 2 * self.report(fixture_dir)
+            self.run(args, handle)
+        assert log.read_text() == "previous line\n" + expected
 
-    def test_truncating_redirect_holds_two_copies(self, fixture_dir, alg_command):
+    def test_truncating_redirect_holds_the_output_in_order(self, fixture_dir, case):
+        args, expected = case
         log = fixture_dir / "log.txt"
         log.write_text("previous line\n")
         with open(log, "w") as handle:
-            self.run(alg_command, handle)
-        assert log.read_text() == 2 * self.report(fixture_dir)
+            self.run(args, handle)
+        assert log.read_text() == expected
 
-    def test_pipe_receives_two_copies(self, fixture_dir, alg_command):
-        result = self.run(alg_command, subprocess.PIPE)
-        assert result.stdout.decode() == 2 * self.report(fixture_dir)
+    def test_pipe_receives_the_output_in_order(self, case):
+        args, expected = case
+        assert self.run(args, subprocess.PIPE).stdout.decode() == expected
 
 
 class TestParseCache:
