@@ -15,7 +15,11 @@ from .data import (
     LabeledLogits,
     LabelPartition,
     LinearHead,
+    _each_block,
+    _refuse_zero_rows,
+    _row_blocks,
     _split_per_class,
+    _UnitProduct,
     check_dim,
     check_gamma,
     check_num_classes,
@@ -106,6 +110,17 @@ def estimate_gamma_star(test_logits: LabeledLogits, partition: LabelPartition) -
     return GammaEstimate(value=value, method="STAR", diagnostics=acc)
 
 
+def _cosine_scores(features: LabeledFeatures, head: LinearHead) -> _UnitProduct:
+    """The cosine of each feature row to each weight row, as the chunks of
+    a ``data._UnitProduct``; name the first zero feature row, then the first
+    zero weight row."""
+    _each_block(
+        _row_blocks(features.num_samples, features.values.itemsize * features.dim),
+        lambda rows: _refuse_zero_rows(features.values[rows], rows.start, "feature"),
+    )
+    return _UnitProduct(features.values, unit_rows(head.weights, "weight"))
+
+
 def predict_cosine(
     features: LabeledFeatures, head: LinearHead, partition: LabelPartition, gamma: float
 ) -> np.ndarray:
@@ -114,11 +129,16 @@ def predict_cosine(
     Logits are the cosine similarities between feature rows and weight
     rows, which removes per-class weight-magnitude effects. The statistics
     kernel and the tie rule behind ``apply_gamma`` then run on that matrix
-    itself: it is computed once and never copied into a container.
+    as it is computed, one chunk of rows at a time on this thread, so memory
+    is one chunk and the matrix is never held whole. The cosines are defined
+    by those chunks, cut at fixed row offsets (``data._UnitProduct``): the
+    rows of a whole chunk have the same bits at any number of rows. Before,
+    one product made the whole matrix; the change could move a cosine's last
+    bit once, and changed no prediction on the benchmark's 1,000-class head.
     """
     check_num_classes("head has", head.num_classes, partition)
     check_dim("features have", features.dim, "head", head.dim)
-    cosines = unit_rows(features.values, "feature") @ unit_rows(head.weights, "weight").T
+    cosines = _cosine_scores(features, head)
     gamma = check_gamma(gamma)
     # labels take no part in a prediction, so any label the features carry is accepted
     unlabeled = np.zeros(features.num_samples, dtype=np.int64)

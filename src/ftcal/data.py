@@ -19,12 +19,21 @@ as ``io`` counts them) once there are ``_THREAD_BLOCKS`` blocks. Every
 row-block pass goes through it: the container copy and check here, the one
 squared-distance kernel ``_score_block`` (``_ncm_scores`` for NCM logits and
 the greedy split, ``_ncm_nearest`` for NCM predictions), the statistics
-kernel in ``metrics`` and the absent probability in ``analysis``. Each block
-writes only its own rows, computed as on one thread, so bits and faults are
-the same at any CPU count. Memory is one block's temporaries per thread, and
-``taskset -c 0`` keeps all of it on one CPU. And ``_class_set`` is the one
-reader of every collection of class indices, ``_split_per_class`` the one
-per-class train/test split (the toy's and PCV's).
+kernel in ``metrics`` on a stored matrix and the absent probability in
+``analysis``. Each block writes only its own rows, computed as on one
+thread, so bits and faults are the same at any CPU count. Memory is one
+block's temporaries per thread, and ``taskset -c 0`` keeps all of it on one
+CPU.
+
+A computed score matrix, the cosine head, is a ``_UnitProduct``: it is
+defined by chunks of ``_PRODUCT_BLOCKS`` blocks at fixed row offsets, one
+BLAS product each, which the statistics kernel reads one at a time on the
+calling thread, so its memory is one chunk. Cosines were one product of the
+whole matrix before; the chunks could move their last bit, once.
+
+And ``_class_set`` is the one reader of every collection of class indices,
+``_split_per_class`` the one per-class train/test split (the toy's and
+PCV's).
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +59,12 @@ _GROUPS = ("S", "U", "Y")
 # blocks ran 1.3-1.5x faster than 4 MiB blocks and 2-3x faster than one
 # block.
 _BLOCK_BYTES = 512 * 1024
+
+# A computed product (``_UnitProduct``) makes one BLAS call per this many
+# blocks. On 2 CPUs, 2,000 x 256 features against 1,000 unit rows took
+# 12-13 ms as one call, 16-18 ms in 65-row calls of one block and 13-15 ms
+# in 260-row calls of four (medians of 30).
+_PRODUCT_BLOCKS = 4
 
 # ``_each_block`` starts threads only on this many blocks or more. On 2 CPUs,
 # threads on a 20-block feature copy and a 31-block cosine kernel made the
@@ -146,8 +162,10 @@ def _ncm_scores(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
 
 
 def _ncm_nearest(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """The first argmax of each row of ``_ncm_scores(rows, candidates)``,
-    bit for bit, without its N x K matrix. Per row block, a BLAS product
+    """The first argmax of each row of ``_ncm_scores(unit_rows(rows,
+    "feature"), candidates)``, bit for bit, without its N x K matrix or the
+    N x d unit rows: each row block is normalised by ``unit_rows``, which
+    names a zero row. Per row block, a BLAS product
     gives |m|^2 - 2 u.m, off |u - m|^2 - |u|^2 by E1; the direct sum is off
     by E2; both stay below (d + 8) eps (|u| + max |m|)^2 / 2 in any order or
     FMA. Only candidates within 2 (E1 + E2) of the row's least product can be
@@ -165,7 +183,7 @@ def _ncm_nearest(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
 
     def pick(block: slice, buffers: tuple) -> None:
         near, left, right, exact = buffers
-        u = rows[block]
+        u = unit_rows(rows[block], "feature", block.start)
         near = np.matmul(u, twice.T, out=near[: len(u)])
         near += squares
         reach = (np.sqrt(np.einsum("ij,ij->i", u, u)) + farthest) ** 2 + np.finfo(np.float64).tiny
@@ -419,14 +437,74 @@ def check_dim(subject: str, dim: int, owner: str, expected: int) -> None:
         raise ValidationError(f"{subject} dim {dim}, {owner} expects {expected}")
 
 
-def unit_rows(matrix: np.ndarray, what: str) -> np.ndarray:
-    """``matrix`` with every row scaled to unit L2 norm; raise, naming the
-    first offending ``what`` row, if a row has zero norm."""
-    norms = np.linalg.norm(matrix, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
+def _refuse_zero_rows(block: np.ndarray, first: int, what: str) -> None:
+    """Raise, naming the first zero row of ``block`` by its index ``first +
+    i`` in the ``what`` matrix, if ``block`` has one."""
+    zero = np.flatnonzero(~block.any(axis=1))
     if zero.size:
-        raise ValidationError(f"{what} row {int(zero[0])} has zero norm")
-    return matrix / norms[:, None]
+        raise ValidationError(f"{what} row {first + int(zero[0])} has zero norm")
+
+
+def unit_rows(matrix: np.ndarray, what: str, first: int = 0) -> np.ndarray:
+    """A new ``matrix`` with every row scaled to unit L2 norm; raise, naming
+    the first offending ``what`` row, if a row has zero norm. A block of a
+    larger matrix passes the index of its first row there as ``first``, so
+    that the error names the row as that matrix counts it.
+
+    A row is divided by its ``np.linalg.norm``, the same bits in any block.
+    Where that norm is 0, inf or outside [2^-500, 2^500], a square may have
+    overflowed or underflowed; such a row is first scaled by the power of two
+    that brings its largest entry into [0.5, 1). That scaling is exact, so a
+    row times 2^k, k in [-1000, 1000], has the same unit bits as the row.
+    """
+    with np.errstate(over="ignore", under="ignore"):  # the rows they touch are redone below
+        norms = np.linalg.norm(matrix, axis=1)
+    redo = np.flatnonzero(~((norms >= 2.0**-500) & (norms <= 2.0**500)))
+    if redo.size:
+        _refuse_zero_rows(matrix, first, what)
+        _, exponents = np.frexp(np.abs(matrix[redo]).max(axis=1))
+        scaled = np.ldexp(matrix[redo], -exponents[:, None])
+        norms[redo] = 1.0
+    unit = matrix / norms[:, None]
+    if redo.size:
+        unit[redo] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
+    return unit
+
+
+class _UnitProduct(NamedTuple):
+    """The N x C matrix ``unit_rows(rows) @ unit.T``, for ``unit`` rows of
+    unit norm, defined by its chunks and never held whole.
+
+    A chunk is ``_PRODUCT_BLOCKS`` consecutive ``_row_blocks`` of the
+    product, counted from row 0, so which rows share a BLAS call depends on
+    C and ``_BLOCK_BYTES`` (and N only where the last chunk ends): the rows
+    of a whole chunk have the same bits at any N, and no row's bits depend
+    on the CPU count or on where ``rows`` is stored. The chunks are computed
+    one at a time on the calling thread, which leaves the threading to BLAS.
+    """
+
+    rows: np.ndarray  # features: errors name a zero row "feature row i"
+    unit: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.rows.shape[0], self.unit.shape[0]
+
+    def each_block(self, work) -> None:
+        """Call ``work(rows, block)`` for each of the product's
+        ``_row_blocks``, ``block`` holding those rows of the product, one
+        chunk's blocks after another; one chunk is held at a time."""
+        blocks = _row_blocks(self.rows.shape[0], self.unit.itemsize * self.unit.shape[0])
+        for start in range(0, len(blocks), _PRODUCT_BLOCKS):
+            chunk = blocks[start : start + _PRODUCT_BLOCKS]
+            first, stop = chunk[0].start, chunk[-1].stop
+            # C-ordered, so that the norms and BLAS see one layout however ``rows`` is stored
+            unit = unit_rows(np.ascontiguousarray(self.rows[first:stop]), "feature", first)
+            product = unit @ self.unit.T
+            del unit  # one chunk of the product is all that is held
+            for rows in chunk:
+                work(rows, product[rows.start - first : rows.stop - first])
+            del product  # before the next chunk is computed
 
 
 def check_gamma(gamma) -> float:

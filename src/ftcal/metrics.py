@@ -177,11 +177,16 @@ def _absent_mass(rows: np.ndarray, row_max: np.ndarray, groups) -> np.ndarray:
     return z_absent / (z_seen + z_absent)
 
 
-def _stats_kernel(values: np.ndarray, labels: np.ndarray, partition: LabelPartition) -> _GroupStats:
+def _stats_kernel(values, labels: np.ndarray, partition: LabelPartition) -> _GroupStats:
     """Max, argmax and sum over each group's columns, the ground-truth logit
     and the runner-up absent logit of every row of ``values`` (N x C, C the
-    partition's class count), computed in one pass of row blocks through
-    ``data._each_block``. ``labels`` holds N column indices.
+    partition's class count), computed in one pass of row blocks.
+    ``labels`` holds N column indices.
+
+    ``values`` is a stored array, whose blocks go through
+    ``data._each_block``, or a ``data._UnitProduct``, whose blocks it
+    computes one chunk at a time; each row's statistics are the same bits
+    in any block.
     """
     num_rows, num_cols = values.shape
     groups = (partition.group_indices("S"), partition.group_indices("U"))
@@ -190,8 +195,7 @@ def _stats_kernel(values: np.ndarray, labels: np.ndarray, partition: LabelPartit
     sums = [np.empty(num_rows) for _ in groups]
     gt, next_u = np.empty(num_rows), np.empty(num_rows)
 
-    def block_stats(rows: slice) -> None:
-        block = values[rows]
+    def block_stats(rows: slice, block: np.ndarray) -> None:
         at = np.arange(block.shape[0])
         gt[rows] = block[at, labels[rows]]
         for cols, best, arg, total in zip(groups, maxima, argmaxima, sums):
@@ -206,7 +210,11 @@ def _stats_kernel(values: np.ndarray, labels: np.ndarray, partition: LabelPartit
         sub[at, idx] = -np.inf
         next_u[rows] = sub.max(axis=1) + 0.0
 
-    _each_block(_row_blocks(num_rows, values.itemsize * num_cols), block_stats)
+    if isinstance(values, np.ndarray):
+        blocks = _row_blocks(num_rows, values.itemsize * num_cols)
+        _each_block(blocks, lambda rows: block_stats(rows, values[rows]))
+    else:
+        values.each_block(block_stats)
     # a lookup table rather than np.isin, whose fixed cost dominates small inputs
     absent = np.zeros(num_cols, dtype=bool)
     absent[groups[1]] = True

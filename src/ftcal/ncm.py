@@ -72,25 +72,21 @@ def class_means(features: LabeledFeatures, classes) -> ClassMeans:
     )
 
 
-def _unit_features(features: LabeledFeatures, means: ClassMeans) -> np.ndarray:
-    check_dim("features have", features.dim, "each class mean", means.means.shape[1])
-    return unit_rows(features.values, "feature")
-
-
 def ncm_predict(features: LabeledFeatures, means: ClassMeans, restriction) -> np.ndarray:
     """Per-row nearest class mean in Euclidean distance, restricted to
     ``restriction``; ties resolve to the lowest class index.
 
-    Features are unit-normalized before the distance computation, so
-    positively rescaling a row never changes its prediction.
+    Each row block of features is unit-normalized as the pass reaches it,
+    by ``unit_rows``' rule, so positively rescaling a row never changes its
+    prediction.
     """
     wanted = _class_set(restriction, "restriction", repeats="merge")
     missing = wanted[~np.isin(wanted, means.class_ids)]
     if missing.size:
         raise MissingClassError(f"no class mean available for class {missing[0]}")
-    unit = _unit_features(features, means)
+    check_dim("features have", features.dim, "each class mean", means.means.shape[1])
     positions = np.searchsorted(means.class_ids, wanted)
-    return wanted[_ncm_nearest(unit, means.means[positions])]
+    return wanted[_ncm_nearest(features.values, means.means[positions])]
 
 
 def ncm_logits(features: LabeledFeatures, means: ClassMeans) -> LabeledLogits:
@@ -104,5 +100,6 @@ def ncm_logits(features: LabeledFeatures, means: ClassMeans) -> LabeledLogits:
     """
     if not np.array_equal(means.class_ids, np.arange(means.class_ids.size)):
         raise ValidationError("ncm_logits needs the means of exactly the classes 0..K-1")
-    scores = _ncm_scores(_unit_features(features, means), means.means)
+    check_dim("features have", features.dim, "each class mean", means.means.shape[1])
+    scores = _ncm_scores(unit_rows(features.values, "feature"), means.means)
     return LabeledLogits(scores, features.labels)

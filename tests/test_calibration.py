@@ -26,8 +26,8 @@ from ftcal import (
     predict_restricted,
     seen_unseen_curve,
 )
-from ftcal import data
-from ftcal.calibration import select_balanced_gamma
+from ftcal import data, metrics
+from ftcal.calibration import _cosine_scores, select_balanced_gamma
 from ftcal.data import unit_rows
 from ftcal.metrics import _group_stats
 from ftcal.rng import derive_rng
@@ -396,10 +396,10 @@ class TestPredictCosine:
         p = LabelPartition(num_classes, tuple(seen.tolist()))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(data, "_BLOCK_BYTES", block_bytes)
-            cosines = LabeledLogits(
-                unit_rows(values, "feature") @ unit_rows(weights, "weight").T,
-                np.zeros(num_rows, dtype=np.int64),
-            )
+            # the block-canonical cosines: the chunks predict_cosine reads, stacked
+            blocks = []
+            _cosine_scores(feats, head).each_block(lambda rows, block: blocks.append(block))
+            cosines = LabeledLogits(np.vstack(blocks), np.zeros(num_rows, dtype=np.int64))
             stats = _group_stats(cosines, p)
             flips = stats.max_s - stats.max_u
             gammas = np.concatenate(
@@ -437,10 +437,41 @@ class TestPredictCosine:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        cosines = feats.num_samples * head.num_classes * 8
-        unit = feats.values.nbytes + head.weights.nbytes
-        # no room for a second 2000 x 1000 array (16 MB)
-        assert peak < cosines + unit + 2 * data._BLOCK_BYTES, f"peak {peak} B"
+        chunk = data._row_blocks(2000, 8 * 1000)[0].stop * data._PRODUCT_BLOCKS * head.num_classes * 8
+        unit = head.weights.nbytes
+        # the unit head and one 260-row chunk of cosines (2 MB) with its
+        # temporaries, not the 16 MB 2000 x 1000 matrix
+        assert peak < unit + 2 * chunk, f"peak {peak} B, chunk {chunk} B"
+
+    @pytest.mark.parametrize("num_classes, dim, block_bytes", [(1000, 64, None), (40, 24, 2048), (3, 5, 64)])
+    def test_a_view_and_a_misaligned_copy_give_the_same_bits(self, num_classes, dim, block_bytes, monkeypatch):
+        # and a Fortran-ordered copy, on shapes one row either side of a chunk
+        # boundary; at 64 bytes a chunk is 8 rows, so 17 rows end in a chunk of one
+        if block_bytes is not None:
+            monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
+        chunk = data._row_blocks(4096, 8 * num_classes)[0].stop * data._PRODUCT_BLOCKS
+        rng = np.random.default_rng(num_classes)
+        head = LinearHead(rng.normal(size=(num_classes, dim)))
+        unit = unit_rows(head.weights, "weight")
+        p = LabelPartition(num_classes, range(0, num_classes, 2))
+        stored = rng.normal(size=(2 * chunk + 4, dim)) * 10.0 ** rng.integers(-3, 4, size=(2 * chunk + 4, 1))
+        whole_chunks = []
+        for num_rows in (2 * chunk - 1, 2 * chunk + 1):
+            view = stored[3 : 3 + num_rows]  # its row 0 is row 3 of the stored array
+            misaligned = np.empty(num_rows * dim + 1)[1:].reshape(num_rows, dim)  # 8 bytes off
+            misaligned[...] = view
+            unlabeled = np.zeros(num_rows, dtype=np.int64)
+            fields, labels = [], []
+            for rows in (view, misaligned, np.asfortranarray(view)):
+                stats = metrics._stats_kernel(data._UnitProduct(rows, unit), unlabeled, p)
+                fields.append([field.tobytes() for field in stats])
+                labels.append(metrics._predict(stats, 0.1).tobytes())
+            labels.append(predict_cosine(LabeledFeatures(view, unlabeled), head, p, 0.1).tobytes())
+            assert fields[0] == fields[1] == fields[2], f"{num_rows} rows"
+            assert len(set(labels)) == 1, f"{num_rows} rows"
+            whole_chunks.append([field[:chunk] for field in stats])
+        # the first chunk is whole in both shapes, so the number of rows moves none of its bits
+        assert [f.tobytes() for f in whole_chunks[0]] == [f.tobytes() for f in whole_chunks[1]]
 
     def test_zero_norm_rows_are_named(self):
         p = LabelPartition(2, (0,))

@@ -999,7 +999,7 @@ class TestNcmScoresOnThreads:
                 rows, candidates = rng.normal(size=(int(rng.integers(20, 400)), 5)), rng.normal(size=(3, 5))
                 assert _ncm_scores(rows, candidates).tobytes() == _broadcast_scores(rows, candidates).tobytes()
                 wide = rng.normal(size=(20, 5))  # two rows a block for the nearest-mean kernel too
-                nearest = np.argmax(_broadcast_scores(rows, wide), axis=1)
+                nearest = np.argmax(_broadcast_scores(data.unit_rows(rows, "feature"), wide), axis=1)
                 assert data._ncm_nearest(rows, wide).tobytes() == nearest.tobytes()
         finally:
             sys.setswitchinterval(interval)
@@ -1170,3 +1170,67 @@ class TestRowBlockPassesOnThreads:
         for _ in range(6):
             with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
                 absent_binary_prob(logits, partition)
+
+
+class TestUnitRows:
+    """``unit_rows`` scales each row by its norm, or first by a power of two
+    where a square could overflow or underflow, so a positive rescaling of a
+    row moves no unit bit when it is a power of two, and no NCM or cosine
+    prediction at any scale."""
+
+    def _instance(self):
+        rng = np.random.default_rng(34)
+        rows = rng.normal(size=(40, 16))
+        means = class_means(LabeledFeatures(rng.normal(size=(60, 16)), np.arange(60) % 6), range(6))
+        return rows, means, LinearHead(rng.normal(size=(6, 16))), LabelPartition(6, (0, 2, 3))
+
+    def _predictions(self, rows, means, head, partition):
+        features = LabeledFeatures(rows, np.zeros(len(rows), dtype=np.int64))
+        return ncm_predict(features, means, range(6)), predict_cosine(features, head, partition, 0.05)
+
+    def test_powers_of_two_move_no_bit(self):
+        rows, means, head, partition = self._instance()
+        rows = rows[:5]
+        exponents = np.arange(-1000, 1001)
+        scaled = np.vstack([np.ldexp(rows, k) for k in exponents])
+        repeated = np.tile(rows, (exponents.size, 1))
+        assert np.array_equal(np.ldexp(scaled, -np.repeat(exponents, 5)[:, None]), repeated)  # exact
+        unit = data.unit_rows(rows, "feature")
+        assert data.unit_rows(scaled, "feature").tobytes() == np.tile(unit, (exponents.size, 1)).tobytes()
+        expected = self._predictions(rows, means, head, partition)
+        for got, want in zip(self._predictions(scaled, means, head, partition), expected):
+            assert got.tolist() == np.tile(want, exponents.size).tolist()
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300, 1e-170, 1e-300])
+    def test_rows_beyond_the_square_range_keep_their_predictions(self, scale):
+        rows, means, head, partition = self._instance()
+        expected = self._predictions(rows, means, head, partition)
+        for got, want in zip(self._predictions(rows * scale, means, head, partition), expected):
+            assert got.tolist() == want.tolist()
+
+    def test_only_a_row_of_zeros_has_zero_norm(self):
+        tiny = np.array([[5e-324, 0.0], [0.0, -1e-320], [3e-310, 4e-310]])
+        assert data.unit_rows(tiny, "feature").tolist() == [[1.0, 0.0], [0.0, -1.0], [0.6, 0.8]]
+        for zero_row in (0, 2):
+            with_zero = tiny.copy()
+            with_zero[zero_row] = -0.0
+            with pytest.raises(ValidationError, match=f"^feature row {zero_row} has zero norm$"):
+                data.unit_rows(with_zero, "feature")
+
+    def test_a_zero_row_past_the_first_block_is_named_by_its_index(self, monkeypatch):
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 64)  # two rows a block
+        rows, means, head, partition = self._instance()
+        rows[[29, 33]] = 0.0
+        features = LabeledFeatures(rows, np.zeros(40, dtype=np.int64))
+        for call in (
+            lambda: ncm_predict(features, means, range(6)),
+            lambda: predict_cosine(features, head, partition, 0.0),
+        ):
+            with pytest.raises(ValidationError, match="^feature row 29 has zero norm$"):
+                call()
+
+    def test_rows_inside_the_square_range_keep_the_plain_quotient(self):
+        rng = np.random.default_rng(35)
+        rows = rng.normal(size=(300, 33)) * 10.0 ** rng.integers(-140, 141, size=(300, 1))
+        expected = rows / np.linalg.norm(rows, axis=1)[:, None]
+        assert data.unit_rows(rows, "feature").tobytes() == expected.tobytes()

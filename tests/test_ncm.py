@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -198,17 +199,21 @@ class TestNcmPredict:
         monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
         rng = np.random.default_rng(40)
         expansion_missed = 0
+        labels = hashlib.sha256()
         for dim in (1, 2, 3, 255, 256, 1000):
             for _ in range(4):
                 features, means, restriction = _near_tie_case(rng, dim)
                 scores = ncm_logits(features, means).values[:, restriction]
                 expected = restriction[np.argmax(scores, axis=1)]
                 assert ncm_predict(features, means, restriction).tobytes() == expected.tobytes(), f"d {dim}"
+                labels.update(expected.tobytes())
                 unit = data.unit_rows(features.values, "feature")
                 chosen = means.means[restriction]
                 expansion = np.einsum("ij,ij->i", chosen, chosen) - 2.0 * unit @ chosen.T
                 expansion_missed += int(np.sum(restriction[np.argmin(expansion, axis=1)] != expected))
         assert expansion_missed > 0
+        # the labels of every case, as ncm_predict gave them when it normalised all rows before its pass
+        assert labels.hexdigest() == "baba15e9ffcfea7f9f1e9ed0039d39671375e5d0068b1f5f5423fba1cf7f30e6"
 
     def test_holds_no_score_matrix(self):
         rng = np.random.default_rng(42)
@@ -221,7 +226,8 @@ class TestNcmPredict:
             tracemalloc.stop()
         # a block of BLAS scores and one of gathered pairs per thread, not the 16 MB N x K matrix
         assert peak < nearest.nbytes + 2 * data._cpu_count() * data._BLOCK_BYTES + 2**20, f"peak {peak} B"
-        assert nearest.tobytes() == np.argmax(data._ncm_scores(rows, candidates), axis=1).tobytes()
+        unit = data.unit_rows(rows, "feature")
+        assert nearest.tobytes() == np.argmax(data._ncm_scores(unit, candidates), axis=1).tobytes()
 
     def test_the_blas_thread_count_moves_no_bit(self):
         script = (
