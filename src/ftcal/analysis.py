@@ -85,7 +85,8 @@ def delta_w_similarity(w_pre: LinearHead, w_ft: LinearHead, subset) -> Similarit
     """Pairwise cosine similarity of per-class weight-update directions.
 
     Each class's update is the fine-tuned row minus the pre-trained row,
-    L2-normalized per row before comparison.
+    scaled to unit norm by ``unit_rows`` before comparison, so an update of
+    any scale has the same similarities.
     """
     if w_pre.weights.shape != w_ft.weights.shape:
         raise ValidationError(
@@ -96,11 +97,10 @@ def delta_w_similarity(w_pre: LinearHead, w_ft: LinearHead, subset) -> Similarit
         raise ValidationError("subset must contain at least 2 classes")
 
     delta = w_ft.weights[classes] - w_pre.weights[classes]
-    norms = np.linalg.norm(delta, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
+    zero = np.flatnonzero(~delta.any(axis=1))
     if zero.size:
         raise DegenerateInputError(f"class {classes[int(zero[0])]} has zero weight change")
-    unit = delta / norms[:, None]
+    unit = unit_rows(delta, "update")
     matrix = unit @ unit.T
     m = len(classes)
     mean_offdiag = float((matrix.sum() - np.trace(matrix)) / (m * (m - 1)))

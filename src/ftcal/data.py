@@ -1,35 +1,34 @@
 """Label-space partition and the labeled matrix containers used everywhere.
 
 Class indices are 0-based. All real values are float64. Every container is
-immutable after construction (arrays are copied and marked read-only), so
-instances are safe to share across threads. The copy is made in row blocks,
-each checked for non-finite entries as it is copied. Every dataclass that
-holds arrays, here and elsewhere, compares and hashes by identity. A pickle
-or copy of a container is rebuilt through its constructor (``_Frozen``), so
-``copy.copy`` copies and checks the arrays instead of sharing them.
+immutable after construction (arrays are copied in C order and marked
+read-only), so instances are safe to share across threads. The copy is
+made in row blocks, each checked for non-finite entries as it is copied.
+Every dataclass that holds arrays, here and elsewhere, compares and hashes
+by identity. A pickle or copy of a container is rebuilt through its
+constructor (``_Frozen``), so ``copy.copy`` copies and checks the arrays
+instead of sharing them.
 
 Because containers never change, ``metrics`` may memoise on them: its
 ``_group_stats`` keeps a ``LabeledLogits``' per-sample group statistics and
 seen-unseen curve on the instance, and documents the memo's layout.
 
-It also owns the row primitives every kernel shares. ``_row_blocks`` cuts
-rows into blocks of the ``_BLOCK_BYTES`` budget, and ``_each_block`` runs a
-pass over them on one thread per CPU of the affinity mask (``_cpu_count``,
-as ``io`` counts them) once there are ``_THREAD_BLOCKS`` blocks. Every
-row-block pass goes through it: the container copy and check here, the one
-squared-distance kernel ``_score_block`` (``_ncm_scores`` for NCM logits and
-the greedy split, ``_ncm_nearest`` for NCM predictions), the statistics
-kernel in ``metrics`` on a stored matrix and the absent probability in
-``analysis``. Each block writes only its own rows, computed as on one
-thread, so bits and faults are the same at any CPU count. Memory is one
-block's temporaries per thread, and ``taskset -c 0`` keeps all of it on one
-CPU.
+It also owns the row primitives every kernel shares, under one thread
+rule. ``_row_blocks`` cuts rows into blocks of the ``_BLOCK_BYTES`` budget.
+A pass without BLAS runs through ``_each_block``, on one thread per CPU of
+the affinity mask (``_cpu_count``, as ``io`` counts them) from
+``_THREAD_BLOCKS`` blocks on: the container copy and check here,
+``_ncm_scores`` (NCM logits, the greedy split), the statistics kernel in
+``metrics`` on a stored matrix and the absent probability in ``analysis``.
+Each block writes only its own rows, computed as on one thread, so bits
+and faults are the same at any CPU count. Memory is one block's
+temporaries per thread; ``taskset -c 0`` keeps all of it on one CPU.
 
-A computed score matrix, the cosine head, is a ``_UnitProduct``: it is
-defined by chunks of ``_PRODUCT_BLOCKS`` blocks at fixed row offsets, one
-BLAS product each, which the statistics kernel reads one at a time on the
-calling thread, so its memory is one chunk. Cosines were one product of the
-whole matrix before; the chunks could move their last bit, once.
+A pass that makes BLAS products (the cosine head's statistics, the NCM
+shortlist of ``_ncm_nearest``) reads the chunks of a ``_UnitProduct`` on
+the calling thread, one at a time, which leaves the threading to BLAS: its
+memory is one chunk. Cosines were one product of the whole matrix before;
+the chunks could move their last bit, once.
 
 And ``_class_set`` is the one reader of every collection of class indices,
 ``_split_per_class`` the one per-class train/test split (the toy's and
@@ -87,42 +86,39 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _each_block(blocks: list[slice], work, per_thread=None) -> None:
-    """Call ``work(block)`` on every slice of ``blocks``, or
-    ``work(block, buffer)`` with one ``per_thread()`` buffer per thread.
+def _each_block(blocks: list[slice], work) -> None:
+    """Call ``work(block)`` on every slice of ``blocks``.
 
     From ``_THREAD_BLOCKS`` blocks on, they go out in order, under a lock,
     to one thread per CPU, the caller among them; each helper runs in a
     copy of the caller's context, so its ``np.errstate`` holds in every
-    block. The buffers are made here, not in a thread's own malloc arena,
-    which would stay resident. Every thread is joined before the call
-    returns; the lowest-numbered failing block's exception is raised (a
-    thread finishes the block it holds, so every lower block has run).
+    block. Every thread is joined before the call returns; the
+    lowest-numbered failing block's exception is raised (a thread finishes
+    the block it holds, so every lower block has run).
     """
     workers = min(_cpu_count(), len(blocks)) if len(blocks) >= _THREAD_BLOCKS else 1
-    buffers = [() if per_thread is None else (per_thread(),) for _ in range(workers)]
     pending = iter(enumerate(blocks))
     taking = threading.Lock()
     faults: dict[int, BaseException] = {}  # by block index; any entry stops every thread
 
-    def take_blocks(buffer: tuple) -> None:
+    def take_blocks() -> None:
         while not faults:
             with taking:
                 index, block = next(pending, (None, None))
             if block is None:
                 return
             try:
-                work(block, *buffer)
+                work(block)
             except BaseException as fault:  # raised in the calling thread below
                 faults[index] = fault
 
     started = []
     try:
-        for buffer in buffers[1:]:
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(take_blocks, buffer))
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(take_blocks,))
             thread.start()
             started.append(thread)
-        take_blocks(buffers[0])
+        take_blocks()
     finally:
         for thread in started:
             thread.join()
@@ -142,49 +138,46 @@ def _score_block(rows: np.ndarray, candidates: np.ndarray, slab: np.ndarray, sco
 
 def _ncm_scores(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Negative squared Euclidean distance of each row of ``rows`` to each
-    row of ``candidates``, computed in row blocks of ``_BLOCK_BYTES``.
+    row of ``candidates``, in ``_each_block`` row blocks of ``_BLOCK_BYTES``.
 
     Each entry is the direct sum of squared differences, not the
     |u|^2 - 2 u.m + |m|^2 expansion, whose cancellation can flip near-tie
-    argmins. Through ``_each_block``, each thread squares its blocks in one
-    slab of a block's size, held beside the scores, and each entry is the
-    same sum over a contiguous slab row on any thread.
+    argmins. Each block squares its differences in a slab of its own,
+    freed before the thread takes its next block, and each entry is the
+    same sum over a contiguous slab row in any block.
     """
     scores = np.empty((rows.shape[0], candidates.shape[0]))
-    blocks = _row_blocks(rows.shape[0], rows.itemsize * candidates.size)
-    slab_rows = max((block.stop - block.start for block in blocks), default=0)
 
-    def score(block: slice, slab: np.ndarray) -> None:
-        _score_block(rows[block], candidates, slab[: block.stop - block.start], scores[block])
+    def score(block: slice) -> None:
+        slab = np.empty((block.stop - block.start, *candidates.shape))
+        _score_block(rows[block], candidates, slab, scores[block])
 
-    _each_block(blocks, score, per_thread=lambda: np.empty((slab_rows, *candidates.shape)))
+    _each_block(_row_blocks(rows.shape[0], rows.itemsize * candidates.size), score)
     return scores
 
 
 def _ncm_nearest(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """The first argmax of each row of ``_ncm_scores(unit_rows(rows,
-    "feature"), candidates)``, bit for bit, without its N x K matrix or the
-    N x d unit rows: each row block is normalised by ``unit_rows``, which
-    names a zero row. Per row block, a BLAS product
-    gives |m|^2 - 2 u.m, off |u - m|^2 - |u|^2 by E1; the direct sum is off
-    by E2; both stay below (d + 8) eps (|u| + max |m|)^2 / 2 in any order or
-    FMA. Only candidates within 2 (E1 + E2) of the row's least product can be
-    the argmin: ``_score_block`` scores those pairs, gathered into one block
-    budget, into a row of -inf. BLAS never decides; a NaN or inf bound keeps all."""
+    "feature"), candidates)``, bit for bit, from the chunks of
+    ``_UnitProduct(rows, candidates)``: no N x K matrix and no N x d unit
+    rows. Per row block, the product block u.m becomes |m|^2 - 2 u.m, off
+    |u - m|^2 - |u|^2 by E1; the direct sum is off by E2; both stay below
+    (d + 8) eps (|u| + max |m|)^2 / 2 in any order or FMA. Only candidates
+    within 2 (E1 + E2) of the row's least product can be the argmin:
+    ``_score_block`` scores those pairs, gathered into one block budget,
+    into a row of -inf. BLAS never decides; a NaN or inf bound keeps all."""
     dim = candidates.shape[1]
-    squares, twice = np.einsum("ij,ij->i", candidates, candidates), -2.0 * candidates
+    squares = np.einsum("ij,ij->i", candidates, candidates)
     # 2 (E1 + E2) at 16 times the 1/2 above, and 1.01 for rounding here; + tiny covers underflow
     slack = 4 * 8 * 1.01 * (dim + 8) * np.finfo(np.float64).eps
     farthest = np.sqrt(squares.max())
-    blocks = _row_blocks(rows.shape[0], rows.itemsize * candidates.shape[0])
-    block_rows = max((block.stop - block.start for block in blocks), default=0)
     pairs = max(1, _BLOCK_BYTES // max(1, 2 * rows.itemsize * dim))
     nearest = np.empty(rows.shape[0], dtype=np.int64)
+    # made once per call: a fresh gather per shortlist fragmented the heap (+2 MB peak RSS on ``features``)
+    left, right, exact = np.empty((pairs, dim)), np.empty((pairs, 1, dim)), np.empty((pairs, 1))
 
-    def pick(block: slice, buffers: tuple) -> None:
-        near, left, right, exact = buffers
-        u = unit_rows(rows[block], "feature", block.start)
-        near = np.matmul(u, twice.T, out=near[: len(u)])
+    def pick(block: slice, near: np.ndarray, u: np.ndarray) -> None:
+        near *= -2.0
         near += squares
         reach = (np.sqrt(np.einsum("ij,ij->i", u, u)) + farthest) ** 2 + np.finfo(np.float64).tiny
         at, of = np.nonzero(~(near > (near.min(axis=1) + slack * reach)[:, None]))
@@ -197,8 +190,7 @@ def _ncm_nearest(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
             near[i, j] = exact[: i.size, 0]
         np.argmax(near, axis=1, out=nearest[block])
 
-    shapes = ((block_rows, candidates.shape[0]), (pairs, dim), (pairs, 1, dim), (pairs, 1))
-    _each_block(blocks, pick, per_thread=lambda: tuple(np.empty(shape) for shape in shapes))
+    _UnitProduct(rows, candidates).each_block(pick)
     return nearest
 
 
@@ -255,10 +247,10 @@ def _real_array(values, name: str) -> np.ndarray:
 
 
 def _frozen_array(values, dtype, name: str, ndim: int, flatten: bool = False) -> np.ndarray:
-    """Read-only copy of ``_real_array(values)`` as ``dtype``, flattened to
-    one dimension first if ``flatten``; raise unless it has ``ndim``
-    dimensions and, for a float dtype, only finite entries or, for an
-    integer dtype, only integral ones (``int()`` would truncate 0.7 to 0).
+    """Read-only C-ordered copy of ``_real_array(values)`` as ``dtype``,
+    flattened to one dimension first if ``flatten``; raise unless it has
+    ``ndim`` dimensions and, for a float dtype, only finite entries or, for
+    an integer dtype, only integral ones (``int()`` would truncate 0.7 to 0).
 
     It is copied in ``_each_block`` row blocks, each checked while it is
     still in cache, so no full-size boolean temporary is made.
@@ -268,7 +260,7 @@ def _frozen_array(values, dtype, name: str, ndim: int, flatten: bool = False) ->
         source = source.reshape(-1)
     if source.ndim != ndim:
         raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {source.shape}")
-    arr = np.empty_like(source, dtype=dtype, subok=False)  # the memory order np.array keeps
+    arr = np.empty(source.shape, dtype)  # so that a row reduction sums one way for any input
     check_finite = arr.dtype.kind == "f"
     check_integral = arr.dtype.kind in "iu" and source.dtype.kind == "f"
 
@@ -472,39 +464,43 @@ def unit_rows(matrix: np.ndarray, what: str, first: int = 0) -> np.ndarray:
 
 
 class _UnitProduct(NamedTuple):
-    """The N x C matrix ``unit_rows(rows) @ unit.T``, for ``unit`` rows of
-    unit norm, defined by its chunks and never held whole.
+    """The N x C matrix ``unit_rows(rows) @ columns.T``, defined by its
+    chunks and never held whole.
 
-    A chunk is ``_PRODUCT_BLOCKS`` consecutive ``_row_blocks`` of the
-    product, counted from row 0, so which rows share a BLAS call depends on
-    C and ``_BLOCK_BYTES`` (and N only where the last chunk ends): the rows
-    of a whole chunk have the same bits at any N, and no row's bits depend
-    on the CPU count or on where ``rows`` is stored. The chunks are computed
-    one at a time on the calling thread, which leaves the threading to BLAS.
+    A chunk is ``_PRODUCT_BLOCKS`` consecutive ``_row_blocks`` of rows of
+    ``itemsize * max(C, d)`` bytes, counted from row 0, so that a chunk's
+    unit rows stay inside the block budget as well as its product. Which
+    rows share a BLAS call depends on C, d and ``_BLOCK_BYTES`` (and N only
+    where the last chunk ends): the rows of a whole chunk have the same bits
+    at any N, and no row's bits depend on the CPU count. ``rows`` is a
+    container's C-ordered array, so the norms see one layout. The chunks are
+    computed one at a time on the calling thread, which leaves the threading
+    to BLAS.
     """
 
     rows: np.ndarray  # features: errors name a zero row "feature row i"
-    unit: np.ndarray
+    columns: np.ndarray  # C x d: unit weight rows for cosines, class means for NCM
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.rows.shape[0], self.unit.shape[0]
+        return self.rows.shape[0], self.columns.shape[0]
 
     def each_block(self, work) -> None:
-        """Call ``work(rows, block)`` for each of the product's
-        ``_row_blocks``, ``block`` holding those rows of the product, one
-        chunk's blocks after another; one chunk is held at a time."""
-        blocks = _row_blocks(self.rows.shape[0], self.unit.itemsize * self.unit.shape[0])
+        """Call ``work(rows, block, unit)`` for each of the product's
+        ``_row_blocks``, ``block`` holding those rows of the product, which
+        ``work`` may overwrite, and ``unit`` their unit rows, one chunk's
+        blocks after another; one chunk is held at a time."""
+        row_bytes = self.columns.itemsize * max(self.columns.shape[0], self.rows.shape[1])
+        blocks = _row_blocks(self.rows.shape[0], row_bytes)
         for start in range(0, len(blocks), _PRODUCT_BLOCKS):
             chunk = blocks[start : start + _PRODUCT_BLOCKS]
-            first, stop = chunk[0].start, chunk[-1].stop
-            # C-ordered, so that the norms and BLAS see one layout however ``rows`` is stored
-            unit = unit_rows(np.ascontiguousarray(self.rows[first:stop]), "feature", first)
-            product = unit @ self.unit.T
-            del unit  # one chunk of the product is all that is held
+            first = chunk[0].start
+            unit = unit_rows(self.rows[first : chunk[-1].stop], "feature", first)
+            product = unit @ self.columns.T
             for rows in chunk:
-                work(rows, product[rows.start - first : rows.stop - first])
-            del product  # before the next chunk is computed
+                local = slice(rows.start - first, rows.stop - first)
+                work(rows, product[local], unit[local])
+            del unit, product  # before the next chunk is computed
 
 
 def check_gamma(gamma) -> float:

@@ -195,7 +195,7 @@ def _stats_kernel(values, labels: np.ndarray, partition: LabelPartition) -> _Gro
     sums = [np.empty(num_rows) for _ in groups]
     gt, next_u = np.empty(num_rows), np.empty(num_rows)
 
-    def block_stats(rows: slice, block: np.ndarray) -> None:
+    def block_stats(rows: slice, block: np.ndarray, _unit=None) -> None:
         at = np.arange(block.shape[0])
         gt[rows] = block[at, labels[rows]]
         for cols, best, arg, total in zip(groups, maxima, argmaxima, sums):

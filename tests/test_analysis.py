@@ -200,6 +200,16 @@ class TestDeltaWSimilarity:
         with pytest.raises(DegenerateInputError, match="class 0"):
             delta_w_similarity(pre, ft, (0, 1, 2))
 
+    def test_the_scale_of_the_update_moves_no_bit(self):
+        # the squares of these updates underflow or overflow; unit_rows rescales them exactly
+        rng = np.random.default_rng(14)
+        pre, ft = rng.normal(size=(5, 8)), rng.normal(size=(5, 8))
+        expected = delta_w_similarity(LinearHead(pre), LinearHead(ft), range(5))
+        for scale in (2.0**-560, 2.0**530):
+            report = delta_w_similarity(LinearHead(pre * scale), LinearHead(ft * scale), range(5))
+            assert report.matrix.tobytes() == expected.matrix.tobytes()
+            assert report.mean_offdiag == expected.mean_offdiag
+
     @pytest.mark.parametrize(
         "subset, message", [((1,), "at least 2 classes"), ((0, 1, 1), "duplicate class indices")]
     )

@@ -398,7 +398,7 @@ class TestPredictCosine:
             patch.setattr(data, "_BLOCK_BYTES", block_bytes)
             # the block-canonical cosines: the chunks predict_cosine reads, stacked
             blocks = []
-            _cosine_scores(feats, head).each_block(lambda rows, block: blocks.append(block))
+            _cosine_scores(feats, head).each_block(lambda rows, block, unit: blocks.append(block))
             cosines = LabeledLogits(np.vstack(blocks), np.zeros(num_rows, dtype=np.int64))
             stats = _group_stats(cosines, p)
             flips = stats.max_s - stats.max_u
@@ -443,13 +443,32 @@ class TestPredictCosine:
         # temporaries, not the 16 MB 2000 x 1000 matrix
         assert peak < unit + 2 * chunk, f"peak {peak} B, chunk {chunk} B"
 
-    @pytest.mark.parametrize("num_classes, dim, block_bytes", [(1000, 64, None), (40, 24, 2048), (3, 5, 64)])
+    def test_wide_features_hold_one_chunk_of_unit_rows(self):
+        # d > C: a chunk is cut by the width of the features, not of the cosines
+        rng = np.random.default_rng(11)
+        feats = LabeledFeatures(rng.normal(size=(2000, 2048)), rng.integers(0, 100, 2000))
+        head = LinearHead(rng.normal(size=(100, 2048)))
+        p = LabelPartition(100, tuple(range(0, 100, 2)))
+        tracemalloc.start()
+        try:
+            predict_cosine(feats, head, p, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = data._row_blocks(2000, 8 * 2048)[0].stop * data._PRODUCT_BLOCKS * feats.dim * 8
+        # the unit head and one 128-row chunk of unit rows (2 MB), not all 2000 unit rows (33 MB)
+        assert peak < head.weights.nbytes + 2 * chunk, f"peak {peak} B, chunk {chunk} B"
+
+    @pytest.mark.parametrize(
+        "num_classes, dim, block_bytes",
+        [(1000, 64, None), (40, 24, 2048), (3, 5, 64), (100, 256, None), (5, 40, 2048)],
+    )
     def test_a_view_and_a_misaligned_copy_give_the_same_bits(self, num_classes, dim, block_bytes, monkeypatch):
-        # and a Fortran-ordered copy, on shapes one row either side of a chunk
+        # and a Fortran-ordered container, on shapes one row either side of a chunk
         # boundary; at 64 bytes a chunk is 8 rows, so 17 rows end in a chunk of one
         if block_bytes is not None:
             monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
-        chunk = data._row_blocks(4096, 8 * num_classes)[0].stop * data._PRODUCT_BLOCKS
+        chunk = data._row_blocks(4096, 8 * max(num_classes, dim))[0].stop * data._PRODUCT_BLOCKS
         rng = np.random.default_rng(num_classes)
         head = LinearHead(rng.normal(size=(num_classes, dim)))
         unit = unit_rows(head.weights, "weight")
@@ -462,7 +481,7 @@ class TestPredictCosine:
             misaligned[...] = view
             unlabeled = np.zeros(num_rows, dtype=np.int64)
             fields, labels = [], []
-            for rows in (view, misaligned, np.asfortranarray(view)):
+            for rows in (view, misaligned, LabeledFeatures(np.asfortranarray(view), unlabeled).values):
                 stats = metrics._stats_kernel(data._UnitProduct(rows, unit), unlabeled, p)
                 fields.append([field.tobytes() for field in stats])
                 labels.append(metrics._predict(stats, 0.1).tobytes())

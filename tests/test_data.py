@@ -160,6 +160,27 @@ class TestContainers:
         table = {a: "a", b: "b"}
         assert table[a] == "a" and table[b] == "b"
 
+    def test_c_fortran_and_strided_inputs_give_the_same_bits(self):
+        # the containers hold C-ordered copies, so every row reduction sums the same way
+        rng = np.random.default_rng(31)
+        values, labels = rng.normal(size=(2000, 256)), np.arange(2000) % 100
+        weights = rng.normal(size=(300, 64)), rng.normal(size=(300, 64))
+
+        def results(layout):
+            features = LabeledFeatures(layout(values), labels)
+            means = class_means(features, range(100))
+            return (
+                means.means.tobytes(),
+                ncm_logits(features, means).values.tobytes(),
+                ncm_predict(features, means, range(100)).tobytes(),
+                np.float64(linear_cka(*map(layout, weights))).tobytes(),
+            )
+
+        expected = results(np.ascontiguousarray)
+        assert results(np.asfortranarray) == expected
+        assert results(lambda a: np.repeat(a, 2, axis=1)[:, ::2]) == expected
+        assert results(lambda a: np.asfortranarray(np.repeat(a, 2, axis=1))[:, ::2]) == expected
+
     def test_hashable_logits_keep_their_statistics_memo(self):
         logits = LabeledLogits([[1.0, 2.0], [3.0, 4.0]], [0, 1])
         partition = LabelPartition(2, (0,))

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -224,10 +225,27 @@ class TestNcmPredict:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a block of BLAS scores and one of gathered pairs per thread, not the 16 MB N x K matrix
-        assert peak < nearest.nbytes + 2 * data._cpu_count() * data._BLOCK_BYTES + 2**20, f"peak {peak} B"
+        # one chunk of BLAS scores with its unit rows and a block of gathered pairs, not the 16 MB N x K matrix
+        chunk = data._row_blocks(4000, 8 * 500)[0].stop * data._PRODUCT_BLOCKS * (500 + 32) * 8
+        assert peak < nearest.nbytes + chunk + 2 * data._BLOCK_BYTES, f"peak {peak} B, chunk {chunk} B"
         unit = data.unit_rows(rows, "feature")
         assert nearest.tobytes() == np.argmax(data._ncm_scores(unit, candidates), axis=1).tobytes()
+
+    def test_starts_no_thread_on_many_blocks(self, monkeypatch):
+        # the BLAS products leave the threading to BLAS, however many blocks and CPUs there are
+        monkeypatch.setattr(data, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 1024)
+        rng = np.random.default_rng(43)
+        features = LabeledFeatures(rng.normal(size=(400, 16)), np.arange(400) % 10)
+        means = class_means(features, range(10))
+        assert len(data._row_blocks(400, 8 * 16)) >= data._THREAD_BLOCKS
+        expected = np.argmax(ncm_logits(features, means).values, axis=1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("started a thread")
+
+        monkeypatch.setattr(threading, "Thread", refuse)
+        assert ncm_predict(features, means, range(10)).tobytes() == expected.tobytes()
 
     def test_the_blas_thread_count_moves_no_bit(self):
         script = (
