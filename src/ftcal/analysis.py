@@ -151,7 +151,7 @@ def absent_binary_prob(logits: LabeledLogits, partition: LabelPartition) -> floa
     """Mean predicted probability that absent-labeled samples belong to the
     absent group (the group-level factor of the softmax decomposition)."""
     stats = _group_stats(logits, partition)
-    rows = np.flatnonzero(_labeled(stats, "U"))
+    rows = np.flatnonzero(_labeled(stats.label_absent, "U"))
     values = logits.values
     groups = (partition.group_indices("S"), partition.group_indices("U"))
     row_max = np.maximum(stats.max_s, stats.max_u)[rows]
@@ -170,7 +170,7 @@ def gt_vs_top_nongt_absent(logits: LabeledLogits, partition: LabelPartition) -> 
     stats = _group_stats(logits, partition)
     if len(partition.absent) < 2:
         raise ValidationError("needs at least 2 absent classes")
-    rows = np.flatnonzero(_labeled(stats, "U"))
+    rows = np.flatnonzero(_labeled(stats.label_absent, "U"))
     # The largest absent logit is the largest non-ground-truth one unless
     # the ground truth is its argmax; then the runner-up is.
     top = np.where(_hits(stats, logits.labels)[1][rows], stats.next_u[rows], stats.max_u[rows])

@@ -23,14 +23,15 @@ from .data import (
     LabeledLogits,
     LabelPartition,
     LinearHead,
+    _check_labels,
     _class_set,
     check_num_classes,
     make_greedy_similar_split,
     make_random_split,
 )
 from .errors import TrainingError, ValidationError
-from .metrics import acc_report, accuracy, ausuc, seen_unseen_curve
-from .ncm import class_means, ncm_logits
+from .metrics import _acc_report, _hit_rates, acc_report, ausuc, seen_unseen_curve
+from .ncm import class_means, ncm_predict
 from .pipeline import run_toy_pipeline
 from .trainer import MODES, ToySpec, default_train_config, fine_tune, gradient_check
 
@@ -122,17 +123,12 @@ def _cmd_ncm(args) -> int:
     eval_data = _load_features(args.eval_features, args.eval_labels)
     partition = io.load_partition(args.partition)
     check_num_classes("mean data has", int(mean_data.labels.max()) + 1, partition)
-    scores = ncm_logits(eval_data, class_means(mean_data, range(partition.num_classes)))
-    if args.restrict == "Y":
-        _emit(acc_report(scores, partition).as_dict())
-    else:
-        low = args.restrict.lower()
-        _emit(
-            {
-                f"acc_{group.lower()}_{low}": accuracy(scores, partition, group, args.restrict)
-                for group in ("S", "U", "Y")
-            }
-        )
+    means = class_means(mean_data, range(partition.num_classes))
+    spaces = "SUY" if args.restrict == "Y" else args.restrict
+    hits = {b: ncm_predict(eval_data, means, partition.group_indices(b)) == eval_data.labels for b in spaces}
+    _check_labels(eval_data.labels, partition.num_classes)  # after the passes, which name a zero row first
+    label_absent = partition.absent_column_mask()[eval_data.labels] == 1.0
+    _emit(_acc_report(label_absent, hits).as_dict() if args.restrict == "Y" else _hit_rates(label_absent, hits))
     return 0
 
 

@@ -353,11 +353,7 @@ class _Labeled(_Frozen):
             raise ValidationError(
                 f"row count {values.shape[0]} does not match label count {labels.shape[0]}"
             )
-        lowest = labels.min()
-        if self._labels_are_columns and (lowest < 0 or labels.max() >= values.shape[1]):
-            raise ValidationError(f"labels must lie in [0, {values.shape[1]})")
-        if lowest < 0:
-            raise ValidationError("labels must be nonnegative")
+        _check_labels(labels, values.shape[1] if self._labels_are_columns else None)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", labels)
 
@@ -420,6 +416,15 @@ def check_num_classes(subject: str, num_classes: int, partition: LabelPartition)
         raise ValidationError(
             f"{subject} {num_classes} classes but the partition has {partition.num_classes}"
         )
+
+
+def _check_labels(labels: np.ndarray, num_columns: int | None) -> None:
+    """Raise unless every label is nonnegative and, unless ``num_columns`` is None, below it."""
+    lowest = labels.min()
+    if num_columns is not None and (lowest < 0 or labels.max() >= num_columns):
+        raise ValidationError(f"labels must lie in [0, {num_columns})")
+    if lowest < 0:
+        raise ValidationError("labels must be nonnegative")
 
 
 def check_dim(subject: str, dim: int, owner: str, expected: int) -> None:

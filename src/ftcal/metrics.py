@@ -29,6 +29,7 @@ class AccReport:
     """The five-accuracy family Acc_{A/B}: samples labeled in group A,
     classified by argmax restricted to label space B."""
 
+    _PAIRS = ("acc_y_y", "acc_s_y", "acc_u_y", "acc_s_s", "acc_u_u")  # the fields below, in order
     acc_y_y: float
     acc_s_y: float
     acc_u_y: float
@@ -42,16 +43,8 @@ class AccReport:
         return self.num_seen + self.num_absent
 
     def as_dict(self) -> dict:
-        return {
-            "acc_y_y": self.acc_y_y,
-            "acc_s_y": self.acc_s_y,
-            "acc_u_y": self.acc_u_y,
-            "acc_s_s": self.acc_s_s,
-            "acc_u_u": self.acc_u_u,
-            "count_s": self.num_seen,
-            "count_u": self.num_absent,
-            "count_y": self.num_total,
-        }
+        accuracies = {pair: getattr(self, pair) for pair in self._PAIRS}
+        return {**accuracies, "count_s": self.num_seen, "count_u": self.num_absent, "count_y": self.num_total}
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,34 +239,51 @@ def _hits(stats: _GroupStats, labels: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return stats.arg_s == labels, stats.arg_u == labels
 
 
-def _labeled(stats: _GroupStats, group: str) -> np.ndarray:
-    """Mask of the samples labeled in group ``group``, "S" or "U"; raise
-    ``EmptyGroupError`` if there are none."""
-    mask = stats.label_absent if group == "U" else ~stats.label_absent
+def _space_hits(stats: _GroupStats, labels: np.ndarray, gamma: float) -> dict:
+    """``_hit_rates``' masks of S, U and Y, the last with ``gamma`` added to every absent logit."""
+    hit_s, hit_u = _hits(stats, labels)
+    absent_side = _absent_side(stats, gamma)
+    return {"S": hit_s, "U": hit_u, "Y": (hit_s & ~absent_side) | (hit_u & absent_side)}
+
+
+def _labeled(label_absent: np.ndarray, group: str) -> np.ndarray:
+    """Mask of the samples labeled in group ``group``, "S", "U" or "Y", by
+    ``label_absent``; raise ``EmptyGroupError`` if there are none."""
+    mask = label_absent if group == "U" else ~label_absent if group == "S" else np.ones_like(label_absent)
     if not mask.any():
         raise EmptyGroupError(f"no samples labeled in group {group}")
     return mask
 
 
-def _group_sizes(stats: _GroupStats) -> tuple[int, int]:
+def _group_sizes(label_absent: np.ndarray) -> tuple[int, int]:
     """(seen-labeled, absent-labeled) sample counts; both must be nonzero."""
-    return tuple(int(np.count_nonzero(_labeled(stats, group))) for group in "SU")
+    return tuple(int(np.count_nonzero(_labeled(label_absent, group))) for group in "SU")
+
+
+def _hit_rates(label_absent: np.ndarray, hits: dict, groups: str = "SUY") -> dict:
+    """{"acc_a_b": Acc_{A/B}} for each space B of ``hits``, which marks the samples
+    predicted right over B, and each group A of ``groups``: a hit count divided once
+    by the group's size, its mean bit for bit. ``_labeled`` refuses an empty group."""
+    masks = {a: _labeled(label_absent, a) for a in groups}
+    return {
+        f"acc_{a}_{b}".lower(): int(np.count_nonzero(hit & mask)) / int(np.count_nonzero(mask))
+        for b, hit in hits.items() for a, mask in masks.items()
+    }
+
+
+def _acc_report(label_absent: np.ndarray, hits: dict) -> AccReport:
+    """The ``AccReport`` of the ``_hit_rates`` of the S, U and Y ``hits``."""
+    rates = _hit_rates(label_absent, hits)
+    return AccReport(*(rates[pair] for pair in AccReport._PAIRS), *_group_sizes(label_absent))
 
 
 def accuracy(logits: LabeledLogits, partition: LabelPartition, group_a: str, group_b: str) -> float:
     """Acc_{A/B}: fraction of A-labeled samples whose argmax restricted to
     group B equals their label."""
     stats = _group_stats(logits, partition)
-    group_a = _choice(group_a, _GROUPS, "group selector")
-    group_b = _choice(group_b, _GROUPS, "group selector")
-    hit_s, hit_u = _hits(stats, logits.labels)
-    if group_b == "Y":  # acc_report's rule at gamma 0, the plain argmax
-        hits = np.where(_absent_side(stats, 0.0), hit_u, hit_s)
-    else:
-        hits = hit_s if group_b == "S" else hit_u
-    if group_a != "Y":
-        hits = hits[_labeled(stats, group_a)]
-    return float(np.mean(hits))
+    a, b = (_choice(group, _GROUPS, "group selector") for group in (group_a, group_b))
+    hits = {b: _space_hits(stats, logits.labels, 0.0)[b]}  # Y: acc_report's rule at gamma 0, the plain argmax
+    return _hit_rates(stats.label_absent, hits, a)[f"acc_{a}_{b}".lower()]
 
 
 def acc_report(logits: LabeledLogits, partition: LabelPartition, gamma: float = 0.0) -> AccReport:
@@ -283,20 +293,7 @@ def acc_report(logits: LabeledLogits, partition: LabelPartition, gamma: float = 
     """
     gamma = check_gamma(gamma)
     stats = _group_stats(logits, partition)
-    num_seen, num_absent = _group_sizes(stats)
-    correct_seen, correct_absent = _hits(stats, logits.labels)
-    absent_side = _absent_side(stats, gamma)
-    hits_s_y = int(np.count_nonzero(correct_seen & ~absent_side))
-    hits_u_y = int(np.count_nonzero(correct_absent & absent_side))
-    return AccReport(
-        acc_y_y=(hits_s_y + hits_u_y) / (num_seen + num_absent),
-        acc_s_y=hits_s_y / num_seen,
-        acc_u_y=hits_u_y / num_absent,
-        acc_s_s=int(np.count_nonzero(correct_seen)) / num_seen,
-        acc_u_u=int(np.count_nonzero(correct_absent)) / num_absent,
-        num_seen=num_seen,
-        num_absent=num_absent,
-    )
+    return _acc_report(stats.label_absent, _space_hits(stats, logits.labels, gamma))
 
 
 def decompose(logit_row, partition: LabelPartition):
@@ -334,7 +331,7 @@ def seen_unseen_curve(logits: LabeledLogits, partition: LabelPartition) -> SeenU
     memo = logits._stats_memo
     if memo[1] is stats and memo[2] is not None:
         return memo[2]
-    num_seen, num_absent = _group_sizes(stats)
+    num_seen, num_absent = _group_sizes(stats.label_absent)
     flip = stats.max_s - stats.max_u
     correct_seen, correct_absent = _hits(stats, logits.labels)
 

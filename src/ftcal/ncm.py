@@ -2,9 +2,10 @@
 
 NCM depends only on the feature geometry, never on the linear head, which
 makes it a clean probe of feature quality. Means are computed from
-normalized features and deliberately not re-normalized. ``ncm_predict`` is
-the first argmax of ``ncm_logits``, bit for bit at any BLAS thread count: it
-scores directly only the classes a BLAS product cannot rule out.
+normalized features and deliberately not re-normalized. ``ncm_predict``,
+the first argmax of ``ncm_logits`` bit for bit at any BLAS thread count,
+scores directly only the classes a BLAS product cannot rule out; ``ftcal
+ncm`` prints the reports of ``ncm_logits`` from its passes, with no N x K matrix.
 """
 
 from __future__ import annotations

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from ftcal import LabelPartition, io
+
 
 def is_absent_label(partition, labels) -> np.ndarray:
     """Boolean mask of the ``labels`` that belong to ``partition``'s absent group."""
@@ -67,3 +69,32 @@ def exact_area(accuracies) -> Fraction:
     curve order."""
     xs = [acc_s for acc_s, _, _ in accuracies] + [Fraction(0)]
     return sum(acc_u * (xs[k] - xs[k + 1]) for k, (_, acc_u, _) in enumerate(accuracies))
+
+
+def write_ncm_inputs(directory, mean_values, mean_labels, eval_values, eval_labels, partition) -> list[str]:
+    """Write ``ftcal ncm`` inputs into ``directory``, made if missing; return
+    the command's arguments."""
+    directory.mkdir(exist_ok=True)
+    args = ["ncm"]
+    for flag, name, write, value in (
+        ("--mean-features", "mean_f.csv", io.save_matrix, mean_values),
+        ("--mean-labels", "mean_l.csv", io.save_labels, mean_labels),
+        ("--eval-features", "eval_f.csv", io.save_matrix, eval_values),
+        ("--eval-labels", "eval_l.csv", io.save_labels, eval_labels),
+        ("--partition", "partition.txt", io.save_partition, partition),
+    ):
+        write(value, directory / name)
+        args += [flag, str(directory / name)]
+    return args
+
+
+def write_ncm_files(tmp_path, eval_labels=None) -> list[str]:
+    """``write_ncm_inputs`` of five overlapping classes, so that the NCM
+    accuracies are fractions, with classes 1 and 2 fine-tuned.
+    ``eval_labels`` replaces the eval labels."""
+    rng = np.random.default_rng(8)
+    centers = rng.normal(size=(5, 3))
+    labels = np.arange(100) % 5
+    mean_values, eval_values = (centers[labels] + 0.8 * rng.normal(size=(100, 3)) for _ in range(2))
+    eval_labels = labels if eval_labels is None else eval_labels
+    return write_ncm_inputs(tmp_path, mean_values, labels, eval_values, eval_labels, LabelPartition(5, (1, 2)))

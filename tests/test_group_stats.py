@@ -447,8 +447,9 @@ class TestOneKernelPass:
         assert code == 0 and "absent_binary_prob=" in capsys.readouterr().out
         assert len(kernel_passes) == 1
 
-    @pytest.mark.parametrize("restrict", ["S", "U"])
+    @pytest.mark.parametrize("restrict", ["S", "U", "Y"])
     def test_restricted_ncm_sequence(self, toy_report, kernel_passes, restrict, capsys):
+        # ftcal ncm counts hits of ncm_predict passes: no logits container, no statistics
         out = toy_report.outdir
         code = cli.main([
             "ncm",
@@ -459,8 +460,8 @@ class TestOneKernelPass:
             "--partition", f"{out}/partition.txt",
             "--restrict", restrict,
         ])
-        assert code == 0 and capsys.readouterr().out.count("=") == 3
-        assert len(kernel_passes) == 1
+        assert code == 0 and capsys.readouterr().out.count("=") == (8 if restrict == "Y" else 3)
+        assert len(kernel_passes) == 0
 
     def test_every_statistic_of_one_container(self, kernel_passes):
         values, labels, _, partition = diagnostic_instance(5, 1.0, False)

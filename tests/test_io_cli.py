@@ -34,6 +34,7 @@ from ftcal import (
 from ftcal import cli, io
 from ftcal.cli import main
 from ftcal.trainer import MODES, EpochRecord
+from helpers import write_ncm_files
 
 
 class TestMatrixFile:
@@ -898,27 +899,7 @@ class TestCli:
         ) == 0
         assert "acc_u_u=1.0" in capsys.readouterr().out
 
-    @staticmethod
-    def ncm_files(tmp_path, eval_labels=None):
-        """Overlapping classes, so the NCM accuracies are fractions."""
-        rng = np.random.default_rng(8)
-        centers = rng.normal(size=(5, 3))
-        labels = np.arange(100) % 5
-        for name in ("mean", "eval"):
-            values = centers[labels] + 0.8 * rng.normal(size=(100, 3))
-            io.save_matrix(values, tmp_path / f"{name}_f.csv")
-            io.save_labels(labels, tmp_path / f"{name}_l.csv")
-        if eval_labels is not None:
-            io.save_labels(eval_labels, tmp_path / "eval_l.csv")
-        io.save_partition(LabelPartition(5, (1, 2)), tmp_path / "partition.txt")
-        return [
-            "ncm",
-            "--mean-features", str(tmp_path / "mean_f.csv"),
-            "--mean-labels", str(tmp_path / "mean_l.csv"),
-            "--eval-features", str(tmp_path / "eval_f.csv"),
-            "--eval-labels", str(tmp_path / "eval_l.csv"),
-            "--partition", str(tmp_path / "partition.txt"),
-        ]
+    ncm_files = staticmethod(write_ncm_files)
 
     def test_ncm_report_is_metrics_on_ncm_logits(self, tmp_path, capsys):
         assert run_cli(*self.ncm_files(tmp_path)) == 0
@@ -942,6 +923,36 @@ class TestCli:
         eval_labels[:3] = 7
         assert run_cli(*self.ncm_files(tmp_path, eval_labels)) == 2
         assert "labels must lie in [0, 5)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("restrict", ["Y", "S", "U"])
+    def test_ncm_refuses_a_label_at_the_class_count(self, tmp_path, capsys, restrict):
+        # the message a logits container gives; the report builds none
+        eval_labels = np.arange(100) % 5
+        eval_labels[-1] = 5
+        assert run_cli(*self.ncm_files(tmp_path, eval_labels), "--restrict", restrict) == 2
+        assert capsys.readouterr() == ("", "error: labels must lie in [0, 5)\n")
+
+    @pytest.mark.parametrize("restrict", ["Y", "S", "U"])
+    def test_ncm_needs_an_absent_labeled_eval_row(self, tmp_path, capsys, restrict):
+        eval_labels = np.arange(100) % 5
+        eval_labels[~np.isin(eval_labels, (1, 2))] = 1  # classes 1 and 2 are the seen ones
+        assert run_cli(*self.ncm_files(tmp_path, eval_labels), "--restrict", restrict) == 2
+        assert capsys.readouterr() == ("", "error: no samples labeled in group U\n")
+
+    @pytest.mark.parametrize("restrict", ["Y", "S", "U"])
+    @pytest.mark.parametrize("bad_label_row", [2, 60])
+    def test_ncm_names_a_zero_eval_row_before_a_label_fault(self, tmp_path, capsys, restrict, bad_label_row):
+        args = self.ncm_files(tmp_path)
+        values = io.load_matrix(tmp_path / "eval_f.csv")
+        values[[40, 70]] = 0.0
+        io.save_matrix(values, tmp_path / "eval_f.csv")
+        assert run_cli(*args, "--restrict", restrict) == 2
+        assert capsys.readouterr() == ("", "error: feature row 40 has zero norm\n")
+        labels = np.arange(100) % 5
+        labels[bad_label_row] = 9
+        io.save_labels(labels, tmp_path / "eval_l.csv")
+        assert run_cli(*args, "--restrict", restrict) == 2
+        assert capsys.readouterr() == ("", "error: feature row 40 has zero norm\n")
 
     def test_train_subcommand(self, tmp_path, capsys):
         rng = np.random.default_rng(7)

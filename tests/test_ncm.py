@@ -16,13 +16,15 @@ from ftcal import (
     ToySpec,
     ValidationError,
     acc_report,
+    accuracy,
     class_means,
     gen_toy_data,
     ncm_logits,
     ncm_predict,
     predict_restricted,
 )
-from ftcal import data
+from ftcal import cli, data, io
+from helpers import write_ncm_files, write_ncm_inputs
 
 
 def _near_tie_case(rng, dim):
@@ -309,3 +311,80 @@ class TestNcmLogits:
         _, means = self.fixture()
         with pytest.raises(ValidationError, match=r"labels must lie in \[0, 6\)"):
             ncm_logits(LabeledFeatures(np.ones((2, 5)), [0, 7]), means)
+
+
+def _reference_report(args, restrict) -> str:
+    """What ``ftcal ncm`` prints, as ``acc_report`` or ``accuracy`` on the
+    ``ncm_logits`` of its eval rows and class means."""
+    paths = dict(zip(args[1::2], args[2::2]))
+    partition = io.load_partition(paths["--partition"])
+    mean_data = LabeledFeatures(io.load_matrix(paths["--mean-features"]), io.load_labels(paths["--mean-labels"]))
+    eval_data = LabeledFeatures(io.load_matrix(paths["--eval-features"]), io.load_labels(paths["--eval-labels"]))
+    scores = ncm_logits(eval_data, class_means(mean_data, range(partition.num_classes)))
+    if restrict == "Y":
+        return io.format_report(acc_report(scores, partition).as_dict())
+    return io.format_report({f"acc_{a}_{restrict}".lower(): accuracy(scores, partition, a, restrict) for a in "SUY"})
+
+
+class TestNcmCommand:
+    @pytest.mark.parametrize("block_bytes", [1024, 16 * 2**20])
+    def test_prints_the_reports_of_ncm_logits(self, tmp_path, toy_report, block_bytes, monkeypatch, capsys):
+        # ftcal ncm prints the reports of acc_report and accuracy on ncm_logits, with no N x K matrix
+        monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
+        runs = [write_ncm_files(tmp_path)]
+        out = toy_report.outdir
+        toy = {name: io.load_matrix(f"{out}/{name}.csv") for name in ("hidden_pretrained", "hidden_finetuned")}
+        toy_labels = io.load_labels(f"{out}/target_test_labels.csv")
+        toy_partition = io.load_partition(f"{out}/partition.txt")
+        for mean_name in toy:
+            runs.append(write_ncm_inputs(
+                tmp_path / mean_name, toy[mean_name], toy_labels, toy["hidden_finetuned"], toy_labels, toy_partition
+            ))
+        rng = np.random.default_rng(40)
+        for dim in (1, 2, 3, 255, 256, 1000):
+            for case in range(2):
+                features, means, _ = _near_tie_case(rng, dim)
+                num_classes = means.means.shape[0]
+                partition = LabelPartition(num_classes, range(0, num_classes, 2))
+                runs.append(write_ncm_inputs(
+                    tmp_path / f"tie_{dim}_{case}", means.means, np.arange(num_classes),
+                    features.values, features.labels, partition,
+                ))
+        for args in runs:
+            for restrict in "YSU":
+                assert cli.main([*args, "--restrict", restrict]) == 0
+                assert capsys.readouterr().out == _reference_report(args, restrict), (args[2], restrict)
+
+    def test_holds_no_score_matrix(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(44)
+        num_rows, num_classes, dim = 4000, 500, 64
+        centers = rng.normal(size=(num_classes, dim))
+        mean_labels, eval_labels = np.arange(2 * num_classes) % num_classes, np.arange(num_rows) % num_classes
+        args = write_ncm_inputs(
+            tmp_path / "inputs",
+            centers[mean_labels] + rng.normal(size=(mean_labels.size, dim)), mean_labels,
+            centers[eval_labels] + rng.normal(size=(num_rows, dim)), eval_labels,
+            LabelPartition(num_classes, range(0, num_classes, 2)),
+        )
+        held = []
+        real = cli.class_means
+
+        def loaded_then_reset(*args):
+            means = real(*args)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()  # from here on, the report alone
+            return means
+
+        monkeypatch.setattr(cli, "class_means", loaded_then_reset)
+        tracemalloc.start()
+        try:
+            assert cli.main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1] - held[0]
+        finally:
+            tracemalloc.stop()
+        assert "count_y=4000" in capsys.readouterr().out
+        # one chunk of BLAS scores with its unit rows, the class means a pass
+        # gathers, a block of gathered pairs and O(N) vectors, not the 16 MB N x K matrix
+        chunk = data._row_blocks(num_rows, 8 * num_classes)[0].stop * data._PRODUCT_BLOCKS * (num_classes + dim) * 8
+        bound = chunk + num_classes * dim * 8 + 2 * data._BLOCK_BYTES + 16 * num_rows * 8
+        assert peak < bound < num_rows * num_classes * 8, f"peak {peak} B, bound {bound} B"
