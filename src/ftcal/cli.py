@@ -30,7 +30,7 @@ from .data import (
     make_random_split,
 )
 from .errors import TrainingError, ValidationError
-from .metrics import _acc_report, _hit_rates, acc_report, ausuc, seen_unseen_curve
+from .metrics import _acc_report, _hit_rates, _is_absent, acc_report, ausuc, seen_unseen_curve
 from .ncm import class_means, ncm_predict
 from .pipeline import run_toy_pipeline
 from .trainer import MODES, ToySpec, default_train_config, fine_tune, gradient_check
@@ -127,7 +127,7 @@ def _cmd_ncm(args) -> int:
     spaces = "SUY" if args.restrict == "Y" else args.restrict
     hits = {b: ncm_predict(eval_data, means, partition.group_indices(b)) == eval_data.labels for b in spaces}
     _check_labels(eval_data.labels, partition.num_classes)  # after the passes, which name a zero row first
-    label_absent = partition.absent_column_mask()[eval_data.labels] == 1.0
+    label_absent = _is_absent(eval_data.labels, partition.group_indices("U"), partition.num_classes)
     _emit(_acc_report(label_absent, hits).as_dict() if args.restrict == "Y" else _hit_rates(label_absent, hits))
     return 0
 

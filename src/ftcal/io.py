@@ -11,10 +11,10 @@ process's own stdout or stderr, so what a command prints after it
 follows the text under ``>`` as well as ``>>``.
 
 Every file is read through one reader, ``_line_batches``: it opens the
-file or pipe once, or a byte range of a regular file, and yields its
-lines in batches of about ``_BATCH_CHARS`` characters. A batch is whole
-lines, split by ``str.splitlines`` after universal-newline decoding, so
-any line ending is read and the batch size never moves a line break.
+file or pipe once and yields its lines in batches of about
+``_BATCH_CHARS`` characters. A batch is whole lines, split by
+``str.splitlines`` after universal-newline decoding, so any line ending is
+read and the batch size never moves a line break.
 
 A matrix field is anything Python's ``float()`` accepts; blank lines are
 rejected. ``_parse_batches``, the one matrix parser, parses each batch on
@@ -23,26 +23,20 @@ far. ``np.loadtxt`` parses lines with no blank line, no ``\x1f``
 (whitespace to it, not to ``float()``) and the width of the rows before
 them. Any other batch, or one it rejects, goes to the line parser
 ``_parse_rows``, which sets what is accepted, every value bit and every
-error message with its line number.
+error message with its line number. Every file is parsed in the calling
+process; the CLI's parse cache makes a large matrix's parse a
+once-per-file cost.
 
 A file that is not UTF-8 raises ``ParseError`` naming the file. That
-fault outranks any other in the file, wherever it sits: a header or row
-fault is raised once the file decodes from the end of the range where it
-sat, and every range before that one has been decoded already.
+fault outranks any other in the file, wherever it sits: a header, row or
+label fault is raised once the rest of the file decodes.
 
-Large matrices are parsed and formatted on every CPU of the process's
-affinity mask, with every bit and every fault as in one process. A regular
-file of at least ``_PARALLEL_CHARS`` bytes is cut at ``\n`` bytes into
-ranges of about as many bytes. This process parses the first, about one
-batch, which fixes the width. A worker forked with its share of the later
-ranges' byte offsets, and sent nothing, parses each as this process would.
-A range comes back only to name a fault: one the worker found, or a block
-of another width, is read again here, its first line numbered by the rows
-before it. A pipe, whose size is unknown, and a one-CPU process parse here
-alone. ``save_matrix`` forks workers with shares of row offsets instead.
-Workers are forked only while the process runs one thread: a forked child
-keeps a copy of every lock and file another thread holds, such as a FIFO's
-write end, and nothing in it releases them.
+A large matrix is formatted on every CPU of the process's affinity mask,
+with every byte as in one process: ``save_matrix`` forks workers with
+shares of row offsets of the matrix they inherit. Workers are forked only
+while the process runs one thread: a forked child keeps a copy of every
+lock and file another thread holds, such as a FIFO's write end, and
+nothing in it releases them.
 
 Partition, training-config and toy-spec files are read by one reader,
 ``_load_fields``, which takes each file's keys, which of them are
@@ -81,7 +75,6 @@ import stat
 import sys
 import threading
 import typing
-from io import BytesIO, TextIOWrapper
 
 import numpy as np
 
@@ -93,7 +86,8 @@ from .trainer import EpochRecord, MlpModel, ToySpec, TrainConfig
 
 # characters of text per batch of lines
 _BATCH_CHARS = 1 << 16
-# characters of text from which parsing and formatting fan out to workers
+# characters of text from which formatting fans out to workers, and bytes
+# of a file from which the CLI's parse cache keeps its matrix
 _PARALLEL_CHARS = 1 << 22
 # characters of a typical %.17g field and its comma, to size tasks of rows
 _FIELD_CHARS = 20
@@ -165,17 +159,12 @@ def write_text(path, chunks) -> None:
         raise
 
 
-def _line_batches(path, start: int = 0, stop: int | None = None) -> typing.Iterator[list[str]]:
-    """The lines of ``path`` from byte ``start`` to ``stop`` (the end if
-    None), both just past a line end, read once, as lists of about
-    ``_BATCH_CHARS`` characters that each end at a line end, so together
-    they hold the lines ``str.splitlines`` gives for the text. A range with
-    a ``stop`` is read whole first: a text reader cannot stop at a byte."""
+def _line_batches(path) -> typing.Iterator[list[str]]:
+    """The lines of ``path``, read once, as lists of about ``_BATCH_CHARS``
+    characters that each end at a line end, so together they hold the lines
+    ``str.splitlines`` gives for the whole text."""
     try:
-        with open(path, "rb") as handle:
-            if start:
-                handle.seek(start)
-            text = TextIOWrapper(handle if stop is None else BytesIO(handle.read(stop - start)), "utf-8")
+        with open(path, encoding="utf-8") as text:
             for chunk in iter(functools.partial(text.readlines, _BATCH_CHARS), []):
                 yield "".join(chunk).splitlines()
     except OSError as exc:
@@ -189,7 +178,7 @@ def _read_lines(path) -> list[str]:
 
 
 def _fork_workers() -> int:
-    """How many forked workers may share this process's work: one per CPU
+    """How many forked workers may share a matrix's formatting: one per CPU
     of its affinity mask, or none where that is one CPU, where there is no
     ``fork``, or where the process runs another thread, since a forked
     child keeps a copy of every lock and file that thread holds and no
@@ -321,77 +310,26 @@ def _loadtxt(lines: list[str], width: int | None) -> np.ndarray | None:
     return None
 
 
-def _parse_batches(path, batches, number: int, width: int | None):
-    """One matrix per nonempty batch of lines, the first numbered ``number``,
-    whose rows must have ``width`` columns unless it is None, when the first
-    batch fixes it; returns the next line's number and the width."""
+def _parse_batches(path, batches, number: int) -> typing.Iterator[np.ndarray]:
+    """One matrix per nonempty batch of lines, the first numbered ``number``;
+    the first batch fixes the width of every row."""
+    width = None
     for lines in filter(None, batches):
         block = _loadtxt(lines, width)
         if block is None:  # a fault to name, or fields only float() reads, such as 1_0
             block = _parse_rows(path, enumerate(lines, number), width)
         number, width = number + len(lines), block.shape[1]
         yield block
-    return number, width
 
 
-def _parse_range(path, start: int, stop: int | None) -> np.ndarray | None:
-    """A forked worker's task: the lines of bytes ``start`` to ``stop`` of
-    ``path`` as one ``_parse_batches`` matrix, or None where they hold a fault."""
-    with contextlib.suppress(ValidationError):
-        return np.concatenate(list(_parse_batches(path, _line_batches(path, start, stop), 1, None)))
-    return None
-
-
-def _byte_ranges(path, size: int) -> typing.Iterator[tuple[int, int | None]]:
-    """``(start, stop)`` of ranges of whole lines of a regular file of
-    ``size`` bytes: the first ends with the line holding byte
-    ``_BATCH_CHARS - 1``, each later one about ``_PARALLEL_CHARS`` bytes on,
-    and the last runs to the end, stop None. A cut falls only just past a
-    ``\n`` byte, so it splits no UTF-8 character and no CRLF pair."""
-    start, step = 0, _BATCH_CHARS
-    with contextlib.suppress(OSError), open(path, "rb") as handle:  # for the reader to name
-        while start + step < size:
-            handle.seek(start + step - 1)
-            while (piece := handle.readline(_BATCH_CHARS)) and not piece.endswith(b"\n"):
-                pass
-            if handle.tell() >= size:
-                break
-            yield start, handle.tell()
-            start, step = handle.tell(), _PARALLEL_CHARS
-    yield start, None
-
-
-def _blocks(path, size: int) -> typing.Iterator:
-    """The shape a ``#shape`` header declares, or None; then one matrix per
-    nonempty batch of the first byte range, parsed here, and one per later
-    range, parsed by a forked worker or, where that finds a fault or
-    another width, here, its lines numbered by the rows before it. A fault
-    is raised once the file decodes from the end of the range it sat in."""
-    workers = _fork_workers() if size >= _PARALLEL_CHARS else 0
-    ranges = _byte_ranges(path, size) if workers else iter([(0, None)])
-    _, stop = next(ranges)
-    batches = _line_batches(path, 0, stop)  # the range in use: its reader and its stop
+@contextlib.contextmanager
+def _decoded_first(batches):
+    """Raise a ``ValidationError`` of the ``with`` body only once the rest
+    of ``batches`` is read: a decoding fault later in the file outranks it."""
     try:
-        lines = next(batches, [])
-        declared = _shape_header(path, lines[0]) if lines else None
-        yield declared
-        number = 1 if declared is None else 2
-        batches = itertools.chain([lines[number - 1 :]], batches)
-        number, width = yield from _parse_batches(path, batches, number, None)
-        if not workers:
-            return
-        spans = list(ranges)
-        parse = functools.partial(_parse_range, path)
-        with contextlib.closing(_forked_map(parse, spans, workers)) as answers:
-            for (start, stop), block in zip(spans, answers):
-                if block is None or width not in (None, block.shape[1]):
-                    batches = _line_batches(path, start, stop)
-                    number, width = yield from _parse_batches(path, batches, number, width)
-                else:
-                    number, width = number + len(block), block.shape[1]
-                    yield block
-    except ValidationError:  # a decoding fault later in the file outranks it
-        for _ in itertools.chain(batches, _line_batches(path, stop) if stop else ()):
+        yield
+    except ValidationError:
+        for _ in batches:
             pass
         raise
 
@@ -446,14 +384,18 @@ def _stack(first: np.ndarray, blocks, declared, size: int) -> tuple[np.ndarray, 
 def load_matrix(path, expected_shape=None) -> np.ndarray:
     """Read a CSV matrix; the optional ``#shape`` header must match the body.
 
-    The file is read once, in batches or byte ranges of lines, and each
+    The file is read once, in batches of lines, in this process, and each
     block of rows is copied into the result as soon as it is parsed, so the
     whole text is never held. A file's header, where the file is big enough
     to hold the rows it declares, sizes the result up front.
     """
     size = _text_size(path)
-    with contextlib.closing(_blocks(path, size)) as blocks:
-        declared, first = next(blocks), next(blocks, None)
+    with contextlib.closing(_line_batches(path)) as batches, _decoded_first(batches):
+        lines = next(batches, [])
+        declared = _shape_header(path, lines[0]) if lines else None
+        number = 1 if declared is None else 2
+        blocks = _parse_batches(path, itertools.chain([lines[number - 1 :]], batches), number)
+        first = next(blocks, None)
         if first is None:
             raise ParseError(f"{path}: empty matrix file")
         matrix, shape = _stack(first, blocks, declared, size)
@@ -609,9 +551,8 @@ def save_labels(labels, path) -> None:
     write_text(path, (f"{value}\n" for value in arr.tolist()))
 
 
-def load_labels(path) -> np.ndarray:
-    lines = _read_lines(path)
-    values = []
+def _parse_labels(path, lines) -> typing.Iterator[int]:
+    """The label of each of ``lines``, numbered from 1; a fault names its line."""
     for number, line in enumerate(lines, 1):
         text = line.strip()
         if not text:
@@ -624,10 +565,17 @@ def load_labels(path) -> np.ndarray:
             raise ParseError(f"{path}:{number}: labels must be nonnegative")
         if value >= 2**63:
             raise ParseError(f"{path}:{number}: labels must be below 2**63")
-        values.append(value)
-    if not values:
+        yield value
+
+
+def load_labels(path) -> np.ndarray:
+    """Labels one per line, read batch by batch into an int64 array, so
+    neither the text nor its lines are held whole."""
+    with contextlib.closing(_line_batches(path)) as batches, _decoded_first(batches):
+        labels = np.fromiter(_parse_labels(path, itertools.chain.from_iterable(batches)), np.int64)
+    if not labels.size:
         raise ParseError(f"{path}: empty labels file")
-    return np.array(values, dtype=np.int64)
+    return labels
 
 
 def save_partition(partition: LabelPartition, path) -> None:

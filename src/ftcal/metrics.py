@@ -170,6 +170,15 @@ def _absent_mass(rows: np.ndarray, row_max: np.ndarray, groups) -> np.ndarray:
     return z_absent / (z_seen + z_absent)
 
 
+def _is_absent(labels: np.ndarray, absent: np.ndarray, num_classes: int) -> np.ndarray:
+    """Whether each of ``labels`` is one of the ``absent`` class indices of
+    ``num_classes``: a lookup table rather than np.isin, whose fixed cost
+    dominates small inputs."""
+    table = np.zeros(num_classes, dtype=bool)
+    table[absent] = True
+    return table[labels]
+
+
 def _stats_kernel(values, labels: np.ndarray, partition: LabelPartition) -> _GroupStats:
     """Max, argmax and sum over each group's columns, the ground-truth logit
     and the runner-up absent logit of every row of ``values`` (N x C, C the
@@ -208,11 +217,9 @@ def _stats_kernel(values, labels: np.ndarray, partition: LabelPartition) -> _Gro
         _each_block(blocks, lambda rows: block_stats(rows, values[rows]))
     else:
         values.each_block(block_stats)
-    # a lookup table rather than np.isin, whose fixed cost dominates small inputs
-    absent = np.zeros(num_cols, dtype=bool)
-    absent[groups[1]] = True
+    label_absent = _is_absent(labels, groups[1], num_cols)
     return _GroupStats(
-        maxima[0], argmaxima[0], maxima[1], argmaxima[1], absent[labels], *sums, gt, next_u
+        maxima[0], argmaxima[0], maxima[1], argmaxima[1], label_absent, *sums, gt, next_u
     )
 
 

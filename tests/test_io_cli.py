@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,37 @@ class TestLabelsFile:
         with pytest.raises(ParseError) as info:
             io.load_labels(path)
         assert str(info.value) == f"{path}{message}"
+
+    def test_a_fault_in_a_later_batch_names_its_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "_BATCH_CHARS", 16)  # about 5 lines a batch
+        path = tmp_path / "l.csv"
+        path.write_text("".join(f"{label}\n" for label in range(100)) + "x\n")
+        with pytest.raises(ParseError) as info:
+            io.load_labels(path)
+        assert str(info.value) == f"{path}:101: not an integer label"
+
+    def test_a_label_fault_is_outranked_by_a_later_decoding_fault(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "_BATCH_CHARS", 16)
+        path = tmp_path / "l.csv"
+        path.write_bytes(b"1\n-2\n" + b"3\n" * 100 + b"\xff\n")
+        with pytest.raises(ParseError) as info:
+            io.load_labels(path)
+        assert str(info.value) == f"{path}: not a UTF-8 text file"
+
+    def test_peak_memory_stays_near_the_labels(self, tmp_path):
+        # the lines of the whole file as strings would take over 12 times
+        # the labels' bytes
+        labels = np.random.default_rng(13).integers(0, 1000, size=200_000)
+        path = tmp_path / "l.csv"
+        io.save_labels(labels, path)
+        tracemalloc.start()
+        try:
+            loaded = io.load_labels(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded, labels)
+        assert peak < 4 * labels.nbytes, f"peak {peak} B for {labels.nbytes} B of labels"
 
 
 class TestPartitionFile:

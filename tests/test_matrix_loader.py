@@ -317,22 +317,17 @@ class TestOnePass:
         assert peak < 2 * matrix.nbytes, f"peak {peak} B for a {matrix.nbytes} B matrix"
 
 
-# ------------------------------------------------ byte ranges
+# ------------------------------------------------ later batches
 
 
-class TestByteRanges:
-    """A regular file fans out to forked workers in byte ranges of many
-    lines, each read and parsed by its worker; a range comes back here only
-    to name a fault. Values, faults and line numbers are the line-by-line
-    loader's."""
+class TestLaterBatches:
+    """A file of many batches: a fault in a later batch is named by its line,
+    a field only ``float()`` reads is read there, and any line ending
+    splits it as the reference does."""
 
-    @pytest.fixture
-    def ranges(self, monkeypatch, forked):
-        """About 4 lines a batch and 6 a range; the list the ``forked``
-        fixture returns."""
-        monkeypatch.setattr(io, "_BATCH_CHARS", 256)
-        monkeypatch.setattr(io, "_PARALLEL_CHARS", 400)
-        return forked
+    @pytest.fixture(autouse=True)
+    def small_batches(self, monkeypatch):
+        monkeypatch.setattr(io, "_BATCH_CHARS", 256)  # about 4 lines a batch
 
     @staticmethod
     def lines(rows=240):
@@ -344,125 +339,75 @@ class TestByteRanges:
         path.write_bytes(ending.join(lines) + ending)
         return path
 
-    @staticmethod
-    def first_lines(path):
-        """The number of the first line of each byte range of a file whose
-        lines all end with \\n."""
-        text = path.read_bytes()
-        return [text.count(b"\n", 0, start) + 1 for start, _ in io._byte_ranges(path, len(text))]
-
     @pytest.mark.parametrize("fault, message", [
         (b"1,x,3,4", "not a comma-separated list of reals"),
         (b"1,2,3", "expected 4 columns, found 3"),
         (b"", "blank line inside matrix"),
         (b" \t ", "blank line inside matrix"),
     ], ids=["bad field", "ragged row", "blank line", "whitespace line"])
-    def test_a_fault_in_the_third_range_names_its_line(self, tmp_path, ranges, fault, message):
+    def test_a_fault_in_a_later_batch_names_its_line(self, tmp_path, fault, message):
         lines = self.lines()
-        number = self.first_lines(self.write(tmp_path / "m.csv", lines))[2] + 2
-        lines[number - 1] = fault
+        lines[149] = fault
         path = self.write(tmp_path / "m.csv", lines)
-        starts = self.first_lines(path)
-        assert len(starts) > 10 and starts[2] <= number < starts[3]
-        assert assert_same_as_reference(path) == (ParseError, f"{path}:{number}: {message}")
-        assert ranges == [2]
+        assert assert_same_as_reference(path) == (ParseError, f"{path}:150: {message}")
 
-    def test_an_underscore_field_in_a_middle_range_is_read(self, tmp_path, monkeypatch, ranges):
-        # read by its worker: neither the line parser nor a re-read of the
-        # range runs in this process
+    def test_an_underscore_field_in_a_later_batch_is_read(self, tmp_path):
         lines = self.lines()
-        number = self.first_lines(self.write(tmp_path / "m.csv", lines))[20] + 1
-        lines[number - 1] = b"1_0," + lines[number - 1].split(b",", 1)[1]
-        path = self.write(tmp_path / "m.csv", lines)
-        starts = self.first_lines(path)
-        assert starts[20] < number < starts[21] and len(starts) > 30
-        parse_rows, line_batches = io._parse_rows, io._line_batches
-        calls, reads = [], []
+        lines[149] = b"1_0," + lines[149].split(b",", 1)[1]
+        got = assert_same_as_reference(self.write(tmp_path / "m.csv", lines))
+        assert got[0] == "ok" and np.frombuffer(got[2]).reshape(got[1])[149, 0] == 10.0
 
-        def counted(*args):
-            calls.append(args)
-            return parse_rows(*args)
-
-        def spy(path, start=0, stop=None):
-            reads.append((start, stop))
-            return line_batches(path, start, stop)
-
-        monkeypatch.setattr(io, "_parse_rows", counted)
-        monkeypatch.setattr(io, "_line_batches", spy)
-        got = assert_same_as_reference(path)
-        assert got[0] == "ok" and np.frombuffer(got[2]).reshape(got[1])[number - 1, 0] == 10.0
-        assert len(calls) == 0 and ranges == [2]
-        assert reads == [next(io._byte_ranges(path, path.stat().st_size))]  # the first range alone
-
-    def test_a_row_fault_is_outranked_by_a_decoding_fault_in_the_last_range(
-        self, tmp_path, ranges
-    ):
+    def test_a_row_fault_is_outranked_by_a_decoding_fault_in_the_last_batch(self, tmp_path):
         lines = self.lines()
-        second = self.first_lines(self.write(tmp_path / "m.csv", lines))[1]
-        lines[second] = b"1,x,3,4"  # the second line of the second range
+        lines[5] = b"1,x,3,4"
         lines[-1] += b"\xff"
         path = self.write(tmp_path / "m.csv", lines)
-        assert self.first_lines(path)[-1] < len(lines)  # the last range holds more than one line
         assert assert_same_as_reference(path) == (ParseError, f"{path}: not a UTF-8 text file")
-        assert ranges == [2]
-
-    @pytest.mark.parametrize("which", [-1, 20], ids=["last range", "middle range"])
-    def test_a_row_fault_reads_no_range_a_worker_decoded(self, tmp_path, monkeypatch, ranges, which):
-        path = self.write(tmp_path / "m.csv", self.lines())
-        starts = self.first_lines(path)
-        spans = list(io._byte_ranges(path, path.stat().st_size))
-        assert len(spans) > 30
-        lines = self.lines()
-        number = starts[which] + 1  # the second line of the range
-        lines[number - 1] = b"x" + lines[number - 1][1:]  # same length: the cuts stay
-        self.write(path, lines)
-        line_batches = io._line_batches
-        reads = []
-
-        def spy(path, start=0, stop=None):
-            reads.append((start, stop))
-            return line_batches(path, start, stop)
-
-        monkeypatch.setattr(io, "_line_batches", spy)
-        message = f"{path}:{number}: not a comma-separated list of reals"
-        assert assert_same_as_reference(path) == (ParseError, message)
-        faulting = spans[which]
-        rest = [(faulting[1], None)] if faulting[1] is not None else []
-        assert reads == [spans[0], faulting, *rest]
-        assert ranges == [2]
 
     @pytest.mark.parametrize("fault", [False, True], ids=["clean", "bad field"])
     @pytest.mark.parametrize("endings", [[b"\r\n"], [b"\r", b"\n"]], ids=["crlf", "cr and lf"])
-    def test_other_line_endings_cut_mid_file(self, tmp_path, ranges, endings, fault):
+    def test_other_line_endings(self, tmp_path, endings, fault):
         lines = self.lines()
         if fault:
             lines[150] = b"1,x,3,4"
-        text = b"".join(line + endings[number % len(endings)] for number, line in enumerate(lines))
         path = tmp_path / "m.csv"
-        path.write_bytes(text)
-        cuts = [start for start, _ in io._byte_ranges(path, len(text))]
-        assert len(cuts) > 10 and all(text[cut - 1 : cut] == b"\n" for cut in cuts[1:])
-        got = assert_same_as_reference(path)
-        assert got[0] == (ParseError if fault else "ok")
-        assert ranges == [2]
-
-    def test_a_lone_cr_file_has_no_cut_and_is_read_here(self, tmp_path, monkeypatch, ranges):
-        path = self.write(tmp_path / "m.csv", self.lines(), b"\r")
-        assert list(io._byte_ranges(path, path.stat().st_size)) == [(0, None)]
-
-        def refuse():
-            raise AssertionError("forked a worker for a file with no cut")
-
-        monkeypatch.setattr(os, "fork", refuse)
-        assert assert_same_as_reference(path)[0] == "ok"
+        path.write_bytes(b"".join(line + endings[number % len(endings)] for number, line in enumerate(lines)))
+        assert assert_same_as_reference(path)[0] == (ParseError if fault else "ok")
 
     @pytest.mark.parametrize("declared", [233, 247])
-    def test_a_header_that_miscounts_the_rows(self, tmp_path, ranges, declared):
+    def test_a_header_that_miscounts_the_rows(self, tmp_path, declared):
         path = self.write(tmp_path / "m.csv", [b"#shape %d 4" % declared] + self.lines())
         assert assert_same_as_reference(path) == (
             ShapeError, f"{path}: header declares ({declared}, 4), content is (240, 4)"
         )
-        assert ranges == [2]
+
+
+class TestLargeFilesInProcess:
+    """A file of at least ``_PARALLEL_CHARS`` bytes on two CPUs is parsed in
+    this process, as the reference parses it."""
+
+    @pytest.mark.parametrize("fault", [False, True], ids=["underscore field", "bad last row"])
+    def test_a_large_file_starts_no_process(self, tmp_path, monkeypatch, fault):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def refuse():
+            raise AssertionError("forked a worker to load")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        matrix = np.random.default_rng(12).normal(size=(12_000, 20)) * 3.0
+        lines = [",".join("%.17g" % value for value in row) for row in matrix]
+        lines[5_000] = "1_0," + lines[5_000].split(",", 1)[1]  # past the first batch
+        if fault:
+            lines[-1] = "x," + lines[-1].split(",", 1)[1]
+        path = tmp_path / "m.csv"
+        path.write_text("#shape 12000 20\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        assert path.stat().st_size >= io._PARALLEL_CHARS
+        got = assert_same_as_reference(path)
+        if fault:
+            assert got == (ParseError, f"{path}:12001: not a comma-separated list of reals")
+        else:
+            assert got[0] == "ok" and np.frombuffer(got[2]).reshape(got[1])[5_000, 0] == 10.0
+        assert no_child_process()
 
 
 # ------------------------------------------------ properties
@@ -506,11 +451,8 @@ _FORMATS = [
     choices=st.lists(st.integers(0, len(_FORMATS) - 1), min_size=36, max_size=36),
     header=st.booleans(),
     batch=st.integers(1, 64),
-    forked=st.booleans(),
 )
-def test_formatted_fields_match_the_reference(
-    tmp_path_factory, matrix, choices, header, batch, forked
-):
+def test_formatted_fields_match_the_reference(tmp_path_factory, matrix, choices, header, batch):
     picks = iter(choices)
     lines = [",".join(_FORMATS[next(picks)](float(v)) for v in row) for row in matrix]
     if header:
@@ -519,19 +461,16 @@ def test_formatted_fields_match_the_reference(
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(io, "_BATCH_CHARS", batch)
-        if forked:  # as the forked fixture does
-            patch.setattr(io, "_PARALLEL_CHARS", 1)
-            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert assert_same_as_reference(path)[0] == "ok"
-    assert no_child_process()
 
 
 # ------------------------------------------------ forked workers
 
 
 class TestForkedWorkers:
-    """Parsing and formatting fanned out to forked workers give the bytes
-    and the faults of the same work done in-process, and leave no process."""
+    """Formatting fanned out to forked workers gives the bytes and the
+    faults of the same work done in-process, and leaves no process. A load
+    starts no worker even where a save of its size would."""
 
     def _big(self, tmp_path):
         matrix = np.random.default_rng(8).normal(size=(300, 40)) * 3.0
@@ -542,11 +481,11 @@ class TestForkedWorkers:
     @pytest.mark.parametrize("name", list(EDGES))
     def test_edge_files_match_the_line_by_line_loader(self, name, tmp_path, batch_chars, forked):
         TestEdgeFiles().test_matches_the_line_by_line_loader(name, tmp_path, batch_chars)
+        assert forked == []
 
-    def test_a_fault_in_the_last_row_is_found_in_bounded_memory(self, tmp_path, monkeypatch, forked):
-        monkeypatch.setattr(io, "_PARALLEL_CHARS", 1 << 16)  # ranges of many lines, not one each
+    def test_a_fault_in_the_last_row_is_found_in_bounded_memory(self, tmp_path, forked):
         TestOnePass().test_a_fault_in_the_last_row_is_found_in_bounded_memory(tmp_path)
-        assert forked
+        assert forked == []
 
     def test_save_is_byte_identical(self, tmp_path, monkeypatch, forked):
         matrix, path = self._big(tmp_path)
@@ -586,12 +525,13 @@ class TestForkedWorkers:
     @pytest.mark.parametrize("fault", ["clean", "row", "decoding"])
     def test_loads_leave_no_worker(self, tmp_path, monkeypatch, forked, fault):
         matrix, path = self._big(tmp_path)
+        forked.clear()  # the pool that wrote the matrix
         monkeypatch.setattr(io, "_BATCH_CHARS", 512)
         text = path.read_bytes()
         tail = {"clean": b"", "row": b"1,x\n" + text[-2000:], "decoding": b"\xff\n"}[fault]
         path.write_bytes(text + tail)
         got = assert_same_as_reference(path)
-        assert forked
+        assert forked == []
         assert got[0] == ("ok" if fault == "clean" else ParseError)
         assert no_child_process()
 
@@ -599,17 +539,19 @@ class TestForkedWorkers:
         self, tmp_path, monkeypatch, forked
     ):
         _, path = self._big(tmp_path)
+        forked.clear()  # the pool that wrote the matrix
         monkeypatch.setattr(io, "_BATCH_CHARS", 512)
         lines = path.read_bytes().splitlines(keepends=True)
         lines[5] = b"1,x\n"
         path.write_bytes(b"".join(lines) + b"\xff\n")
         assert assert_same_as_reference(path)[1] == f"{path}: not a UTF-8 text file"
-        assert forked
+        assert forked == []
 
     def test_an_interrupt_shuts_the_workers_down(self, tmp_path, monkeypatch, forked):
-        # one line a range: the interrupt comes as this process reads answer
-        # 20 of about 220, while both workers still have answers to send
-        _, path = self._big(tmp_path)
+        # one row a task: the interrupt comes as this process reads answer
+        # 20 of 300, while both workers still have answers to send
+        matrix, _ = self._big(tmp_path)
+        monkeypatch.setattr(io, "_BATCH_CHARS", 1024)
         load, fork_worker = io.pickle.load, io._fork_worker
         pids, loads = [], []
 
@@ -627,8 +569,9 @@ class TestForkedWorkers:
         monkeypatch.setattr(io.pickle, "load", interrupted)
         monkeypatch.setattr(io, "_fork_worker", counted)
         with pytest.raises(KeyboardInterrupt):
-            io.load_matrix(path)
+            io.save_matrix(matrix, tmp_path / "out.csv")
         assert len(pids) == 2
+        assert sorted(os.listdir(tmp_path)) == ["m.csv"]
         assert no_child_process()
 
     def test_no_task_is_sent_to_a_worker(self, tmp_path, monkeypatch, forked):
@@ -643,7 +586,7 @@ class TestForkedWorkers:
         monkeypatch.setattr(io, "_BATCH_CHARS", 1024)  # many tasks
         matrix, path = self._big(tmp_path)
         assert io.load_matrix(path).tobytes() == matrix.tobytes()
-        assert forked == [2, 2]
+        assert forked == [2]
         assert dumped == []
 
     def test_each_worker_is_forked_with_every_other_task(self, tmp_path, monkeypatch, forked):
@@ -687,15 +630,17 @@ class TestForkedWorkers:
             list(io._forked_map(os._exit, [(0,)], 2))
         assert no_child_process()
 
-    def test_a_process_that_ignores_sigchld_still_loads(self, tmp_path, forked):
+    def test_a_process_that_ignores_sigchld_still_saves(self, tmp_path, forked):
         # such a process has its children reaped for it
         matrix, path = self._big(tmp_path)
+        forked.clear()  # the pool that wrote the source
         previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
-            assert io.load_matrix(path).tobytes() == matrix.tobytes()
+            io.save_matrix(matrix, tmp_path / "again.csv")
         finally:
             signal.signal(signal.SIGCHLD, previous)
-        assert forked
+        assert forked == [2]
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
     def test_one_cpu_starts_no_process(self, tmp_path, monkeypatch):
         matrix, path = self._big(tmp_path)
@@ -755,7 +700,7 @@ class TestForkedWorkers:
         assert loaded == [("ok", matrix.shape, matrix.tobytes())]
         assert forked == [0]  # the save's slices, formatted here
 
-    def test_a_load_after_threaded_ncm_scores_still_forks(self, tmp_path, monkeypatch, forked):
+    def test_a_save_after_threaded_ncm_scores_still_forks(self, tmp_path, monkeypatch, forked):
         # the distance kernel joins its threads before it returns or raises
         matrix, path = self._big(tmp_path)
         forked.clear()  # the pool that wrote the matrix
@@ -768,10 +713,11 @@ class TestForkedWorkers:
         monkeypatch.setattr(data, "_score_block", fail)
         with pytest.raises(ValueError, match="block fault"):
             data._ncm_scores(rows, rows)
-        assert io.load_matrix(path).tobytes() == matrix.tobytes()
+        io.save_matrix(matrix, tmp_path / "again.csv")
         assert forked == [2]
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
-    def test_a_load_after_threaded_containers_still_forks(self, tmp_path, monkeypatch, forked):
+    def test_a_save_after_threaded_containers_still_forks(self, tmp_path, monkeypatch, forked):
         # the container copy, the statistics kernel and the absent
         # probability join their threads before they return
         matrix, path = self._big(tmp_path)
@@ -782,5 +728,6 @@ class TestForkedWorkers:
         assert len(data._row_blocks(2000, 8 * 100)) >= data._THREAD_BLOCKS
         absent_binary_prob(logits, LabelPartition(100, range(0, 100, 4)))
         assert threading.active_count() == 1
-        assert io.load_matrix(path).tobytes() == matrix.tobytes()
+        io.save_matrix(matrix, tmp_path / "again.csv")
         assert forked == [2]
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
