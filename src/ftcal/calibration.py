@@ -15,9 +15,7 @@ from .data import (
     LabeledLogits,
     LabelPartition,
     LinearHead,
-    _each_block,
     _refuse_zero_rows,
-    _row_blocks,
     _split_per_class,
     _UnitProduct,
     check_dim,
@@ -114,10 +112,7 @@ def _cosine_scores(features: LabeledFeatures, head: LinearHead) -> _UnitProduct:
     """The cosine of each feature row to each weight row, as the chunks of
     a ``data._UnitProduct``; name the first zero feature row, then the first
     zero weight row."""
-    _each_block(
-        _row_blocks(features.num_samples, features.values.itemsize * features.dim),
-        lambda rows: _refuse_zero_rows(features.values[rows], rows.start, "feature"),
-    )
+    _refuse_zero_rows(features.values, "feature")
     return _UnitProduct(features.values, unit_rows(head.weights, "weight"))
 
 

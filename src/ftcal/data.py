@@ -434,12 +434,17 @@ def check_dim(subject: str, dim: int, owner: str, expected: int) -> None:
         raise ValidationError(f"{subject} dim {dim}, {owner} expects {expected}")
 
 
-def _refuse_zero_rows(block: np.ndarray, first: int, what: str) -> None:
-    """Raise, naming the first zero row of ``block`` by its index ``first +
-    i`` in the ``what`` matrix, if ``block`` has one."""
-    zero = np.flatnonzero(~block.any(axis=1))
-    if zero.size:
-        raise ValidationError(f"{what} row {first + int(zero[0])} has zero norm")
+def _refuse_zero_rows(matrix: np.ndarray, what: str, first: int = 0) -> None:
+    """Raise, naming the first zero row of ``matrix`` by its index ``first +
+    i`` in the ``what`` matrix, if ``matrix`` has one. The rows are read in
+    ``_each_block`` row blocks, so no temporary outgrows a block."""
+
+    def refuse(rows: slice) -> None:
+        zero = np.flatnonzero(~matrix[rows].any(axis=1))
+        if zero.size:
+            raise ValidationError(f"{what} row {first + rows.start + int(zero[0])} has zero norm")
+
+    _each_block(_row_blocks(matrix.shape[0], matrix.itemsize * matrix.shape[1]), refuse)
 
 
 def unit_rows(matrix: np.ndarray, what: str, first: int = 0) -> np.ndarray:
@@ -458,7 +463,7 @@ def unit_rows(matrix: np.ndarray, what: str, first: int = 0) -> np.ndarray:
         norms = np.linalg.norm(matrix, axis=1)
     redo = np.flatnonzero(~((norms >= 2.0**-500) & (norms <= 2.0**500)))
     if redo.size:
-        _refuse_zero_rows(matrix, first, what)
+        _refuse_zero_rows(matrix, what, first)
         _, exponents = np.frexp(np.abs(matrix[redo]).max(axis=1))
         scaled = np.ldexp(matrix[redo], -exponents[:, None])
         norms[redo] = 1.0

@@ -36,7 +36,8 @@ with every byte as in one process: ``save_matrix`` forks workers with
 shares of row offsets of the matrix they inherit. Workers are forked only
 while the process runs one thread: a forked child keeps a copy of every
 lock and file another thread holds, such as a FIFO's write end, and
-nothing in it releases them.
+nothing in it releases them. A worker ends by itself, after its share or
+at its next write once the save closes its pipe, and no process is signalled.
 
 Partition, training-config and toy-spec files are read by one reader,
 ``_load_fields``, which takes each file's keys, which of them are
@@ -189,22 +190,21 @@ def _fork_workers() -> int:
     return cpus if cpus > 1 else 0
 
 
-def _fork_worker(function, tasks) -> tuple[int, int, typing.BinaryIO]:
+def _fork_worker(function, tasks) -> tuple[int, typing.BinaryIO]:
     """A forked process that pickles ``(True, function(*task))``, or
-    ``(False, exception)``, of each of ``tasks`` in turn into a pipe: its pid,
-    the write end of the hold pipe it then waits on, and its answers' pipe."""
-    hold_out, hold_in = os.pipe()
+    ``(False, exception)``, of each of ``tasks`` in turn into a pipe; it ends
+    by itself, after the last or at its first write once the pipe is closed.
+    Returns its pid and the pipe's read end."""
     answer_out, answer_in = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        for fd in (hold_out, hold_in, answer_out, answer_in):
-            os.close(fd)
+        os.close(answer_out)
+        os.close(answer_in)
         raise
     if pid == 0:
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
-            os.close(hold_in)
             os.close(answer_out)
             with open(answer_in, "wb") as answers:
                 for task in tasks:
@@ -214,12 +214,10 @@ def _fork_worker(function, tasks) -> tuple[int, int, typing.BinaryIO]:
                         answer = (False, exc)
                     pickle.dump(answer, answers, pickle.HIGHEST_PROTOCOL)
                     answers.flush()
-            os.read(hold_out, 1)  # wait to be killed: with SIGCHLD ignored, an exited pid may be reused
         finally:
             os._exit(0)  # never the parent's clean-up, stdio flushes or atexit
-    os.close(hold_out)
     os.close(answer_in)
-    return pid, hold_in, open(answer_out, "rb")
+    return pid, open(answer_out, "rb")
 
 
 def _forked_map(function, tasks, workers: int) -> typing.Iterator:
@@ -227,8 +225,9 @@ def _forked_map(function, tasks, workers: int) -> typing.Iterator:
     ``workers`` is 0, else by up to ``workers`` forked processes: worker
     ``k`` is forked with its share ``tasks[k::workers]`` and answer ``i`` is
     read from worker ``i % workers``, so no task is ever sent. The workers
-    are read from this thread alone, and are killed and reaped however the
-    iteration ends: they hold nothing to save."""
+    are read from this thread alone. However the iteration ends, their
+    pipes are closed, so that each ends by itself within one task, and
+    each is reaped; no process is ever signalled."""
     if not workers:
         yield from itertools.starmap(function, tasks)
         return
@@ -237,7 +236,7 @@ def _forked_map(function, tasks, workers: int) -> typing.Iterator:
         for worker in range(min(workers, len(tasks))):
             pool.append(_fork_worker(function, tasks[worker::workers]))
         for number in range(len(tasks)):
-            pid, _, answers = pool[number % workers]
+            pid, answers = pool[number % workers]
             try:
                 done, value = pickle.load(answers)
             except (EOFError, pickle.UnpicklingError):
@@ -246,13 +245,12 @@ def _forked_map(function, tasks, workers: int) -> typing.Iterator:
                 raise value
             yield value
     finally:
-        for pid, _, _ in pool:
-            os.kill(pid, signal.SIGKILL)
-        for pid, hold, answers in pool:
+        # a worker holds the read ends opened before it: writes fail last worker first
+        for _, answers in pool:
+            answers.close()
+        for pid, _ in pool:
             with contextlib.suppress(ChildProcessError):  # reaped already: SIGCHLD ignored
                 os.waitpid(pid, 0)
-            os.close(hold)
-            answers.close()
 
 
 def _csv_text(matrix: np.ndarray, start: int, stop: int) -> str:

@@ -22,6 +22,7 @@ from .data import (
     _Frozen,
     _ncm_nearest,
     _ncm_scores,
+    _refuse_zero_rows,
     check_dim,
     unit_rows,
 )
@@ -58,13 +59,13 @@ class ClassMeans(_Frozen):
 def class_means(features: LabeledFeatures, classes) -> ClassMeans:
     """Mean of the unit-normalized feature rows of each requested class."""
     ids = _class_set(classes, "classes", repeats="merge")
-    unit = unit_rows(features.values, "feature")
+    _refuse_zero_rows(features.values, "feature")
     means, counts = [], []
     for c in ids.tolist():
         rows = np.flatnonzero(features.labels == c)
         if rows.size == 0:
             raise MissingClassError(f"class {c} has no samples")
-        means.append(unit[rows].mean(axis=0))
+        means.append(unit_rows(features.values[rows], "feature").mean(axis=0))
         counts.append(int(rows.size))
     return ClassMeans(
         means=np.vstack(means),

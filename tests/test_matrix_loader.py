@@ -3,6 +3,7 @@ batch, and must accept exactly the files, give exactly the bits and raise
 exactly the errors of the whole-file line-by-line loader kept below as the
 reference."""
 
+import contextlib
 import os
 import signal
 import threading
@@ -573,6 +574,51 @@ class TestForkedWorkers:
         assert len(pids) == 2
         assert sorted(os.listdir(tmp_path)) == ["m.csv"]
         assert no_child_process()
+
+    @pytest.mark.parametrize("case", ["clean", "fault", "interrupt", "interrupt, SIGCHLD ignored"])
+    def test_no_process_is_signalled(self, case, tmp_path, monkeypatch, capfd, forked):
+        # each worker ends by itself, after its share or at its first write
+        # once its pipe is closed, so no pid, however reused, is ever hit
+        matrix, path = self._big(tmp_path)
+        forked.clear()  # the pool that wrote the matrix
+        monkeypatch.setattr(io, "_BATCH_CHARS", 1024)  # one row a task
+
+        def refuse(pid, signum):
+            raise AssertionError(f"signal {signum} sent to process {pid}")
+
+        monkeypatch.setattr(os, "kill", refuse)
+        expected = {"clean": None, "fault": ValueError}.get(case, KeyboardInterrupt)
+        if case == "fault":
+
+            def fail(block):  # the workers are forked with this in place
+                raise ValueError("format fault")
+
+            monkeypatch.setattr(io, "_csv_lines", fail)
+        elif expected is KeyboardInterrupt:
+            load, loads = io.pickle.load, []
+
+            def interrupted(file):  # at answer 20 of 300
+                loads.append(file)
+                if len(loads) == 20:
+                    raise KeyboardInterrupt
+                return load(file)
+
+            monkeypatch.setattr(io.pickle, "load", interrupted)
+        ignored = case.endswith("SIGCHLD ignored")
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN) if ignored else None
+        try:
+            with pytest.raises(expected) if expected else contextlib.nullcontext():
+                io.save_matrix(matrix, tmp_path / "out.csv")
+        finally:
+            if ignored:
+                signal.signal(signal.SIGCHLD, previous)
+        assert forked == [2]
+        if expected:
+            assert sorted(os.listdir(tmp_path)) == ["m.csv"]
+        else:
+            assert (tmp_path / "out.csv").read_bytes() == path.read_bytes()
+        assert no_child_process()
+        assert capfd.readouterr().err == ""
 
     def test_no_task_is_sent_to_a_worker(self, tmp_path, monkeypatch, forked):
         # the workers' own dumps land in their memory, not in this list

@@ -74,7 +74,35 @@ class TestClassMeans:
             class_means(feats, {0, 1})
         with pytest.raises(ValidationError, match="row 0"):
             class_means(LabeledFeatures([[0.0, 0.0]], [0]), {0})
+        # the first zero row, past the first row block, outranks the missing class 3
+        values = np.random.default_rng(3).normal(size=(1000, 256))
+        values[[700, 900]] = 0.0
+        with pytest.raises(ValidationError, match="^feature row 700 has zero norm$"):
+            class_means(LabeledFeatures(values, np.arange(1000) % 3), range(4))
 
+    def test_means_are_the_means_of_the_whole_unit_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(5000, 256))
+        values[::7] *= 1e-200  # squares underflow
+        values[3::11] *= 1e250  # squares overflow
+        labels = rng.integers(0, 100, 5000)
+        means = class_means(LabeledFeatures(values, labels), range(100))
+        unit = data.unit_rows(values, "feature")
+        expected = np.vstack([unit[labels == c].mean(axis=0) for c in range(100)])
+        assert means.means.tobytes() == expected.tobytes()
+        assert means.counts.tolist() == np.bincount(labels).tolist()
+
+    def test_holds_no_unit_copy(self):
+        rng = np.random.default_rng(5)
+        features = LabeledFeatures(rng.normal(size=(5000, 256)), rng.integers(0, 100, 5000))
+        tracemalloc.start()
+        try:
+            class_means(features, range(100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one class's rows at a time, not the 10 MB unit copy of every row
+        assert peak < 2 * 2**20, f"peak {peak} B"
 
     def test_non_integral_class_index_rejected(self):
         feats = LabeledFeatures([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0, 1, 2])
